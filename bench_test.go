@@ -577,6 +577,64 @@ func BenchmarkRankSweep(b *testing.B) {
 	})
 }
 
+// BenchmarkFabricRoundtrip measures one message through the in-process
+// fabric — Send then Recv on one edge, 64 bytes, producer and consumer
+// on the same goroutine so nothing parks: the per-message floor under
+// every rank backend's task overhead.
+func BenchmarkFabricRoundtrip(b *testing.B) {
+	f := exec.NewFabricFromEdges([][]exec.Edge{{{Producer: 0, Consumer: 1}}})
+	payload := make([]byte, 64)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		f.Send(0, 0, 1, payload)
+		if len(f.Recv(0, 0, 1)) != len(payload) {
+			b.Fatal("short payload")
+		}
+	}
+}
+
+// BenchmarkRankEngineZeroGrain runs every rank policy over a reused
+// RankSession at zero kernel iterations on a communication-rich graph
+// (spread, five mostly cross-rank inputs per task), so ns/task is the
+// rank data plane itself: gather, receive, validate, send. It is the
+// rank-engine entry of the CI perf gate.
+func BenchmarkRankEngineZeroGrain(b *testing.B) {
+	for _, name := range []string{"p2p", "bsp", "dtd", "ptg", "hybrid"} {
+		name := name
+		b.Run(name, func(b *testing.B) {
+			rt, err := runtime.New(name)
+			if err != nil {
+				b.Fatal(err)
+			}
+			rb, ok := rt.(runtime.RankBacked)
+			if !ok {
+				b.Fatalf("%s is not rank-backed", name)
+			}
+			app := core.NewApp(core.MustNew(core.Params{
+				Timesteps: 250, MaxWidth: 8, Dependence: core.Spread, Radix: 5, OutputBytes: 64,
+			}))
+			app.Workers = 2
+			sess, err := exec.NewRankSession(app, rb.RankPolicy())
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer sess.Close()
+			if _, err := sess.Run(); err != nil { // warm: first-use slot allocation
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := sess.Run(); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(int64(b.N)*app.TotalTasks()), "ns/task")
+		})
+	}
+}
+
 // BenchmarkMETGRealBackends measures true host-scale METG(50%) for the
 // fastest real backends — the measured analog of Figure 9a's 1-node
 // column.

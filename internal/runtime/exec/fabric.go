@@ -1,195 +1,259 @@
 package exec
 
 import (
+	"cmp"
+	"fmt"
+	"slices"
+
 	"taskbench/internal/core"
 )
 
 // Edge is one dependence edge whose producer and consumer columns are
-// owned by different ranks — the unit every rank transport (channel
-// fabric or wire mesh) allocates a queue for.
+// owned by different ranks — the unit every rank transport (in-process
+// fabric or wire mesh) allocates a slot ring for.
 type Edge struct {
 	Producer, Consumer int
 }
 
 // CrossEdges calls fn once per distinct dependence edge of g crossing
 // a rank boundary under block distribution over the given rank count,
-// in deterministic order. It is the single edge enumeration shared by
-// the in-process Fabric and the tcp backend's wire transport, which
-// must agree exactly on which edges exist.
+// ordered by consumer column and then producer column. It is the
+// single edge enumeration shared by the in-process Fabric and the tcp
+// backend's wire transport, which must agree exactly on which edges
+// exist; an edge's position in this order is its dense edge id.
 func CrossEdges(g *core.Graph, ranks int, fn func(producer, consumer int)) {
 	dt := g.Deps()
 	w := g.MaxWidth
-	seen := map[Edge]struct{}{}
-	for dset := 0; dset < g.MaxDependenceSets(); dset++ {
-		for i := 0; i < w; i++ {
-			consRank := OwnerOf(i, w, ranks)
+	var producers []int
+	for i := 0; i < w; i++ {
+		consRank := OwnerOf(i, w, ranks)
+		producers = producers[:0]
+		for dset := 0; dset < g.MaxDependenceSets(); dset++ {
 			for _, iv := range dt.Forward(dset, i) {
 				for j := max(iv.First, 0); j <= min(iv.Last, w-1); j++ {
-					if OwnerOf(j, w, ranks) == consRank {
-						continue
+					if OwnerOf(j, w, ranks) != consRank {
+						producers = append(producers, j)
 					}
-					e := Edge{Producer: j, Consumer: i}
-					if _, dup := seen[e]; dup {
-						continue
-					}
-					seen[e] = struct{}{}
-					fn(j, i)
 				}
 			}
 		}
+		// Dependence sets overlap (spread rotates, fft strides), so one
+		// producer can show up once per set.
+		slices.Sort(producers)
+		for _, j := range slices.Compact(producers) {
+			fn(j, i)
+		}
 	}
 }
+
+// edgeIndex is the dense numbering of one graph's cross-rank edges:
+// the distinct edges sorted by consumer then producer, an edge's id
+// being its position. Lookup by columns is an offset load plus a
+// binary search of the consumer's (short) producer run.
+type edgeIndex struct {
+	edges []Edge
+	// start[c] is the id of consumer c's first edge; its run ends at
+	// start[c+1]. Consumers beyond the last one with an edge have no
+	// entry.
+	start []int32
+}
+
+func newEdgeIndex(list []Edge) edgeIndex {
+	edges := slices.Clone(list)
+	slices.SortFunc(edges, func(a, b Edge) int {
+		return cmp.Or(cmp.Compare(a.Consumer, b.Consumer), cmp.Compare(a.Producer, b.Producer))
+	})
+	edges = slices.Compact(edges)
+	ix := edgeIndex{edges: edges}
+	if len(edges) == 0 {
+		return ix
+	}
+	if e := edges[0]; e.Consumer < 0 || e.Producer < 0 {
+		panic(fmt.Sprintf("exec: edge %d→%d has a negative column", e.Producer, e.Consumer))
+	}
+	ix.start = make([]int32, edges[len(edges)-1].Consumer+2)
+	for _, e := range edges {
+		ix.start[e.Consumer+1]++
+	}
+	for c := 1; c < len(ix.start); c++ {
+		ix.start[c] += ix.start[c-1]
+	}
+	return ix
+}
+
+// idBefore returns the number of edges whose consumer column is below
+// c, which is the id of the first edge of c's run: consumer c's edges
+// are the ids [idBefore(c), idBefore(c+1)).
+func (ix *edgeIndex) idBefore(c int) int {
+	if c+1 >= len(ix.start) {
+		return len(ix.edges)
+	}
+	return int(ix.start[max(c, 0)])
+}
+
+// id returns the dense id of the edge producer→consumer, or -1 when
+// the graph has no such cross-rank edge.
+//
+//taskbench:hotpath
+func (ix *edgeIndex) id(producer, consumer int) int {
+	if consumer < 0 {
+		return -1
+	}
+	lo, end := ix.idBefore(consumer), ix.idBefore(consumer+1)
+	for hi := end; lo < hi; {
+		mid := int(uint(lo+hi) >> 1)
+		if ix.edges[mid].Producer < producer {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	if lo < end && ix.edges[lo].Producer == producer {
+		return lo
+	}
+	return -1
+}
+
+// edgeCap bounds the messages in flight per edge, like MPI's eager
+// buffers: a producer edgeCap timesteps ahead of a consumer parks. The
+// value keeps memory bounded while never deadlocking: a parked send is
+// always drained by a consumer that already has its own inputs (see
+// the deadlock-freedom argument in DESIGN.md §2b).
+const edgeCap = 4
 
 // Fabric is the point-to-point communication substrate for rank-based
 // backends (the analogs of MPI, PaRSEC and StarPU). Each dependence
-// edge that crosses a rank boundary gets a dedicated buffered channel,
-// the Go rendering of "each task dependency maps to one send/receive
-// pair in MPI" (paper §3.4). Messages on an edge are consumed in
-// timestep order, so no tag matching is needed; payload headers are
-// still validated by the core library.
+// edge that crosses a rank boundary gets a dedicated slot ring, the Go
+// rendering of "each task dependency maps to one send/receive pair in
+// MPI" (paper §3.4). Messages on an edge are consumed in timestep
+// order, so no tag matching is needed; payload headers are still
+// validated by the core library.
+//
+// Rings are addressed by dense edge id (the engine's compiled routes
+// carry ids) or by columns (an index lookup in front of the same
+// rings). The tcp mesh builds its inbound side from the same type,
+// restricted to the edges its process consumes.
 type Fabric struct {
-	// chans[g] maps consumer column -> producer column -> channel.
-	chans []map[int]map[int]chan []byte
-	// free[g] recycles delivered payload buffers of graph g, so
-	// steady-state sends stop allocating: Send draws its copy buffer
-	// here and consumers return buffers after validating them.
-	free []PayloadPool
+	graphs []fabricGraph
 }
 
-// PayloadPool is a bounded free list of payload buffers — the shared
-// recycling mechanism of the in-process Fabric and the tcp wire
-// transport's demultiplexers, which must agree on behavior so the
-// zero-allocs steady state holds on both. Get never blocks (it falls
-// back to allocating when the pool is empty or the recycled buffer is
-// too small) and Put never blocks (it drops the buffer when the pool
-// is full).
-type PayloadPool struct{ ch chan []byte }
-
-// NewEdgePool sizes a pool for one graph's cross-rank traffic: every
-// edge full (edgeCap messages in flight) plus one buffer per edge held
-// by its consumer, so a warmed-up steady state never allocates.
-func NewEdgePool(edges, edgeCap int) PayloadPool {
-	return PayloadPool{ch: make(chan []byte, edges*(edgeCap+1)+1)}
+type fabricGraph struct {
+	index edgeIndex
+	// rings[k] serves edge id lo+k. An in-process fabric has a ring for
+	// every edge (lo = 0); a mesh's inbound side only for the
+	// contiguous id run of its local consumers.
+	lo    int
+	rings []Ring
 }
 
-// Get returns a buffer of the given length, recycled when possible.
-//
-//taskbench:hotpath
-func (p PayloadPool) Get(length int) []byte {
-	select {
-	case buf := <-p.ch:
-		if cap(buf) >= length {
-			return buf[:length]
-		}
-	default:
-	}
-	return make([]byte, length) //taskbench:allocok pool-miss fallback; a warmed-up steady state never reaches it
-}
-
-// Put returns a consumed buffer to the pool, dropping it when full.
-//
-//taskbench:hotpath
-func (p PayloadPool) Put(buf []byte) {
-	select {
-	case p.ch <- buf:
-	default:
-	}
-}
-
-// edgeCap bounds the per-edge buffering, like MPI's eager buffers. A
-// producer more than edgeCap timesteps ahead of a consumer blocks. The
-// value keeps memory bounded while never deadlocking: blocked sends
-// are always drained by a consumer that already has its own inputs
-// (see the deadlock-freedom argument in DESIGN.md).
-const edgeCap = 4
-
-// NewFabric enumerates every cross-rank dependence edge of the app
-// (via CrossEdges) and creates one channel per edge.
-func NewFabric(app *core.App, ranks int) *Fabric {
-	lists := make([][]Edge, len(app.Graphs))
-	for gi, g := range app.Graphs {
-		CrossEdges(g, ranks, func(producer, consumer int) {
-			lists[gi] = append(lists[gi], Edge{Producer: producer, Consumer: consumer})
-		})
-	}
-	return NewFabricFromEdges(lists)
-}
-
-// NewFabricFromEdges builds the per-edge channels for precomputed
-// cross-rank edge lists (one list per graph), letting a reusable
-// RankPlan share one enumeration across fabric construction and wire
-// transports. Each graph also gets a free list sized for the worst
-// case of in-flight messages (every edge full plus a buffer per edge
-// held by its consumer), so a warmed-up fabric never allocates.
+// NewFabricFromEdges builds an in-process fabric over explicit
+// cross-rank edge lists, one per graph, with edgeCap messages in
+// flight per edge.
 func NewFabricFromEdges(lists [][]Edge) *Fabric {
-	f := &Fabric{chans: EdgeQueues(lists, edgeCap), free: make([]PayloadPool, len(lists))}
-	for gi, edges := range lists {
-		f.free[gi] = NewEdgePool(len(edges), edgeCap)
+	f := &Fabric{graphs: make([]fabricGraph, len(lists))}
+	for gi, list := range lists {
+		ix := newEdgeIndex(list)
+		f.graphs[gi] = newFabricGraph(ix, 0, len(ix.edges), edgeCap, nil)
 	}
 	return f
 }
 
-// EdgeQueues builds the per-edge queue maps (consumer → producer →
-// buffered channel of the given capacity) for precomputed cross-rank
-// edge lists — the common construction of the in-process Fabric and
-// the tcp wire transport's demux queues, which must agree exactly on
-// which edges have a queue.
-func EdgeQueues(lists [][]Edge, capacity int) []map[int]map[int]chan []byte {
-	queues := make([]map[int]map[int]chan []byte, len(lists))
-	for gi, edges := range lists {
-		byCons := map[int]map[int]chan []byte{}
-		for _, e := range edges {
-			byProd := byCons[e.Consumer]
-			if byProd == nil {
-				byProd = map[int]chan []byte{}
-				byCons[e.Consumer] = byProd
-			}
-			byProd[e.Producer] = make(chan []byte, capacity)
-		}
-		queues[gi] = byCons
+// NewFabric builds the rings of every edge of plan consumed by one of
+// the plan's Local ranks, each holding up to capacity messages in
+// flight. A non-nil done channel releases every parked Send and Recv
+// when it closes (Recv then returns nil): a wire transport's teardown
+// signal. The in-process engine passes nil.
+func NewFabric(plan *RankPlan, capacity int, done <-chan struct{}) *Fabric {
+	f := &Fabric{graphs: make([]fabricGraph, len(plan.index))}
+	for gi := range plan.index {
+		// Edges sort by consumer and the local columns are contiguous,
+		// so the local consumers' edges are one contiguous id run.
+		ix, local := plan.index[gi], plan.localColumns(gi)
+		f.graphs[gi] = newFabricGraph(ix, ix.idBefore(local.Lo), ix.idBefore(local.Hi), capacity, done)
 	}
-	return queues
+	return f
 }
 
-// Remote reports whether the edge producer→consumer crosses a rank
-// boundary (i.e. has a channel).
-func (f *Fabric) Remote(graph, producer, consumer int) bool {
-	byProd := f.chans[graph][consumer]
-	if byProd == nil {
-		return false
+func newFabricGraph(ix edgeIndex, lo, hi, capacity int, done <-chan struct{}) fabricGraph {
+	g := fabricGraph{index: ix, lo: lo, rings: make([]Ring, hi-lo)}
+	for k := range g.rings {
+		g.rings[k].init(capacity, done)
 	}
-	_, ok := byProd[producer]
-	return ok
+	return g
+}
+
+// Ring returns the slot ring of the edge producer→consumer of graph,
+// or nil when the fabric has no such edge — the lookup a wire
+// transport performs on routes that arrive off the network.
+//
+//taskbench:hotpath
+func (f *Fabric) Ring(graph, producer, consumer int) *Ring {
+	if graph < 0 || graph >= len(f.graphs) {
+		return nil
+	}
+	g := &f.graphs[graph]
+	k := g.index.id(producer, consumer) - g.lo
+	if k < 0 || k >= len(g.rings) {
+		return nil
+	}
+	return &g.rings[k]
+}
+
+// mustRing is Ring for in-process callers, where an unknown edge is a
+// programmer error: it panics naming the edge instead of blocking on
+// a queue that does not exist.
+//
+//taskbench:hotpath
+func (f *Fabric) mustRing(graph, producer, consumer int) *Ring {
+	r := f.Ring(graph, producer, consumer)
+	if r == nil {
+		panic(fmt.Sprintf("exec: fabric has no edge g%d %d→%d", graph, producer, consumer))
+	}
+	return r
 }
 
 // Send transmits a copy of payload along the edge producer→consumer.
 // The copy models the network's ownership transfer: the producer is
-// free to reuse its output buffer immediately. The copy buffer comes
-// from the graph's free list when one is available, so steady-state
-// communication is allocation-free once the first run has populated
-// the list (consumers return buffers via Recycle).
+// free to reuse its output buffer immediately.
 //
 //taskbench:hotpath
 func (f *Fabric) Send(graph, producer, consumer int, payload []byte) {
-	msg := f.free[graph].Get(len(payload))
-	copy(msg, payload)
-	f.chans[graph][consumer][producer] <- msg
+	f.mustRing(graph, producer, consumer).send(payload)
 }
 
 // Recv blocks until the next message on the edge producer→consumer
-// arrives and returns it. The caller owns the returned buffer and
-// should Recycle it once the payload has been consumed.
+// arrives and returns it. The returned bytes stay valid until the next
+// Recv on the same edge.
 //
 //taskbench:hotpath
 func (f *Fabric) Recv(graph, producer, consumer int) []byte {
-	return <-f.chans[graph][consumer][producer]
+	return f.mustRing(graph, producer, consumer).Recv()
 }
 
-// Recycle returns a delivered payload buffer to graph's free list for
-// reuse by a later Send, dropping the buffer if the list is full. Only
-// buffers obtained from Recv on this fabric may be recycled.
+// Recycle is a no-op kept for callers written against the free-list
+// fabric: a received payload is a ring slot, released by the next Recv
+// on its edge.
+func (f *Fabric) Recycle(graph int, payload []byte) {}
+
+// SendEdge implements Transport by dense edge id.
 //
 //taskbench:hotpath
-func (f *Fabric) Recycle(graph int, payload []byte) {
-	f.free[graph].Put(payload)
+func (f *Fabric) SendEdge(rank, graph, edge int, payload []byte) error {
+	g := &f.graphs[graph]
+	g.rings[edge-g.lo].send(payload)
+	return nil
 }
+
+// RecvEdge implements Transport by dense edge id.
+//
+//taskbench:hotpath
+func (f *Fabric) RecvEdge(graph, edge int) []byte {
+	g := &f.graphs[graph]
+	return g.rings[edge-g.lo].Recv()
+}
+
+// Err implements Transport; an in-process fabric cannot fail.
+func (f *Fabric) Err() error { return nil }
+
+// Close implements Transport; an in-process fabric holds no resources.
+func (f *Fabric) Close() {}

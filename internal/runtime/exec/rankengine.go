@@ -7,23 +7,20 @@ import (
 )
 
 // Transport is the messaging substrate a RankEngine moves cross-rank
-// payloads over. The in-process Fabric is the default; the tcp backend
-// substitutes a real wire transport via RankTransporter.
+// payloads over, addressed by dense edge id: the index into
+// RankPlan.Edges(graph) that the plan's compiled routes carry. The
+// in-process Fabric is the default; the tcp backend substitutes a real
+// wire transport via RankTransporter.
 type Transport interface {
-	// Remote reports whether the edge producer→consumer crosses a rank
-	// boundary (i.e. has a queue).
-	Remote(graph, producer, consumer int) bool
-	// Send transmits payload along the edge. rank identifies the
+	// SendEdge transmits payload along the edge. rank identifies the
 	// sending rank, for transports that route by connection.
-	Send(rank, graph, producer, consumer int, payload []byte) error
-	// Recv blocks until the next payload on the edge arrives and
-	// returns it; the caller owns the returned buffer.
-	Recv(graph, producer, consumer int) []byte
-	// Recycle hands a buffer returned by Recv back to the transport
-	// once its payload has been consumed, so steady-state messaging can
-	// reuse buffers instead of allocating. Transports may drop the
-	// buffer; callers must not touch it afterwards.
-	Recycle(graph int, payload []byte)
+	SendEdge(rank, graph, edge int, payload []byte) error
+	// RecvEdge blocks until the next payload on the edge arrives and
+	// returns it. The bytes stay valid until the next RecvEdge on the
+	// same edge, so a caller must be done with one payload of an edge
+	// before asking for the next — which timestep order gives every
+	// policy for free.
+	RecvEdge(graph, edge int) []byte
 	// Err reports any asynchronous transport failure observed so far.
 	Err() error
 	// Close releases transport resources.
@@ -42,30 +39,6 @@ type Transport interface {
 type Flusher interface {
 	Flush(rank int) error
 }
-
-// fabricTransport adapts the in-process Fabric to the Transport
-// interface.
-type fabricTransport struct{ f *Fabric }
-
-func (t fabricTransport) Remote(graph, producer, consumer int) bool {
-	return t.f.Remote(graph, producer, consumer)
-}
-
-func (t fabricTransport) Send(rank, graph, producer, consumer int, payload []byte) error {
-	t.f.Send(graph, producer, consumer, payload)
-	return nil
-}
-
-func (t fabricTransport) Recv(graph, producer, consumer int) []byte {
-	return t.f.Recv(graph, producer, consumer)
-}
-
-func (t fabricTransport) Recycle(graph int, payload []byte) {
-	t.f.Recycle(graph, payload)
-}
-
-func (t fabricTransport) Err() error { return nil }
-func (t fabricTransport) Close()     {}
 
 // RankLayout is a policy's rank/thread decomposition of an app.
 type RankLayout struct {
@@ -184,16 +157,20 @@ func (rc *RankCtx) Flip(gi int) { rc.plan().Rows(rc.Rank, gi).Flip() }
 // on every rank at every timestep or not at all.
 func (rc *RankCtx) Barrier() { rc.engine.barrier.Wait() }
 
-// Recv blocks until the next payload on the edge producer→consumer of
-// graph gi arrives.
-func (rc *RankCtx) Recv(gi, producer, consumer int) []byte {
-	return rc.engine.transport.Recv(gi, producer, consumer)
+// Recv blocks until the next payload on edge (a Route.Edge of graph gi)
+// arrives. The bytes stay valid until the next Recv on the same edge.
+//
+//taskbench:hotpath
+func (rc *RankCtx) Recv(gi, edge int) []byte {
+	return rc.engine.transport.RecvEdge(gi, edge)
 }
 
-// Send transmits payload along the edge producer→consumer of graph gi,
+// Send transmits payload along edge (a Route.Edge of graph gi),
 // capturing transport failures as the run's first error.
-func (rc *RankCtx) Send(gi, producer, consumer int, payload []byte) {
-	if err := rc.engine.transport.Send(rc.Rank, gi, producer, consumer, payload); err != nil {
+//
+//taskbench:hotpath
+func (rc *RankCtx) Send(gi, edge int, payload []byte) {
+	if err := rc.engine.transport.SendEdge(rc.Rank, gi, edge, payload); err != nil {
 		rc.firstErr.Set(err)
 	}
 }
@@ -211,40 +188,25 @@ func (rc *RankCtx) Run(gi, t, i int) []byte {
 
 // RunInto is Run with a caller-owned gather buffer, for policies that
 // execute a rank's tasks on several goroutines. It returns the reused
-// buffer and the task's output. Received remote payloads are recycled
-// back to the transport after execution, so steady-state communication
-// reuses buffers instead of allocating.
+// buffer and the task's output. The gather walks the plan's compiled
+// routes: no dependence query, ownership test or edge lookup happens
+// per input, and received payloads need no hand-back (the transport
+// reclaims each on the edge's next receive).
 //
 //taskbench:hotpath
 func (rc *RankCtx) RunInto(inputs [][]byte, gi, t, i int) ([][]byte, []byte) {
-	g := rc.Graph(gi)
-	span := rc.Span(gi)
-	rows := rc.plan().Rows(rc.Rank, gi)
+	plan := rc.plan()
+	rows := plan.Rows(rc.Rank, gi)
 	tr := rc.engine.transport
 	inputs = inputs[:0]
-	deps := g.PointDeps(t, i)
-	for dep, ok := deps.Next(); ok; dep, ok = deps.Next() {
-		if dep >= span.Lo && dep < span.Hi {
-			inputs = append(inputs, rows.Prev(dep)) //taskbench:allocok grows to the max in-degree once, then reuses capacity
+	for _, in := range plan.Gather(gi, t, i) {
+		if in.Edge == LocalEdge {
+			inputs = append(inputs, rows.Prev(int(in.Col))) //taskbench:allocok grows to the max in-degree once, then reuses capacity
 		} else {
-			inputs = append(inputs, tr.Recv(gi, dep, i)) //taskbench:allocok grows to the max in-degree once, then reuses capacity
+			inputs = append(inputs, tr.RecvEdge(gi, int(in.Edge))) //taskbench:allocok grows to the max in-degree once, then reuses capacity
 		}
 	}
-	out := rc.ExecWith(gi, t, i, inputs)
-	// The remote inputs are dead now (validation samples them during
-	// ExecWith); hand their buffers back to the transport. Re-walking
-	// the relation recovers which gathered inputs were remote without
-	// any per-call bookkeeping state (RunInto must stay reentrant for
-	// hybrid's intra-rank threads).
-	n := 0
-	deps = g.PointDeps(t, i)
-	for dep, ok := deps.Next(); ok; dep, ok = deps.Next() {
-		if dep < span.Lo || dep >= span.Hi {
-			tr.Recycle(gi, inputs[n])
-		}
-		n++
-	}
-	return inputs, out
+	return inputs, rc.ExecWith(gi, t, i, inputs)
 }
 
 // ExecWith executes task (t, i) of graph gi with explicitly gathered
@@ -274,25 +236,14 @@ func (rc *RankCtx) ExecWith(gi, t, i int, inputs [][]byte) []byte {
 }
 
 // SendOutputs sends task (t, i)'s output to every consumer in the next
-// timestep owned by a different rank.
+// timestep owned by a different rank, along the plan's compiled send
+// routes.
 //
 //taskbench:hotpath
 func (rc *RankCtx) SendOutputs(gi, t, i int, out []byte) {
-	g := rc.Graph(gi)
-	tr := rc.engine.transport
-	cons := g.PointConsumers(t, i)
-	for c, ok := cons.Next(); ok; c, ok = cons.Next() {
-		if tr.Remote(gi, i, c) {
-			rc.Send(gi, i, c, out)
-		}
+	for _, to := range rc.plan().Sends(gi, t, i) {
+		rc.Send(gi, int(to.Edge), out)
 	}
-}
-
-// Recycle hands a received payload buffer back to the transport once
-// the policy is done with it, for policies (ptg) that gather inputs
-// themselves instead of going through RunInto.
-func (rc *RankCtx) Recycle(gi int, payload []byte) {
-	rc.engine.transport.Recycle(gi, payload)
 }
 
 // RankEngine executes a RankPlan under a pluggable RankPolicy. It owns
@@ -315,7 +266,7 @@ type RankEngine struct {
 // NewRankEngine builds an engine over plan with the given policy and
 // intra-rank thread count. Schedule compilation (RankCompiler) and
 // transport construction (RankTransporter, defaulting to the
-// in-process Fabric over the plan's edge lists) happen here, outside
+// in-process Fabric over the plan's edge index) happen here, outside
 // any timed region.
 func NewRankEngine(plan *RankPlan, policy RankPolicy, threads int) (*RankEngine, error) {
 	e := newRankEngine(plan, policy, threads)
@@ -326,7 +277,7 @@ func NewRankEngine(plan *RankPlan, policy RankPolicy, threads int) (*RankEngine,
 		}
 		e.transport = transport
 	} else {
-		e.transport = fabricTransport{NewFabricFromEdges(plan.edges)}
+		e.transport = NewFabric(plan, edgeCap, nil)
 	}
 	return e, nil
 }

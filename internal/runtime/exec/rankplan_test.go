@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"slices"
 	"testing"
 
 	"taskbench/internal/core"
@@ -115,5 +116,131 @@ func TestRunRanksEmptyApp(t *testing.T) {
 	}
 	if st.Tasks != 0 {
 		t.Errorf("Tasks = %d, want 0", st.Tasks)
+	}
+}
+
+// routeGraphs mirrors core's deptable_test matrix: every dependence
+// pattern over power-of-two and ragged widths, several radixes, periods
+// and seeds. Fourteen timesteps take the tree pattern through its
+// fan-out and every butterfly set.
+func routeGraphs(t *testing.T) []*core.Graph {
+	t.Helper()
+	var graphs []*core.Graph
+	for _, dep := range core.DependenceTypes() {
+		widths := []int{1, 2, 3, 5, 8, 16, 33}
+		if dep.RequiresPowerOfTwoWidth() {
+			widths = []int{1, 2, 8, 16, 64}
+		}
+		for _, w := range widths {
+			radixes := []int{0}
+			switch dep {
+			case core.Nearest:
+				radixes = []int{0, 1, 3, 5, w}
+			case core.Spread, core.RandomNearest:
+				radixes = []int{1, 3, 5, w}
+			}
+			for _, radix := range radixes {
+				if radix > w {
+					continue
+				}
+				periods := []int{0}
+				if dep == core.Spread || dep == core.RandomNearest {
+					periods = []int{1, 3, 5}
+				}
+				for _, period := range periods {
+					for _, seed := range []uint64{0, 42} {
+						g, err := core.New(core.Params{
+							Timesteps: 14, MaxWidth: w, Dependence: dep,
+							Radix: radix, Period: period, Fraction: 0.4, Seed: seed,
+						})
+						if err != nil {
+							t.Fatalf("New(%s, w=%d, radix=%d, period=%d): %v", dep, w, radix, period, err)
+						}
+						graphs = append(graphs, g)
+					}
+				}
+			}
+		}
+	}
+	return graphs
+}
+
+// wantRoutes derives task (t, i)'s routes the slow way: the dependence
+// iterators filtered by OwnerOf, edge ids by searching the edge list.
+func wantRoutes(g *core.Graph, edges []Edge, ranks, t, i int) (gather, sends []Route) {
+	w := g.MaxWidth
+	edgeID := func(producer, consumer int) int32 {
+		if OwnerOf(producer, w, ranks) == OwnerOf(consumer, w, ranks) {
+			return LocalEdge
+		}
+		for id, e := range edges {
+			if e == (Edge{Producer: producer, Consumer: consumer}) {
+				return int32(id)
+			}
+		}
+		return -2 // a cross-rank dependence with no edge: never equal to a compiled route
+	}
+	deps := g.PointDeps(t, i)
+	for dep, ok := deps.Next(); ok; dep, ok = deps.Next() {
+		gather = append(gather, Route{Col: int32(dep), Edge: edgeID(dep, i)})
+	}
+	cons := g.PointConsumers(t, i)
+	for c, ok := cons.Next(); ok; c, ok = cons.Next() {
+		if id := edgeID(i, c); id != LocalEdge {
+			sends = append(sends, Route{Col: int32(c), Edge: id})
+		}
+	}
+	return gather, sends
+}
+
+// TestCompiledRoutesMatchDependenceQueries is the routes' property
+// test: at every (t, i), including points outside the active window,
+// the compiled gather and send lists equal PointDeps and
+// PointConsumers filtered by ownership, in the same order.
+func TestCompiledRoutesMatchDependenceQueries(t *testing.T) {
+	for _, g := range routeGraphs(t) {
+		for ranks := 1; ranks <= 4; ranks++ {
+			plan := BuildRankPlan(core.NewApp(g), ranks)
+			for step := 0; step < g.Timesteps; step++ {
+				for i := 0; i < g.MaxWidth; i++ {
+					wantG, wantS := wantRoutes(g, plan.Edges(0), ranks, step, i)
+					if got := plan.Gather(0, step, i); !slices.Equal(got, wantG) {
+						t.Fatalf("%s w=%d radix=%d period=%d seed=%d ranks=%d: Gather(%d, %d) = %v, want %v",
+							g.Dependence, g.MaxWidth, g.Radix, g.Period, g.Seed, ranks, step, i, got, wantG)
+					}
+					if got := plan.Sends(0, step, i); !slices.Equal(got, wantS) {
+						t.Fatalf("%s w=%d radix=%d period=%d seed=%d ranks=%d: Sends(%d, %d) = %v, want %v",
+							g.Dependence, g.MaxWidth, g.Radix, g.Period, g.Seed, ranks, step, i, got, wantS)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestLocalPlanCompilesLocalRoutesOnly: a cluster worker's plan carries
+// the full plan's routes for the columns it executes and none for the
+// rest, with edge ids that agree with the global numbering.
+func TestLocalPlanCompilesLocalRoutesOnly(t *testing.T) {
+	g := core.MustNew(core.Params{Timesteps: 8, MaxWidth: 11, Dependence: core.Spread, Radix: 5, Period: 3})
+	const ranks = 4
+	full := BuildRankPlan(core.NewApp(g), ranks)
+	local := BuildRankPlanLocal(core.NewApp(g), ranks, Span{Lo: 1, Hi: 3})
+	if !slices.Equal(full.Edges(0), local.Edges(0)) {
+		t.Fatal("local plan numbers the edges differently from the full plan")
+	}
+	for step := 0; step < g.Timesteps; step++ {
+		for i := 0; i < g.MaxWidth; i++ {
+			wantG, wantS := full.Gather(0, step, i), full.Sends(0, step, i)
+			if r := OwnerOf(i, g.MaxWidth, ranks); r < 1 || r >= 3 {
+				wantG, wantS = nil, nil
+			}
+			if got := local.Gather(0, step, i); !slices.Equal(got, wantG) {
+				t.Errorf("Gather(%d, %d) = %v, want %v", step, i, got, wantG)
+			}
+			if got := local.Sends(0, step, i); !slices.Equal(got, wantS) {
+				t.Errorf("Sends(%d, %d) = %v, want %v", step, i, got, wantS)
+			}
+		}
 	}
 }

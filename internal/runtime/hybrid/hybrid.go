@@ -44,7 +44,7 @@ func (rt) RankPolicy() exec.RankPolicy { return policy{} }
 // policy is the ranks-of-engines discipline: each rank forks a
 // parallel loop over its owned columns every timestep (each chunk
 // worker receives its own remote inputs — edges are per-consumer, so
-// chunks never contend on a channel), joins, and then communicates in
+// chunks never contend on a ring), joins, and then communicates in
 // a funneled phase.
 type policy struct{}
 

@@ -1,6 +1,6 @@
 // Package p2p implements the MPI point-to-point analog: one goroutine
 // per rank, columns block-distributed over ranks, and one
-// send/receive channel pair per dependence edge that crosses a rank
+// send/receive slot ring per dependence edge that crosses a rank
 // boundary (paper §3.4). Each rank alternates a receive+compute phase
 // with sends issued as soon as each task completes, the best
 // performing strategy the paper found for MPI.
@@ -28,7 +28,7 @@ func (rt) Info() runtime.Info {
 		Parallelism: "explicit",
 		Distributed: true,
 		Async:       false,
-		Notes:       "rank per worker; per-edge channels; sends issued per task",
+		Notes:       "rank per worker; per-edge slot rings; sends issued per task",
 	}
 }
 

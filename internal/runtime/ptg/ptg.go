@@ -42,17 +42,12 @@ func (rt) Run(app *core.App) (core.RunStats, error) {
 // RankPolicy implements runtime.RankBacked.
 func (rt) RankPolicy() exec.RankPolicy { return &policy{} }
 
-// compiledInput is one input of a compiled task.
-type compiledInput struct {
-	col    int
-	remote bool
-}
-
-// compiledTask is one owned task at some timestep.
+// compiledTask is one owned task at some timestep: its column and the
+// plan's compiled routes for it (views into the plan, not copies).
 type compiledTask struct {
-	col     int
-	inputs  []compiledInput
-	sendsTo []int // remote consumer columns at t+1
+	col    int
+	inputs []exec.Route // producers at t-1: local row or edge to receive on
+	sends  []exec.Route // remote consumers at t+1: edge to send on
 }
 
 // compiledStep is everything a rank does in one timestep of one graph.
@@ -92,7 +87,9 @@ func (p *policy) CompileRanks(plan *exec.RankPlan) {
 	wg.Wait()
 }
 
-// compileRank expands the dependence relations for one rank.
+// compileRank expands one rank's firing rules. Which input is remote
+// and which edge carries it is the plan's decision (its compiled
+// routes); this only lays the rules out per timestep.
 func compileRank(plan *exec.RankPlan, rank int) []rankSchedule {
 	out := make([]rankSchedule, len(plan.App.Graphs))
 	for gi, g := range plan.App.Graphs {
@@ -104,21 +101,11 @@ func compileRank(plan *exec.RankPlan, rank int) []rankSchedule {
 			lo := max(span.Lo, off)
 			hi := min(span.Hi, off+w)
 			for i := lo; i < hi; i++ {
-				task := compiledTask{col: i}
-				deps := g.PointDeps(t, i)
-				for dep, ok := deps.Next(); ok; dep, ok = deps.Next() {
-					task.inputs = append(task.inputs, compiledInput{
-						col:    dep,
-						remote: dep < span.Lo || dep >= span.Hi,
-					})
-				}
-				cons := g.PointConsumers(t, i)
-				for c, ok := cons.Next(); ok; c, ok = cons.Next() {
-					if c < span.Lo || c >= span.Hi {
-						task.sendsTo = append(task.sendsTo, c)
-					}
-				}
-				sched.steps[t].tasks = append(sched.steps[t].tasks, task)
+				sched.steps[t].tasks = append(sched.steps[t].tasks, compiledTask{
+					col:    i,
+					inputs: plan.Gather(gi, t, i),
+					sends:  plan.Sends(gi, t, i),
+				})
 			}
 		}
 		out[gi] = sched
@@ -137,22 +124,15 @@ func (p *policy) Step(rc *exec.RankCtx, t int) {
 		for _, task := range p.compiled[rc.Rank][gi].steps[t].tasks {
 			inputs = inputs[:0]
 			for _, in := range task.inputs {
-				if in.remote {
-					inputs = append(inputs, rc.Recv(gi, in.col, task.col))
+				if in.Edge == exec.LocalEdge {
+					inputs = append(inputs, rc.Prev(gi, int(in.Col)))
 				} else {
-					inputs = append(inputs, rc.Prev(gi, in.col))
+					inputs = append(inputs, rc.Recv(gi, int(in.Edge)))
 				}
 			}
 			out := rc.ExecWith(gi, t, task.col, inputs)
-			for _, cons := range task.sendsTo {
-				rc.Send(gi, task.col, cons, out)
-			}
-			// Received buffers are dead once the task has executed;
-			// recycling them keeps the replayed schedule allocation-free.
-			for k, in := range task.inputs {
-				if in.remote {
-					rc.Recycle(gi, inputs[k])
-				}
+			for _, to := range task.sends {
+				rc.Send(gi, int(to.Edge), out)
 			}
 		}
 		rc.Flip(gi)

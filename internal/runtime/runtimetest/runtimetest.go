@@ -388,27 +388,40 @@ func RankPlanReuse(t *testing.T, name string) {
 	}
 }
 
-// RankCounts runs the backend at rank counts 1, 2 and 3 over widths
-// that divide unevenly (or not at all) across the ranks, including a
-// width smaller than the rank count.
+// RankCounts runs the backend at rank counts 1, 2 and 3 over every
+// dependence pattern at widths that divide unevenly (or not at all)
+// across the ranks, including a width smaller than the rank count.
+// Thirteen timesteps put more messages on every cross-rank edge than
+// its slot ring holds, so every ring wraps (and the tree pattern gets
+// through its fan-out into the butterfly sets).
 func RankCounts(t *testing.T, name string) {
 	t.Helper()
 	rt, err := runtime.New(name)
 	if err != nil {
 		t.Fatalf("runtime.New(%q): %v", name, err)
 	}
-	for ranks := 1; ranks <= 3; ranks++ {
-		for _, width := range []int{1, 2, 7} {
-			app := core.NewApp(graph(0, core.Stencil1D, width, 6, 0, 16))
-			app.Workers = ranks
-			app.Nodes = ranks
-			stats, err := rt.Run(app)
-			if err != nil {
-				t.Fatalf("%s failed at ranks=%d width=%d: %v", name, ranks, width, err)
-			}
-			if stats.Tasks != app.TotalTasks() {
-				t.Errorf("ranks=%d width=%d: stats.Tasks = %d, want %d",
-					ranks, width, stats.Tasks, app.TotalTasks())
+	for _, dep := range core.DependenceTypes() {
+		widths := []int{1, 2, 7}
+		if dep.RequiresPowerOfTwoWidth() {
+			widths = []int{1, 2, 8}
+		}
+		for ranks := 1; ranks <= 3; ranks++ {
+			for _, width := range widths {
+				radix := 0
+				if dep == core.Nearest || dep == core.Spread || dep == core.RandomNearest {
+					radix = min(5, width)
+				}
+				app := core.NewApp(graph(0, dep, width, 13, radix, 16))
+				app.Workers = ranks
+				app.Nodes = ranks
+				stats, err := rt.Run(app)
+				if err != nil {
+					t.Fatalf("%s failed at %s ranks=%d width=%d: %v", name, dep, ranks, width, err)
+				}
+				if stats.Tasks != app.TotalTasks() {
+					t.Errorf("%s ranks=%d width=%d: stats.Tasks = %d, want %d",
+						dep, ranks, width, stats.Tasks, app.TotalTasks())
+				}
 			}
 		}
 	}

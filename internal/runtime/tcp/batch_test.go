@@ -272,3 +272,53 @@ func TestDemuxRejectsMalformedBatch(t *testing.T) {
 		expectTeardown(t, tr, "overrun")
 	})
 }
+
+// TestDemuxRejectsBadRoute pins the order of the demux checks: the
+// route is resolved to a ring, and the payload length checked against
+// the graph's OutputBytes, before a single body byte is read. Every
+// case writes the header (or batch header and descriptor) only — a
+// demux that went for the body first would sit in the read and never
+// tear down.
+func TestDemuxRejectsBadRoute(t *testing.T) {
+	// corruptibleMesh's only inbound edge is g0 1→0, 64-byte payloads.
+	for _, c := range []struct {
+		name                            string
+		plen, graph, producer, consumer uint32
+		want                            string
+	}{
+		{"unknown_graph", 64, 3, 1, 0, "unknown edge g3 1→0"},
+		{"unknown_edge", 64, 0, 0, 0, "unknown edge g0 0→0"},
+		{"edge_consumed_elsewhere", 64, 0, 0, 1, "unknown edge g0 0→1"},
+		{"column_out_of_range", 64, 0, 1, 1 << 20, "unknown edge"},
+		{"payload_over_bound", 65, 0, 1, 0, "exceeds the graph's 64"},
+	} {
+		route := func(b []byte) {
+			binary.LittleEndian.PutUint32(b[0:4], c.plen)
+			binary.LittleEndian.PutUint32(b[4:8], c.graph)
+			binary.LittleEndian.PutUint32(b[8:12], c.producer)
+			binary.LittleEndian.PutUint32(b[12:16], c.consumer)
+		}
+		t.Run(c.name+"/single", func(t *testing.T) {
+			tr, conn := corruptibleMesh(t)
+			var header [frameHeaderSize]byte
+			route(header[:])
+			if _, err := conn.Write(header[:]); err != nil {
+				t.Fatal(err)
+			}
+			expectTeardown(t, tr, c.want)
+		})
+		t.Run(c.name+"/batched", func(t *testing.T) {
+			tr, conn := corruptibleMesh(t)
+			var frame [frameHeaderSize + descSize]byte
+			binary.LittleEndian.PutUint32(frame[0:4], descSize+c.plen)
+			binary.LittleEndian.PutUint32(frame[4:8], batchMarker)
+			binary.LittleEndian.PutUint32(frame[8:12], 1)
+			binary.LittleEndian.PutUint32(frame[12:16], descSize)
+			route(frame[frameHeaderSize:])
+			if _, err := conn.Write(frame[:]); err != nil {
+				t.Fatal(err)
+			}
+			expectTeardown(t, tr, c.want)
+		})
+	}
+}

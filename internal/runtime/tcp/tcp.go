@@ -8,12 +8,13 @@
 //
 // Topology: a full mesh. Every ordered rank pair (s → r) gets one
 // connection, written only by s and read by a demultiplexer goroutine
-// at the process hosting r that routes frames to per-edge queues.
-// Outbound payloads are batched: everything a rank sends to one peer
-// within a timestep coalesces into a single multi-edge frame written
-// with one writev at the timestep boundary (exec.Flusher), so at fine
-// granularity the per-task syscall cost amortizes across the whole
-// step. The mesh is constructible in two shapes:
+// at the process hosting r that reads each payload straight into its
+// edge's slot ring. Outbound payloads are batched: everything a rank
+// sends to one peer within a timestep coalesces into a single
+// multi-edge frame written with one writev at the timestep boundary
+// (exec.Flusher), so at fine granularity the per-task syscall cost
+// amortizes across the whole step. The mesh is constructible in two
+// shapes:
 //
 //   - In-process (the "tcp" backend): one process hosts every rank on
 //     loopback. Scheduling is exactly the p2p backend's eager rank
@@ -25,9 +26,10 @@
 //     NewMeshTransport wires the spans together from an externally
 //     supplied rank→address map (internal/cluster drives this).
 //
-// The per-edge queues are built from the RankPlan's cross-rank edge
-// list, the same enumeration the fabric uses, so both transports agree
-// exactly on which edges exist.
+// The inbound side is an exec.Fabric — the same per-edge slot rings the
+// in-process backends use — built from the RankPlan's edge index for
+// the edges this process consumes, so both transports agree exactly on
+// which edges exist and how they are numbered.
 package tcp
 
 import (
@@ -80,8 +82,8 @@ type policy struct {
 }
 
 // OpenTransport implements exec.RankTransporter: it dials the full
-// loopback mesh and builds the per-edge frame queues from the plan's
-// cross-rank edge lists. The engine owns (and Closes) the transport,
+// loopback mesh and builds the per-edge slot rings from the plan's
+// cross-rank edge index. The engine owns (and Closes) the transport,
 // so a reused RankSession pays connection establishment once per
 // configuration instead of per run.
 func (*policy) OpenTransport(plan *exec.RankPlan) (exec.Transport, error) {
@@ -138,8 +140,8 @@ const handshakeMagic = 0x54424d48 // "TBMH"
 // handshakeSize is magic + config id + from rank + to rank.
 const handshakeSize = 4 + 8 + 4 + 4
 
-// edgeCap bounds per-edge buffering; the step-lockstep structure keeps
-// at most a couple of outstanding frames per edge.
+// edgeCap bounds the frames in flight per edge; the step-lockstep
+// structure keeps at most a couple outstanding.
 const edgeCap = 8
 
 // Topology describes one process's slice of a rank mesh: which ranks it
@@ -202,12 +204,12 @@ type MeshTransport struct {
 	// goroutine (the same single-writer discipline as out).
 	pend    [][]pendBatch
 	noBatch bool
-	// edges[graph][consumer][producer] receives demultiplexed
-	// payloads at the consumer's rank.
-	edges []map[int]map[int]chan []byte
-	// free[graph] recycles consumed payload buffers back to the
-	// demultiplexers, so steady-state frame reads stop allocating.
-	free []exec.PayloadPool
+	// plan maps the engine's dense edge ids back to the columns frames
+	// carry (Edges) and bounds each graph's payloads (OutputBytes).
+	plan *exec.RankPlan
+	// in holds the slot rings of the edges this process consumes;
+	// demultiplexers fill them, local ranks receive from them.
+	in *exec.Fabric
 	// errs records fatal transport errors from the demultiplexers.
 	errs exec.ErrOnce
 
@@ -240,7 +242,7 @@ func (tr *MeshTransport) register(conn net.Conn) bool {
 }
 
 // NewMeshTransport builds this process's slice of the connection mesh
-// — per-edge queues for every locally consumed cross-rank edge, one
+// — a slot ring for every locally consumed cross-rank edge, one
 // outbound connection per (local rank, peer rank) pair, and one
 // demultiplexer per inbound connection — and blocks until every
 // expected inbound link has arrived. All processes of a topology must
@@ -256,6 +258,7 @@ func NewMeshTransport(plan *exec.RankPlan, topo Topology) (*MeshTransport, error
 		ranks:   ranks,
 		local:   topo.Local,
 		widths:  make([]int, len(app.Graphs)),
+		plan:    plan,
 		done:    make(chan struct{}),
 		ln:      topo.Listener,
 		noBatch: topo.NoBatch,
@@ -265,26 +268,14 @@ func NewMeshTransport(plan *exec.RankPlan, topo Topology) (*MeshTransport, error
 		tr.pend[from] = make([]pendBatch, ranks)
 	}
 
-	// Edge queues, from the plan's shared cross-rank edge enumeration
-	// and the fabric's shared queue construction — but only for edges
-	// this process consumes: a worker's queue memory scales with its
-	// rank span, not the whole run. Sends to remote consumers need no
-	// queue (Remote is ownership arithmetic and frames leave on a
-	// connection), and inbound frames are only ever addressed to local
-	// consumers.
-	lists := make([][]exec.Edge, len(app.Graphs))
-	tr.free = make([]exec.PayloadPool, len(app.Graphs))
+	// Slot rings only for the edges this process consumes: a worker's
+	// ring memory scales with its rank span, not the whole run. Sends
+	// to remote consumers need no ring (frames leave on a connection),
+	// and inbound frames are only ever addressed to local consumers.
 	for gi, g := range app.Graphs {
 		tr.widths[gi] = g.MaxWidth
-		for _, e := range plan.Edges(gi) {
-			owner := exec.OwnerOf(e.Consumer, g.MaxWidth, ranks)
-			if owner >= topo.Local.Lo && owner < topo.Local.Hi {
-				lists[gi] = append(lists[gi], e)
-			}
-		}
-		tr.free[gi] = exec.NewEdgePool(len(lists[gi]), edgeCap)
 	}
-	tr.edges = exec.EdgeQueues(lists, edgeCap)
+	tr.in = exec.NewFabric(plan, edgeCap, tr.done)
 
 	var deadline time.Time
 	if topo.Timeout > 0 {
@@ -452,8 +443,8 @@ func readHandshake(conn net.Conn) (config uint64, from, to int, err error) {
 	return config, from, to, nil
 }
 
-// demux reads frames from one connection and routes them to edge
-// queues. The connection is read through a bufio.Reader, so one read
+// demux reads frames from one connection into their edges' slot
+// rings. The connection is read through a bufio.Reader, so one read
 // syscall typically drains several small frames. A read failure while
 // the mesh is still live means a peer process died mid-run; the whole
 // mesh is torn down so blocked ranks unwedge and surface the error
@@ -518,33 +509,41 @@ func (tr *MeshTransport) demux(conn net.Conn) {
 	}
 }
 
-// deliver reads one payload of plen bytes from br into a recycled
-// buffer and routes it to the edge identified by the 12 bytes of
-// route: graph, producer, consumer. It returns false when the demux
-// loop must stop (read failure, unknown edge, or teardown), having
-// already failed the mesh where that is warranted.
+// deliver routes one payload of plen bytes: it resolves the 12 bytes
+// of route (graph, producer, consumer) to the edge's ring, checks plen
+// against the graph's payload bound, and only then reads the body from
+// br straight into the ring's next slot. It returns false when the
+// demux loop must stop (unknown edge, oversized payload, read failure
+// or teardown), having already failed the mesh where that is
+// warranted.
 //
 //taskbench:hotpath
 func (tr *MeshTransport) deliver(br *bufio.Reader, route []byte, plen int) bool {
 	graph := int(int32(binary.LittleEndian.Uint32(route[0:4])))
 	producer := int(int32(binary.LittleEndian.Uint32(route[4:8])))
 	consumer := int(int32(binary.LittleEndian.Uint32(route[8:12])))
-	payload := tr.frameBuf(graph, plen)
-	if _, err := io.ReadFull(br, payload); err != nil {
-		tr.fail(fmt.Errorf("tcp: read payload: %w", err))
-		return false
-	}
-	ch := tr.edge(graph, producer, consumer)
-	if ch == nil {
+	ring := tr.in.Ring(graph, producer, consumer)
+	if ring == nil {
 		tr.fail(fmt.Errorf("tcp: frame for unknown edge g%d %d→%d", graph, producer, consumer))
 		return false
 	}
-	select {
-	case ch <- payload:
-		return true
-	case <-tr.done:
+	// No payload of a graph is longer than its OutputBytes, so a frame
+	// that claims more is malformed.
+	if bound := tr.plan.App.Graphs[graph].OutputBytes; plen > bound {
+		tr.fail(fmt.Errorf("tcp: payload of %d bytes on edge g%d %d→%d exceeds the graph's %d",
+			plen, graph, producer, consumer, bound))
 		return false
 	}
+	slot := ring.Acquire(plen)
+	if slot == nil {
+		return false // torn down while the edge was full
+	}
+	if _, err := io.ReadFull(br, slot); err != nil {
+		tr.fail(fmt.Errorf("tcp: read payload: %w", err))
+		return false
+	}
+	ring.Publish()
+	return true
 }
 
 // fail records a transport error and tears the mesh down, unless the
@@ -580,50 +579,10 @@ func (tr *MeshTransport) teardown() {
 	})
 }
 
-// frameBuf returns a payload buffer of the given length, drawn from
-// the graph's free list when a recycled buffer fits, so steady-state
-// demultiplexing is allocation-free after the first timesteps. The
-// graph index comes off the wire, so it is bounds-checked here (the
-// malformed-frame error surfaces later in the edge lookup).
-//
-//taskbench:hotpath
-func (tr *MeshTransport) frameBuf(graph, length int) []byte {
-	if graph >= 0 && graph < len(tr.free) {
-		return tr.free[graph].Get(length)
-	}
-	return make([]byte, length) //taskbench:allocok unknown-graph fallback; the frame fails the edge lookup right after
-}
-
-// Recycle implements exec.Transport: consumed frame buffers return to
-// the graph's free list for reuse by the demultiplexers.
-//
-//taskbench:hotpath
-func (tr *MeshTransport) Recycle(graph int, payload []byte) {
-	if graph < 0 || graph >= len(tr.free) || payload == nil {
-		return
-	}
-	tr.free[graph].Put(payload)
-}
-
-func (tr *MeshTransport) edge(graph, producer, consumer int) chan []byte {
-	if graph < 0 || graph >= len(tr.edges) {
-		return nil
-	}
-	byProd := tr.edges[graph][consumer]
-	if byProd == nil {
-		return nil
-	}
-	return byProd[producer]
-}
-
-// Remote reports whether the edge crosses a rank boundary. It is pure
-// ownership arithmetic — it cannot use queue presence like the fabric,
-// because this process only allocates queues for its own consumers,
-// while SendOutputs asks about edges whose consumer may live anywhere.
-func (tr *MeshTransport) Remote(graph, producer, consumer int) bool {
-	w := tr.widths[graph]
-	return exec.OwnerOf(producer, w, tr.ranks) != exec.OwnerOf(consumer, w, tr.ranks)
-}
+// Recycle is a no-op kept for callers written against the free-list
+// mesh: a received payload is a ring slot, released by the next Recv
+// on its edge.
+func (tr *MeshTransport) Recycle(graph int, payload []byte) {}
 
 // pendBatch accumulates one rank pair's outbound payloads between
 // flushes: packed edge descriptors, zero-copy references to the
@@ -636,6 +595,15 @@ type pendBatch struct {
 	payloads [][]byte
 	bytes    int
 	iov      net.Buffers
+}
+
+// SendEdge implements exec.Transport: the engine names the edge by its
+// dense id, the wire by its columns.
+//
+//taskbench:hotpath
+func (tr *MeshTransport) SendEdge(fromRank, graph, edge int, payload []byte) error {
+	e := tr.plan.Edges(graph)[edge]
+	return tr.Send(fromRank, graph, e.Producer, e.Consumer, payload)
 }
 
 // Send queues the payload for the consumer's rank, coalescing
@@ -729,20 +697,23 @@ func (tr *MeshTransport) flushTo(from, to int) error {
 	return nil
 }
 
-// Recv blocks until the next frame on the edge arrives — or the mesh
-// is torn down, in which case it returns a nil payload that fails
-// validation at the consumer. Keeping the protocol flowing after a
-// failure is what turns a killed peer process into a clean job error
-// instead of a hang.
+// RecvEdge implements exec.Transport: it blocks until the next frame
+// on the edge arrives — or the mesh is torn down, in which case it
+// returns a nil payload that fails validation at the consumer. Keeping
+// the protocol flowing after a failure is what turns a killed peer
+// process into a clean job error instead of a hang.
+//
+//taskbench:hotpath
+func (tr *MeshTransport) RecvEdge(graph, edge int) []byte {
+	return tr.in.RecvEdge(graph, edge)
+}
+
+// Recv is RecvEdge addressed by columns. The edge must be one this
+// process consumes.
 //
 //taskbench:hotpath
 func (tr *MeshTransport) Recv(graph, producer, consumer int) []byte {
-	select {
-	case payload := <-tr.edge(graph, producer, consumer):
-		return payload
-	case <-tr.done:
-		return nil
-	}
+	return tr.in.Recv(graph, producer, consumer)
 }
 
 // Err reports any asynchronous demultiplexer failure.

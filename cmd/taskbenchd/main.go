@@ -36,7 +36,6 @@ import (
 
 	"taskbench/internal/chaos"
 	"taskbench/internal/cluster"
-	"taskbench/internal/wire"
 )
 
 func main() {
@@ -68,9 +67,9 @@ func usage() {
 	fmt.Fprintln(os.Stderr, `usage:
   taskbenchd coordinator [-listen addr] [-heartbeat d] [-timeout d] [-job-timeout d]
                          [-concurrency n] [-retries n] [-queue n] [-max-configs n]
-                         [-drain-timeout d] [-proto json|binary] [-chaos scenario]
+                         [-drain-timeout d] [-chaos scenario]
                          [-http addr] [-snapshot-interval d] [-snapshot-retention n]
-  taskbenchd worker -coordinator addr [-name s] [-advertise host] [-proto json|binary]
+  taskbenchd worker -coordinator addr [-name s] [-advertise host]
                     [-drain-on SIGTERM] [-chaos scenario] [-chaos-seed n]`)
 }
 
@@ -85,7 +84,6 @@ func runCoordinator(args []string) error {
 	queue := fs.Int("queue", 64, "job queue depth; submissions beyond it are rejected immediately")
 	maxConfigs := fs.Int("max-configs", 32, "prepared shape configurations kept live; cold ones are evicted LRU")
 	drainTimeout := fs.Duration("drain-timeout", 0, "grace for a draining worker's in-flight runs before it is declared dead (default -job-timeout)")
-	proto := fs.String("proto", "binary", "control frame format to negotiate: binary or json (json pins every conversation to the debug format)")
 	httpAddr := fs.String("http", "", "serve observability endpoints (/metrics /healthz /snapshots.json) on this address; empty disables")
 	snapInterval := fs.Duration("snapshot-interval", time.Second, "metrics snapshot sampling interval (with -http)")
 	snapRetention := fs.Int("snapshot-retention", 300, "snapshots retained in the /snapshots.json ring (with -http)")
@@ -94,9 +92,6 @@ func runCoordinator(args []string) error {
 	fs.Parse(args)
 	if *retries < 0 {
 		*retries = 0
-	}
-	if err := checkProto(*proto); err != nil {
-		return err
 	}
 	inj, err := parseChaos(*chaosFlag, *chaosSeed)
 	if err != nil {
@@ -114,7 +109,6 @@ func runCoordinator(args []string) error {
 		QueueDepth:   *queue,
 		MaxConfigs:   *maxConfigs,
 		DrainTimeout: *drainTimeout,
-		Proto:        *proto,
 		Chaos:        inj,
 		Logf:         log.Printf,
 
@@ -136,14 +130,10 @@ func runWorker(args []string) error {
 	coordinator := fs.String("coordinator", "127.0.0.1:7580", "coordinator control address")
 	name := fs.String("name", "", "worker name in coordinator logs (default hostname)")
 	advertise := fs.String("advertise", "127.0.0.1", "host peers dial for rank data connections")
-	proto := fs.String("proto", "binary", "control frame format to offer the coordinator: binary or json")
 	drainOn := fs.String("drain-on", "", "signal that triggers a graceful drain instead of an abrupt exit (only SIGTERM); any further signal forces the abrupt path")
 	chaosFlag := fs.String("chaos", "", "chaos scenario for this worker's control and mesh paths: a preset ("+strings.Join(chaos.PresetNames(), ", ")+") or a rule script")
 	chaosSeed := fs.Int64("chaos-seed", 1, "seed of the chaos fault schedule")
 	fs.Parse(args)
-	if err := checkProto(*proto); err != nil {
-		return err
-	}
 	if *drainOn != "" && *drainOn != "SIGTERM" {
 		return fmt.Errorf("-drain-on supports only SIGTERM, got %q", *drainOn)
 	}
@@ -161,7 +151,6 @@ func runWorker(args []string) error {
 		Coordinator: *coordinator,
 		Name:        *name,
 		Advertise:   *advertise,
-		Proto:       *proto,
 		Chaos:       inj,
 		Logf:        log.Printf,
 	})
@@ -201,13 +190,6 @@ func parseChaos(scenario string, seed int64) (*chaos.Injector, error) {
 	}
 	log.Printf("taskbenchd: chaos scenario %s (seed %d)", sc, seed)
 	return chaos.NewInjector(sc, seed), nil
-}
-
-func checkProto(p string) error {
-	if p != wire.ProtoJSON && p != wire.ProtoBinary {
-		return fmt.Errorf("-proto must be %q or %q, got %q", wire.ProtoJSON, wire.ProtoBinary, p)
-	}
-	return nil
 }
 
 func waitForSignal() {

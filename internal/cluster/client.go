@@ -146,11 +146,7 @@ func (c *Client) SubmitAsync(spec wire.AppSpec) (*Pending, error) {
 	}
 	c.fifo = append(c.fifo, p)
 	c.mu.Unlock()
-	// Every submit advertises the binary frame format; the coordinator
-	// echoes the offer on its admission replies if it accepts, and the
-	// read loop switches this side's writes then. A coordinator pinned
-	// to JSON (or an older one) simply never echoes.
-	if err := c.mc.write(wire.Message{Type: wire.MsgSubmit, Spec: &spec, Proto: wire.ProtoBinary}); err != nil {
+	if err := c.mc.write(wire.Message{Type: wire.MsgSubmit, Spec: &spec}); err != nil {
 		c.mu.Lock()
 		for i, q := range c.fifo {
 			if q == p {
@@ -195,9 +191,7 @@ func (c *Client) StatsContext(ctx context.Context) (wire.StatsInfo, error) {
 	id := c.nextStat
 	c.queries[id] = ch
 	c.mu.Unlock()
-	// Like every submit, a stats request advertises the binary frame
-	// format; a stats-first connection negotiates through its reply.
-	if err := c.mc.write(wire.Message{Type: wire.MsgStats, Job: id, Proto: wire.ProtoBinary}); err != nil {
+	if err := c.mc.write(wire.Message{Type: wire.MsgStats, Job: id}); err != nil {
 		c.mu.Lock()
 		delete(c.queries, id)
 		c.mu.Unlock()
@@ -232,9 +226,6 @@ func (c *Client) readLoop() {
 		if err != nil {
 			c.failAll(fmt.Errorf("cluster: coordinator connection: %w", err))
 			return
-		}
-		if (m.Type == wire.MsgAccepted || m.Type == wire.MsgRejected || m.Type == wire.MsgStatsRply) && m.Proto == wire.ProtoBinary {
-			c.mc.binary.Store(true)
 		}
 		switch m.Type {
 		case wire.MsgAccepted:

@@ -50,32 +50,25 @@ import (
 	"bufio"
 	"net"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"taskbench/internal/chaos"
 	"taskbench/internal/wire"
 )
 
-// msgConn frames wire.Messages over one TCP connection. Reads are
-// bilingual — wire.ReadMessageFrom detects per message whether the
-// peer framed it as newline-delimited JSON or as a binary frame — so
-// the connection can switch formats mid-conversation without a window
-// where a frame is unreadable. Writes start as JSON (the opening and
-// debug format) and switch to binary once negotiation (the Proto
-// offer/echo at register/welcome or submit/first-reply time) sets the
-// binary flag. A write mutex serializes writers (heartbeats and
-// replies interleave); a nonzero writeTimeout bounds each write: the
-// coordinator arms it on accepted connections so a peer that stops
-// draining its socket (a SIGSTOPped client, say) turns into a write
-// error — freeing the scheduler slot delivering to it — instead of a
-// goroutine parked in write forever.
+// msgConn frames wire.Messages over one TCP connection, one binary
+// frame (wire.WriteMessageBinary / wire.ReadMessageFrom) per message
+// in both directions from the first byte. A write mutex serializes
+// writers (heartbeats and replies interleave); a nonzero writeTimeout
+// bounds each write: the coordinator arms it on accepted connections
+// so a peer that stops draining its socket (a SIGSTOPped client, say)
+// turns into a write error — freeing the scheduler slot delivering to
+// it — instead of a goroutine parked in write forever.
 type msgConn struct {
 	conn         net.Conn
 	br           *bufio.Reader
 	wmu          sync.Mutex
 	writeTimeout time.Duration
-	binary       atomic.Bool
 	// chaos, when set (before the connection is shared), injects
 	// scripted control-frame faults into this side's writes: delays,
 	// drops (the write pretends to succeed) and duplicates. Heartbeats
@@ -115,13 +108,7 @@ func (c *msgConn) write(m wire.Message) error {
 		if c.writeTimeout > 0 {
 			c.conn.SetWriteDeadline(time.Now().Add(c.writeTimeout))
 		}
-		var err error
-		if c.binary.Load() {
-			err = wire.WriteMessageBinary(c.conn, m)
-		} else {
-			err = wire.WriteMessage(c.conn, m)
-		}
-		if err != nil {
+		if err := wire.WriteMessageBinary(c.conn, m); err != nil {
 			return err
 		}
 	}
@@ -129,16 +116,6 @@ func (c *msgConn) write(m wire.Message) error {
 }
 
 func (c *msgConn) close() { c.conn.Close() }
-
-// protoName labels a negotiated frame format for logs: the empty
-// string (no offer, or offer declined) means the conversation stayed
-// JSON.
-func protoName(proto string) string {
-	if proto == "" {
-		return wire.ProtoJSON
-	}
-	return proto
-}
 
 // remoteAddr names the peer for log messages.
 func (c *msgConn) remoteAddr() string { return c.conn.RemoteAddr().String() }

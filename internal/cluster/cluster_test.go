@@ -1,9 +1,13 @@
 package cluster
 
 import (
+	"errors"
+	"io"
 	"net"
+	"os"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -441,7 +445,7 @@ func TestClusterClientDisconnectCancelsQueuedJob(t *testing.T) {
 	}
 	orphan := stencilSpec(2, 32)
 	orphan.Graphs[0].Width = 10 // a shape unique to the orphaned job
-	if err := wire.WriteMessage(conn, wire.Message{Type: wire.MsgSubmit, Spec: &orphan}); err != nil {
+	if err := wire.WriteMessageBinary(conn, wire.Message{Type: wire.MsgSubmit, Spec: &orphan}); err != nil {
 		t.Fatal(err)
 	}
 	conn.Close()
@@ -575,6 +579,74 @@ func TestClusterRejectsBadSpec(t *testing.T) {
 	}
 	if !res.Rejected {
 		t.Error("bad spec should be reported as rejected at admission")
+	}
+}
+
+// TestClusterRejectsNonBinaryOpener pins the one framing from both
+// ends: a peer whose first byte is not a binary frame's is torn down
+// like any other malformed frame — no reply, one log line, and the
+// fleet keeps serving binary clients.
+func TestClusterRejectsNonBinaryOpener(t *testing.T) {
+	var rejected atomic.Int32
+	coord, _ := testFleetOpts(t, 2, func(o *Options) {
+		o.Logf = func(format string, args ...any) {
+			if strings.Contains(format, "bad opening frame") {
+				rejected.Add(1)
+			}
+			t.Logf(format, args...)
+		}
+	})
+	conn, err := net.Dial("tcp", coord.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if _, err := io.WriteString(conn, `{"v":6,"type":"submit","spec":{"graphs":[{"steps":2,"width":2,"type":"trivial"}]}}`+"\n"); err != nil {
+		t.Fatal(err)
+	}
+	conn.SetReadDeadline(time.Now().Add(10 * time.Second))
+	if reply, err := io.ReadAll(conn); len(reply) != 0 || errors.Is(err, os.ErrDeadlineExceeded) {
+		t.Fatalf("JSON opener: got reply %q, err %v; want the connection closed unanswered", reply, err)
+	}
+	if n := rejected.Load(); n != 1 {
+		t.Errorf("coordinator logged %d bad-opener lines, want 1", n)
+	}
+	cli, err := Dial(coord.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cli.Close()
+	if res, err := cli.Submit(stencilSpec(2, 64)); err != nil || res.Err != nil {
+		t.Fatalf("binary client after the rejected opener: %v / %v", err, res.Err)
+	}
+
+	// The worker side: a listener that answers the register with a JSON
+	// line ends Run with the codec's error, not a hang or a misparse.
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	go func() {
+		peer, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		defer peer.Close()
+		io.WriteString(peer, `{"v":6,"type":"welcome","worker":1}`+"\n")
+		io.Copy(io.Discard, peer) // hold the connection until the worker hangs up
+	}()
+	w := NewWorker(WorkerOptions{Coordinator: ln.Addr().String(), Logf: t.Logf})
+	t.Cleanup(w.Close)
+	runErr := make(chan error, 1)
+	go func() { runErr <- w.Run() }()
+	select {
+	case err := <-runErr:
+		if err == nil || !strings.Contains(err.Error(), "wire:") {
+			t.Fatalf("worker against a JSON listener: %v, want a wire: framing error", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("worker hung on a JSON welcome")
 	}
 }
 

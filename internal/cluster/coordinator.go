@@ -3,6 +3,7 @@ package cluster
 import (
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"sort"
 	"sync"
@@ -39,14 +40,6 @@ type Options struct {
 	// a shape serialize on that shape's run lock (the prepared mesh is
 	// single-run state) but pipeline over it without re-provisioning.
 	Concurrency int
-	// Proto selects the control-plane frame format this coordinator is
-	// willing to negotiate: wire.ProtoBinary (the default) accepts a
-	// peer's binary offer at register/submit time, wire.ProtoJSON pins
-	// every conversation to newline-delimited JSON (the debug and
-	// interop format). Receivers are always bilingual, so a JSON-pinned
-	// coordinator still interoperates with binary-capable peers — it
-	// just never echoes their offer, and the conversation stays JSON.
-	Proto string
 	// MaxAttempts bounds how many times one job may run; default 3. A
 	// job whose attempt fails because a worker died (not because its
 	// spec or run is invalid) is re-run with the configuration
@@ -115,9 +108,6 @@ func (o *Options) fill() {
 	if o.DrainTimeout <= 0 {
 		o.DrainTimeout = o.JobTimeout
 	}
-	if o.Proto == "" {
-		o.Proto = wire.ProtoBinary
-	}
 	if o.SnapshotInterval <= 0 {
 		o.SnapshotInterval = time.Second
 	}
@@ -129,7 +119,9 @@ func (o *Options) fill() {
 	}
 }
 
-// Stats counts coordinator activity, for monitoring and tests.
+// Stats counts coordinator activity, for monitoring and tests. Every
+// counter is read from the metrics registry (metrics.go); only the
+// fleet gauges come from the coordinator's own state.
 type Stats struct {
 	// Workers is the current live fleet size.
 	Workers int
@@ -169,9 +161,8 @@ type Stats struct {
 	// from new placement but not yet released.
 	WorkersDraining int
 	// ConfigCacheHits counts jobs that found a usable prepared
-	// configuration for their shape. Unlike ConfigsReused (which it
-	// currently equals), it is defined by cache outcome at lookup time,
-	// and it has a per-shape split in the metrics registry.
+	// configuration for their shape: the same number as ConfigsReused,
+	// with a per-shape split in the metrics registry.
 	ConfigCacheHits int
 	// ConfigCacheMisses counts jobs that had to provision: a first job
 	// of a shape, or a re-provision after the prepared configuration
@@ -192,13 +183,9 @@ type Coordinator struct {
 	configs      map[string]*configEntry
 	building     map[*clusterConfig]struct{} // configs mid-provision, not yet in an entry
 	conns        map[*msgConn]struct{}       // every open control connection (workers and clients)
-	stats        Stats
-	inFlight     int
-	running      int
 	nextWorker   int64
 	nextConfig   uint64
 	nextJob      uint64
-	nextConn     int64
 
 	queue chan *job
 	done  chan struct{}
@@ -316,10 +303,6 @@ func (j *job) cancelNow(reason string) {
 // a disconnect can cancel all of them.
 type clientConn struct {
 	mc *msgConn
-	// proto echoes the client's accepted frame-format offer on every
-	// admission reply, so a client that pipelines submits sees the
-	// echo no matter which reply arrives first.
-	proto string
 
 	mu   sync.Mutex
 	jobs map[uint64]*job
@@ -367,15 +350,31 @@ func Start(opts Options) (*Coordinator, error) {
 // Addr returns the control address the coordinator is listening on.
 func (c *Coordinator) Addr() string { return c.ln.Addr().String() }
 
-// Stats returns a snapshot of the coordinator's counters.
+// Stats returns a snapshot of the coordinator's counters and gauges.
+// It reads the registry before taking c.mu: CounterVec.Total takes the
+// vec's own lock, which ranks below c.mu.
 func (c *Coordinator) Stats() Stats {
+	m := c.metrics
+	hits := int(m.cacheHits.Total())
+	s := Stats{
+		ConfigsBuilt:         int(m.configsBuilt.Value()),
+		ConfigsReused:        hits,
+		JobsRun:              int(m.jobsCompleted.Value()),
+		JobsFailed:           int(m.jobsFailed.Value()),
+		JobsInFlight:         int(m.inFlight.Value()),
+		JobsRunning:          int(m.running.Value()),
+		JobsRetried:          int(m.jobsRetried.Value()),
+		JobsRejected:         int(m.jobsRejected.Value()),
+		JobsCancelled:        int(m.jobsCancelled.Value()),
+		ConfigsReprovisioned: int(m.configsReprovisioned.Value()),
+		ConfigsEvicted:       int(m.configsEvicted.Value()),
+		ConfigCacheHits:      hits,
+		ConfigCacheMisses:    int(m.cacheMisses.Total()),
+	}
 	c.mu.Lock()
-	defer c.mu.Unlock()
-	s := c.stats
 	s.Workers = len(c.workers)
-	s.JobsInFlight = c.inFlight
-	s.JobsRunning = c.running
 	s.WorkersDraining = c.drainingLocked()
+	c.mu.Unlock()
 	return s
 }
 
@@ -390,50 +389,42 @@ func (c *Coordinator) drainingLocked() int {
 	return n
 }
 
-// statsInfo snapshots the coordinator for a statsreply: the Stats
-// counters plus the queue and scheduler dimensions a remote client
-// needs to turn JobsRunning into a utilization fraction.
+// statsInfo snapshots the coordinator for a statsreply: Stats plus the
+// queue and scheduler dimensions a remote client needs to turn
+// JobsRunning into a utilization fraction, the stalest heartbeat and
+// the job-latency percentiles.
 func (c *Coordinator) statsInfo() *wire.StatsInfo {
-	// Histogram reads are atomic and the heartbeat scan takes c.mu
-	// itself, so both happen before the stats lock below.
-	lat := c.metrics.jobLatency.Snapshot()
-	var p50, p95, p99 int64
-	if lat.Count > 0 {
-		p50 = int64(lat.Quantile(0.50) * float64(time.Second))
-		p95 = int64(lat.Quantile(0.95) * float64(time.Second))
-		p99 = int64(lat.Quantile(0.99) * float64(time.Second))
-	}
-	hbAge := c.maxHeartbeatAgeNanos(time.Now())
-
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return &wire.StatsInfo{
-		Workers:       len(c.workers),
-		ConfigsBuilt:  c.stats.ConfigsBuilt,
-		ConfigsReused: c.stats.ConfigsReused,
-		JobsRun:       c.stats.JobsRun,
-		JobsFailed:    c.stats.JobsFailed,
-		JobsInFlight:  c.inFlight,
-		JobsRunning:   c.running,
-		JobsRetried:   c.stats.JobsRetried,
-		JobsRejected:  c.stats.JobsRejected,
-		JobsCancelled: c.stats.JobsCancelled,
+	s := c.Stats()
+	info := &wire.StatsInfo{
+		Workers:       s.Workers,
+		ConfigsBuilt:  s.ConfigsBuilt,
+		ConfigsReused: s.ConfigsReused,
+		JobsRun:       s.JobsRun,
+		JobsFailed:    s.JobsFailed,
+		JobsInFlight:  s.JobsInFlight,
+		JobsRunning:   s.JobsRunning,
+		JobsRetried:   s.JobsRetried,
+		JobsRejected:  s.JobsRejected,
+		JobsCancelled: s.JobsCancelled,
 		QueueLen:      len(c.queue),
 		QueueCap:      c.opts.QueueDepth,
 		Concurrency:   c.opts.Concurrency,
 		MaxAttempts:   c.opts.MaxAttempts,
 
-		ConfigsReprovisioned: c.stats.ConfigsReprovisioned,
-		ConfigsEvicted:       c.stats.ConfigsEvicted,
-		WorkersDraining:      c.drainingLocked(),
+		ConfigsReprovisioned: s.ConfigsReprovisioned,
+		ConfigsEvicted:       s.ConfigsEvicted,
+		WorkersDraining:      s.WorkersDraining,
 
-		ConfigCacheHits:      c.stats.ConfigCacheHits,
-		ConfigCacheMisses:    c.stats.ConfigCacheMisses,
-		MaxHeartbeatAgeNanos: int(hbAge),
-		LatencyP50Nanos:      int(p50),
-		LatencyP95Nanos:      int(p95),
-		LatencyP99Nanos:      int(p99),
+		ConfigCacheHits:      s.ConfigCacheHits,
+		ConfigCacheMisses:    s.ConfigCacheMisses,
+		MaxHeartbeatAgeNanos: int(c.maxHeartbeatAgeNanos(time.Now())),
 	}
+	if lat := c.metrics.jobLatency.Snapshot(); lat.Count > 0 {
+		info.LatencyP50Nanos = int(lat.Quantile(0.50) * float64(time.Second))
+		info.LatencyP95Nanos = int(lat.Quantile(0.95) * float64(time.Second))
+		info.LatencyP99Nanos = int(lat.Quantile(0.99) * float64(time.Second))
+	}
+	return info
 }
 
 // WorkerCount returns the current live fleet size.
@@ -514,7 +505,7 @@ func (c *Coordinator) acceptLoop() {
 			return // listener closed
 		}
 		mc := newMsgConn(conn)
-		// Control messages are single JSON lines: a peer that cannot
+		// Control messages are single small frames: a peer that cannot
 		// absorb one inside a minute has stopped reading. The deadline
 		// turns such a peer into a write error (its handler then drops
 		// the connection, cancelling its jobs) rather than a scheduler
@@ -551,6 +542,9 @@ func (c *Coordinator) acceptLoop() {
 func (c *Coordinator) handleConn(mc *msgConn) {
 	m, err := mc.read()
 	if err != nil {
+		if !errors.Is(err, io.EOF) {
+			c.opts.Logf("cluster: %s: bad opening frame: %v", mc.remoteAddr(), err)
+		}
 		mc.close()
 		return
 	}
@@ -583,12 +577,6 @@ func (c *Coordinator) serveWorker(mc *msgConn, reg wire.Message) {
 	// exercise a recoverable fault. Forked per worker connection so
 	// concurrent workers cannot perturb each other's schedules.
 	c.mu.Lock()
-	c.nextConn++
-	seq := c.nextConn
-	c.mu.Unlock()
-	mc.chaos = c.opts.Chaos.Fork(fmt.Sprintf("coord-worker-%d", seq))
-
-	c.mu.Lock()
 	c.nextWorker++
 	w.id = c.nextWorker
 	if w.name == "" {
@@ -618,31 +606,20 @@ func (c *Coordinator) serveWorker(mc *msgConn, reg wire.Message) {
 		}
 	}
 	c.mu.Unlock()
+	mc.chaos = c.opts.Chaos.Fork(fmt.Sprintf("coord-worker-%d", w.id))
 	if replaced != nil {
 		c.markDead(replaced, fmt.Errorf("replaced by re-registration from %s", mc.remoteAddr()))
 	}
 
-	// Frame-format negotiation: a register carrying the binary offer
-	// means the worker reads binary frames, so this side may write them
-	// from the welcome on; echoing the offer licenses the worker's own
-	// writes the same way. An old worker never offers and an old
-	// coordinator never echoes — either way the conversation stays
-	// JSON.
-	var proto string
-	if reg.Proto == wire.ProtoBinary && c.opts.Proto == wire.ProtoBinary {
-		proto = wire.ProtoBinary
-		mc.binary.Store(true)
-	}
 	if err := mc.write(wire.Message{
 		Type:           wire.MsgWelcome,
 		Worker:         w.id,
 		HeartbeatNanos: int64(c.opts.HeartbeatInterval),
-		Proto:          proto,
 	}); err != nil {
 		c.markDead(w, fmt.Errorf("welcome: %w", err))
 		return
 	}
-	c.opts.Logf("cluster: worker %q registered from %s (proto %s)", w.name, mc.remoteAddr(), protoName(proto))
+	c.opts.Logf("cluster: worker %q registered from %s", w.name, mc.remoteAddr())
 
 	for {
 		m, err := mc.read()
@@ -798,7 +775,6 @@ func (c *Coordinator) drainWorker(w *workerConn) {
 			// post-drain fleet, so this counts as a re-provision.
 			e.cfg = nil
 			delete(c.configs, key)
-			c.stats.ConfigsReprovisioned++
 			c.metrics.configsReprovisioned.Inc()
 			idle = append(idle, cfg)
 		}
@@ -934,15 +910,6 @@ func (w *workerConn) route(key string, m wire.Message) {
 // cancelled, so a vanished client stops occupying workers.
 func (c *Coordinator) serveClient(mc *msgConn, first wire.Message) {
 	cl := &clientConn{mc: mc, jobs: map[uint64]*job{}}
-	// Frame-format negotiation, the client-side analog of the worker's
-	// register/welcome exchange: the first submit's binary offer is
-	// accepted by switching this side's writes to binary and echoing
-	// the offer on admission replies (the client switches its own
-	// writes when it sees the echo).
-	if first.Proto == wire.ProtoBinary && c.opts.Proto == wire.ProtoBinary {
-		cl.proto = wire.ProtoBinary
-		mc.binary.Store(true)
-	}
 	m := first
 loop:
 	for {
@@ -963,7 +930,7 @@ loop:
 			// snapshots interleave freely with in-flight submissions. A
 			// failed reply write means the client is gone — same
 			// teardown rule as a failed admission reply.
-			if cl.mc.write(wire.Message{Type: wire.MsgStatsRply, Job: m.Job, Stats: c.statsInfo(), Proto: cl.proto}) != nil {
+			if cl.mc.write(wire.Message{Type: wire.MsgStatsRply, Job: m.Job, Stats: c.statsInfo()}) != nil {
 				break loop
 			}
 		default:
@@ -998,11 +965,8 @@ loop:
 // desynchronize every later job.
 func (c *Coordinator) admit(cl *clientConn, m wire.Message) bool {
 	reject := func(id uint64, format string, args ...any) bool {
-		c.mu.Lock()
-		c.stats.JobsRejected++
-		c.mu.Unlock()
 		c.metrics.jobsRejected.Inc()
-		return cl.mc.write(wire.Message{Type: wire.MsgRejected, Job: id, Err: fmt.Sprintf(format, args...), Proto: cl.proto}) == nil
+		return cl.mc.write(wire.Message{Type: wire.MsgRejected, Job: id, Err: fmt.Sprintf(format, args...)}) == nil
 	}
 	c.mu.Lock()
 	c.nextJob++
@@ -1044,7 +1008,7 @@ func (c *Coordinator) admit(cl *clientConn, m wire.Message) bool {
 		cl.mu.Unlock()
 		return reject(id, "queue full (depth %d)", c.opts.QueueDepth)
 	}
-	if cl.mc.write(wire.Message{Type: wire.MsgAccepted, Job: id, Proto: cl.proto}) != nil {
+	if cl.mc.write(wire.Message{Type: wire.MsgAccepted, Job: id}) != nil {
 		// The ack never reached the client, so nobody is waiting for
 		// this job: without cancellation it would still run over the
 		// whole fleet for a peer that is already gone. (The caller
@@ -1103,30 +1067,15 @@ func (c *Coordinator) runQueued(j *job) {
 	select {
 	case <-j.cancel:
 		// Cancelled while queued: the job never touched the fleet.
-		c.mu.Lock()
-		c.stats.JobsCancelled++
-		c.mu.Unlock()
 		c.metrics.jobsCancelled.Inc()
 		c.deliver(j, wire.Message{Type: wire.MsgDone, Job: j.id, Err: "cancelled: " + j.cancelReason})
 		return
 	default:
 	}
 	c.metrics.queueWait.ObserveDuration(time.Since(j.enqueued))
-	c.mu.Lock()
-	c.inFlight++
-	c.mu.Unlock()
+	c.metrics.inFlight.Add(1)
 	done, verdict := c.runJobWithRetry(j)
-	c.mu.Lock()
-	c.inFlight--
-	if verdict == runCancelled {
-		c.stats.JobsCancelled++
-	} else {
-		c.stats.JobsRun++
-		if done.Err != "" {
-			c.stats.JobsFailed++
-		}
-	}
-	c.mu.Unlock()
+	c.metrics.inFlight.Add(-1)
 	if verdict == runCancelled {
 		c.metrics.jobsCancelled.Inc()
 	} else {
@@ -1154,9 +1103,6 @@ func (c *Coordinator) runJobWithRetry(j *job) (wire.Message, runVerdict) {
 			return done, verdict
 		}
 		j.attempt++
-		c.mu.Lock()
-		c.stats.JobsRetried++
-		c.mu.Unlock()
 		c.metrics.jobsRetried.Inc()
 		c.opts.Logf("cluster: job %d re-queued (attempt %d/%d): %v", j.id, j.attempt+1, c.opts.MaxAttempts, done.Err)
 		c.waitMemberGone(failed, j)
@@ -1263,9 +1209,6 @@ func (c *Coordinator) runJob(j *job) (wire.Message, runVerdict, *clusterConfig) 
 		// The fleet changed under this configuration (join growth or a
 		// draining member). Holding the shape's run lock, drop it and
 		// provision fresh over the current fleet.
-		c.mu.Lock()
-		c.stats.ConfigsReprovisioned++
-		c.mu.Unlock()
 		c.metrics.configsReprovisioned.Inc()
 		c.dropConfig(e, cfg)
 		cfg = nil
@@ -1275,9 +1218,6 @@ func (c *Coordinator) runJob(j *job) (wire.Message, runVerdict, *clusterConfig) 
 		// succeeds. CounterVec.With takes the vec's own lock, so it must
 		// run outside c.mu.
 		c.metrics.cacheMisses.With(shapeLabel(j.spec)).Inc()
-		c.mu.Lock()
-		c.stats.ConfigCacheMisses++
-		c.mu.Unlock()
 		var err error
 		cfg, err = c.buildConfig(j.key, j.spec, j.cancel)
 		if err != nil {
@@ -1294,7 +1234,6 @@ func (c *Coordinator) runJob(j *job) (wire.Message, runVerdict, *clusterConfig) 
 		c.mu.Lock()
 		e.cfg = cfg
 		delete(c.building, cfg) // ownership handoff; see buildConfig
-		c.stats.ConfigsBuilt++
 		evicted = c.evictColdLocked(e)
 		c.mu.Unlock()
 		c.metrics.configsBuilt.Inc()
@@ -1303,17 +1242,11 @@ func (c *Coordinator) runJob(j *job) (wire.Message, runVerdict, *clusterConfig) 
 		}
 	} else {
 		c.metrics.cacheHits.With(shapeLabel(j.spec)).Inc()
-		c.mu.Lock()
-		c.stats.ConfigsReused++
-		c.stats.ConfigCacheHits++
-		c.mu.Unlock()
 	}
 
 	// Run the job on every member and take the slowest worker's wall
 	// time as the job's elapsed time.
-	c.mu.Lock()
-	c.running++
-	c.mu.Unlock()
+	c.metrics.running.Add(1)
 	kernels := wire.KernelsOf(j.spec)
 	// Snapshot the attempt number: fanout returns on the first error
 	// without joining stragglers, so a late goroutine must not read
@@ -1332,9 +1265,7 @@ func (c *Coordinator) runJob(j *job) (wire.Message, runVerdict, *clusterConfig) 
 		results[k] = reply
 		return err
 	})
-	c.mu.Lock()
-	c.running--
-	c.mu.Unlock()
+	c.metrics.running.Add(-1)
 	if err != nil {
 		// The configuration's mesh may be mid-abort (a dead member) or
 		// still executing an abandoned run (a cancelled job); dropping
@@ -1510,7 +1441,6 @@ func (c *Coordinator) evictColdLocked(keep *configEntry) []*clusterConfig {
 		victims = append(victims, oldest.cfg)
 		oldest.cfg = nil
 		delete(c.configs, oldest.key)
-		c.stats.ConfigsEvicted++
 		c.metrics.configsEvicted.Inc()
 	}
 }

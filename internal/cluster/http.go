@@ -85,7 +85,7 @@ func (s *httpServer) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		WorkersDraining: c.drainingLocked(),
 		QueueLen:        len(c.queue),
 		QueueCap:        c.opts.QueueDepth,
-		JobsRunning:     c.running,
+		JobsRunning:     int(c.metrics.running.Value()),
 		SchedulerSlots:  c.opts.Concurrency,
 	}
 	c.mu.Unlock()

@@ -41,14 +41,16 @@ const (
 	MetricQueueWait  = "taskbench_job_queue_wait_seconds"
 )
 
-// coordMetrics is the coordinator's instrumentation: counters and
-// histograms updated from the scheduler paths (atomic writes, no
-// coordinator locks), gauges computed at scrape time from the
-// coordinator's own state. Every counter here shadows a Stats field —
-// Stats stays the control-protocol snapshot, the registry is the
-// scrape/exposition view of the same events.
+// coordMetrics is the coordinator's instrumentation and its only event
+// counters: counters, the two job gauges and histograms updated from
+// the scheduler paths (atomic writes, no coordinator locks), the other
+// gauges computed at scrape time from the coordinator's own state.
+// Coordinator.Stats and the statsreply read the same instruments.
 type coordMetrics struct {
 	reg *metrics.Registry
+
+	inFlight *metrics.Gauge
+	running  *metrics.Gauge
 
 	jobsCompleted *metrics.Counter
 	jobsFailed    *metrics.Counter
@@ -77,6 +79,9 @@ func newCoordMetrics(c *Coordinator) *coordMetrics {
 	reg := metrics.NewRegistry()
 	m := &coordMetrics{
 		reg: reg,
+
+		inFlight: reg.Gauge(MetricJobsInFlight, "Jobs claimed by scheduler slots."),
+		running:  reg.Gauge(MetricJobsRunning, "Jobs currently executing on the fleet."),
 
 		jobsCompleted: reg.Counter(MetricJobsCompleted, "Jobs that ran to completion, successful or not."),
 		jobsFailed:    reg.Counter(MetricJobsFailed, "Jobs that completed with an error."),
@@ -110,10 +115,6 @@ func newCoordMetrics(c *Coordinator) *coordMetrics {
 		locked(func() float64 { return float64(len(c.queue)) }))
 	reg.GaugeFunc(MetricQueueCapacity, "Job queue capacity.",
 		locked(func() float64 { return float64(c.opts.QueueDepth) }))
-	reg.GaugeFunc(MetricJobsInFlight, "Jobs claimed by scheduler slots.",
-		locked(func() float64 { return float64(c.inFlight) }))
-	reg.GaugeFunc(MetricJobsRunning, "Jobs currently executing on the fleet.",
-		locked(func() float64 { return float64(c.running) }))
 	reg.GaugeFunc(MetricWorkersLive, "Registered live workers.",
 		locked(func() float64 { return float64(len(c.workers)) }))
 	reg.GaugeFunc(MetricWorkersDraining, "Fleet members mid-drain.",

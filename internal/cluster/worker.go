@@ -29,11 +29,6 @@ type WorkerOptions struct {
 	// cover the slowest peer's plan build, or a large configuration's
 	// connect phase fails spuriously.
 	SetupTimeout time.Duration
-	// Proto selects the control-plane frame format this worker offers
-	// at registration: wire.ProtoBinary (the default) or wire.ProtoJSON
-	// to pin the conversation to newline-delimited JSON for debugging.
-	// The offer only takes effect if the coordinator echoes it.
-	Proto string
 	// Chaos, when set, injects scripted faults into this worker:
 	// control-frame delays/drops/duplicates, connection resets at the
 	// named protocol points (post-prepare, mid-run, pre-result),
@@ -50,9 +45,6 @@ func (o *WorkerOptions) fill() {
 	}
 	if o.SetupTimeout <= 0 {
 		o.SetupTimeout = 60 * time.Second
-	}
-	if o.Proto == "" {
-		o.Proto = wire.ProtoBinary
 	}
 	if o.Logf == nil {
 		o.Logf = func(string, ...any) {}
@@ -134,11 +126,7 @@ func (w *Worker) Run() error {
 	w.mu.Unlock()
 	defer w.teardown()
 
-	var offer string
-	if w.opts.Proto == wire.ProtoBinary {
-		offer = wire.ProtoBinary
-	}
-	if err := w.mc.write(wire.Message{Type: wire.MsgRegister, Name: w.opts.Name, Proto: offer}); err != nil {
+	if err := w.mc.write(wire.Message{Type: wire.MsgRegister, Name: w.opts.Name}); err != nil {
 		return fmt.Errorf("cluster: register: %w", err)
 	}
 	welcome, err := w.mc.read()
@@ -148,12 +136,6 @@ func (w *Worker) Run() error {
 	if welcome.Type != wire.MsgWelcome {
 		return fmt.Errorf("cluster: expected welcome, got %q", welcome.Type)
 	}
-	// The welcome echoing the binary offer licenses this side's writes
-	// (heartbeats, prepared/ready/result replies — the high-rate
-	// direction) to switch formats; reads were bilingual all along.
-	if offer != "" && welcome.Proto == wire.ProtoBinary {
-		w.mc.binary.Store(true)
-	}
 	w.mu.Lock()
 	w.id = welcome.Worker // under mu: Drain reads it concurrently
 	w.mu.Unlock()
@@ -161,8 +143,7 @@ func (w *Worker) Run() error {
 	if interval <= 0 {
 		interval = time.Second
 	}
-	w.opts.Logf("cluster: registered as worker %d (proto %s), heartbeating every %v",
-		w.id, protoName(welcome.Proto), interval)
+	w.opts.Logf("cluster: registered as worker %d, heartbeating every %v", w.id, interval)
 
 	go w.heartbeat(interval)
 

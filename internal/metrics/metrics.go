@@ -27,6 +27,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"taskbench/internal/stats"
 )
 
 // Counter is a monotonically increasing value. The zero Counter is not
@@ -173,10 +175,10 @@ func (h *Histogram) Count() int64 { return h.count.Load() }
 func (h *Histogram) Sum() float64 { return math.Float64frombits(h.sumBits.Load()) }
 
 // Quantile returns the nearest-rank q-quantile (0 < q <= 1) as the
-// upper bound of the bucket holding the rank'th observation — the
-// same nearest-rank convention internal/timeline uses over raw
+// upper bound of the bucket holding the rank'th observation
+// (stats.NearestRank, the rule internal/timeline applies to raw
 // samples, so the two agree whenever observations sit on bucket
-// bounds. An observation past the last bound reports the last finite
+// bounds). An observation past the last bound reports the last finite
 // bound (the histogram cannot say more). Returns 0 when empty;
 // renderers show "-" for an empty histogram, never a fabricated 0.
 func (h *Histogram) Quantile(q float64) float64 {
@@ -215,10 +217,7 @@ func (d HistogramData) Quantile(q float64) float64 {
 	if d.Count == 0 || len(d.Bounds) == 0 {
 		return 0
 	}
-	rank := int64(math.Ceil(q * float64(d.Count)))
-	if rank < 1 {
-		rank = 1
-	}
+	rank := int64(stats.NearestRank(int(d.Count), q))
 	var cum int64
 	for i, c := range d.Counts {
 		cum += c

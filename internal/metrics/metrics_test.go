@@ -5,8 +5,6 @@ import (
 	"sync"
 	"testing"
 	"time"
-
-	"taskbench/internal/timeline"
 )
 
 func TestCounterGaugeBasics(t *testing.T) {
@@ -100,44 +98,6 @@ func TestHistogramObserveBucketEdges(t *testing.T) {
 	// Overflow observations can only report the last finite bound.
 	if got := h.Quantile(1); got != 4 {
 		t.Fatalf("Quantile(1) with overflow = %v, want 4", got)
-	}
-}
-
-// TestHistogramQuantileAgreesWithTimeline pins the two percentile
-// implementations to the same nearest-rank convention: observations
-// placed exactly on bucket bounds must yield identical p50/p95/p99
-// from the histogram and from internal/timeline's raw-sample math.
-func TestHistogramQuantileAgreesWithTimeline(t *testing.T) {
-	bounds := []float64{0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1}
-
-	for _, n := range []int{1, 2, 3, 7, 20, 100} {
-		r := NewRegistry()
-		h := r.Histogram("lat_seconds", "", bounds)
-		col := timeline.New(time.Second, nil)
-
-		// n samples cycling through the bucket bounds, one value per
-		// observation, fed identically to both implementations.
-		for i := 0; i < n; i++ {
-			sec := bounds[i%len(bounds)]
-			h.Observe(sec)
-			col.Completed(0, time.Duration(sec*float64(time.Second)))
-		}
-		totals := col.Finish().Totals
-
-		checks := []struct {
-			q    float64
-			want float64 // ms, from timeline
-		}{
-			{0.50, totals.P50Millis},
-			{0.95, totals.P95Millis},
-			{0.99, totals.P99Millis},
-		}
-		for _, c := range checks {
-			gotMs := h.Quantile(c.q) * 1000
-			if diff := gotMs - c.want; diff > 1e-9 || diff < -1e-9 {
-				t.Errorf("n=%d q=%v: histogram %vms, timeline %vms", n, c.q, gotMs, c.want)
-			}
-		}
 	}
 }
 

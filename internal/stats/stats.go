@@ -59,6 +59,24 @@ func Max(xs []float64) float64 {
 	return m
 }
 
+// NearestRank returns the 1-based nearest-rank position of the
+// q-quantile among n sorted samples, ceil(q·n) clamped to [1, n] — the
+// one percentile rule behind the timeline rows, the latency histograms
+// and everything rendered from them. It is 0 when n is 0.
+func NearestRank(n int, q float64) int {
+	if n <= 0 {
+		return 0
+	}
+	rank := int(math.Ceil(q * float64(n)))
+	if rank < 1 {
+		return 1
+	}
+	if rank > n {
+		return n
+	}
+	return rank
+}
+
 // GeomSpace returns n values geometrically spaced from lo to hi
 // inclusive. lo and hi must be positive and n >= 2.
 func GeomSpace(lo, hi float64, n int) []float64 {

@@ -84,3 +84,22 @@ func TestInterpLogX(t *testing.T) {
 		t.Errorf("flat InterpLogX = %v, want 1", got)
 	}
 }
+
+func TestNearestRank(t *testing.T) {
+	for _, c := range []struct {
+		n    int
+		q    float64
+		want int
+	}{
+		{0, 0.5, 0},
+		{1, 0.01, 1}, {1, 0.5, 1}, {1, 1, 1},
+		{2, 0.5, 1}, {2, 0.51, 2},
+		{20, 0.5, 10}, {20, 0.95, 19}, {20, 0.99, 20}, {20, 1, 20},
+		{100, 0.5, 50}, {100, 0.95, 95}, {100, 0.99, 99}, {101, 0.99, 100},
+		{7, 0, 1}, {7, 1.5, 7},
+	} {
+		if got := NearestRank(c.n, c.q); got != c.want {
+			t.Errorf("NearestRank(%d, %v) = %d, want %d", c.n, c.q, got, c.want)
+		}
+	}
+}

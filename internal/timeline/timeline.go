@@ -18,6 +18,8 @@ import (
 	"sort"
 	"sync"
 	"time"
+
+	"taskbench/internal/stats"
 )
 
 // Row is one aggregation interval of the run.
@@ -246,17 +248,11 @@ func seal(b *bucket) Row {
 // percentile is the nearest-rank percentile of sorted (ms); 0 when
 // empty.
 func percentile(sorted []float64, p float64) float64 {
-	if len(sorted) == 0 {
+	rank := stats.NearestRank(len(sorted), p/100)
+	if rank == 0 {
 		return 0
 	}
-	rank := int(p/100*float64(len(sorted))+0.999999) - 1
-	if rank < 0 {
-		rank = 0
-	}
-	if rank >= len(sorted) {
-		rank = len(sorted) - 1
-	}
-	return sorted[rank]
+	return sorted[rank-1]
 }
 
 // sealThrough seals every bucket with index < limit into c.sealed

@@ -17,7 +17,7 @@ func benchMessage(shape string) Message {
 	case "result":
 		return Message{Type: MsgResult, Job: 12345, Worker: 17, Attempt: 1, ElapsedNanos: 987654321}
 	case "submit":
-		return Message{Type: MsgSubmit, Proto: ProtoBinary, Spec: &AppSpec{
+		return Message{Type: MsgSubmit, Spec: &AppSpec{
 			Workers: 64,
 			Graphs: []GraphSpec{{
 				Steps: 1000, Width: 256, Type: "stencil_1d_periodic",
@@ -34,24 +34,9 @@ func benchMessage(shape string) Message {
 
 var benchShapes = []string{"heartbeat", "result", "submit"}
 
-// BenchmarkWireEncodeJSON / BenchmarkWireEncodeBinary measure the
-// per-message cost of each control frame format on the write path the
-// cluster actually uses (WriteMessage / WriteMessageBinary to a
-// writer). The CI perf gate watches these.
-func BenchmarkWireEncodeJSON(b *testing.B) {
-	for _, shape := range benchShapes {
-		b.Run(shape, func(b *testing.B) {
-			m := benchMessage(shape)
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if err := WriteMessage(io.Discard, m); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
+// BenchmarkWireEncodeBinary measures the per-message cost of the
+// control frame on the write path the cluster actually uses
+// (WriteMessageBinary to a writer). The CI perf gate watches it.
 func BenchmarkWireEncodeBinary(b *testing.B) {
 	for _, shape := range benchShapes {
 		b.Run(shape, func(b *testing.B) {
@@ -66,36 +51,9 @@ func BenchmarkWireEncodeBinary(b *testing.B) {
 	}
 }
 
-// The decode benchmarks go through ReadMessageFrom — the bilingual
-// reader every cluster connection uses — so the per-message format
-// detection is part of the measured cost for both formats.
-func benchDecode(b *testing.B, frame []byte) {
-	b.Helper()
-	rd := bytes.NewReader(frame)
-	br := bufio.NewReader(rd)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		rd.Reset(frame)
-		br.Reset(rd)
-		if _, err := ReadMessageFrom(br); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkWireDecodeJSON(b *testing.B) {
-	for _, shape := range benchShapes {
-		b.Run(shape, func(b *testing.B) {
-			var buf bytes.Buffer
-			if err := WriteMessage(&buf, benchMessage(shape)); err != nil {
-				b.Fatal(err)
-			}
-			benchDecode(b, buf.Bytes())
-		})
-	}
-}
-
+// BenchmarkWireDecodeBinary goes through ReadMessageFrom, the reader
+// every cluster connection uses, so stream framing is part of the
+// measured cost.
 func BenchmarkWireDecodeBinary(b *testing.B) {
 	for _, shape := range benchShapes {
 		b.Run(shape, func(b *testing.B) {
@@ -103,7 +61,18 @@ func BenchmarkWireDecodeBinary(b *testing.B) {
 			if err := WriteMessageBinary(&buf, benchMessage(shape)); err != nil {
 				b.Fatal(err)
 			}
-			benchDecode(b, buf.Bytes())
+			frame := buf.Bytes()
+			rd := bytes.NewReader(frame)
+			br := bufio.NewReader(rd)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				rd.Reset(frame)
+				br.Reset(rd)
+				if _, err := ReadMessageFrom(br); err != nil {
+					b.Fatal(err)
+				}
+			}
 		})
 	}
 }

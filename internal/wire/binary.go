@@ -1,27 +1,19 @@
 package wire
 
-// Binary framing for the cluster control protocol. The JSON codec in
-// proto.go remains the debug, golden and interop format — every
-// connection opens in JSON, and peers that both speak the binary codec
-// switch to it after the register/welcome (worker) or submit/first
-// reply (client) exchange. The binary codec exists for one reason: at
+// Binary framing for the cluster control protocol: the one format that
+// travels on a control connection. JSON renders the same Message for
+// the messages.jsonl golden and for spec files, never for the wire. At
 // vanishing task granularity the per-message cost of the control plane
-// (reflect-driven JSON encode/decode, fresh allocations per message)
 // is system overhead of exactly the kind Task Bench exists to measure,
-// so the wire layer must not pay it.
+// so the codec is a fixed field schedule with no tags, no reflection
+// and no allocation on encode.
 //
 // Frame layout (everything little-endian; varints are encoding/binary
 // Uvarint/Varint):
 //
 //	0xB1 | uvarint bodyLen | body
 //
-// The magic byte 0xB1 can never open a JSON control message (those
-// always start with '{'), so a reader can dispatch per message between
-// the two framings by peeking one byte — which is what makes the
-// migration safe: a receiver is always bilingual, and negotiation only
-// decides what a sender emits.
-//
-// The body is a fixed field schedule, no tags and no reflection:
+// The body is:
 //
 //	uvarint version | byte typeCode | fields of Message in struct order
 //
@@ -32,23 +24,23 @@ package wire
 // (sync.Pool) and write one frame per syscall; decode allocates only
 // the strings and slices of the resulting Message.
 //
-// A corrupt or hostile length prefix must not drive an unbounded
-// allocation: bodies beyond MaxControlFrame and any string or list
-// length exceeding the remaining body are rejected as errors, and the
-// connection owner tears the session down.
+// Every malformed input is an error, and the connection owner tears
+// the session down on it: a first byte other than 0xB1, a body beyond
+// MaxControlFrame, a string or list length exceeding the remaining
+// body (so a corrupt or hostile prefix cannot drive an unbounded
+// allocation), a newer version, an unknown type code, and bytes left
+// over after the schedule.
 
 import (
 	"bufio"
 	"encoding/binary"
-	"encoding/json"
 	"fmt"
 	"io"
 	"math"
 	"sync"
 )
 
-// BinMagic opens every binary control frame. JSON control messages
-// always start with '{', so one peeked byte dispatches the format.
+// BinMagic opens every control frame.
 const BinMagic = 0xB1
 
 // MaxControlFrame bounds one binary control message's body. The
@@ -58,11 +50,9 @@ const BinMagic = 0xB1
 // bad frame from driving an unbounded allocation.
 const MaxControlFrame = 16 << 20
 
-// Protocol format names carried in Message.Proto during negotiation.
-const (
-	ProtoJSON   = "json"
-	ProtoBinary = "binary"
-)
+// ProtoBinary is the one value Message.Proto ever held. Like the field
+// it is reserved: nothing in this module reads it.
+const ProtoBinary = "binary"
 
 // Message type codes of the binary codec, in protocol order. Code 0 is
 // deliberately invalid so a zeroed frame cannot decode as a register.
@@ -127,7 +117,7 @@ func AppendMessageBinary(dst []byte, m Message) ([]byte, error) {
 
 // WriteMessageBinary frames m onto w as one binary frame in a single
 // Write, drawing the encode buffer from a free list. Callers serialize
-// concurrent writers, as with WriteMessage.
+// concurrent writers.
 func WriteMessageBinary(w io.Writer, m Message) error {
 	m.V = ProtoVersion
 	bufp := binBufs.Get().(*[]byte)
@@ -162,32 +152,16 @@ func DecodeMessageBinary(frame []byte) (Message, error) {
 	return decodeMessageBody(body)
 }
 
-// ReadMessageFrom reads the next control message from br, dispatching
-// per message between the two framings: a peeked 0xB1 is a binary
-// frame, anything else is a newline-delimited JSON message. Both sides
-// of every control connection read through this, which is what lets
-// negotiation concern only the sending direction.
+// ReadMessageFrom reads the next control frame from br. Both sides of
+// every control connection read through this.
 func ReadMessageFrom(br *bufio.Reader) (Message, error) {
-	for {
-		c, err := br.ReadByte()
-		if err != nil {
-			return Message{}, err
-		}
-		switch c {
-		case BinMagic:
-			return readBinaryMessage(br)
-		case '\n', '\r', ' ', '\t':
-			continue // inter-message whitespace
-		default:
-			if err := br.UnreadByte(); err != nil {
-				return Message{}, err
-			}
-			return readJSONLine(br)
-		}
+	c, err := br.ReadByte()
+	if err != nil {
+		return Message{}, err
 	}
-}
-
-func readBinaryMessage(br *bufio.Reader) (Message, error) {
+	if c != BinMagic {
+		return Message{}, fmt.Errorf("wire: control frame opens with byte 0x%02x, want 0x%02x", c, BinMagic)
+	}
 	bodyLen, err := binary.ReadUvarint(br)
 	if err != nil {
 		return Message{}, fmt.Errorf("wire: frame length: %w", err)
@@ -212,24 +186,6 @@ func readBinaryMessage(br *bufio.Reader) (Message, error) {
 	binBufs.Put(bufp)
 	if err != nil {
 		return Message{}, err
-	}
-	return m, nil
-}
-
-func readJSONLine(br *bufio.Reader) (Message, error) {
-	line, err := br.ReadBytes('\n')
-	if err != nil && (err != io.EOF || len(line) == 0) {
-		return Message{}, err
-	}
-	var m Message
-	if err := json.Unmarshal(line, &m); err != nil {
-		return Message{}, fmt.Errorf("wire: %w", err)
-	}
-	if m.V > ProtoVersion {
-		return Message{}, fmt.Errorf("wire: message version %d newer than supported %d", m.V, ProtoVersion)
-	}
-	if m.Type == "" {
-		return Message{}, fmt.Errorf("wire: message without type")
 	}
 	return m, nil
 }

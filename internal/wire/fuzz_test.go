@@ -3,8 +3,10 @@ package wire
 import (
 	"bufio"
 	"bytes"
-	"encoding/json"
+	"encoding/binary"
 	"math"
+	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -119,61 +121,40 @@ func FuzzMessageBinary(f *testing.F) {
 	})
 }
 
-// FuzzMessageCodecEquivalence pins the two codecs to each other: any
-// message the JSON reader accepts travels through the binary framing
-// unchanged. The negotiation upgrades live conversations from JSON to
-// binary, so a field the formats disagree on would corrupt exactly the
-// messages that cross the switch.
-func FuzzMessageCodecEquivalence(f *testing.F) {
-	for _, m := range binaryTestMessages() {
-		j, err := json.Marshal(m)
-		if err != nil {
-			f.Fatal(err)
-		}
-		f.Add(j)
+// FuzzControlStream drives ReadMessageFrom — what every control
+// connection reads through — with an arbitrary byte stream: each call
+// yields a message or an error, never a panic or a hang, and a message
+// consumes exactly the bytes of one frame — what DecodeMessageBinary,
+// which bounds the body by MaxControlFrame and demands the declared
+// length to the byte, accepts as that same message.
+func FuzzControlStream(f *testing.F) {
+	golden, err := os.ReadFile(filepath.Join("testdata", "messages.bin"))
+	if err != nil {
+		f.Fatal(err)
 	}
+	f.Add(golden)
+	for cut := 0; cut < len(golden); cut++ {
+		f.Add(golden[:cut])
+	}
+	f.Add([]byte(`{"v":6,"type":"submit","spec":{"graphs":[{"steps":2,"width":2,"type":"trivial"}]}}` + "\n"))
+	f.Add(binary.AppendUvarint([]byte{BinMagic}, MaxControlFrame+1))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		if bytes.ContainsAny(data, "\n\r") {
-			return // one frame per line by construction
-		}
-		line := append(append([]byte(nil), data...), '\n')
-		m, err := ReadMessageFrom(bufio.NewReader(bytes.NewReader(line)))
-		if err != nil {
-			return // rejected input
-		}
-		if len(m.Proto)|len(m.Type)|len(m.Name)|len(m.Addr)|len(m.Err) > 1<<16 {
-			return // bound string sizes: explore the schema, not the allocator
-		}
-		if _, known := msgCodes[m.Type]; !known || hasNaN(m) {
-			// The lenient JSON reader accepts any nonempty type string;
-			// binary only carries the seventeen protocol types (negotiation
-			// happens between same-version peers, which never emit
-			// others). NaN floats round-trip but defeat DeepEqual.
-			return
-		}
-		var buf bytes.Buffer
-		if err := WriteMessageBinary(&buf, m); err != nil {
-			t.Fatalf("JSON-accepted message failed binary encode: %v\n%+v", err, m)
-		}
-		back, err := ReadMessageFrom(bufio.NewReader(&buf))
-		if err != nil {
-			t.Fatalf("binary decode failed: %v\n%+v", err, m)
-		}
-		// Normalize the intentional differences: the writer stamps the
-		// current version regardless of the input's claim, and binary
-		// has no nil-vs-empty distinction for absent lists.
-		m.V = ProtoVersion
-		if len(m.Kernels) == 0 {
-			m.Kernels = nil
-		}
-		if len(m.Addrs) == 0 {
-			m.Addrs = nil
-		}
-		if m.Spec != nil && len(m.Spec.Graphs) == 0 {
-			m.Spec.Graphs = nil
-		}
-		if !reflect.DeepEqual(m, back) {
-			t.Fatalf("codecs disagree:\n json   %+v\n binary %+v", m, back)
+		rd := bytes.NewReader(data)
+		br := bufio.NewReader(rd)
+		consumed := func() int { return len(data) - rd.Len() - br.Buffered() }
+		for {
+			start := consumed()
+			m, err := ReadMessageFrom(br)
+			if err != nil {
+				return // the connection owner tears down here
+			}
+			whole, err := DecodeMessageBinary(data[start:consumed()])
+			if err != nil {
+				t.Fatalf("stream reader accepted a frame the frame decoder rejects: %v", err)
+			}
+			if !hasNaN(m) && !reflect.DeepEqual(m, whole) {
+				t.Fatalf("stream and frame decode disagree:\n stream %+v\n frame  %+v", m, whole)
+			}
 		}
 	})
 }

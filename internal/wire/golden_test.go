@@ -54,90 +54,45 @@ func TestGoldenSpecDecode(t *testing.T) {
 	compareGolden(t, "spec.normalized.json", []byte(out.String()))
 }
 
-// TestGoldenMessages pins the cluster control protocol: every message
-// type round-trips through the checked-in newline-delimited stream.
+// TestGoldenMessages pins the JSON rendering of the control messages
+// (the human-readable fixture beside messages.bin, and what
+// wireexhaustive reads): every message type, one line each, decoding
+// back to the message it was rendered from.
 func TestGoldenMessages(t *testing.T) {
-	f := false
-	msgs := []Message{
-		{Type: MsgRegister, Name: "node1"},
-		{Type: MsgWelcome, Worker: 3, HeartbeatNanos: 1000000000},
-		{Type: MsgHeartbeat, Worker: 3},
-		{Type: MsgPrepare, Config: 7, Ranks: 6, RankLo: 2, RankHi: 4, Spec: &AppSpec{
-			Workers:  6,
-			Validate: &f,
-			Graphs: []GraphSpec{{
-				Steps: 20, Width: 6, Type: "stencil_1d_periodic",
-				Kernel: "compute_bound", Iterations: 64, Output: 128,
-			}},
-		}},
-		{Type: MsgPrepared, Config: 7, Addr: "127.0.0.1:40721"},
-		{Type: MsgConnect, Config: 7, Addrs: []string{"a:1", "a:1", "b:2", "b:2", "c:3", "c:3"}},
-		{Type: MsgReady, Config: 7},
-		{Type: MsgRun, Config: 7, Job: 9, Kernels: []KernelSpec{{Kernel: "compute_bound", Iterations: 64}}},
-		{Type: MsgResult, Config: 7, Job: 9, ElapsedNanos: 1234567},
-		{Type: MsgRun, Config: 8, Job: 9, Attempt: 1, Kernels: []KernelSpec{{Kernel: "compute_bound", Iterations: 64}}},
-		{Type: MsgResult, Config: 8, Job: 9, Attempt: 1, ElapsedNanos: 1234567},
-		{Type: MsgRelease, Config: 7},
-		{Type: MsgSubmit, Spec: &AppSpec{Graphs: []GraphSpec{{Steps: 2, Width: 2, Type: "trivial"}}}},
-		{Type: MsgAccepted, Job: 9},
-		{Type: MsgRejected, Job: 11, Err: "queue full (depth 64)"},
-		{Type: MsgCancel, Job: 9},
-		{Type: MsgDone, Job: 9, ElapsedNanos: 1234567, Workers: 6},
-		{Type: MsgDone, Job: 10, Err: `worker "node2" died`},
-		{Type: MsgStats, Job: 21},
-		{Type: MsgStatsRply, Job: 21, Stats: &StatsInfo{
-			Workers: 3, JobsRun: 42, JobsRejected: 7,
-			QueueLen: 3, QueueCap: 64, Concurrency: 4, MaxAttempts: 3,
-			ConfigsReprovisioned: 2, ConfigsEvicted: 1, WorkersDraining: 1,
-			ConfigCacheHits: 40, ConfigCacheMisses: 2,
-			MaxHeartbeatAgeNanos: 250_000_000,
-			LatencyP50Nanos:      5_000_000, LatencyP95Nanos: 25_000_000, LatencyP99Nanos: 100_000_000,
-		}},
-		{Type: MsgDrain, Worker: 3, Name: "node1"},
-		{Type: MsgDrained, Worker: 3},
-	}
+	msgs := goldenFor("jsonl")
 	var out bytes.Buffer
-	for _, m := range msgs {
-		if err := WriteMessage(&out, m); err != nil {
-			t.Fatal(err)
-		}
+	for i := range msgs {
+		msgs[i].V = ProtoVersion
+		out.Write(mustJSON(t, msgs[i]))
+		out.WriteByte('\n')
 	}
 	compareGolden(t, "messages.jsonl", out.Bytes())
 
-	// The checked-in stream decodes back to the same messages.
 	golden, err := os.ReadFile(filepath.Join("testdata", "messages.jsonl"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	dec := json.NewDecoder(bytes.NewReader(golden))
+	lines := bytes.Split(bytes.TrimSuffix(golden, []byte("\n")), []byte("\n"))
+	if len(lines) != len(msgs) {
+		t.Fatalf("golden stream has %d messages, want %d", len(lines), len(msgs))
+	}
 	for k, want := range msgs {
-		got, err := ReadMessage(dec)
-		if err != nil {
+		var got Message
+		if err := json.Unmarshal(lines[k], &got); err != nil {
 			t.Fatalf("message %d: %v", k, err)
 		}
-		want.V = ProtoVersion
-		if got.Spec != nil && want.Spec != nil {
-			if string(mustJSON(t, got.Spec)) != string(mustJSON(t, want.Spec)) {
-				t.Errorf("message %d spec mismatch", k)
-			}
-			got.Spec, want.Spec = nil, nil
+		if !reflect.DeepEqual(want, got) {
+			t.Errorf("message %d:\n want %+v\n got  %+v", k, want, got)
 		}
-		gj, wj := mustJSON(t, got), mustJSON(t, want)
-		if string(gj) != string(wj) {
-			t.Errorf("message %d:\n got %s\nwant %s", k, gj, wj)
-		}
-	}
-	if _, err := ReadMessage(dec); err == nil {
-		t.Error("golden stream has extra messages")
 	}
 }
 
 // TestGoldenMessagesBinary pins the binary framing byte for byte: the
 // encoder's output for every message type matches the checked-in
 // stream, and the checked-in stream decodes back to the same messages.
-// Unlike JSON, the binary format has no lenient decode — any layout
-// change is a protocol change and must bump ProtoVersion, so this test
-// failing without a version bump is the bug, not the golden file.
+// Any layout change is a protocol change and must bump ProtoVersion, so
+// this test failing without a version bump is the bug, not the golden
+// file.
 func TestGoldenMessagesBinary(t *testing.T) {
 	msgs := binaryTestMessages()
 	var out bytes.Buffer
@@ -165,26 +120,6 @@ func TestGoldenMessagesBinary(t *testing.T) {
 	}
 	if _, err := ReadMessageFrom(br); err == nil {
 		t.Error("golden stream has extra messages")
-	}
-}
-
-// TestMessageVersioning rejects newer-major messages instead of
-// misreading them, and tolerates unknown fields from same-version
-// peers.
-func TestMessageVersioning(t *testing.T) {
-	dec := json.NewDecoder(strings.NewReader(
-		`{"v":99,"type":"heartbeat"}` + "\n"))
-	if _, err := ReadMessage(dec); err == nil || !strings.Contains(err.Error(), "version") {
-		t.Errorf("accepted message from the future: %v", err)
-	}
-	dec = json.NewDecoder(strings.NewReader(
-		`{"v":1,"type":"heartbeat","some_future_field":true}` + "\n" +
-			`{"v":1}` + "\n"))
-	if m, err := ReadMessage(dec); err != nil || m.Type != MsgHeartbeat {
-		t.Errorf("lenient decode failed: %v %+v", err, m)
-	}
-	if _, err := ReadMessage(dec); err == nil {
-		t.Error("accepted message without type")
 	}
 }
 

@@ -3,54 +3,22 @@ package wire
 import (
 	"encoding/json"
 	"fmt"
-	"io"
 	"time"
 
 	"taskbench/internal/kernels"
 )
 
 // ProtoVersion is the version stamped on every cluster protocol
-// message. A receiver rejects messages from a newer major version
-// instead of misinterpreting fields; unknown fields from same-version
-// peers are ignored (the decoder here is deliberately lenient, unlike
-// the strict spec Decode).
-//
-// Version history:
-//
-//	1  initial protocol (register…done)
-//	2  rejected/cancel messages; results matched on (job, attempt) —
-//	   a v1 worker would never echo Attempt, silently stalling every
-//	   retried run, so the bump makes the mismatch loud.
-//	3  binary framing (binary.go) negotiated via the Proto field at
-//	   register/welcome (worker) and submit/first-reply (client) time.
-//	   JSON remains the opening and fallback format: a v2 peer ignores
-//	   the unknown proto field, never echoes it, and the conversation
-//	   simply stays JSON.
-//	4  stats/statsreply control messages: a client observes the
-//	   coordinator's queue depth, in-flight gauges and counters over
-//	   its existing control connection (the load generator's
-//	   utilization feed). A v3 coordinator would drop a client on the
-//	   unknown message, so the bump makes the mismatch loud.
-//	5  drain/drained graceful-departure exchange: a worker announces
-//	   it is leaving, the coordinator stops placing on it, unwinds its
-//	   configs, and answers drained when the worker may exit. A v4
-//	   coordinator would drop a draining worker on the unknown message
-//	   — indistinguishable from a crash — so the bump makes the
-//	   mismatch loud. StatsInfo also gains elasticity counters
-//	   (reprovisioned/evicted configs, draining workers), appended to
-//	   the binary field schedule per the statsFields contract.
-//	6  StatsInfo gains observability fields: first-class config cache
-//	   hit/miss counters (previously only inferrable from
-//	   reprovision/evict deltas), the stalest live worker's heartbeat
-//	   age, and nearest-rank job-latency percentiles from the
-//	   coordinator's histogram — all appended to the binary field
-//	   schedule per the statsFields contract, so a v5 peer decodes the
-//	   prefix it knows and ignores the rest.
+// message. A receiver rejects a message from a newer version instead of
+// misinterpreting its fields. Any change to the binary field schedule
+// (binary.go) bumps it, and fields are only ever appended, per the
+// statsFields contract: version 6 ends with StatsInfo's cache hit/miss
+// counters, heartbeat age and latency percentiles.
 const ProtoVersion = 6
 
 // Message types of the cluster control protocol. One flat Message
 // envelope carries every type; unused fields stay at their zero value
-// and are omitted from the JSON.
+// (one byte each on the wire, omitted from the JSON rendering).
 //
 // Worker ↔ coordinator:
 //
@@ -209,20 +177,17 @@ func (ks KernelSpec) ToConfig() (kernels.Config, error) {
 	return k, nil
 }
 
-// Message is the single envelope of the cluster control protocol:
-// newline-delimited JSON over the coordinator's TCP control port.
-// Type selects which fields are meaningful.
+// Message is the single envelope of the cluster control protocol. It
+// travels as one binary frame (binary.go) on the coordinator's TCP
+// control port; the JSON tags are the rendering of the messages.jsonl
+// golden, not a wire format. Type selects which fields are meaningful.
 type Message struct {
 	V    int    `json:"v"`
 	Type string `json:"type"`
 
-	// Proto negotiates the frame format of the sending direction:
-	// a register or submit carrying ProtoBinary offers "I can read
-	// binary frames; you may send them", and the welcome (or first
-	// accepted/rejected reply) echoing it accepts the offer for the
-	// opposite direction. Receivers always auto-detect per message
-	// (ReadMessageFrom), so negotiation never has a window where a
-	// frame is unreadable.
+	// Proto is a reserved slot of the binary field schedule: no sender
+	// sets it and no receiver reads it. It stays so the schedule — and
+	// with it every frame's bytes — does not move.
 	Proto string `json:"proto,omitempty"`
 
 	// Name identifies a worker at registration.
@@ -274,32 +239,6 @@ type Message struct {
 
 	// Stats is the coordinator snapshot of a statsreply.
 	Stats *StatsInfo `json:"stats,omitempty"`
-}
-
-// WriteMessage frames one message onto w: compact JSON followed by a
-// newline, the streaming-friendly counterpart of the spec files'
-// indented Encode. Callers serialize concurrent writers.
-func WriteMessage(w io.Writer, m Message) error {
-	m.V = ProtoVersion
-	return json.NewEncoder(w).Encode(m)
-}
-
-// ReadMessage decodes the next message from dec (one *json.Decoder per
-// connection, so buffered bytes are not lost between reads). Unknown
-// fields are ignored — newer same-major peers may say more — but a
-// newer major version is an error, not a misread.
-func ReadMessage(dec *json.Decoder) (Message, error) {
-	var m Message
-	if err := dec.Decode(&m); err != nil {
-		return Message{}, err
-	}
-	if m.V > ProtoVersion {
-		return Message{}, fmt.Errorf("wire: message version %d newer than supported %d", m.V, ProtoVersion)
-	}
-	if m.Type == "" {
-		return Message{}, fmt.Errorf("wire: message without type")
-	}
-	return m, nil
 }
 
 // ShapeKey canonicalizes the structural part of a spec — everything

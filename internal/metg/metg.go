@@ -30,14 +30,15 @@ type Runner func(iterations int64) core.RunStats
 // BackendSweep returns the per-point measurement function for a real
 // runtime backend over a graph family parameterized by iteration
 // count. A sweep measures the same task graph at every point of the
-// curve — only the per-task kernel size changes — so engine-backed
-// backends reuse one session: shared-memory backends
+// curve — only the per-task kernel size changes — so every backend but
+// serial reuses one session: shared-memory backends
 // (runtime.PolicyBacked) drive an exec.Session whose Plan is built
 // once per configuration and Reset per point, and rank-based backends
 // (runtime.RankBacked) drive an exec.RankSession whose RankPlan —
 // spans, cross-rank edge lists, fabric wiring, and for tcp the
-// connection mesh — is likewise paid once. Other backends rebuild the
-// app at each point.
+// connection mesh — is likewise paid once. serial, and any family that
+// varies the DAG shape with the iteration count, rebuild the app at
+// each point.
 //
 // The second return value releases the reused session's resources
 // (for tcp, the live connection mesh); call it when the sweep is

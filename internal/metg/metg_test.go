@@ -10,9 +10,7 @@ import (
 	"taskbench/internal/core"
 	"taskbench/internal/kernels"
 	"taskbench/internal/runtime"
-	_ "taskbench/internal/runtime/p2p"
-	_ "taskbench/internal/runtime/serial"
-	_ "taskbench/internal/runtime/taskpool"
+	_ "taskbench/internal/runtime/all"
 	"taskbench/internal/stats"
 )
 
@@ -244,19 +242,36 @@ func TestCurveShape(t *testing.T) {
 	}
 }
 
-func TestBackendSweepReusesEnginePlan(t *testing.T) {
+// Every backend but serial must drive the sweep through a reused
+// session — an exec.Session (one Plan) or an exec.RankSession (one
+// RankPlan: spans, edges, fabric) per configuration — with the mutated
+// kernel applied at every point; serial takes the rebuild path. All
+// must produce correct per-point stats.
+func TestBackendSweepReusesSession(t *testing.T) {
 	mkGraph := func(iterations int64) *core.Graph {
 		return core.MustNew(core.Params{
 			Timesteps: 10, MaxWidth: 4, Dependence: core.Stencil1D,
 			Kernel: kernels.Config{Type: kernels.ComputeBound, Iterations: iterations},
 		})
 	}
-	// taskpool is engine-backed (session reuse path); serial is not
-	// (rebuild path). Both must produce correct per-point stats.
-	for _, name := range []string{"taskpool", "serial"} {
+	for name, session := range map[string]string{
+		"taskpool": "policy", "dataflow": "policy", "places": "policy",
+		"p2p": "ranks", "actor": "ranks", "coforall": "ranks",
+		"serial": "none",
+	} {
 		rt, err := runtime.New(name)
 		if err != nil {
 			t.Fatalf("runtime.New(%q): %v", name, err)
+		}
+		got := "none"
+		switch rt.(type) {
+		case runtime.PolicyBacked:
+			got = "policy"
+		case runtime.RankBacked:
+			got = "ranks"
+		}
+		if got != session {
+			t.Fatalf("%s: the sweep would open a %q session, want %q", name, got, session)
 		}
 		sweep, done := BackendSweep(rt, mkGraph)
 		defer done()
@@ -274,40 +289,6 @@ func TestBackendSweepReusesEnginePlan(t *testing.T) {
 			if wantFlops := mkGraph(it).Kernel.FlopsPerTask() * float64(want); st.Flops != wantFlops {
 				t.Errorf("%s at %d iterations: flops = %v, want %v", name, it, st.Flops, wantFlops)
 			}
-		}
-	}
-}
-
-// Rank-based backends must drive the sweep through a reused
-// RankSession: one RankPlan (spans, edges, fabric) per configuration,
-// with the mutated kernel applied at every point.
-func TestBackendSweepReusesRankPlan(t *testing.T) {
-	mkGraph := func(iterations int64) *core.Graph {
-		return core.MustNew(core.Params{
-			Timesteps: 10, MaxWidth: 4, Dependence: core.Stencil1D,
-			Kernel: kernels.Config{Type: kernels.ComputeBound, Iterations: iterations},
-		})
-	}
-	rt, err := runtime.New("p2p")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := rt.(runtime.RankBacked); !ok {
-		t.Fatal("p2p does not implement runtime.RankBacked")
-	}
-	sweep, done := BackendSweep(rt, mkGraph)
-	defer done()
-	want := mkGraph(1).TotalTasks()
-	for _, it := range []int64{64, 16, 4} {
-		st, err := sweep(it)
-		if err != nil {
-			t.Fatalf("p2p sweep at %d iterations: %v", it, err)
-		}
-		if st.Tasks != want {
-			t.Errorf("at %d iterations: tasks = %d, want %d", it, st.Tasks, want)
-		}
-		if wantFlops := mkGraph(it).Kernel.FlopsPerTask() * float64(want); st.Flops != wantFlops {
-			t.Errorf("at %d iterations: flops = %v, want %v", it, st.Flops, wantFlops)
 		}
 	}
 }

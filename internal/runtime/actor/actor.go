@@ -1,152 +1,46 @@
 // Package actor implements the Charm++ analog (paper §3.2): one chare
-// per column of each task graph, communicating exclusively by
-// messages. A chare executes its task for a timestep as soon as all of
-// that task's dependencies have arrived in its mailbox — fully
-// asynchronous, message-driven execution with no global phases, which
-// is what lets the actor model overlap communication and computation
-// and absorb load imbalance (paper §5.6, §5.7).
+// per column, communicating exclusively by messages. A chare executes
+// its task for a timestep as soon as that task's dependencies have
+// arrived — fully asynchronous, message-driven execution with no global
+// phases, which is what lets the actor model overlap communication and
+// computation and absorb load imbalance (paper §5.6, §5.7).
+//
+// Over-decomposition and message-driven progress are what the paper
+// credits Charm++ with, and both are a layout of the p2p policy rather
+// than a new mechanism: with one rank per column every chare is a
+// goroutine that advances whenever its own inputs are in, the Go
+// scheduler multiplexes the chares over the cores, and a chare's
+// mailbox is the slot rings of its incoming edges.
 package actor
 
 import (
-	"sync"
-
 	"taskbench/internal/core"
-	"taskbench/internal/kernels"
 	"taskbench/internal/runtime"
 	"taskbench/internal/runtime/exec"
+	"taskbench/internal/runtime/p2p"
 )
 
 func init() {
-	runtime.Register("actor", func() runtime.Runtime { return rt{} })
-}
-
-type rt struct{}
-
-func (rt) Name() string { return "actor" }
-
-func (rt) Info() runtime.Info {
-	return runtime.Info{
+	runtime.RegisterRanks(runtime.Info{
 		Name:        "actor",
 		Analog:      "Charm++",
 		Paradigm:    "actor model",
 		Parallelism: "explicit",
 		Distributed: true,
 		Async:       true,
-		Notes:       "chare per column; tasks fire when all dependence messages arrive",
+		Notes:       "p2p's eager step under a chare-per-column layout; tasks fire when all dependence messages arrive",
+	}, func() exec.RankPolicy { return policy{} })
+}
+
+// policy is p2p's Step under a chare-per-column layout.
+type policy struct{ p2p.Policy }
+
+// Layout over-decomposes to one single-threaded rank per column of the
+// widest graph, however few cores there are.
+func (policy) Layout(app *core.App) exec.RankLayout {
+	chares := 1
+	for _, g := range app.Graphs {
+		chares = max(chares, g.MaxWidth)
 	}
-}
-
-// message carries one dependence payload to a consumer chare.
-type message struct {
-	t        int
-	producer int
-	payload  []byte
-}
-
-// chare is one actor: a column of one graph.
-type chare struct {
-	g        *core.Graph
-	graphIdx int
-	col      int
-	mailbox  *exec.Mailbox[message]
-	peers    []*chare // chares of the same graph, indexed by column
-	scratch  *kernels.Scratch
-
-	// pending accumulates early messages by timestep.
-	pending map[int]map[int][]byte
-}
-
-func (c *chare) run(validate bool, firstErr *exec.ErrOnce, wg *sync.WaitGroup) {
-	defer wg.Done()
-	g := c.g
-	selfPrev := make([]byte, g.OutputBytes)
-	out := make([]byte, g.OutputBytes)
-	var inputs [][]byte
-	for t := 0; t < g.Timesteps; t++ {
-		if !g.ContainsPoint(t, c.col) {
-			continue
-		}
-		deps := g.DependenciesForPoint(t, c.col)
-
-		// Wait for every remote dependence message of this timestep.
-		needed := 0
-		deps.ForEach(func(dep int) {
-			if dep != c.col {
-				needed++
-			}
-		})
-		for len(c.pending[t]) < needed {
-			msg, ok := c.mailbox.Recv()
-			if !ok {
-				return
-			}
-			byProd := c.pending[msg.t]
-			if byProd == nil {
-				byProd = map[int][]byte{}
-				c.pending[msg.t] = byProd
-			}
-			byProd[msg.producer] = msg.payload
-		}
-
-		// Assemble inputs in dependence order.
-		inputs = inputs[:0]
-		arrived := c.pending[t]
-		deps.ForEach(func(dep int) {
-			if dep == c.col {
-				inputs = append(inputs, selfPrev)
-			} else {
-				inputs = append(inputs, arrived[dep])
-			}
-		})
-		delete(c.pending, t)
-
-		err := g.ExecutePoint(t, c.col, out, inputs, c.scratch, validate && !firstErr.Failed())
-		if err != nil {
-			firstErr.Set(err)
-			g.WriteOutput(t, c.col, out)
-		}
-
-		// Deliver the output: keep a local copy for the self edge and
-		// send one marshalled message per remote consumer.
-		copy(selfPrev, out)
-		g.ReverseDependenciesForPoint(t, c.col).ForEach(func(cons int) {
-			if cons == c.col {
-				return
-			}
-			payload := make([]byte, len(out))
-			copy(payload, out)
-			c.peers[cons].mailbox.Send(message{t: t + 1, producer: c.col, payload: payload})
-		})
-	}
-}
-
-func (rt) Run(app *core.App) (core.RunStats, error) {
-	workers := exec.WorkersFor(app)
-	var firstErr exec.ErrOnce
-	return exec.Measure(app, workers, func() error {
-		var wg sync.WaitGroup
-		var all []*chare
-		for gi, g := range app.Graphs {
-			peers := make([]*chare, g.MaxWidth)
-			for i := 0; i < g.MaxWidth; i++ {
-				peers[i] = &chare{
-					g: g, graphIdx: gi, col: i,
-					mailbox: exec.NewMailbox[message](),
-					peers:   peers,
-					scratch: kernels.NewScratch(g.ScratchBytes),
-					pending: map[int]map[int][]byte{},
-				}
-			}
-			all = append(all, peers...)
-		}
-		for _, c := range all {
-			wg.Add(1)
-			go c.run(app.Validate, &firstErr, &wg)
-		}
-		wg.Wait()
-		for _, c := range all {
-			c.mailbox.Close()
-		}
-		return firstErr.Err()
-	})
+	return exec.RankLayout{Ranks: chares, Threads: 1}
 }

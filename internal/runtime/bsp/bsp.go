@@ -14,15 +14,7 @@ import (
 )
 
 func init() {
-	runtime.Register("bsp", func() runtime.Runtime { return rt{} })
-}
-
-type rt struct{}
-
-func (rt) Name() string { return "bsp" }
-
-func (rt) Info() runtime.Info {
-	return runtime.Info{
+	runtime.RegisterRanks(runtime.Info{
 		Name:        "bsp",
 		Analog:      "MPI bulk sync",
 		Paradigm:    "message passing",
@@ -30,15 +22,8 @@ func (rt) Info() runtime.Info {
 		Distributed: true,
 		Async:       false,
 		Notes:       "global barrier per timestep between compute and communication phases",
-	}
+	}, func() exec.RankPolicy { return policy{} })
 }
-
-func (rt) Run(app *core.App) (core.RunStats, error) {
-	return exec.RunRanks(app, policy{})
-}
-
-// RankPolicy implements runtime.RankBacked.
-func (rt) RankPolicy() exec.RankPolicy { return policy{} }
 
 // policy is the bulk-synchronous discipline: compute every owned task
 // of the step, then communicate every output, then hit the global

@@ -12,21 +12,12 @@
 package central
 
 import (
-	"taskbench/internal/core"
 	"taskbench/internal/runtime"
 	"taskbench/internal/runtime/exec"
 )
 
 func init() {
-	runtime.Register("central", func() runtime.Runtime { return rt{} })
-}
-
-type rt struct{}
-
-func (rt) Name() string { return "central" }
-
-func (rt) Info() runtime.Info {
-	return runtime.Info{
+	runtime.RegisterPolicy(runtime.Info{
 		Name:        "central",
 		Analog:      "Spark / Dask",
 		Paradigm:    "centralized task scheduling",
@@ -34,7 +25,7 @@ func (rt) Info() runtime.Info {
 		Distributed: true,
 		Async:       true,
 		Notes:       "single controller grants every task; workers round-trip per task",
-	}
+	}, func() exec.Policy { return &policy{} })
 }
 
 // msg is one worker→controller round-trip: a batch of newly ready
@@ -122,12 +113,3 @@ func (p *policy) Pop(worker int) ([]int32, bool) {
 }
 
 func (p *policy) Close() { close(p.done) }
-
-func (rt) Policy() exec.Policy { return &policy{} }
-
-func (rt) Run(app *core.App) (core.RunStats, error) {
-	workers := exec.WorkersFor(app)
-	return exec.Measure(app, workers, func() error {
-		return exec.NewEngine(exec.BuildPlan(app), &policy{}, workers).Run(app.Validate)
-	})
-}

@@ -1,100 +1,38 @@
 // Package coforall implements the Chapel-default analog (paper §3.1):
 // explicit task instantiation with a coforall-style parallel loop over
 // the columns of every timestep, bulk access to the shared payload
-// rows, and atomic counters for synchronization. Unlike hybrid there
-// is no rank partitioning or message passing — every worker reads the
-// previous row directly — and unlike steal there is no work stealing:
-// the paper contrasts exactly these two Chapel schedulers in §5.7.
+// rows, and a join before the next timestep. Unlike steal there is no
+// work stealing — the paper contrasts exactly these two Chapel
+// schedulers in §5.7 — and unlike hybrid there is no rank partitioning
+// or message passing: Chapel's default scheduler is MPI+OpenMP's
+// parallel loop without the ranks, so this backend is hybrid's
+// fork-join policy on one rank, where every dependence is a read of
+// the rank's own previous row and the send lists are empty.
 package coforall
 
 import (
-	"sync"
-
 	"taskbench/internal/core"
-	"taskbench/internal/kernels"
 	"taskbench/internal/runtime"
 	"taskbench/internal/runtime/exec"
+	"taskbench/internal/runtime/hybrid"
 )
 
 func init() {
-	runtime.Register("coforall", func() runtime.Runtime { return rt{} })
-}
-
-type rt struct{}
-
-func (rt) Name() string { return "coforall" }
-
-func (rt) Info() runtime.Info {
-	return runtime.Info{
+	runtime.RegisterRanks(runtime.Info{
 		Name:        "coforall",
 		Analog:      "Chapel (default scheduler)",
 		Paradigm:    "fork-join parallel loops (PGAS-style shared rows)",
 		Parallelism: "both",
 		Distributed: false,
 		Async:       false,
-		Notes:       "coforall over columns per timestep; no stealing, no messages",
-	}
+		Notes:       "hybrid's fork-join step on a single rank: coforall over columns per timestep; no stealing, no messages",
+	}, func() exec.RankPolicy { return policy{} })
 }
 
-func (rt) Run(app *core.App) (core.RunStats, error) {
-	workers := exec.WorkersFor(app)
-	var firstErr exec.ErrOnce
-	return exec.Measure(app, workers, func() error {
-		type graphState struct {
-			g       *core.Graph
-			rows    *exec.Rows
-			scratch []*kernels.Scratch
-		}
-		states := make([]*graphState, len(app.Graphs))
-		maxSteps := 0
-		for gi, g := range app.Graphs {
-			st := &graphState{g: g, rows: exec.NewRows(g.MaxWidth, g.OutputBytes)}
-			st.scratch = make([]*kernels.Scratch, g.MaxWidth)
-			for i := range st.scratch {
-				st.scratch[i] = kernels.NewScratch(g.ScratchBytes)
-			}
-			states[gi] = st
-			if g.Timesteps > maxSteps {
-				maxSteps = g.Timesteps
-			}
-		}
+// policy is hybrid's Step under a one-rank layout.
+type policy struct{ hybrid.Policy }
 
-		for t := 0; t < maxSteps; t++ {
-			for _, st := range states {
-				g := st.g
-				if t >= g.Timesteps {
-					continue
-				}
-				off := g.OffsetAtTimestep(t)
-				w := g.WidthAtTimestep(t)
-				// coforall chunk in chunks(columns) — one task per
-				// worker, joined before the next timestep.
-				chunks := exec.BlockAssign(w, workers)
-				var wg sync.WaitGroup
-				for _, chunk := range chunks {
-					if chunk.Len() == 0 {
-						continue
-					}
-					wg.Add(1)
-					go func(chunk exec.Span) {
-						defer wg.Done()
-						var inputs [][]byte
-						prev := st.rows.Prev
-						for i := off + chunk.Lo; i < off+chunk.Hi; i++ {
-							inputs = exec.GatherInputs(g, t, i, prev, inputs)
-							out := st.rows.Cur(i)
-							err := g.ExecutePoint(t, i, out, inputs, st.scratch[i], app.Validate && !firstErr.Failed())
-							if err != nil {
-								firstErr.Set(err)
-								g.WriteOutput(t, i, out)
-							}
-						}
-					}(chunk)
-				}
-				wg.Wait()
-				st.rows.Flip()
-			}
-		}
-		return firstErr.Err()
-	})
+// Layout puts every worker in the one rank's parallel loop.
+func (policy) Layout(app *core.App) exec.RankLayout {
+	return exec.RankLayout{Ranks: 1, Threads: exec.WorkersFor(app)}
 }

@@ -6,14 +6,10 @@ import (
 	"taskbench/internal/runtime/runtimetest"
 )
 
-func TestConformance(t *testing.T) {
-	runtimetest.Conformance(t, "coforall")
+func TestRankPolicyConformance(t *testing.T) {
+	runtimetest.RankPolicyConformance(t, "coforall")
 }
 
 func TestRepeat(t *testing.T) {
 	runtimetest.Repeat(t, "coforall", 5)
-}
-
-func TestFaultInjection(t *testing.T) {
-	runtimetest.FaultInjection(t, "coforall")
 }

@@ -2,181 +2,59 @@
 // program is a sequence of statements with dataflow semantics — every
 // statement may execute as soon as the futures it reads are resolved.
 // An interpreter enumerates one statement per task in program order,
-// subscribing it to the futures of its inputs; statement bodies run on
-// a worker pool and resolve the task's own future, releasing
-// downstream statements.
+// subscribing it to the futures of its inputs, while workers already
+// execute the statements whose futures have resolved.
+//
+// The futures are the events policy's completion Events (single
+// assignment, subscribe-or-fire) and the workers are the shared
+// exec.Engine's. What separates Swift/T from Realm's up-front subgraph
+// here is when the wiring happens: events wires the whole graph before
+// the first task runs, dataflow interprets the script during the run.
 package dataflow
 
 import (
 	"sync"
 
-	"taskbench/internal/core"
-	"taskbench/internal/kernels"
 	"taskbench/internal/runtime"
+	"taskbench/internal/runtime/events"
 	"taskbench/internal/runtime/exec"
 )
 
 func init() {
-	runtime.Register("dataflow", func() runtime.Runtime { return rt{} })
-}
-
-type rt struct{}
-
-func (rt) Name() string { return "dataflow" }
-
-func (rt) Info() runtime.Info {
-	return runtime.Info{
+	runtime.RegisterPolicy(runtime.Info{
 		Name:        "dataflow",
 		Analog:      "Swift/T",
 		Paradigm:    "dataflow scripting (futures)",
 		Parallelism: "implicit",
 		Distributed: false,
 		Async:       true,
-		Notes:       "statements interpreted in program order; futures release execution",
-	}
+		Notes:       "events' futures wired by an interpreter goroutine in program order while workers execute",
+	}, func() exec.Policy { return &policy{} })
 }
 
-// future is a single-assignment dataflow variable holding a payload.
-type future struct {
-	mu       sync.Mutex
-	resolved bool
-	value    []byte
-	waiters  []func()
+// policy is the events policy with the script interpreted concurrently
+// with execution.
+type policy struct {
+	events.Policy
+	interpreter sync.WaitGroup
 }
 
-// when runs fn once the future is resolved (immediately if already).
-func (f *future) when(fn func()) {
-	f.mu.Lock()
-	if f.resolved {
-		f.mu.Unlock()
-		fn()
-		return
-	}
-	f.waiters = append(f.waiters, fn)
-	f.mu.Unlock()
+// Init creates the futures and starts the interpreter; workers begin
+// popping as soon as the first statement is ready.
+func (p *policy) Init(plan *exec.Plan, workers int) {
+	p.Alloc(plan, workers)
+	p.interpreter.Add(1)
+	go func() {
+		defer p.interpreter.Done()
+		p.Wire(plan)
+	}()
 }
 
-// resolve assigns the value exactly once and wakes waiters.
-func (f *future) resolve(value []byte) {
-	f.mu.Lock()
-	if f.resolved {
-		f.mu.Unlock()
-		panic("dataflow: future resolved twice")
-	}
-	f.resolved = true
-	f.value = value
-	waiters := f.waiters
-	f.waiters = nil
-	f.mu.Unlock()
-	for _, fn := range waiters {
-		fn()
-	}
-}
-
-// get returns the resolved value; valid only after resolution.
-func (f *future) get() []byte {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.value
-}
-
-func (rt) Run(app *core.App) (core.RunStats, error) {
-	workers := exec.WorkersFor(app)
-	var firstErr exec.ErrOnce
-	return exec.Measure(app, workers, func() error {
-		total := app.TotalTasks()
-		work := make(chan func(), total)
-		var done sync.WaitGroup
-		done.Add(int(total))
-
-		var pool sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			pool.Add(1)
-			go func() {
-				defer pool.Done()
-				for body := range work {
-					body()
-				}
-			}()
-		}
-
-		// The "script": one statement per task, interpreted in
-		// program order. Futures are stored per graph in a dense
-		// table; scratch serializes a column through its own chain of
-		// futures only when the pattern lacks a self dependence.
-		for _, g := range app.Graphs {
-			g := g
-			futures := make([]*future, g.Timesteps*g.MaxWidth)
-			fut := func(t, i int) *future { return futures[t*g.MaxWidth+i] }
-			for t := 0; t < g.Timesteps; t++ {
-				off := g.OffsetAtTimestep(t)
-				w := g.WidthAtTimestep(t)
-				for i := off; i < off+w; i++ {
-					futures[t*g.MaxWidth+i] = &future{}
-				}
-			}
-			scratch := make([]*kernels.Scratch, g.MaxWidth)
-			for i := range scratch {
-				scratch[i] = kernels.NewScratch(g.ScratchBytes)
-			}
-
-			for t := 0; t < g.Timesteps; t++ {
-				off := g.OffsetAtTimestep(t)
-				w := g.WidthAtTimestep(t)
-				for i := off; i < off+w; i++ {
-					t, i := t, i
-					deps := g.DependenciesForPoint(t, i)
-					self := fut(t, i)
-
-					body := func() {
-						inputs := make([][]byte, 0, deps.Count())
-						deps.ForEach(func(dep int) {
-							inputs = append(inputs, fut(t-1, dep).get())
-						})
-						out := make([]byte, g.OutputBytes)
-						err := g.ExecutePoint(t, i, out, inputs, scratch[i], app.Validate && !firstErr.Failed())
-						if err != nil {
-							firstErr.Set(err)
-							g.WriteOutput(t, i, out)
-						}
-						self.resolve(out)
-						done.Done()
-					}
-
-					// Countdown over the statement's input futures.
-					n := deps.Count()
-					serialize := g.ScratchBytes > 0 && t > 0 && !deps.Contains(i) && g.ContainsPoint(t-1, i)
-					if serialize {
-						n++ // the column's working set is read-write
-					}
-					if n == 0 {
-						work <- body
-						continue
-					}
-					count := int32(n)
-					var mu sync.Mutex
-					dec := func() {
-						mu.Lock()
-						count--
-						ready := count == 0
-						mu.Unlock()
-						if ready {
-							work <- body
-						}
-					}
-					deps.ForEach(func(dep int) {
-						fut(t-1, dep).when(dec)
-					})
-					if serialize {
-						fut(t-1, i).when(dec)
-					}
-				}
-			}
-		}
-
-		done.Wait()
-		close(work)
-		pool.Wait()
-		return firstErr.Err()
-	})
+// Close joins the interpreter before releasing the workers: the last
+// task completing means every statement was wired, but the interpreter
+// may still be walking the plan's empty slots, and a reused Session
+// must never have two.
+func (p *policy) Close() {
+	p.interpreter.Wait()
+	p.Policy.Close()
 }

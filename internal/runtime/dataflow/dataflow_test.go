@@ -1,43 +1,15 @@
 package dataflow
 
 import (
-	"sync/atomic"
 	"testing"
 
 	"taskbench/internal/runtime/runtimetest"
 )
 
-func TestConformance(t *testing.T) {
-	runtimetest.Conformance(t, "dataflow")
+func TestPolicyConformance(t *testing.T) {
+	runtimetest.PolicyConformance(t, "dataflow")
 }
 
 func TestRepeat(t *testing.T) {
 	runtimetest.Repeat(t, "dataflow", 5)
-}
-
-func TestFaultInjection(t *testing.T) {
-	runtimetest.FaultInjection(t, "dataflow")
-}
-
-func TestFutureResolveOnce(t *testing.T) {
-	f := &future{}
-	var fired atomic.Int32
-	f.when(func() { fired.Add(1) })
-	f.resolve([]byte("x"))
-	if fired.Load() != 1 {
-		t.Errorf("fired = %d, want 1", fired.Load())
-	}
-	f.when(func() { fired.Add(1) }) // immediate for resolved futures
-	if fired.Load() != 2 {
-		t.Errorf("late waiter fired = %d, want 2", fired.Load())
-	}
-	if string(f.get()) != "x" {
-		t.Errorf("get = %q", f.get())
-	}
-	defer func() {
-		if recover() == nil {
-			t.Error("double resolve did not panic")
-		}
-	}()
-	f.resolve([]byte("y"))
 }

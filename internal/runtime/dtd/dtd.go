@@ -23,34 +23,7 @@ import (
 )
 
 func init() {
-	runtime.Register("dtd", func() runtime.Runtime { return rt{shard: false} })
-	runtime.Register("shard", func() runtime.Runtime { return rt{shard: true} })
-}
-
-type rt struct {
-	shard bool
-}
-
-func (r rt) Name() string {
-	if r.shard {
-		return "shard"
-	}
-	return "dtd"
-}
-
-func (r rt) Info() runtime.Info {
-	if r.shard {
-		return runtime.Info{
-			Name:        "shard",
-			Analog:      "PaRSEC shard",
-			Paradigm:    "task-based (manually sharded DTD)",
-			Parallelism: "implicit",
-			Distributed: true,
-			Async:       false,
-			Notes:       "enumerates only tasks adjacent to owned columns; no dynamic checks",
-		}
-	}
-	return runtime.Info{
+	runtime.RegisterRanks(runtime.Info{
 		Name:        "dtd",
 		Analog:      "PaRSEC DTD / StarPU STF",
 		Paradigm:    "task-based (dynamic task discovery)",
@@ -58,15 +31,17 @@ func (r rt) Info() runtime.Info {
 		Distributed: true,
 		Async:       false,
 		Notes:       "SPMD enumeration of the whole graph with per-task dynamic checks",
-	}
+	}, func() exec.RankPolicy { return policy{shard: false} })
+	runtime.RegisterRanks(runtime.Info{
+		Name:        "shard",
+		Analog:      "PaRSEC shard",
+		Paradigm:    "task-based (manually sharded DTD)",
+		Parallelism: "implicit",
+		Distributed: true,
+		Async:       false,
+		Notes:       "enumerates only tasks adjacent to owned columns; no dynamic checks",
+	}, func() exec.RankPolicy { return policy{shard: true} })
 }
-
-func (r rt) Run(app *core.App) (core.RunStats, error) {
-	return exec.RunRanks(app, policy{shard: r.shard})
-}
-
-// RankPolicy implements runtime.RankBacked.
-func (r rt) RankPolicy() exec.RankPolicy { return policy{shard: r.shard} }
 
 // checkSink keeps the dynamic-check work observable so the compiler
 // cannot elide it.

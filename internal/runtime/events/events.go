@@ -15,21 +15,12 @@ package events
 import (
 	"sync"
 
-	"taskbench/internal/core"
 	"taskbench/internal/runtime"
 	"taskbench/internal/runtime/exec"
 )
 
 func init() {
-	runtime.Register("events", func() runtime.Runtime { return rt{} })
-}
-
-type rt struct{}
-
-func (rt) Name() string { return "events" }
-
-func (rt) Info() runtime.Info {
-	return runtime.Info{
+	runtime.RegisterPolicy(runtime.Info{
 		Name:        "events",
 		Analog:      "Realm",
 		Paradigm:    "task-based (event-driven)",
@@ -37,7 +28,7 @@ func (rt) Info() runtime.Info {
 		Distributed: false,
 		Async:       true,
 		Notes:       "first-class completion events; event graph wired up front (subgraph API)",
-	}
+	}, func() exec.Policy { return &Policy{} })
 }
 
 // Event is a one-shot trigger with subscriber callbacks, the core
@@ -57,7 +48,7 @@ func (e *Event) Subscribe(fn func()) {
 		fn()
 		return
 	}
-	e.subs = append(e.subs, fn)
+	e.subs = append(e.subs, fn) //taskbench:allocok the subscriber list is the event; one entry per dependence
 	e.mu.Unlock()
 }
 
@@ -77,16 +68,26 @@ func (e *Event) Trigger() {
 	}
 }
 
-// policy wires one completion Event per task and subscribes each task
+// Policy wires one completion Event per task and subscribes each task
 // to its scheduling predecessors; triggered countdowns feed a ready
-// channel sized for the whole DAG so triggers never block.
-type policy struct {
+// channel sized for the whole DAG so triggers never block. The dataflow
+// backend reuses it with the wiring moved into the run.
+type Policy struct {
 	ready  chan int32
 	events []*Event
 	batch  [][1]int32
 }
 
-func (p *policy) Init(plan *exec.Plan, workers int) {
+// Init creates the events and wires the whole event graph before any
+// worker runs.
+func (p *Policy) Init(plan *exec.Plan, workers int) {
+	p.Alloc(plan, workers)
+	p.Wire(plan)
+}
+
+// Alloc creates the ready channel and one untriggered Event per task:
+// the part of Init that must precede the first Pop.
+func (p *Policy) Alloc(plan *exec.Plan, workers int) {
 	p.ready = make(chan int32, plan.TaskCount())
 	p.events = make([]*Event, len(plan.Tasks))
 	p.batch = make([][1]int32, workers)
@@ -95,8 +96,16 @@ func (p *policy) Init(plan *exec.Plan, workers int) {
 			p.events[id] = &Event{}
 		}
 	}
-	// Wire the event graph: each task subscribes to the completion
-	// events of its scheduling predecessors via a countdown.
+}
+
+// Wire walks the tasks in program order and subscribes each to the
+// completion events of its scheduling predecessors via a countdown;
+// tasks with none are ready at once. It is safe to run while workers
+// already execute: a subscription to an event that has triggered fires
+// on the spot, and the ready channel never blocks.
+//
+//taskbench:hotpath
+func (p *Policy) Wire(plan *exec.Plan) {
 	for id := range plan.Tasks {
 		task := &plan.Tasks[id]
 		if !task.Exists {
@@ -108,7 +117,7 @@ func (p *policy) Init(plan *exec.Plan, workers int) {
 			p.ready <- id32
 			continue
 		}
-		countdown := func() {
+		countdown := func() { //taskbench:allocok one subscription closure per task is the paradigm (Realm's event waiter)
 			if task.Counter.Add(-1) == 0 {
 				p.ready <- id32
 			}
@@ -130,9 +139,9 @@ func (p *policy) Init(plan *exec.Plan, workers int) {
 
 // Push is never called: the policy implements exec.Completer, so
 // readiness propagates through event triggers.
-func (p *policy) Push(worker int, ids []int32) {}
+func (p *Policy) Push(worker int, ids []int32) {}
 
-func (p *policy) Pop(worker int) ([]int32, bool) {
+func (p *Policy) Pop(worker int) ([]int32, bool) {
 	id, ok := <-p.ready
 	if !ok {
 		return nil, false
@@ -143,17 +152,8 @@ func (p *policy) Pop(worker int) ([]int32, bool) {
 
 // Complete triggers the task's completion event, running the countdown
 // of every subscribed consumer.
-func (p *policy) Complete(worker int, id int32) {
+func (p *Policy) Complete(worker int, id int32) {
 	p.events[id].Trigger()
 }
 
-func (p *policy) Close() { close(p.ready) }
-
-func (rt) Policy() exec.Policy { return &policy{} }
-
-func (rt) Run(app *core.App) (core.RunStats, error) {
-	workers := exec.WorkersFor(app)
-	return exec.Measure(app, workers, func() error {
-		return exec.NewEngine(exec.BuildPlan(app), &policy{}, workers).Run(app.Validate)
-	})
-}
+func (p *Policy) Close() { close(p.ready) }

@@ -5,9 +5,9 @@ import (
 	"sync/atomic"
 )
 
-// Buf is a reference-counted payload buffer. Shared-memory DAG
-// backends (taskpool, steal, events, graphexec, central) execute tasks
-// from different timesteps concurrently, so a task's output must stay
+// Buf is a reference-counted payload buffer. The shared-memory DAG
+// backends (the Engine's policies) execute tasks from different
+// timesteps concurrently, so a task's output must stay
 // alive exactly until its last consumer has validated it — the same
 // lifetime rule the paper's task-based runtimes implement. Producers
 // set the reference count to the consumer count; each consumer

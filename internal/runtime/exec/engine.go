@@ -164,3 +164,14 @@ func (s *Session) Run() (core.RunStats, error) {
 		return s.engine.Run(s.App.Validate)
 	})
 }
+
+// RunPolicy executes app once on a fresh Plan and Engine — the shared
+// Run body of every engine-backed shared-memory backend, as RunRanks is
+// of the rank-based ones. Plan construction is inside the timed
+// region: a one-shot run pays it, a Session pays it once.
+func RunPolicy(app *core.App, policy Policy) (core.RunStats, error) {
+	workers := WorkersFor(app)
+	return Measure(app, workers, func() error {
+		return NewEngine(BuildPlan(app), policy, workers).Run(app.Validate)
+	})
+}

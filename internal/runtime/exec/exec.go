@@ -1,11 +1,13 @@
 // Package exec provides the shared substrate used by every runtime
 // backend: the Engine/Policy scheduler core and the reusable,
 // parallel-built task-DAG Plan it executes (engine.go, policy.go,
-// plan.go), plus worker accounting, block distribution of columns over
-// ranks, first-error capture, a cyclic barrier, an unbounded mailbox,
-// and double-buffered payload rows. Keeping these here keeps each
-// backend focused on its scheduling paradigm, mirroring how the
-// paper's core library absorbs everything shared between systems.
+// plan.go), the RankEngine/RankPolicy rank core with its RankPlan and
+// slot-ring fabric (rankengine.go, rankplan.go, ring.go, fabric.go),
+// plus worker accounting, block distribution of columns over ranks,
+// first-error capture and double-buffered payload rows. Keeping these
+// here keeps each backend down to its scheduling paradigm, mirroring
+// how the paper's core library absorbs everything shared between
+// systems.
 package exec
 
 import (
@@ -144,8 +146,9 @@ func OwnerOf(i, width, ranks int) int {
 	return rem + (i-cut)/base
 }
 
-// Barrier is a reusable cyclic barrier for bulk-synchronous backends.
-type Barrier struct {
+// barrier is the RankEngine's reusable cyclic barrier, reached by
+// bulk-synchronous policies through RankCtx.Barrier.
+type barrier struct {
 	mu     sync.Mutex
 	cond   *sync.Cond
 	n      int
@@ -154,9 +157,9 @@ type Barrier struct {
 	broken bool
 }
 
-// NewBarrier creates a barrier for n participants.
-func NewBarrier(n int) *Barrier {
-	b := &Barrier{n: n}
+// newBarrier creates a barrier for n participants.
+func newBarrier(n int) *barrier {
+	b := &barrier{n: n}
 	b.cond = sync.NewCond(&b.mu)
 	return b
 }
@@ -164,7 +167,7 @@ func NewBarrier(n int) *Barrier {
 // Wait blocks until all n participants arrive. If Break has been
 // called, Wait returns false immediately (and releases all waiters),
 // letting bulk-synchronous workers unwind after an error.
-func (b *Barrier) Wait() bool {
+func (b *barrier) Wait() bool {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	if b.broken {
@@ -186,61 +189,11 @@ func (b *Barrier) Wait() bool {
 
 // Break permanently releases the barrier; all current and future
 // waiters return false.
-func (b *Barrier) Break() {
+func (b *barrier) Break() {
 	b.mu.Lock()
 	b.broken = true
 	b.cond.Broadcast()
 	b.mu.Unlock()
-}
-
-// Mailbox is an unbounded multi-producer single-consumer queue, the
-// message substrate of the actor backend (Charm++ chares have
-// unbounded message queues, so sends must never block or deadlock).
-type Mailbox[M any] struct {
-	mu     sync.Mutex
-	cond   *sync.Cond
-	queue  []M
-	closed bool
-}
-
-// NewMailbox creates an empty mailbox.
-func NewMailbox[M any]() *Mailbox[M] {
-	m := &Mailbox[M]{}
-	m.cond = sync.NewCond(&m.mu)
-	return m
-}
-
-// Send enqueues a message. Send never blocks.
-func (m *Mailbox[M]) Send(msg M) {
-	m.mu.Lock()
-	m.queue = append(m.queue, msg)
-	m.cond.Signal()
-	m.mu.Unlock()
-}
-
-// Recv dequeues the next message, blocking until one is available or
-// the mailbox is closed (ok=false).
-func (m *Mailbox[M]) Recv() (msg M, ok bool) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	for len(m.queue) == 0 && !m.closed {
-		m.cond.Wait()
-	}
-	if len(m.queue) == 0 {
-		return msg, false
-	}
-	msg = m.queue[0]
-	m.queue = m.queue[1:]
-	return msg, true
-}
-
-// Close wakes any blocked receiver; subsequent Recv calls drain the
-// queue and then report ok=false.
-func (m *Mailbox[M]) Close() {
-	m.mu.Lock()
-	m.closed = true
-	m.cond.Broadcast()
-	m.mu.Unlock()
 }
 
 // Rows manages the double-buffered payload rows of one graph: the
@@ -258,15 +211,26 @@ type Rows struct {
 // NewRows allocates double buffers for a graph of the given width and
 // payload size.
 func NewRows(width, outputBytes int) *Rows {
+	return newSpanRows(width, Span{Lo: 0, Hi: width}, outputBytes)
+}
+
+// newSpanRows allocates the double buffers of one rank: indexed by
+// column over the whole width, like NewRows, but backed only for the
+// columns of own. A rank reads and writes rows of its own span only —
+// remote inputs are ring slots — so the other columns stay nil and a
+// rank's payload memory is 2 × span × outputBytes however many ranks
+// share the graph.
+func newSpanRows(width int, own Span, outputBytes int) *Rows {
 	r := &Rows{
 		prev:     make([][]byte, width),
 		cur:      make([][]byte, width),
-		prevFlat: make([]byte, width*outputBytes),
-		curFlat:  make([]byte, width*outputBytes),
+		prevFlat: make([]byte, own.Len()*outputBytes),
+		curFlat:  make([]byte, own.Len()*outputBytes),
 	}
-	for i := 0; i < width; i++ {
-		r.prev[i] = r.prevFlat[i*outputBytes : (i+1)*outputBytes]
-		r.cur[i] = r.curFlat[i*outputBytes : (i+1)*outputBytes]
+	for i := own.Lo; i < own.Hi; i++ {
+		k := (i - own.Lo) * outputBytes
+		r.prev[i] = r.prevFlat[k : k+outputBytes]
+		r.cur[i] = r.curFlat[k : k+outputBytes]
 	}
 	return r
 }

@@ -87,7 +87,7 @@ func TestErrOnce(t *testing.T) {
 func TestBarrierRendezvous(t *testing.T) {
 	const n = 8
 	const rounds = 50
-	b := NewBarrier(n)
+	b := newBarrier(n)
 	var mu sync.Mutex
 	counts := make([]int, rounds)
 	var wg sync.WaitGroup
@@ -117,7 +117,7 @@ func TestBarrierRendezvous(t *testing.T) {
 }
 
 func TestBarrierBreak(t *testing.T) {
-	b := NewBarrier(2)
+	b := newBarrier(2)
 	done := make(chan bool)
 	go func() { done <- b.Wait() }()
 	b.Break()
@@ -126,44 +126,6 @@ func TestBarrierBreak(t *testing.T) {
 	}
 	if b.Wait() {
 		t.Error("Wait after Break returned true")
-	}
-}
-
-func TestMailboxFIFO(t *testing.T) {
-	m := NewMailbox[int]()
-	for i := 0; i < 10; i++ {
-		m.Send(i)
-	}
-	for i := 0; i < 10; i++ {
-		v, ok := m.Recv()
-		if !ok || v != i {
-			t.Fatalf("Recv = %d, %v; want %d, true", v, ok, i)
-		}
-	}
-}
-
-func TestMailboxCloseDrains(t *testing.T) {
-	m := NewMailbox[int]()
-	m.Send(1)
-	m.Close()
-	if v, ok := m.Recv(); !ok || v != 1 {
-		t.Errorf("Recv after close = %d, %v; want 1, true", v, ok)
-	}
-	if _, ok := m.Recv(); ok {
-		t.Error("Recv on drained closed mailbox returned ok")
-	}
-}
-
-func TestMailboxBlocksUntilSend(t *testing.T) {
-	m := NewMailbox[string]()
-	got := make(chan string)
-	go func() {
-		v, _ := m.Recv()
-		got <- v
-	}()
-	m.Send("hello")
-	if v := <-got; v != "hello" {
-		t.Errorf("Recv = %q", v)
 	}
 }
 

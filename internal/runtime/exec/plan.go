@@ -10,10 +10,9 @@ import (
 )
 
 // Plan is the fully expanded task DAG of an application, shared by the
-// shared-memory DAG backends (taskpool, steal, events, graphexec,
-// central). It resolves each task's dependencies to task IDs, counts
-// scheduling predecessors, and precomputes the reference count of each
-// task's output buffer.
+// shared-memory DAG backends (the Engine's policies). It resolves each
+// task's dependencies to task IDs, counts scheduling predecessors, and
+// precomputes the reference count of each task's output buffer.
 //
 // Tasks of the same column are additionally serialized when the graph
 // carries a per-column scratch buffer: the memory kernel's working set

@@ -21,7 +21,7 @@ func FairShare(avail, workers int) int {
 // common — worker goroutines, first-error capture, payload buffer
 // lifetime, dependence-counter burn-down and completion tracking — and
 // delegates only the ready-queue discipline to the Policy. Each
-// backend (taskpool, steal, events, graphexec, central) is one Policy
+// backend registered with runtime.RegisterPolicy is one Policy
 // implementation of a few dozen lines, mirroring how the paper keeps
 // system-specific code thin over a shared core library.
 //

@@ -65,8 +65,9 @@ func FlatLayout(app *core.App) RankLayout {
 // and reuse, per-rank column ownership, barrier lifecycle, payload row
 // buffering, and first-error capture — and delegates only the
 // paradigm itself: how one rank enumerates and communicates one
-// timestep. Each backend (p2p, bsp, dtd, shard, ptg, hybrid, tcp) is
-// one RankPolicy of a few dozen lines.
+// timestep. Each backend registered with runtime.RegisterRanks is one
+// RankPolicy of a few dozen lines, or just a Layout over another's
+// Step.
 //
 // A RankPolicy is used by one RankEngine at a time. Step is called
 // concurrently from every rank's goroutine; per-rank policy state must
@@ -259,7 +260,7 @@ type RankEngine struct {
 	threads   int
 	local     Span // ranks hosted by this engine (all of them in-process)
 	transport Transport
-	barrier   *Barrier
+	barrier   *barrier
 	ctxs      []*RankCtx
 }
 
@@ -307,7 +308,7 @@ func newRankEngine(plan *RankPlan, policy RankPolicy, threads int) *RankEngine {
 		policy:  policy,
 		threads: threads,
 		local:   plan.Local,
-		barrier: NewBarrier(plan.Local.Len()),
+		barrier: newBarrier(plan.Local.Len()),
 	}
 	e.ctxs = make([]*RankCtx, plan.Ranks)
 	for r := e.local.Lo; r < e.local.Hi; r++ {
@@ -373,7 +374,11 @@ func NewRankSession(app *core.App, policy RankPolicy) (*RankSession, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &RankSession{App: app, Plan: plan, engine: engine, workers: layout.Workers()}, nil
+	// An over-decomposed layout (actor's rank per column) occupies no
+	// more cores than the app asked for; recording the rank count would
+	// inflate TaskGranularity.
+	workers := min(layout.Workers(), WorkersFor(app))
+	return &RankSession{App: app, Plan: plan, engine: engine, workers: workers}, nil
 }
 
 // Run resets the plan and executes it once, returning fresh statistics

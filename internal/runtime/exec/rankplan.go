@@ -39,8 +39,9 @@ type RankPlan struct {
 
 // BuildRankPlan expands the app's rank layout for the given rank
 // count. Like BuildPlan, construction fans out over a bounded pool:
-// spans, edge lists and scratch are one job per graph, and each rank's
-// payload rows (the large allocations) are one job per (rank, graph).
+// edge lists, routes and scratch are one job per graph, and each rank's
+// payload rows (the large allocations, backed for the rank's own span
+// only) are one job per (rank, graph).
 func BuildRankPlan(app *core.App, ranks int) *RankPlan {
 	if ranks < 1 {
 		ranks = 1
@@ -73,10 +74,10 @@ func BuildRankPlanLocal(app *core.App, ranks int, local Span) *RankPlan {
 	for r := range p.rows {
 		p.rows[r] = make([]*Rows, n)
 	}
-	for _, g := range app.Graphs {
-		if g.Timesteps > p.MaxSteps {
-			p.MaxSteps = g.Timesteps
-		}
+	for gi, g := range app.Graphs {
+		p.MaxSteps = max(p.MaxSteps, g.Timesteps)
+		// Both kinds of job below read the span table.
+		p.spans[gi] = BlockAssign(g.MaxWidth, ranks)
 	}
 
 	var jobs []func()
@@ -87,7 +88,7 @@ func BuildRankPlanLocal(app *core.App, ranks int, local Span) *RankPlan {
 			r := r
 			jobs = append(jobs, func() {
 				g := app.Graphs[gi]
-				p.rows[r][gi] = NewRows(g.MaxWidth, g.OutputBytes)
+				p.rows[r][gi] = newSpanRows(g.MaxWidth, p.spans[gi][r], g.OutputBytes)
 			})
 		}
 	}
@@ -101,15 +102,14 @@ func BuildRankPlanLocal(app *core.App, ranks int, local Span) *RankPlan {
 	return p
 }
 
-// fillGraph computes the span table, cross-rank edge index, compiled
-// routes and scratch buffers of one graph.
+// fillGraph computes the cross-rank edge index, compiled routes and
+// scratch buffers of one graph.
 func (p *RankPlan) fillGraph(gi int) {
 	g := p.App.Graphs[gi]
 	// Compile the dependence table up front: CrossEdges and the route
 	// compiler read it here, so no rank's Step ever races through the
 	// lazy build.
 	g.PrecomputeDeps()
-	p.spans[gi] = BlockAssign(g.MaxWidth, p.Ranks)
 	var edges []Edge
 	CrossEdges(g, p.Ranks, func(producer, consumer int) {
 		edges = append(edges, Edge{Producer: producer, Consumer: consumer})

@@ -52,6 +52,28 @@ func TestRankPlanSpansCoverWidth(t *testing.T) {
 	}
 }
 
+// A rank reads and writes payload rows of its own columns only, so that
+// is all its Rows are backed for: 2 × span × OutputBytes, with the
+// column indexing unchanged.
+func TestRankPlanRowsBackOwnSpanOnly(t *testing.T) {
+	app := rankApp(7, 4)
+	g := app.Graphs[0]
+	plan := BuildRankPlan(app, 3)
+	for r := 0; r < plan.Ranks; r++ {
+		rows, span := plan.Rows(r, 0), plan.Span(0, r)
+		if got, want := len(rows.prevFlat)+len(rows.curFlat), 2*span.Len()*g.OutputBytes; got != want {
+			t.Errorf("rank %d backs %d B of rows, want %d (2 × %d columns × %d B)",
+				r, got, want, span.Len(), g.OutputBytes)
+		}
+		for i := 0; i < g.MaxWidth; i++ {
+			owned := i >= span.Lo && i < span.Hi
+			if backed := len(rows.Prev(i)) == g.OutputBytes && len(rows.Cur(i)) == g.OutputBytes; backed != owned {
+				t.Errorf("rank %d column %d: backed = %v, owned = %v", r, i, backed, owned)
+			}
+		}
+	}
+}
+
 func TestRankPlanEdgesMatchCrossEdges(t *testing.T) {
 	app := rankApp(8, 4)
 	plan := BuildRankPlan(app, 2)

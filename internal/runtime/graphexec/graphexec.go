@@ -18,21 +18,12 @@ package graphexec
 import (
 	"sync"
 
-	"taskbench/internal/core"
 	"taskbench/internal/runtime"
 	"taskbench/internal/runtime/exec"
 )
 
 func init() {
-	runtime.Register("graphexec", func() runtime.Runtime { return rt{} })
-}
-
-type rt struct{}
-
-func (rt) Name() string { return "graphexec" }
-
-func (rt) Info() runtime.Info {
-	return runtime.Info{
+	runtime.RegisterPolicy(runtime.Info{
 		Name:        "graphexec",
 		Analog:      "TensorFlow",
 		Paradigm:    "dataflow (compiled graph executor)",
@@ -41,7 +32,7 @@ func (rt) Info() runtime.Info {
 		// The wavefront schedule imposes a global phase per timestep.
 		Async: false,
 		Notes: "graph compiled to a static per-timestep wavefront schedule",
-	}
+	}, func() exec.Policy { return &policy{} })
 }
 
 // policy executes a precompiled wavefront schedule: levels[t] holds
@@ -140,16 +131,4 @@ func (p *policy) Close() {
 	p.closed = true
 	p.cond.Broadcast()
 	p.mu.Unlock()
-}
-
-func (rt) Policy() exec.Policy { return &policy{} }
-
-func (rt) Run(app *core.App) (core.RunStats, error) {
-	workers := exec.WorkersFor(app)
-	// Plan expansion and schedule compilation (the Compiler hook in
-	// NewEngine) are untimed, as in TensorFlow.
-	engine := exec.NewEngine(exec.BuildPlan(app), &policy{}, workers)
-	return exec.Measure(app, workers, func() error {
-		return engine.Run(app.Validate)
-	})
 }

@@ -15,15 +15,7 @@ import (
 )
 
 func init() {
-	runtime.Register("hybrid", func() runtime.Runtime { return rt{} })
-}
-
-type rt struct{}
-
-func (rt) Name() string { return "hybrid" }
-
-func (rt) Info() runtime.Info {
-	return runtime.Info{
+	runtime.RegisterRanks(runtime.Info{
 		Name:        "hybrid",
 		Analog:      "MPI+OpenMP",
 		Paradigm:    "hybrid message passing + forall",
@@ -31,26 +23,20 @@ func (rt) Info() runtime.Info {
 		Distributed: true,
 		Async:       false,
 		Notes:       "p2p between ranks, fork-join parallel loop within each rank",
-	}
+	}, func() exec.RankPolicy { return Policy{} })
 }
 
-func (rt) Run(app *core.App) (core.RunStats, error) {
-	return exec.RunRanks(app, policy{})
-}
-
-// RankPolicy implements runtime.RankBacked.
-func (rt) RankPolicy() exec.RankPolicy { return policy{} }
-
-// policy is the ranks-of-engines discipline: each rank forks a
+// Policy is the ranks-of-engines discipline: each rank forks a
 // parallel loop over its owned columns every timestep (each chunk
 // worker receives its own remote inputs — edges are per-consumer, so
 // chunks never contend on a ring), joins, and then communicates in
-// a funneled phase.
-type policy struct{}
+// a funneled phase. The coforall backend reuses it on a single rank,
+// where the send lists are empty and only the fork-join remains.
+type Policy struct{}
 
 // Layout decomposes the workers into app.Nodes ranks of equal thread
 // counts, defaulting to two nodes.
-func (policy) Layout(app *core.App) exec.RankLayout {
+func (Policy) Layout(app *core.App) exec.RankLayout {
 	workers := exec.WorkersFor(app)
 	nodes := app.Nodes
 	if nodes <= 0 {
@@ -66,7 +52,9 @@ func (policy) Layout(app *core.App) exec.RankLayout {
 	return exec.RankLayout{Ranks: nodes, Threads: threads}
 }
 
-func (policy) Step(rc *exec.RankCtx, t int) {
+// Step forks one goroutine per chunk of the rank's window, joins, and
+// sends the step's outputs from the rank's own goroutine.
+func (Policy) Step(rc *exec.RankCtx, t int) {
 	for gi := 0; gi < rc.Graphs(); gi++ {
 		if !rc.Active(gi, t) {
 			continue

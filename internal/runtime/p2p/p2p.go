@@ -12,37 +12,11 @@ import (
 	"taskbench/internal/runtime/exec"
 )
 
-func init() {
-	runtime.Register("p2p", func() runtime.Runtime { return rt{} })
-}
-
-type rt struct{}
-
-func (rt) Name() string { return "p2p" }
-
-func (rt) Info() runtime.Info {
-	return runtime.Info{
-		Name:        "p2p",
-		Analog:      "MPI p2p",
-		Paradigm:    "message passing",
-		Parallelism: "explicit",
-		Distributed: true,
-		Async:       false,
-		Notes:       "rank per worker; per-edge slot rings; sends issued per task",
-	}
-}
-
-func (rt) Run(app *core.App) (core.RunStats, error) {
-	return exec.RunRanks(app, Policy{})
-}
-
-// RankPolicy implements runtime.RankBacked.
-func (rt) RankPolicy() exec.RankPolicy { return Policy{} }
-
 // Policy is the eager point-to-point discipline: each rank walks its
 // owned window in program order, receiving and computing each task and
 // sending its output to remote consumers the moment it is produced.
-// The tcp backend reuses this policy over its wire transport.
+// The tcp backend reuses this policy over its wire transport, and the
+// actor backend under a rank-per-column layout.
 type Policy struct{}
 
 // Layout runs one single-threaded rank per worker.
@@ -61,4 +35,16 @@ func (Policy) Step(rc *exec.RankCtx, t int) {
 		}
 		rc.Flip(gi)
 	}
+}
+
+func init() {
+	runtime.RegisterRanks(runtime.Info{
+		Name:        "p2p",
+		Analog:      "MPI p2p",
+		Paradigm:    "message passing",
+		Parallelism: "explicit",
+		Distributed: true,
+		Async:       false,
+		Notes:       "rank per worker; per-edge slot rings; sends issued per task",
+	}, func() exec.RankPolicy { return Policy{} })
 }

@@ -1,179 +1,105 @@
 // Package places implements the X10 analog (paper §3.15): columns are
-// partitioned over a small number of places, each place runs its
-// activities on a single event loop, and cross-place data movement is
-// an asyncCopy — the producer spawns an activity at the consumer's
-// place that deposits the payload and decrements an atomic counter.
-// When a task's counter reaches zero, its execution activity is
-// enqueued at the owning place. References to remote rows are never
-// dereferenced directly, honoring the PGAS discipline.
+// partitioned over a small number of places and each place runs its
+// activities on a single event loop. When a task's dependence counter
+// reaches zero, its execution activity is enqueued at the place owning
+// its column, and nowhere else — an idle place never takes another's
+// work.
+//
+// The counter burn-down, worker goroutines (one per place), payload
+// buffers and error capture live in the shared exec.Engine, whose
+// "counter reaches zero → Push" is X10's "counter reaches zero → async
+// at the owning place"; this package contributes only the per-place
+// queues.
 package places
 
 import (
 	"sync"
-	"sync/atomic"
 
-	"taskbench/internal/core"
-	"taskbench/internal/kernels"
 	"taskbench/internal/runtime"
 	"taskbench/internal/runtime/exec"
 )
 
 func init() {
-	runtime.Register("places", func() runtime.Runtime { return rt{} })
-}
-
-type rt struct{}
-
-func (rt) Name() string { return "places" }
-
-func (rt) Info() runtime.Info {
-	return runtime.Info{
+	runtime.RegisterPolicy(runtime.Info{
 		Name:        "places",
 		Analog:      "X10",
 		Paradigm:    "place-based PGAS",
 		Parallelism: "explicit",
 		Distributed: true,
 		Async:       true,
-		Notes:       "asyncCopy between places; atomic counters release activities",
-	}
+		Notes:       "one FIFO per place; atomic counters release activities at the owning place; no stealing",
+	}, func() exec.Policy { return &policy{} })
 }
 
-// place is one address space: a goroutine draining a queue of
-// activities.
+// place is one address space's activity queue, drained by the one
+// worker with the same index. queue and batch swap on every drain, so
+// steady state allocates nothing.
 type place struct {
-	mailbox *exec.Mailbox[func()]
+	mu     sync.Mutex
+	cond   sync.Cond
+	queue  []int32 // activities enqueued since the last drain
+	batch  []int32 // the drain the place's worker is executing
+	closed bool
 }
 
-func (p *place) run(wg *sync.WaitGroup) {
-	defer wg.Done()
-	for {
-		activity, ok := p.mailbox.Recv()
-		if !ok {
-			return
-		}
-		activity()
+// policy routes every ready task to the place owning its column.
+type policy struct {
+	plan   *exec.Plan
+	places []place
+}
+
+func (p *policy) Init(plan *exec.Plan, workers int) {
+	p.plan = plan
+	if len(p.places) != workers {
+		p.places = make([]place, workers)
+	}
+	for k := range p.places {
+		pl := &p.places[k]
+		pl.cond.L = &pl.mu
+		pl.queue, pl.closed = pl.queue[:0], false
+	}
+	p.Push(0, plan.Seeds)
+}
+
+// Push enqueues each id at its owning place (X10's `at (p) async`).
+//
+//taskbench:hotpath
+func (p *policy) Push(worker int, ids []int32) {
+	for _, id := range ids {
+		task := &p.plan.Tasks[id]
+		width := p.plan.App.Graphs[task.Graph].MaxWidth
+		pl := &p.places[exec.OwnerOf(int(task.I), width, len(p.places))]
+		pl.mu.Lock()
+		pl.queue = append(pl.queue, id) //taskbench:allocok grows to the place's peak backlog, then reuses capacity
+		pl.mu.Unlock()
+		pl.cond.Signal()
 	}
 }
 
-// at spawns an activity at the place (X10's `at (p) async`).
-func (p *place) at(activity func()) { p.mailbox.Send(activity) }
-
-// taskState tracks one pending task at its owning place.
-type taskState struct {
-	remaining atomic.Int32
-	inputs    [][]byte // dependence order
+// Pop blocks on the caller's own place and drains it whole: the place
+// is a single event loop, so nobody else could take the rest.
+//
+//taskbench:hotpath
+func (p *policy) Pop(worker int) ([]int32, bool) {
+	pl := &p.places[worker]
+	pl.mu.Lock()
+	defer pl.mu.Unlock()
+	for len(pl.queue) == 0 && !pl.closed {
+		pl.cond.Wait()
+	}
+	if len(pl.queue) == 0 {
+		return nil, false
+	}
+	pl.batch, pl.queue = pl.queue, pl.batch[:0]
+	return pl.batch, true
 }
 
-func (rt) Run(app *core.App) (core.RunStats, error) {
-	workers := exec.WorkersFor(app)
-	var firstErr exec.ErrOnce
-	return exec.Measure(app, workers, func() error {
-		nPlaces := workers
-		ps := make([]*place, nPlaces)
-		for i := range ps {
-			ps[i] = &place{mailbox: exec.NewMailbox[func()]()}
-		}
-		var placeWG sync.WaitGroup
-		for _, p := range ps {
-			placeWG.Add(1)
-			go p.run(&placeWG)
-		}
-
-		var remaining sync.WaitGroup
-		remaining.Add(int(app.TotalTasks()))
-
-		for gi, g := range app.Graphs {
-			gi, g := gi, g
-			rows := exec.NewRows(g.MaxWidth, g.OutputBytes)
-			scratch := make([]*kernels.Scratch, g.MaxWidth)
-			owner := make([]int, g.MaxWidth)
-			for i := 0; i < g.MaxWidth; i++ {
-				scratch[i] = kernels.NewScratch(g.ScratchBytes)
-				owner[i] = exec.OwnerOf(i, g.MaxWidth, nPlaces)
-			}
-
-			// Pending-task table, owned (and only touched) by each
-			// column's place event loop except for the atomic counter.
-			pending := make([]map[int]*taskState, g.MaxWidth)
-			for i := range pending {
-				pending[i] = map[int]*taskState{}
-			}
-
-			// stateFor returns (creating on demand) the pending entry
-			// for (t, i). Called only from place owner[i]'s loop.
-			stateFor := func(t, i int) *taskState {
-				st := pending[i][t]
-				if st == nil {
-					deps := g.DependenciesForPoint(t, i)
-					st = &taskState{inputs: make([][]byte, deps.Count())}
-					st.remaining.Store(int32(deps.Count()))
-					pending[i][t] = st
-				}
-				return st
-			}
-
-			var execute func(t, i int, st *taskState)
-			execute = func(t, i int, st *taskState) {
-				delete(pending[i], t)
-				out := make([]byte, g.OutputBytes)
-				err := g.ExecutePoint(t, i, out, st.inputs, scratch[i], app.Validate && !firstErr.Failed())
-				if err != nil {
-					firstErr.Set(err)
-					g.WriteOutput(t, i, out)
-				}
-				_ = rows // rows kept for symmetry; payloads travel via asyncCopy
-				// asyncCopy the output into every consumer's place.
-				g.ReverseDependenciesForPoint(t, i).ForEach(func(cons int) {
-					payload := make([]byte, len(out))
-					copy(payload, out)
-					slot := depSlot(g, t+1, cons, i)
-					target := ps[owner[cons]]
-					target.at(func() {
-						st := stateFor(t+1, cons)
-						st.inputs[slot] = payload
-						if st.remaining.Add(-1) == 0 {
-							run := st
-							ps[owner[cons]].at(func() { execute(t+1, cons, run) })
-						}
-					})
-				})
-				remaining.Done()
-			}
-
-			// Seed timestep 0 (and any task with no dependencies).
-			for t := 0; t < g.Timesteps; t++ {
-				off := g.OffsetAtTimestep(t)
-				w := g.WidthAtTimestep(t)
-				for i := off; i < off+w; i++ {
-					if g.DependenciesForPoint(t, i).Count() > 0 {
-						continue
-					}
-					t, i := t, i
-					ps[owner[i]].at(func() { execute(t, i, stateFor(t, i)) })
-				}
-			}
-			_ = gi
-		}
-
-		remaining.Wait()
-		for _, p := range ps {
-			p.mailbox.Close()
-		}
-		placeWG.Wait()
-		return firstErr.Err()
-	})
-}
-
-// depSlot returns the index of producer `dep` within the dependence
-// enumeration of task (t, i), so asyncCopies land in validation order.
-func depSlot(g *core.Graph, t, i, dep int) int {
-	slot := 0
-	found := -1
-	g.DependenciesForPoint(t, i).ForEach(func(d int) {
-		if d == dep {
-			found = slot
-		}
-		slot++
-	})
-	return found
+func (p *policy) Close() {
+	for k := range p.places {
+		pl := &p.places[k]
+		pl.mu.Lock()
+		pl.closed = true
+		pl.mu.Unlock()
+		pl.cond.Signal()
+	}
 }

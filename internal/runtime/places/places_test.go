@@ -3,31 +3,13 @@ package places
 import (
 	"testing"
 
-	"taskbench/internal/core"
 	"taskbench/internal/runtime/runtimetest"
 )
 
-func TestConformance(t *testing.T) {
-	runtimetest.Conformance(t, "places")
+func TestPolicyConformance(t *testing.T) {
+	runtimetest.PolicyConformance(t, "places")
 }
 
 func TestRepeat(t *testing.T) {
 	runtimetest.Repeat(t, "places", 5)
-}
-
-func TestFaultInjection(t *testing.T) {
-	runtimetest.FaultInjection(t, "places")
-}
-
-func TestDepSlot(t *testing.T) {
-	g := core.MustNew(core.Params{Timesteps: 3, MaxWidth: 8, Dependence: core.Stencil1D})
-	// Task (1, 4) depends on {3, 4, 5}.
-	for slot, dep := range []int{3, 4, 5} {
-		if got := depSlot(g, 1, 4, dep); got != slot {
-			t.Errorf("depSlot(dep=%d) = %d, want %d", dep, got, slot)
-		}
-	}
-	if got := depSlot(g, 1, 4, 7); got != -1 {
-		t.Errorf("depSlot(non-dep) = %d, want -1", got)
-	}
 }

@@ -16,15 +16,7 @@ import (
 )
 
 func init() {
-	runtime.Register("ptg", func() runtime.Runtime { return rt{} })
-}
-
-type rt struct{}
-
-func (rt) Name() string { return "ptg" }
-
-func (rt) Info() runtime.Info {
-	return runtime.Info{
+	runtime.RegisterRanks(runtime.Info{
 		Name:        "ptg",
 		Analog:      "PaRSEC PTG",
 		Paradigm:    "task-based (parameterized task graph)",
@@ -32,15 +24,8 @@ func (rt) Info() runtime.Info {
 		Distributed: true,
 		Async:       false,
 		Notes:       "dependence relations expanded to firing rules before execution",
-	}
+	}, func() exec.RankPolicy { return &policy{} })
 }
-
-func (rt) Run(app *core.App) (core.RunStats, error) {
-	return exec.RunRanks(app, &policy{})
-}
-
-// RankPolicy implements runtime.RankBacked.
-func (rt) RankPolicy() exec.RankPolicy { return &policy{} }
 
 // compiledTask is one owned task at some timestep: its column and the
 // plan's compiled routes for it (views into the plan, not copies).

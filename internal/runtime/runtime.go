@@ -34,23 +34,24 @@ type Runtime interface {
 	Run(app *core.App) (core.RunStats, error)
 }
 
-// PolicyBacked is implemented by the shared-memory DAG backends that
-// run through the shared exec.Engine. Policy returns a fresh instance
-// of the backend's scheduling policy, letting callers drive a reusable
-// exec.Session directly — an METG sweep builds one Plan per
-// configuration and reruns it at every measurement point instead of
-// paying O(tasks) reconstruction per point.
+// PolicyBacked is implemented by the backends registered with
+// RegisterPolicy, which run through the shared exec.Engine. Policy
+// returns a fresh instance of the backend's scheduling policy, letting
+// callers drive a reusable exec.Session directly — an METG sweep builds
+// one Plan per configuration and reruns it at every measurement point
+// instead of paying O(tasks) reconstruction per point. Every backend
+// but serial implements exactly one of PolicyBacked and RankBacked.
 type PolicyBacked interface {
 	Policy() exec.Policy
 }
 
-// RankBacked is implemented by the rank-based message-passing backends
-// that run through the shared exec.RankEngine (p2p, bsp, dtd, shard,
-// ptg, hybrid, tcp). RankPolicy returns a fresh instance of the
-// backend's rank policy, letting callers drive a reusable
-// exec.RankSession directly — a distributed METG sweep builds one
-// RankPlan (spans, cross-rank edges, fabric wiring) per configuration
-// and reruns it at every measurement point.
+// RankBacked is implemented by the backends registered with
+// RegisterRanks, which run through the shared exec.RankEngine.
+// RankPolicy returns a fresh instance of the backend's rank policy,
+// letting callers drive a reusable exec.RankSession directly — a
+// distributed METG sweep builds one RankPlan (spans, cross-rank edges,
+// fabric wiring) per configuration and reruns it at every measurement
+// point.
 type RankBacked interface {
 	RankPolicy() exec.RankPolicy
 }
@@ -84,7 +85,10 @@ var (
 
 // Register adds a backend factory under a unique name. Backends
 // register themselves from init functions; Register panics on
-// duplicates, which would be a programming error.
+// duplicates, which would be a programming error. Only serial — the
+// reference the others are checked against — registers a hand-written
+// Runtime; every other backend is an Info plus a policy (RegisterPolicy,
+// RegisterRanks).
 func Register(name string, factory func() Runtime) {
 	regMu.Lock()
 	defer regMu.Unlock()
@@ -92,6 +96,49 @@ func Register(name string, factory func() Runtime) {
 		panic(fmt.Sprintf("runtime: duplicate backend %q", name))
 	}
 	registry[name] = factory
+}
+
+// RegisterPolicy registers a shared-memory backend: its Table 3
+// metadata and the scheduling policy it plugs into exec.Engine.
+func RegisterPolicy(info Info, policy func() exec.Policy) {
+	Register(info.Name, func() Runtime { return policyBackend{described{info}, policy} })
+}
+
+// RegisterRanks registers a rank-based backend: its Table 3 metadata
+// and the rank policy it plugs into exec.RankEngine.
+func RegisterRanks(info Info, policy func() exec.RankPolicy) {
+	Register(info.Name, func() Runtime { return rankBackend{described{info}, policy} })
+}
+
+// described supplies the metadata half of Runtime.
+type described struct{ info Info }
+
+func (d described) Name() string { return d.info.Name }
+func (d described) Info() Info   { return d.info }
+
+// policyBackend and rankBackend are deliberately two types: callers
+// type-switch on PolicyBacked / RankBacked to pick a session kind, so a
+// backend must be exactly one of them.
+type policyBackend struct {
+	described
+	policy func() exec.Policy
+}
+
+func (b policyBackend) Policy() exec.Policy { return b.policy() }
+
+func (b policyBackend) Run(app *core.App) (core.RunStats, error) {
+	return exec.RunPolicy(app, b.policy())
+}
+
+type rankBackend struct {
+	described
+	policy func() exec.RankPolicy
+}
+
+func (b rankBackend) RankPolicy() exec.RankPolicy { return b.policy() }
+
+func (b rankBackend) Run(app *core.App) (core.RunStats, error) {
+	return exec.RunRanks(app, b.policy())
 }
 
 // New instantiates a registered backend by name.

@@ -3,9 +3,11 @@
 // against the dependence relation and every output is unique (paper
 // §2), a run that completes without error proves the backend delivered
 // exactly the right payloads to exactly the right tasks in every
-// pattern. Each backend's own test file invokes Conformance (or
-// PolicyConformance for backends built on the shared exec.Engine,
-// which additionally checks fault injection and Plan.Reset reuse).
+// pattern. Each backend's own test file invokes the suite of the engine
+// it runs on — PolicyConformance (exec.Engine: adds fault injection and
+// Plan.Reset reuse) or RankPolicyConformance (exec.RankEngine: adds
+// mid-graph faults, RankPlan reuse and rank counts); serial, the
+// reference, runs the bare Conformance battery.
 package runtimetest
 
 import (

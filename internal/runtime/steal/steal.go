@@ -15,21 +15,12 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"taskbench/internal/core"
 	"taskbench/internal/runtime"
 	"taskbench/internal/runtime/exec"
 )
 
 func init() {
-	runtime.Register("steal", func() runtime.Runtime { return rt{} })
-}
-
-type rt struct{}
-
-func (rt) Name() string { return "steal" }
-
-func (rt) Info() runtime.Info {
-	return runtime.Info{
+	runtime.RegisterPolicy(runtime.Info{
 		Name:        "steal",
 		Analog:      "Chapel (distrib scheduler)",
 		Paradigm:    "task-based",
@@ -37,7 +28,7 @@ func (rt) Info() runtime.Info {
 		Distributed: false,
 		Async:       true,
 		Notes:       "per-worker deques, LIFO local pop, FIFO random steal",
-	}
+	}, func() exec.Policy { return &policy{} })
 }
 
 // deque is one worker's mutex-guarded work-stealing deque: local pops
@@ -115,12 +106,3 @@ func (p *policy) Pop(worker int) ([]int32, bool) {
 }
 
 func (p *policy) Close() { p.closed.Store(true) }
-
-func (rt) Policy() exec.Policy { return &policy{} }
-
-func (rt) Run(app *core.App) (core.RunStats, error) {
-	workers := exec.WorkersFor(app)
-	return exec.Measure(app, workers, func() error {
-		return exec.NewEngine(exec.BuildPlan(app), &policy{}, workers).Run(app.Validate)
-	})
-}

@@ -12,21 +12,12 @@ package taskpool
 import (
 	"sync"
 
-	"taskbench/internal/core"
 	"taskbench/internal/runtime"
 	"taskbench/internal/runtime/exec"
 )
 
 func init() {
-	runtime.Register("taskpool", func() runtime.Runtime { return rt{} })
-}
-
-type rt struct{}
-
-func (rt) Name() string { return "taskpool" }
-
-func (rt) Info() runtime.Info {
-	return runtime.Info{
+	runtime.RegisterPolicy(runtime.Info{
 		Name:        "taskpool",
 		Analog:      "OpenMP task / OmpSs",
 		Paradigm:    "task-based",
@@ -34,7 +25,7 @@ func (rt) Info() runtime.Info {
 		Distributed: false,
 		Async:       true,
 		Notes:       "central FIFO ready queue with dependence counters",
-	}
+	}, func() exec.Policy { return &policy{} })
 }
 
 // policy is the central FIFO ready queue: one mutex-guarded list every
@@ -88,13 +79,4 @@ func (p *policy) Close() {
 	p.closed = true
 	p.cond.Broadcast()
 	p.mu.Unlock()
-}
-
-func (rt) Policy() exec.Policy { return &policy{} }
-
-func (rt) Run(app *core.App) (core.RunStats, error) {
-	workers := exec.WorkersFor(app)
-	return exec.Measure(app, workers, func() error {
-		return exec.NewEngine(exec.BuildPlan(app), &policy{}, workers).Run(app.Validate)
-	})
 }

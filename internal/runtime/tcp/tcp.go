@@ -41,22 +41,13 @@ import (
 	"sync"
 	"time"
 
-	"taskbench/internal/core"
 	"taskbench/internal/runtime"
 	"taskbench/internal/runtime/exec"
 	"taskbench/internal/runtime/p2p"
 )
 
 func init() {
-	runtime.Register("tcp", func() runtime.Runtime { return rt{} })
-}
-
-type rt struct{}
-
-func (rt) Name() string { return "tcp" }
-
-func (rt) Info() runtime.Info {
-	return runtime.Info{
+	runtime.RegisterRanks(runtime.Info{
 		Name:        "tcp",
 		Analog:      "MPI p2p over sockets",
 		Paradigm:    "message passing (real network transport)",
@@ -64,15 +55,8 @@ func (rt) Info() runtime.Info {
 		Distributed: true,
 		Async:       false,
 		Notes:       "full TCP mesh; length-prefixed frames; per-edge demux; cluster-capable",
-	}
+	}, func() exec.RankPolicy { return &policy{} })
 }
-
-func (rt) Run(app *core.App) (core.RunStats, error) {
-	return exec.RunRanks(app, &policy{})
-}
-
-// RankPolicy implements runtime.RankBacked.
-func (rt) RankPolicy() exec.RankPolicy { return &policy{} }
 
 // policy is the p2p eager rank discipline over a wire transport: the
 // scheduling paradigm is inherited wholesale from p2p; only the

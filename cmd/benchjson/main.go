@@ -1,27 +1,22 @@
-// Command benchjson converts `go test -bench` output into a
-// machine-readable JSON report mapping benchmark name → ns/op, B/op,
-// allocs/op and any custom b.ReportMetric units. CI runs it after the
-// bench-smoke job and uploads the result as BENCH_<sha>.json, seeding
-// a perf trajectory that can be diffed across commits:
+// Command benchjson is the CI perf gate's converter and comparator. It
+// turns `go test -bench` output into a JSON report mapping benchmark
+// name → ns/op, B/op, allocs/op and any custom b.ReportMetric units:
 //
-//	go test -bench . -benchmem -benchtime 1x -run '^$' ./... | tee bench.txt
-//	benchjson -in bench.txt -out BENCH_$(git rev-parse --short HEAD).json
+//	go test -run '^$' -bench . -benchmem -benchtime 100ms ./... | tee gate.txt
+//	benchjson -in gate.txt -out BENCH_GATE.json
 //
-// The -diff mode turns two such reports into a regression table —
+// and -diff turns two such reports into a regression table —
 // per-benchmark ns/op and allocs/op deltas, plus appearing/vanishing
-// benchmarks — so the CI artifact history reads as a perf trail:
+// benchmarks:
 //
-//	benchjson -diff BENCH_old.json BENCH_new.json
+//	benchjson -diff bench-prev/BENCH_GATE.json BENCH_GATE.json -gate 10
 //
-// Adding -gate turns the trail into a tripwire: the process exits
-// nonzero if any benchmark present in both reports slowed by more than
-// the given percentage of ns/op, or increased its allocs/op at all
-// (the hot paths are zero-alloc by design, so any new allocation is a
-// regression, not noise). -match restricts the diff to benchmarks
-// whose name matches a regexp — CI gates a hand-picked hot set at a
-// meaningful -benchtime rather than the full 1x smoke sweep:
-//
-//	benchjson -diff BENCH_prev.json BENCH_GATE.json -gate 10 -match 'WireEncode|MeshSend'
+// With -gate the process exits nonzero if any benchmark present in both
+// reports slowed by more than the given percentage of ns/op, or
+// increased its allocs/op at all (the hot paths are zero-alloc by
+// design, so any new allocation is a regression, not noise). Which
+// benchmarks are gated is decided by what `go test -bench` ran — every
+// Go benchmark in the module — not here. Measurement proper is bench/.
 package main
 
 import (
@@ -30,7 +25,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"regexp"
 	"runtime"
 	"sort"
 	"strconv"
@@ -45,7 +39,7 @@ type Result struct {
 	// -benchmem (or the benchmark called b.ReportAllocs).
 	BPerOp      *float64 `json:"b_per_op,omitempty"`
 	AllocsPerOp *float64 `json:"allocs_per_op,omitempty"`
-	// Metrics carries custom b.ReportMetric units (tasks/s, METG-µs, …).
+	// Metrics carries custom b.ReportMetric units (tasks/s, ns/task, …).
 	Metrics map[string]float64 `json:"metrics,omitempty"`
 }
 
@@ -69,7 +63,6 @@ func run(args []string) error {
 	out := ""
 	var diffPaths []string
 	gate := -1.0 // percent; negative means no gate
-	matchExpr := ""
 	for i := 0; i < len(args); i++ {
 		switch args[i] {
 		case "-in":
@@ -100,28 +93,15 @@ func run(args []string) error {
 			}
 			gate = pct
 			i++
-		case "-match":
-			if i+1 >= len(args) {
-				return fmt.Errorf("-match requires a regexp")
-			}
-			matchExpr = args[i+1]
-			i++
 		default:
-			return fmt.Errorf("unknown flag %q (usage: benchjson [-in bench.txt] [-out BENCH.json] | -diff old.json new.json [-gate pct] [-match regexp])", args[i])
+			return fmt.Errorf("unknown flag %q (usage: benchjson [-in bench.txt] [-out BENCH.json] | -diff old.json new.json [-gate pct])", args[i])
 		}
 	}
 	if diffPaths != nil {
-		var match *regexp.Regexp
-		if matchExpr != "" {
-			var err error
-			if match, err = regexp.Compile(matchExpr); err != nil {
-				return fmt.Errorf("-match: %w", err)
-			}
-		}
-		return diff(os.Stdout, diffPaths[0], diffPaths[1], gate, match)
+		return diff(os.Stdout, diffPaths[0], diffPaths[1], gate)
 	}
-	if gate >= 0 || matchExpr != "" {
-		return fmt.Errorf("-gate and -match only apply to -diff")
+	if gate >= 0 {
+		return fmt.Errorf("-gate only applies to -diff")
 	}
 
 	var r io.Reader = os.Stdin
@@ -203,15 +183,14 @@ func parse(r io.Reader) (*Report, error) {
 
 // diff prints a per-benchmark regression table between two reports:
 // ns/op delta (percent), allocs/op delta (absolute), and benchmarks
-// present in only one report. match, when non-nil, restricts the table
-// to benchmarks whose name it matches. With gatePct negative the exit
+// present in only one report. With gatePct negative the exit
 // status stays zero — the table is a trail; thresholds belong to
 // whoever reads it. With gatePct set, the diff becomes a CI tripwire:
 // a benchmark present in both reports that slowed by more than gatePct
 // percent of ns/op, or allocated more per op at all, is an error.
 // Appearing and vanishing benchmarks never trip the gate — renames and
 // new coverage are not regressions.
-func diff(w io.Writer, oldPath, newPath string, gatePct float64, match *regexp.Regexp) error {
+func diff(w io.Writer, oldPath, newPath string, gatePct float64) error {
 	oldRep, err := loadReport(oldPath)
 	if err != nil {
 		return err
@@ -230,9 +209,7 @@ func diff(w io.Writer, oldPath, newPath string, gatePct float64, match *regexp.R
 	}
 	sorted := make([]string, 0, len(names))
 	for name := range names {
-		if match == nil || match.MatchString(name) {
-			sorted = append(sorted, name)
-		}
+		sorted = append(sorted, name)
 	}
 	sort.Strings(sorted)
 

@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
-	"regexp"
 	"strings"
 	"testing"
 )
@@ -60,7 +59,7 @@ func TestDiffReports(t *testing.T) {
 	}})
 
 	var out strings.Builder
-	if err := diff(&out, oldPath, newPath, -1, nil); err != nil {
+	if err := diff(&out, oldPath, newPath, -1); err != nil {
 		t.Fatal(err)
 	}
 	got := out.String()
@@ -80,7 +79,7 @@ func TestDiffRejectsEmptyReport(t *testing.T) {
 	dir := t.TempDir()
 	empty := filepath.Join(dir, "empty.json")
 	os.WriteFile(empty, []byte(`{"benchmarks":{}}`), 0o644)
-	if err := diff(os.Stdout, empty, empty, -1, nil); err == nil {
+	if err := diff(os.Stdout, empty, empty, -1); err == nil {
 		t.Error("diff accepted an empty report")
 	}
 }
@@ -117,7 +116,7 @@ func TestGateTripsOnRegression(t *testing.T) {
 	}})
 
 	var out strings.Builder
-	err := diff(&out, oldPath, newPath, 10, nil)
+	err := diff(&out, oldPath, newPath, 10)
 	if err == nil {
 		t.Fatalf("gate passed a +15%% regression:\n%s", out.String())
 	}
@@ -129,7 +128,7 @@ func TestGateTripsOnRegression(t *testing.T) {
 	}
 
 	out.Reset()
-	if err := diff(&out, oldPath, newPath, 20, nil); err != nil {
+	if err := diff(&out, oldPath, newPath, 20); err != nil {
 		t.Errorf("20%% gate tripped on a +15%% delta: %v\n%s", err, out.String())
 	}
 }
@@ -150,7 +149,7 @@ func TestGateTripsOnAllocIncrease(t *testing.T) {
 	}})
 
 	var out strings.Builder
-	err := diff(&out, oldPath, newPath, 10, nil)
+	err := diff(&out, oldPath, newPath, 10)
 	if err == nil {
 		t.Fatalf("gate passed an allocs/op increase:\n%s", out.String())
 	}
@@ -182,7 +181,7 @@ func TestGateDisjointReports(t *testing.T) {
 
 	for _, gatePct := range []float64{-1, 0, 10} {
 		var out strings.Builder
-		if err := diff(&out, oldPath, newPath, gatePct, nil); err != nil {
+		if err := diff(&out, oldPath, newPath, gatePct); err != nil {
 			t.Errorf("gate %v tripped on disjoint reports: %v\n%s", gatePct, err, out.String())
 		}
 		if strings.Contains(out.String(), "GATE:") {
@@ -212,7 +211,7 @@ func TestGateSubsetBaseline(t *testing.T) {
 	}})
 
 	var out strings.Builder
-	if err := diff(&out, oldPath, newPath, 10, nil); err == nil {
+	if err := diff(&out, oldPath, newPath, 10); err == nil {
 		t.Fatalf("gate passed a +50%% regression on the shared subset:\n%s", out.String())
 	}
 	if !strings.Contains(out.String(), "GATE: BenchmarkShared") {
@@ -223,44 +222,15 @@ func TestGateSubsetBaseline(t *testing.T) {
 	}
 }
 
-// TestGateMatchRestrictsScope pins -match: a regression outside the
-// matched hot set is invisible to both the table and the gate.
-func TestGateMatchRestrictsScope(t *testing.T) {
-	dir := t.TempDir()
-	oldPath := writeReport(t, dir, "old.json", Report{Benchmarks: map[string]Result{
-		"BenchmarkHot":  {NsPerOp: 100},
-		"BenchmarkCold": {NsPerOp: 100},
-	}})
-	newPath := writeReport(t, dir, "new.json", Report{Benchmarks: map[string]Result{
-		"BenchmarkHot":  {NsPerOp: 100},
-		"BenchmarkCold": {NsPerOp: 300},
-	}})
-
-	var out strings.Builder
-	if err := diff(&out, oldPath, newPath, 10, regexp.MustCompile("Hot")); err != nil {
-		t.Errorf("gate tripped on a benchmark outside -match: %v\n%s", err, out.String())
-	}
-	if strings.Contains(out.String(), "BenchmarkCold") {
-		t.Errorf("-match leaked an unmatched benchmark into the table:\n%s", out.String())
-	}
-
-	out.Reset()
-	if err := diff(&out, oldPath, newPath, 10, regexp.MustCompile("Cold")); err == nil {
-		t.Errorf("gate passed a matched 3x regression:\n%s", out.String())
-	}
-}
-
-// TestRunFlagValidation pins the CLI surface: -gate/-match without
-// -diff, and malformed values, are refused rather than ignored.
+// TestRunFlagValidation pins the CLI surface: -gate without -diff,
+// malformed values and unknown flags are refused rather than ignored.
 func TestRunFlagValidation(t *testing.T) {
 	for _, args := range [][]string{
 		{"-gate", "10"},
-		{"-match", "Hot"},
 		{"-diff", "a.json", "b.json", "-gate", "0"},
 		{"-diff", "a.json", "b.json", "-gate", "ten"},
-		{"-diff", "a.json", "b.json", "-match", "("},
+		{"-diff", "a.json", "b.json", "-match", "Hot"},
 		{"-gate"},
-		{"-match"},
 	} {
 		if err := run(args); err == nil {
 			t.Errorf("run(%v) accepted invalid flags", args)

@@ -21,11 +21,9 @@
 // per-shape configuration cache and run locks the way a real mixed
 // workload would.
 //
-// With -http the fleet-gauge poller reads the coordinator's
-// /snapshots.json observability endpoint instead of the control
-// protocol (keeping the control connection free for submissions),
-// falling back to control-protocol stats if the endpoint fails.
-// -report renders a post-run summary with the full client-side latency
+// Fleet gauges (queue depth, running jobs, live workers, slots) are
+// polled over the same control connection the submissions use. -report
+// renders a post-run summary with the full client-side latency
 // histogram as a console table or a schema-stable JSON report.
 //
 // -chaos injects a deterministic fault schedule (see internal/chaos)
@@ -38,13 +36,11 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
 	"log"
 	"math/rand"
-	"net/http"
 	"os"
 	"os/signal"
 	"strconv"
@@ -74,7 +70,6 @@ func main() {
 func run(args []string) error {
 	fs := flag.NewFlagSet("loadgen", flag.ExitOnError)
 	coordinator := fs.String("coordinator", "", "coordinator control address (required)")
-	httpAddr := fs.String("http", "", "coordinator observability address (taskbenchd -http); the stats poller reads /snapshots.json from it instead of the control protocol")
 	preset := fs.String("preset", "burst", "load shape: "+strings.Join(pattern.PresetNames(), ", "))
 	duration := fs.Duration("duration", 2*time.Minute, "simulated length of the run")
 	timeScale := fs.Float64("time-scale", 1, "compression factor: simulated seconds per real second")
@@ -98,13 +93,14 @@ func run(args []string) error {
 	if *coordinator == "" {
 		return fmt.Errorf("-coordinator is required")
 	}
-	if *reportMode != "console" && *reportMode != "json" && *reportMode != "none" {
-		return fmt.Errorf("-report must be console, json or none, got %q", *reportMode)
+	mode, err := report.ParseMode(*reportMode)
+	if err != nil {
+		return err
 	}
 	// In json report mode the report document owns stdout; an untouched
 	// -timeline-json default would interleave two JSON documents there,
 	// so it yields unless the user asked for it explicitly.
-	if *reportMode == "json" && *jsonPath == "-" {
+	if mode == report.JSON && *jsonPath == "-" {
 		explicit := false
 		fs.Visit(func(f *flag.Flag) { explicit = explicit || f.Name == "timeline-json" })
 		if explicit {
@@ -188,15 +184,11 @@ func run(args []string) error {
 	// timeline and advances the streaming window as simulated time
 	// passes. Each query carries a deadline so a stalled coordinator
 	// (or a chaos-delayed control path) costs one skipped sample, not a
-	// wedged poller. With -http the poller prefers the observability
-	// endpoint's snapshot ring — keeping the control connection free for
-	// submissions — and falls back to control-protocol stats if the
-	// endpoint ever fails.
+	// wedged poller.
 	statsTimeout := 10 * *poll
 	if statsTimeout < time.Second {
 		statsTimeout = time.Second
 	}
-	snapPoll := newSnapshotPoller(*httpAddr)
 	var pollWG sync.WaitGroup
 	pollWG.Add(1)
 	go func() {
@@ -210,7 +202,7 @@ func run(args []string) error {
 			case <-tick.C:
 			}
 			ctx, cancel := context.WithTimeout(context.Background(), statsTimeout)
-			queueLen, running, workers, slots, err := snapPoll.sample(ctx, cli)
+			st, err := cli.StatsContext(ctx)
 			cancel()
 			if errors.Is(err, context.DeadlineExceeded) {
 				continue
@@ -220,7 +212,7 @@ func run(args []string) error {
 				return
 			}
 			now := clock.Sim(time.Now())
-			col.Sample(now, queueLen, running, workers, slots)
+			col.Sample(now, st.QueueLen, st.JobsRunning, st.Workers, st.Concurrency)
 			col.Advance(now)
 		}
 	}()
@@ -294,89 +286,15 @@ submitting:
 		atomic.LoadInt64(&submitted), t.Submitted, t.Accepted, t.Rejected, t.Retried,
 		t.Completed, t.Failed, atomic.LoadInt64(&gaveUp),
 		t.P50Millis, t.P95Millis, t.P99Millis)
-	if *reportMode != "none" {
-		lat := latHist.Snapshot()
-		rep := report.FromTimeline(fmt.Sprintf("loadgen %s against %s", pat.Name, *coordinator), tl, &lat)
-		var rerr error
-		if *reportMode == "json" {
-			rerr = rep.WriteJSON(os.Stdout)
-		} else {
-			rerr = rep.WriteConsole(os.Stdout)
-		}
-		if rerr != nil {
-			return rerr
-		}
+	lat := latHist.Snapshot()
+	rep := report.FromTimeline(fmt.Sprintf("loadgen %s against %s", pat.Name, *coordinator), tl, &lat)
+	if err := rep.Write(os.Stdout, mode); err != nil {
+		return err
 	}
 	if protoErr.Load() {
 		return fmt.Errorf("coordinator connection lost mid-run")
 	}
 	return nil
-}
-
-// snapshotPoller reads fleet gauges from the coordinator's
-// /snapshots.json observability endpoint when one was given, falling
-// back to control-protocol stats permanently (with a single log line)
-// the first time the endpoint fails.
-type snapshotPoller struct {
-	url  string
-	http http.Client
-}
-
-func newSnapshotPoller(addr string) *snapshotPoller {
-	p := &snapshotPoller{}
-	if addr != "" {
-		p.url = "http://" + addr + "/snapshots.json"
-	}
-	return p
-}
-
-// sample returns (queueLen, jobsRunning, workers, schedulerSlots) from
-// whichever source is active.
-func (p *snapshotPoller) sample(ctx context.Context, cli *cluster.Client) (int, int, int, int, error) {
-	if p.url != "" {
-		q, r, w, s, err := p.fetch(ctx)
-		if err == nil {
-			return q, r, w, s, nil
-		}
-		if !errors.Is(err, context.DeadlineExceeded) {
-			log.Printf("snapshot endpoint %s: %v; falling back to control-protocol stats", p.url, err)
-			p.url = ""
-		} else {
-			return 0, 0, 0, 0, context.DeadlineExceeded
-		}
-	}
-	s, err := cli.StatsContext(ctx)
-	if err != nil {
-		return 0, 0, 0, 0, err
-	}
-	return s.QueueLen, s.JobsRunning, s.Workers, s.Concurrency, nil
-}
-
-func (p *snapshotPoller) fetch(ctx context.Context) (int, int, int, int, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, p.url, nil)
-	if err != nil {
-		return 0, 0, 0, 0, err
-	}
-	resp, err := p.http.Do(req)
-	if err != nil {
-		return 0, 0, 0, 0, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return 0, 0, 0, 0, fmt.Errorf("status %s", resp.Status)
-	}
-	var reply struct {
-		Snapshots []metrics.Snapshot `json:"snapshots"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&reply); err != nil {
-		return 0, 0, 0, 0, err
-	}
-	if len(reply.Snapshots) == 0 {
-		return 0, 0, 0, 0, fmt.Errorf("empty snapshot ring")
-	}
-	g := reply.Snapshots[len(reply.Snapshots)-1].Gauges
-	return int(g[cluster.MetricQueueDepth]), int(g[cluster.MetricJobsRunning]),
-		int(g[cluster.MetricWorkersLive]), int(g[cluster.MetricSchedulerSlots]), nil
 }
 
 // oneJob submits the spec and follows it to an outcome, resubmitting
@@ -475,14 +393,20 @@ func parseShapes(s string, task time.Duration) ([]wire.AppSpec, error) {
 		if err1 != nil || err2 != nil || err3 != nil || width <= 0 || steps <= 0 || ranks <= 0 {
 			return nil, fmt.Errorf("shape %q: bad dimensions", item)
 		}
-		specs = append(specs, wire.AppSpec{
+		spec := wire.AppSpec{
 			Workers: ranks,
 			Graphs: []wire.GraphSpec{{
 				Steps: steps, Width: width, Type: parts[0],
 				Kernel: "busy_wait", WaitNanos: int64(task),
 				Output: 64,
 			}},
-		})
+		}
+		// The coordinator's own check, run before dialing: a mistyped
+		// pattern would otherwise surface as every job of the run failing.
+		if _, err := spec.ToApp(); err != nil {
+			return nil, fmt.Errorf("shape %q: %w", item, err)
+		}
+		specs = append(specs, spec)
 	}
 	if len(specs) == 0 {
 		return nil, fmt.Errorf("no shapes in %q", s)

@@ -54,8 +54,9 @@ func run() (code int) {
 		memProfile = flag.String("memprofile", "", "write a pprof heap profile after the sweep")
 	)
 	flag.Parse()
-	if *reportMode != "console" && *reportMode != "json" && *reportMode != "none" {
-		fmt.Fprintf(os.Stderr, "metg: -report must be console, json or none, got %q\n", *reportMode)
+	mode, err := report.ParseMode(*reportMode)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "metg:", err)
 		return 2
 	}
 
@@ -223,22 +224,14 @@ func run() (code int) {
 	default:
 		title += " (profile " + *profile + ")"
 	}
-	rep := report.FromMETG(title, points, value, kind, *threshold)
-	switch *reportMode {
-	case "json":
-		if err := rep.WriteJSON(os.Stdout); err != nil {
-			return fatal(err)
-		}
-	case "console":
-		if err := rep.WriteConsole(os.Stdout); err != nil {
-			return fatal(err)
-		}
+	if err := report.FromMETG(title, points, value, kind, *threshold).Write(os.Stdout, mode); err != nil {
+		return fatal(err)
 	}
 	// The METG line is the headline contract scripts grep for; it
 	// prints in every mode, after whichever rendering was chosen — to
 	// stderr in json mode, so stdout stays one parseable document.
 	headline := os.Stdout
-	if *reportMode == "json" {
+	if mode == report.JSON {
 		headline = os.Stderr
 	}
 	switch kind {

@@ -38,7 +38,7 @@ func run(args []string) error {
 	specPath := ""
 	cpuProfile := ""
 	memProfile := ""
-	reportMode := "console"
+	reportMode := report.Console
 	var rest []string
 	for i := 0; i < len(args); i++ {
 		switch args[i] {
@@ -46,9 +46,9 @@ func run(args []string) error {
 			if i+1 >= len(args) {
 				return fmt.Errorf("-report requires console, json or none")
 			}
-			reportMode = args[i+1]
-			if reportMode != "console" && reportMode != "json" && reportMode != "none" {
-				return fmt.Errorf("-report must be console, json or none, got %q", reportMode)
+			var err error
+			if reportMode, err = report.ParseMode(args[i+1]); err != nil {
+				return err
 			}
 			i++
 		case "-cpuprofile":
@@ -156,26 +156,19 @@ func run(args []string) error {
 			stats.WriteReport(os.Stdout, names[r])
 		}
 	}
-	// The one-line summary is the classic contract; -report adds the
+	// The one-line summary is the classic contract — on stderr in json
+	// mode, so stdout stays one parseable document; -report adds the
 	// structured rendering (per-run table, machine-readable JSON).
-	switch reportMode {
-	case "json":
-		rep := report.FromRuns(fmt.Sprintf("taskbench %s", backend), names, all)
-		if err := rep.WriteJSON(os.Stdout); err != nil {
+	summary, title := os.Stdout, fmt.Sprintf("taskbench %s (%d runs, best reported)", backend, runs)
+	if reportMode == report.JSON {
+		summary, title = os.Stderr, fmt.Sprintf("taskbench %s", backend)
+	}
+	if reportMode == report.JSON || runs > 1 {
+		if err := report.FromRuns(title, names, all).Write(os.Stdout, reportMode); err != nil {
 			return err
 		}
-		best.WriteReport(os.Stderr, backend)
-	case "console":
-		if runs > 1 {
-			rep := report.FromRuns(fmt.Sprintf("taskbench %s (%d runs, best reported)", backend, runs), names, all)
-			if err := rep.WriteConsole(os.Stdout); err != nil {
-				return err
-			}
-		}
-		best.WriteReport(os.Stdout, backend)
-	case "none":
-		best.WriteReport(os.Stdout, backend)
 	}
+	best.WriteReport(summary, backend)
 	return writeMemProfile(memProfile)
 }
 

@@ -12,7 +12,9 @@
 // the experiment harness (internal/harness). See README.md for a tour
 // and DESIGN.md for the architecture and system inventory.
 //
-// The benchmarks in bench_test.go regenerate every table and figure of
-// the paper's evaluation: run `go test -bench=. -benchmem` here, or
-// `go run ./cmd/figures -full` for the complete sweeps.
+// `go run ./cmd/figures` regenerates every table and figure of the
+// paper's evaluation (-full for the complete sweeps). Performance is
+// measured by the benchmark in bench/ (`bash bench/run.sh --workload
+// ...`, see bench/README.md); the Go benchmarks in bench_test.go are
+// only the CI gate's copies of its per-layer probes.
 package taskbench

@@ -133,7 +133,7 @@ func Fig8MemoryBandwidth(cfg RealConfig) (*Figure, error) {
 		ID: "fig8", Title: "B/s vs problem size (memory kernel, real backends)",
 		XLabel: "iterations per task", YLabel: "GB/s", LogX: true,
 	}
-	iters := stats.GeomIters(min64(cfg.MaxIters, 1<<10), 1, cfg.PerDoubling)
+	iters := stats.GeomIters(min(cfg.MaxIters, 1<<10), 1, cfg.PerDoubling)
 	mkGraph := func(it int64) *core.Graph {
 		return core.MustNew(core.Params{
 			Timesteps:  cfg.Steps,
@@ -215,11 +215,4 @@ func RealMETGTable(rows []RealMETGRow) string {
 		cells = append(cells, []string{r.Backend, v})
 	}
 	return Markdown([]string{"Backend", "METG(50%) on this host"}, cells)
-}
-
-func min64(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -49,7 +50,7 @@ func WriteReport(dir string) error {
 		sb.WriteString("\n")
 	}
 	for _, name := range mds {
-		if contains(tables, name) {
+		if slices.Contains(tables, name) {
 			continue
 		}
 		body, err := os.ReadFile(filepath.Join(dir, name))
@@ -98,13 +99,4 @@ func sortFigures(names []string) {
 		}
 		return sa < sb
 	})
-}
-
-func contains(xs []string, x string) bool {
-	for _, v := range xs {
-		if v == x {
-			return true
-		}
-	}
-	return false
 }

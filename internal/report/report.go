@@ -103,6 +103,35 @@ func FromHistogramData(name, unit string, d metrics.HistogramData) Histogram {
 	return h
 }
 
+// Mode is a value of the CLIs' -report flag.
+type Mode string
+
+const (
+	Console Mode = "console" // WriteConsole
+	JSON    Mode = "json"    // WriteJSON
+	None    Mode = "none"    // no rendering
+)
+
+// ParseMode validates a -report flag value.
+func ParseMode(s string) (Mode, error) {
+	switch m := Mode(s); m {
+	case Console, JSON, None:
+		return m, nil
+	}
+	return "", fmt.Errorf("-report must be console, json or none, got %q", s)
+}
+
+// Write renders the report in the given mode; None writes nothing.
+func (r *Report) Write(w io.Writer, mode Mode) error {
+	switch mode {
+	case JSON:
+		return r.WriteJSON(w)
+	case Console:
+		return r.WriteConsole(w)
+	}
+	return nil
+}
+
 // WriteJSON renders the report as indented JSON, one stable document.
 func (r *Report) WriteJSON(w io.Writer) error {
 	enc := json.NewEncoder(w)

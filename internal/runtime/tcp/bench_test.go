@@ -12,8 +12,9 @@ import (
 // traffic — every cross-rank edge of an all-to-all graph sent, flushed
 // and received back — through a loopback 2-rank mesh, with payload
 // batching on (the default) and off. The batched mode's win at small
-// payloads is the point of the batching layer; the CI perf gate
-// watches this benchmark.
+// payloads is the point of the batching layer.
+// bench/ twin: tcp.send_{small,large}_ns; kept as the CI tripwire, since
+// hosted runners cannot run the reference-clocked bench/.
 func BenchmarkMeshSend(b *testing.B) {
 	for _, mode := range []struct {
 		name    string

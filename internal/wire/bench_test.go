@@ -36,7 +36,9 @@ var benchShapes = []string{"heartbeat", "result", "submit"}
 
 // BenchmarkWireEncodeBinary measures the per-message cost of the
 // control frame on the write path the cluster actually uses
-// (WriteMessageBinary to a writer). The CI perf gate watches it.
+// (WriteMessageBinary to a writer).
+// bench/ twin: wire.encode_ns; kept as the CI tripwire, since
+// hosted runners cannot run the reference-clocked bench/.
 func BenchmarkWireEncodeBinary(b *testing.B) {
 	for _, shape := range benchShapes {
 		b.Run(shape, func(b *testing.B) {
@@ -54,6 +56,8 @@ func BenchmarkWireEncodeBinary(b *testing.B) {
 // BenchmarkWireDecodeBinary goes through ReadMessageFrom, the reader
 // every cluster connection uses, so stream framing is part of the
 // measured cost.
+// bench/ twin: wire.decode_ns; kept as the CI tripwire, since
+// hosted runners cannot run the reference-clocked bench/.
 func BenchmarkWireDecodeBinary(b *testing.B) {
 	for _, shape := range benchShapes {
 		b.Run(shape, func(b *testing.B) {

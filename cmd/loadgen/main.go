@@ -397,8 +397,8 @@ func parseShapes(s string, task time.Duration) ([]wire.AppSpec, error) {
 			Workers: ranks,
 			Graphs: []wire.GraphSpec{{
 				Steps: steps, Width: width, Type: parts[0],
-				Kernel: "busy_wait", WaitNanos: int64(task),
-				Output: 64,
+				KernelSpec: wire.KernelSpec{Kernel: "busy_wait", WaitNanos: int64(task)},
+				Output:     64,
 			}},
 		}
 		// The coordinator's own check, run before dialing: a mistyped

@@ -180,7 +180,7 @@ func run() (code int) {
 				Workers: ranks,
 				Graphs: []wire.GraphSpec{{
 					Steps: *steps, Width: w, Type: dep.String(), Radix: *radix,
-					Kernel: kernels.ComputeBound.String(), Iterations: iterations,
+					KernelSpec: wire.KernelSpec{Kernel: kernels.ComputeBound.String(), Iterations: iterations},
 				}},
 			})
 			if err != nil {

@@ -1,9 +1,10 @@
 // Command taskbenchvet is the repository's custom static-analysis
 // suite: a multichecker over the analyzers in internal/lint that
-// enforce the invariants the benchmark's results depend on — the
-// zero-allocation hot path (hotpathalloc), the coordinator's lock
-// hierarchy (lockorder), the append-only wire contract
-// (wireexhaustive) and panic-free metrics registration (metricsonce).
+// enforce the invariants the benchmark's results depend on and no test
+// can see, because they hold of every path rather than of the paths a
+// test runs — the zero-allocation hot path (hotpathalloc), the
+// coordinator's lock hierarchy (lockorder) and panic-free metrics
+// registration (metricsonce).
 //
 // Usage:
 //

@@ -61,8 +61,8 @@ func stencilSpec(ranks int, iterations int64) wire.AppSpec {
 		Workers: ranks,
 		Graphs: []wire.GraphSpec{{
 			Steps: 20, Width: 6, Type: "stencil_1d_periodic",
-			Kernel: "compute_bound", Iterations: iterations,
-			Output: 128,
+			KernelSpec: wire.KernelSpec{Kernel: "compute_bound", Iterations: iterations},
+			Output:     128,
 		}},
 	}
 }
@@ -75,8 +75,8 @@ func busySpec(ranks, width, steps int, perTask time.Duration) wire.AppSpec {
 		Workers: ranks,
 		Graphs: []wire.GraphSpec{{
 			Steps: steps, Width: width, Type: "stencil_1d_periodic",
-			Kernel: "busy_wait", WaitNanos: int64(perTask),
-			Output: 64,
+			KernelSpec: wire.KernelSpec{Kernel: "busy_wait", WaitNanos: int64(perTask)},
+			Output:     64,
 		}},
 	}
 }
@@ -368,6 +368,24 @@ func TestClusterRetriesAfterWorkerDeath(t *testing.T) {
 	}
 }
 
+// TestReplyKeyMatchesRequestToReply pins the routing contract the
+// retry path rests on: a request and its reply map to one key, and a
+// result of another attempt (a stale run's late answer) to another.
+func TestReplyKeyMatchesRequestToReply(t *testing.T) {
+	for req, reply := range map[string]string{
+		wire.MsgPrepare: wire.MsgPrepared, wire.MsgConnect: wire.MsgReady, wire.MsgRun: wire.MsgResult,
+	} {
+		m := wire.Message{Type: req, Config: 7, Job: 9, Attempt: 2}
+		want := replyKeyOf(m)
+		if m.Type = reply; replyKeyOf(m) != want {
+			t.Errorf("%s waits on %+v, %s routes to %+v", req, want, reply, replyKeyOf(m))
+		}
+		if m.Attempt = 1; reply == wire.MsgResult && replyKeyOf(m) == want {
+			t.Errorf("attempt 1's result would satisfy the wait for attempt 2")
+		}
+	}
+}
+
 // TestClusterQueueFullRejectsFast fills the one-deep queue behind a
 // busy one-slot scheduler: the next submission must get an immediate
 // rejected reply, not block until capacity frees up.
@@ -510,11 +528,11 @@ func TestClusterConcurrentMixedShapes(t *testing.T) {
 		stencilSpec(8, 16),
 		{Workers: 4, Graphs: []wire.GraphSpec{{
 			Steps: 10, Width: 8, Type: "fft",
-			Kernel: "compute_bound", Iterations: 32, Output: 64,
+			KernelSpec: wire.KernelSpec{Kernel: "compute_bound", Iterations: 32}, Output: 64,
 		}}},
 		{Workers: 2, Graphs: []wire.GraphSpec{{
 			Steps: 12, Width: 4, Type: "dom",
-			Kernel: "compute_bound", Iterations: 32, Output: 64,
+			KernelSpec: wire.KernelSpec{Kernel: "compute_bound", Iterations: 32}, Output: 64,
 		}}},
 	}
 	const clients = 4

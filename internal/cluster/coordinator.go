@@ -119,57 +119,10 @@ func (o *Options) fill() {
 	}
 }
 
-// Stats counts coordinator activity, for monitoring and tests. Every
-// counter is read from the metrics registry (metrics.go); only the
-// fleet gauges come from the coordinator's own state.
-type Stats struct {
-	// Workers is the current live fleet size.
-	Workers int
-	// ConfigsBuilt counts configurations provisioned across the fleet.
-	ConfigsBuilt int
-	// ConfigsReused counts jobs that ran on an already-prepared
-	// configuration (the cross-request session-reuse win).
-	ConfigsReused int
-	// JobsRun counts completed jobs, successful or not. Cancelled jobs
-	// are counted under JobsCancelled instead.
-	JobsRun int
-	// JobsFailed counts jobs that completed with an error.
-	JobsFailed int
-	// JobsInFlight is the number of jobs currently claimed by scheduler
-	// slots (provisioning, waiting on a shape's run lock, or running).
-	JobsInFlight int
-	// JobsRunning is the number of jobs currently executing on the
-	// fleet — the overlap the concurrent scheduler exists for.
-	JobsRunning int
-	// JobsRetried counts re-runs after a worker death (one per extra
-	// attempt, not per job).
-	JobsRetried int
-	// JobsRejected counts submissions refused at admission: a full
-	// queue, an invalid spec, or a closing coordinator.
-	JobsRejected int
-	// JobsCancelled counts jobs abandoned before completion because
-	// their client disconnected or sent an explicit cancel.
-	JobsCancelled int
-	// ConfigsReprovisioned counts prepared configurations torn down and
-	// rebuilt because the fleet changed under them — a join that let a
-	// shape spread wider, or a drain that excluded a member.
-	ConfigsReprovisioned int
-	// ConfigsEvicted counts idle configurations dropped by the
-	// MaxConfigs LRU cap.
-	ConfigsEvicted int
-	// WorkersDraining is a gauge: fleet members mid-drain, excluded
-	// from new placement but not yet released.
-	WorkersDraining int
-	// ConfigCacheHits counts jobs that found a usable prepared
-	// configuration for their shape: the same number as ConfigsReused,
-	// with a per-shape split in the metrics registry.
-	ConfigCacheHits int
-	// ConfigCacheMisses counts jobs that had to provision: a first job
-	// of a shape, or a re-provision after the prepared configuration
-	// went stale or was lost. Counted at lookup, whether or not the
-	// build then succeeds.
-	ConfigCacheMisses int
-}
+// Stats is the coordinator's snapshot of counters and gauges — the
+// struct a statsreply carries, so an in-process caller of
+// Coordinator.Stats and a remote Client.Stats read the same fields.
+type Stats = wire.StatsInfo
 
 // Coordinator accepts worker registrations and client job submissions
 // on one control port and drives distributed runs across the fleet.
@@ -214,7 +167,32 @@ type workerConn struct {
 	draining bool
 
 	mu      sync.Mutex
-	waiters map[string]chan wire.Message
+	waiters map[replyKey]chan wire.Message
+}
+
+// replyKey names the one reply a call waits for. Provisioning replies
+// are matched on the config id; results on (job, attempt), so a stale
+// attempt's late result finds no waiter instead of satisfying the live
+// attempt.
+type replyKey struct {
+	typ     string // the reply's message type
+	id      uint64
+	attempt int
+}
+
+// replyKeyOf returns the key a reply m is routed under — and, for a
+// request, the key of the reply that answers it, so the caller and the
+// read loop cannot spell it differently.
+func replyKeyOf(m wire.Message) replyKey {
+	switch m.Type {
+	case wire.MsgPrepare, wire.MsgPrepared:
+		return replyKey{typ: wire.MsgPrepared, id: m.Config}
+	case wire.MsgConnect, wire.MsgReady:
+		return replyKey{typ: wire.MsgReady, id: m.Config}
+	case wire.MsgRun, wire.MsgResult:
+		return replyKey{typ: wire.MsgResult, id: m.Job, attempt: m.Attempt}
+	}
+	panic("cluster: replyKeyOf: message type has no matched reply")
 }
 
 // clusterConfig is one provisioned configuration: a shape of job
@@ -350,9 +328,11 @@ func Start(opts Options) (*Coordinator, error) {
 // Addr returns the control address the coordinator is listening on.
 func (c *Coordinator) Addr() string { return c.ln.Addr().String() }
 
-// Stats returns a snapshot of the coordinator's counters and gauges.
-// It reads the registry before taking c.mu: CounterVec.Total takes the
-// vec's own lock, which ranks below c.mu.
+// Stats returns a snapshot of the coordinator's counters and gauges:
+// every counter is read from the metrics registry (metrics.go), the
+// fleet and queue gauges from the coordinator's own state. It reads the
+// registry before taking c.mu: CounterVec.Total and Histogram.Snapshot
+// take their own locks, which rank below c.mu.
 func (c *Coordinator) Stats() Stats {
 	m := c.metrics
 	hits := int(m.cacheHits.Total())
@@ -366,14 +346,24 @@ func (c *Coordinator) Stats() Stats {
 		JobsRetried:          int(m.jobsRetried.Value()),
 		JobsRejected:         int(m.jobsRejected.Value()),
 		JobsCancelled:        int(m.jobsCancelled.Value()),
+		QueueCap:             c.opts.QueueDepth,
+		Concurrency:          c.opts.Concurrency,
+		MaxAttempts:          c.opts.MaxAttempts,
 		ConfigsReprovisioned: int(m.configsReprovisioned.Value()),
 		ConfigsEvicted:       int(m.configsEvicted.Value()),
 		ConfigCacheHits:      hits,
 		ConfigCacheMisses:    int(m.cacheMisses.Total()),
 	}
+	if lat := m.jobLatency.Snapshot(); lat.Count > 0 {
+		s.LatencyP50Nanos = int(lat.Quantile(0.50) * float64(time.Second))
+		s.LatencyP95Nanos = int(lat.Quantile(0.95) * float64(time.Second))
+		s.LatencyP99Nanos = int(lat.Quantile(0.99) * float64(time.Second))
+	}
+	s.MaxHeartbeatAgeNanos = int(c.maxHeartbeatAgeNanos(time.Now()))
 	c.mu.Lock()
 	s.Workers = len(c.workers)
 	s.WorkersDraining = c.drainingLocked()
+	s.QueueLen = len(c.queue)
 	c.mu.Unlock()
 	return s
 }
@@ -387,44 +377,6 @@ func (c *Coordinator) drainingLocked() int {
 		}
 	}
 	return n
-}
-
-// statsInfo snapshots the coordinator for a statsreply: Stats plus the
-// queue and scheduler dimensions a remote client needs to turn
-// JobsRunning into a utilization fraction, the stalest heartbeat and
-// the job-latency percentiles.
-func (c *Coordinator) statsInfo() *wire.StatsInfo {
-	s := c.Stats()
-	info := &wire.StatsInfo{
-		Workers:       s.Workers,
-		ConfigsBuilt:  s.ConfigsBuilt,
-		ConfigsReused: s.ConfigsReused,
-		JobsRun:       s.JobsRun,
-		JobsFailed:    s.JobsFailed,
-		JobsInFlight:  s.JobsInFlight,
-		JobsRunning:   s.JobsRunning,
-		JobsRetried:   s.JobsRetried,
-		JobsRejected:  s.JobsRejected,
-		JobsCancelled: s.JobsCancelled,
-		QueueLen:      len(c.queue),
-		QueueCap:      c.opts.QueueDepth,
-		Concurrency:   c.opts.Concurrency,
-		MaxAttempts:   c.opts.MaxAttempts,
-
-		ConfigsReprovisioned: s.ConfigsReprovisioned,
-		ConfigsEvicted:       s.ConfigsEvicted,
-		WorkersDraining:      s.WorkersDraining,
-
-		ConfigCacheHits:      s.ConfigCacheHits,
-		ConfigCacheMisses:    s.ConfigCacheMisses,
-		MaxHeartbeatAgeNanos: int(c.maxHeartbeatAgeNanos(time.Now())),
-	}
-	if lat := c.metrics.jobLatency.Snapshot(); lat.Count > 0 {
-		info.LatencyP50Nanos = int(lat.Quantile(0.50) * float64(time.Second))
-		info.LatencyP95Nanos = int(lat.Quantile(0.95) * float64(time.Second))
-		info.LatencyP99Nanos = int(lat.Quantile(0.99) * float64(time.Second))
-	}
-	return info
 }
 
 // WorkerCount returns the current live fleet size.
@@ -568,7 +520,7 @@ func (c *Coordinator) serveWorker(mc *msgConn, reg wire.Message) {
 		name:    reg.Name,
 		mc:      mc,
 		dead:    make(chan struct{}),
-		waiters: map[string]chan wire.Message{},
+		waiters: map[replyKey]chan wire.Message{},
 	}
 	w.lastSeen.Store(time.Now().UnixNano())
 	// Chaos scopes to worker conversations only: the client admission
@@ -631,14 +583,8 @@ func (c *Coordinator) serveWorker(mc *msgConn, reg wire.Message) {
 		switch m.Type {
 		case wire.MsgHeartbeat:
 			// lastSeen update above is the whole point.
-		case wire.MsgPrepared:
-			w.route(fmt.Sprintf("prepared/%d", m.Config), m)
-		case wire.MsgReady:
-			w.route(fmt.Sprintf("ready/%d", m.Config), m)
-		case wire.MsgResult:
-			// Keyed by (job, attempt): a stale attempt's late result
-			// finds no waiter instead of satisfying the live attempt.
-			w.route(fmt.Sprintf("result/%d.%d", m.Job, m.Attempt), m)
+		case wire.MsgPrepared, wire.MsgReady, wire.MsgResult:
+			w.route(m)
 		case wire.MsgDrain:
 			c.beginDrain(w)
 		default:
@@ -852,19 +798,20 @@ func (c *Coordinator) monitorHeartbeats() {
 	}
 }
 
-// call registers interest in replyKey, sends m, and waits for the
-// reply — failing fast if the worker dies, the job is cancelled, or
-// the timeout passes. A reply whose Err field is set is returned as an
+// call registers interest in the reply to m (replyKeyOf), sends m, and
+// waits for it — failing fast if the worker dies, the job is cancelled,
+// or the timeout passes. A reply whose Err field is set is returned as an
 // error. Worker-loss failures wrap errWorkerLost (the retryable
 // class); cancellation returns errCancelled.
-func (w *workerConn) call(m wire.Message, replyKey string, timeout time.Duration, cancel <-chan struct{}) (wire.Message, error) {
+func (w *workerConn) call(m wire.Message, timeout time.Duration, cancel <-chan struct{}) (wire.Message, error) {
+	key := replyKeyOf(m)
 	ch := make(chan wire.Message, 1)
 	w.mu.Lock()
-	w.waiters[replyKey] = ch
+	w.waiters[key] = ch
 	w.mu.Unlock()
 	defer func() {
 		w.mu.Lock()
-		delete(w.waiters, replyKey)
+		delete(w.waiters, key)
 		w.mu.Unlock()
 	}()
 
@@ -884,13 +831,14 @@ func (w *workerConn) call(m wire.Message, replyKey string, timeout time.Duration
 	case <-cancel:
 		return wire.Message{}, errCancelled
 	case <-timer.C:
-		return wire.Message{}, fmt.Errorf("worker %q: timed out waiting for %s", w.name, replyKey)
+		return wire.Message{}, fmt.Errorf("worker %q: timed out waiting for %s %d", w.name, key.typ, key.id)
 	}
 }
 
-func (w *workerConn) route(key string, m wire.Message) {
+// route hands a reply to the call waiting for it, if one still is.
+func (w *workerConn) route(m wire.Message) {
 	w.mu.Lock()
-	ch := w.waiters[key]
+	ch := w.waiters[replyKeyOf(m)]
 	w.mu.Unlock()
 	if ch != nil {
 		select {
@@ -930,7 +878,8 @@ loop:
 			// snapshots interleave freely with in-flight submissions. A
 			// failed reply write means the client is gone — same
 			// teardown rule as a failed admission reply.
-			if cl.mc.write(wire.Message{Type: wire.MsgStatsRply, Job: m.Job, Stats: c.statsInfo()}) != nil {
+			s := c.Stats()
+			if cl.mc.write(wire.Message{Type: wire.MsgStatsRply, Job: m.Job, Stats: &s}) != nil {
 				break loop
 			}
 		default:
@@ -1261,7 +1210,7 @@ func (c *Coordinator) runJob(j *job) (wire.Message, runVerdict, *clusterConfig) 
 			Job:     j.id,
 			Attempt: attempt,
 			Kernels: kernels,
-		}, fmt.Sprintf("result/%d.%d", j.id, attempt), c.opts.JobTimeout, j.cancel)
+		}, c.opts.JobTimeout, j.cancel)
 		results[k] = reply
 		return err
 	})
@@ -1366,7 +1315,7 @@ func (c *Coordinator) buildConfig(key string, spec wire.AppSpec, cancel <-chan s
 			Ranks:  ranks,
 			RankLo: cfg.spans[k].Lo,
 			RankHi: cfg.spans[k].Hi,
-		}, fmt.Sprintf("prepared/%d", id), c.opts.SetupTimeout, cancel)
+		}, c.opts.SetupTimeout, cancel)
 		if err != nil {
 			return err
 		}
@@ -1388,7 +1337,7 @@ func (c *Coordinator) buildConfig(key string, spec wire.AppSpec, cancel <-chan s
 			Type:   wire.MsgConnect,
 			Config: id,
 			Addrs:  addrs,
-		}, fmt.Sprintf("ready/%d", id), c.opts.SetupTimeout, cancel)
+		}, c.opts.SetupTimeout, cancel)
 		return err
 	})
 	if err != nil {

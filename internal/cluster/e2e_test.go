@@ -163,8 +163,8 @@ func TestClusterEndToEndMultiProcess(t *testing.T) {
 		Workers: 6,
 		Graphs: []wire.GraphSpec{{
 			Steps: 3000, Width: 6, Type: "stencil_1d_periodic",
-			Kernel: "busy_wait", WaitNanos: int64(time.Millisecond),
-			Output: 64,
+			KernelSpec: wire.KernelSpec{Kernel: "busy_wait", WaitNanos: int64(time.Millisecond)},
+			Output:     64,
 		}},
 	}
 	type outcome struct {

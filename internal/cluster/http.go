@@ -77,18 +77,16 @@ type healthzReply struct {
 }
 
 func (s *httpServer) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	c := s.c
-	c.mu.Lock()
+	st := s.c.Stats()
 	reply := healthzReply{
 		Status:          "ok",
-		Workers:         len(c.workers),
-		WorkersDraining: c.drainingLocked(),
-		QueueLen:        len(c.queue),
-		QueueCap:        c.opts.QueueDepth,
-		JobsRunning:     int(c.metrics.running.Value()),
-		SchedulerSlots:  c.opts.Concurrency,
+		Workers:         st.Workers,
+		WorkersDraining: st.WorkersDraining,
+		QueueLen:        st.QueueLen,
+		QueueCap:        st.QueueCap,
+		JobsRunning:     st.JobsRunning,
+		SchedulerSlots:  st.Concurrency,
 	}
-	c.mu.Unlock()
 
 	switch {
 	case reply.Workers-reply.WorkersDraining < 1:

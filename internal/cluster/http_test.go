@@ -182,7 +182,7 @@ func TestMetricsOffDataPlane(t *testing.T) {
 	if coord.HTTPAddr() != "" {
 		t.Fatalf("HTTPAddr = %q without HTTP server", coord.HTTPAddr())
 	}
-	// The registry still exists (statsInfo percentiles read it), and
+	// The registry still exists (Stats reads its counters and percentiles), and
 	// scraping it directly is allowed even without the server.
 	var sb strings.Builder
 	if err := coord.metrics.reg.WritePrometheus(&sb); err != nil {

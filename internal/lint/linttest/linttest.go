@@ -29,17 +29,9 @@ import (
 // diagnostics with want comments.
 func Run(t *testing.T, a *lint.Analyzer, pkgs ...string) {
 	t.Helper()
-	RunDir(t, a, "testdata/src", pkgs...)
-}
-
-// RunDir is Run with an explicit source root, for suites that need
-// multiple versions of the same import path (e.g. a good and a bad
-// fake of taskbench/internal/wire).
-func RunDir(t *testing.T, a *lint.Analyzer, srcRoot string, pkgs ...string) {
-	t.Helper()
-	session, err := lint.LoadTree(srcRoot, pkgs...)
+	session, err := lint.LoadTree("testdata/src", pkgs...)
 	if err != nil {
-		t.Fatalf("loading %v from %s: %v", pkgs, srcRoot, err)
+		t.Fatalf("loading %v: %v", pkgs, err)
 	}
 	diags, err := session.Run(a)
 	if err != nil {

@@ -86,7 +86,7 @@ func Load(dir string, patterns ...string) (*Session, error) {
 		for i, f := range lp.GoFiles {
 			files[i] = filepath.Join(lp.Dir, f)
 		}
-		if _, err := c.check(lp.ImportPath, lp.Dir, files); err != nil {
+		if _, err := c.check(lp.ImportPath, files); err != nil {
 			return nil, err
 		}
 	}
@@ -133,7 +133,7 @@ func (c *checker) Import(path string) (*types.Package, error) {
 
 // check parses and type-checks one package from its source files and
 // adds it to the session.
-func (c *checker) check(path, dir string, filenames []string) (*Package, error) {
+func (c *checker) check(path string, filenames []string) (*Package, error) {
 	var files []*ast.File
 	for _, name := range filenames {
 		f, err := parser.ParseFile(c.session.Fset, name, nil, parser.ParseComments|parser.SkipObjectResolution)
@@ -154,7 +154,7 @@ func (c *checker) check(path, dir string, filenames []string) (*Package, error) 
 	if err != nil {
 		return nil, fmt.Errorf("type-check %s: %w", path, err)
 	}
-	pkg := &Package{Path: path, Dir: dir, Files: files, Types: tpkg, TypesInfo: info}
+	pkg := &Package{Path: path, Files: files, Types: tpkg, TypesInfo: info}
 	c.session.ByPath[path] = pkg
 	c.session.Packages = append(c.session.Packages, pkg)
 	return pkg, nil
@@ -239,7 +239,7 @@ func LoadTree(srcRoot string, paths ...string) (*Session, error) {
 	for _, path := range order {
 		sp := parsed[path]
 		sort.Strings(sp.files)
-		if _, err := c.check(path, filepath.Join(srcRoot, filepath.FromSlash(path)), sp.files); err != nil {
+		if _, err := c.check(path, sp.files); err != nil {
 			return nil, err
 		}
 	}

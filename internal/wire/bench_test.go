@@ -21,11 +21,11 @@ func benchMessage(shape string) Message {
 			Workers: 64,
 			Graphs: []GraphSpec{{
 				Steps: 1000, Width: 256, Type: "stencil_1d_periodic",
-				Kernel: "compute_bound", Iterations: 8192, Output: 65536,
+				KernelSpec: KernelSpec{Kernel: "compute_bound", Iterations: 8192}, Output: 65536,
 			}, {
 				Steps: 1000, Width: 128, Type: "fft",
-				Kernel: "memory_bound", SpanBytes: 1 << 20, Output: 1024,
-				Fraction: 0.5, Imbalance: 0.25,
+				KernelSpec: KernelSpec{Kernel: "memory_bound", SpanBytes: 1 << 20, Imbalance: 0.25},
+				Output:     1024, Fraction: 0.5,
 			}},
 		}}
 	}

@@ -18,18 +18,24 @@ package wire
 //	uvarint version | byte typeCode | fields of Message in struct order
 //
 // Strings are uvarint length + bytes; float64s are 8 fixed bytes of
-// IEEE-754 bits; the optional *AppSpec is a presence byte followed by
-// the spec's own fixed schedule. Zero fields cost one byte each, so a
+// IEEE-754 bits; an optional struct (*AppSpec, *StatsInfo) is a
+// presence byte, 0 or 1, followed when 1 by the struct's own fixed
+// schedule; the optional bool is one byte, 0 unset, 1 false, 2 true. A
+// GraphSpec's kernel fields are the KernelSpec schedule, the same one
+// a run's Kernels list uses. Zero fields cost one byte each, so a
 // heartbeat is ~20 bytes. Encoders append into free-listed buffers
 // (sync.Pool) and write one frame per syscall; decode allocates only
 // the strings and slices of the resulting Message.
 //
 // Every malformed input is an error, and the connection owner tears
 // the session down on it: a first byte other than 0xB1, a body beyond
-// MaxControlFrame, a string or list length exceeding the remaining
-// body (so a corrupt or hostile prefix cannot drive an unbounded
-// allocation), a newer version, an unknown type code, and bytes left
-// over after the schedule.
+// MaxControlFrame, a string length exceeding the remaining body, a
+// list length exceeding what the remaining body could hold at each
+// element's minimum encoded size (so a corrupt or hostile prefix cannot
+// drive an allocation larger than a small multiple of the frame), a
+// presence or optional-bool byte the encoder never writes, a newer
+// version, an unknown type code, and bytes left over after the
+// schedule.
 
 import (
 	"bufio"
@@ -265,11 +271,7 @@ func appendSpec(b []byte, spec AppSpec) []byte {
 		b = binary.AppendVarint(b, int64(g.Radix))
 		b = binary.AppendVarint(b, int64(g.Period))
 		b = appendFloat(b, g.Fraction)
-		b = appendString(b, g.Kernel)
-		b = binary.AppendVarint(b, g.Iterations)
-		b = binary.AppendVarint(b, g.SpanBytes)
-		b = binary.AppendVarint(b, g.WaitNanos)
-		b = appendFloat(b, g.Imbalance)
+		b = appendKernel(b, g.KernelSpec)
 		b = binary.AppendVarint(b, int64(g.Output))
 		b = binary.AppendVarint(b, g.Scratch)
 		b = binary.AppendUvarint(b, g.Seed)
@@ -399,15 +401,37 @@ func (r *binReader) float() float64 {
 	return f
 }
 
+// flag reads a one-byte enumeration and rejects values the encoder
+// never writes: a presence byte is 0 or 1 (max 1), the optional bool 0
+// unset, 1 false or 2 true (max 2).
+func (r *binReader) flag(max byte) byte {
+	c := r.byte()
+	if c > max {
+		r.fail("flag byte %d, want at most %d", c, max)
+		return 0
+	}
+	return c
+}
+
+// Minimum encoded sizes of the list elements, the bound count holds a
+// declared length to: every varint and string length is at least one
+// byte and a float is eight, so a kernel is 4×1+8, a graph 8×1+8 plus
+// its kernel, and an address one length byte.
+const (
+	minKernelBytes = 12
+	minGraphBytes  = 16 + minKernelBytes
+	minAddrBytes   = 1
+)
+
 // count reads a list length and rejects lengths that cannot fit in the
 // remaining body (each element costs at least minElem bytes), so a
-// corrupt count cannot drive an unbounded make().
+// corrupt count cannot make() more than the frame could ever fill.
 func (r *binReader) count(minElem int) int {
 	n := r.uvarint()
 	if r.err != nil {
 		return 0
 	}
-	if n > uint64(len(r.b)/minElem+1) {
+	if n > uint64(len(r.b)/minElem) {
 		r.fail("list length %d exceeds remaining %d bytes", n, len(r.b))
 		return 0
 	}
@@ -439,18 +463,18 @@ func decodeMessageBody(body []byte) (Message, error) {
 	m.Ranks = r.int()
 	m.RankLo = r.int()
 	m.RankHi = r.int()
-	if r.byte() != 0 && r.err == nil {
+	if r.flag(1) == 1 {
 		spec := decodeSpec(r)
 		m.Spec = &spec
 	}
-	if n := r.count(1); n > 0 {
+	if n := r.count(minKernelBytes); n > 0 {
 		m.Kernels = make([]KernelSpec, n)
 		for i := range m.Kernels {
 			m.Kernels[i] = decodeKernel(r)
 		}
 	}
 	m.Addr = r.string()
-	if n := r.count(1); n > 0 {
+	if n := r.count(minAddrBytes); n > 0 {
 		m.Addrs = make([]string, n)
 		for i := range m.Addrs {
 			m.Addrs[i] = r.string()
@@ -459,7 +483,7 @@ func decodeMessageBody(body []byte) (Message, error) {
 	m.ElapsedNanos = r.varint()
 	m.Workers = r.int()
 	m.Err = r.string()
-	if r.byte() != 0 && r.err == nil {
+	if r.flag(1) == 1 {
 		var s StatsInfo
 		for _, v := range statsFields(&s) {
 			*v = r.int()
@@ -477,7 +501,7 @@ func decodeMessageBody(body []byte) (Message, error) {
 
 func decodeSpec(r *binReader) AppSpec {
 	var spec AppSpec
-	if n := r.count(1); n > 0 {
+	if n := r.count(minGraphBytes); n > 0 {
 		spec.Graphs = make([]GraphSpec, n)
 		for i := range spec.Graphs {
 			spec.Graphs[i] = decodeGraph(r)
@@ -485,13 +509,9 @@ func decodeSpec(r *binReader) AppSpec {
 	}
 	spec.Workers = r.int()
 	spec.Nodes = r.int()
-	switch r.byte() {
-	case 1:
-		f := false
-		spec.Validate = &f
-	case 2:
-		tr := true
-		spec.Validate = &tr
+	if c := r.flag(2); c != 0 {
+		v := c == 2
+		spec.Validate = &v
 	}
 	return spec
 }
@@ -504,11 +524,7 @@ func decodeGraph(r *binReader) GraphSpec {
 	g.Radix = r.int()
 	g.Period = r.int()
 	g.Fraction = r.float()
-	g.Kernel = r.string()
-	g.Iterations = r.varint()
-	g.SpanBytes = r.varint()
-	g.WaitNanos = r.varint()
-	g.Imbalance = r.float()
+	g.KernelSpec = decodeKernel(r)
 	g.Output = r.int()
 	g.Scratch = r.varint()
 	g.Seed = r.uvarint()

@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -20,8 +21,8 @@ type goldenMessage struct {
 // predate the shared list and differ in how much of a message they
 // populate (messages.bin carries the reserved Proto slot and the
 // fuller prepare/run/statsreply; messages.jsonl a second run/result
-// pair) — and "" puts it in both. wireexhaustive needs every type in
-// both files, so a new type is one entry here.
+// pair) — and "" puts it in both. TestEveryMessageTypeInBothGoldens
+// needs every type in both files, so a new type is one entry here.
 func goldenMessages() []goldenMessage {
 	f := false
 	return []goldenMessage{
@@ -36,9 +37,12 @@ func goldenMessages() []goldenMessage {
 			Validate: &f,
 			Graphs: []GraphSpec{{
 				Steps: 20, Width: 6, Type: "stencil_1d_periodic",
-				Kernel: "compute_bound", Iterations: 64, Output: 128,
-				Radix: 3, Period: 5, Fraction: 0.25, Imbalance: 1.5,
-				SpanBytes: 4096, WaitNanos: 250, Scratch: 1 << 20, Seed: 42,
+				KernelSpec: KernelSpec{
+					Kernel: "compute_bound", Iterations: 64,
+					SpanBytes: 4096, WaitNanos: 250, Imbalance: 1.5,
+				},
+				Output: 128, Radix: 3, Period: 5, Fraction: 0.25,
+				Scratch: 1 << 20, Seed: 42,
 			}},
 		}}},
 		{"jsonl", Message{Type: MsgPrepare, Config: 7, Ranks: 6, RankLo: 2, RankHi: 4, Spec: &AppSpec{
@@ -46,7 +50,7 @@ func goldenMessages() []goldenMessage {
 			Validate: &f,
 			Graphs: []GraphSpec{{
 				Steps: 20, Width: 6, Type: "stencil_1d_periodic",
-				Kernel: "compute_bound", Iterations: 64, Output: 128,
+				KernelSpec: KernelSpec{Kernel: "compute_bound", Iterations: 64}, Output: 128,
 			}},
 		}}},
 		{"", Message{Type: MsgPrepared, Config: 7, Addr: "127.0.0.1:40721"}},
@@ -147,6 +151,64 @@ func TestBinaryTruncation(t *testing.T) {
 			if _, err := ReadMessageFrom(bufio.NewReader(bytes.NewReader(frame[:cut]))); err == nil {
 				t.Fatalf("%s: stream read of %d/%d-byte prefix succeeded", m.Type, cut, len(frame))
 			}
+		}
+	}
+}
+
+// TestBinaryHostileListLength pins the list-length bound to what the
+// body could hold: a submit whose graph count claims 2^20 elements over
+// 1 MiB of zeros (which would decode as ~37k empty graphs before
+// running out) is refused at the count, before the decoder allocates
+// the 128 MiB of GraphSpec the count asks for.
+func TestBinaryHostileListLength(t *testing.T) {
+	body := binary.AppendUvarint(nil, ProtoVersion)
+	body = append(body, msgCodes[MsgSubmit])
+	body = append(body, make([]byte, 10)...) // Proto … RankHi, all zero
+	body = append(body, 1)                   // Spec present
+	body = binary.AppendUvarint(body, 1<<20)
+	body = append(body, make([]byte, 1<<20)...)
+	frame := binary.AppendUvarint([]byte{BinMagic}, uint64(len(body)))
+	frame = append(frame, body...)
+
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := DecodeMessageBinary(frame)
+	runtime.ReadMemStats(&after)
+	if err == nil || !strings.Contains(err.Error(), "list length") {
+		t.Errorf("hostile count not refused as a list length: %v", err)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 1<<20 {
+		t.Errorf("decoder allocated %d bytes before refusing a 1 MiB body", got)
+	}
+}
+
+// nonCanonicalFrames are valid frames but for one presence or
+// optional-bool byte the encoder never writes. Offsets count back from
+// the frame's end, where the schedule is one-byte zero fields: after an
+// empty spec's presence byte come graphs(0) workers nodes validate,
+// then kernels(0) addr addrs(0) elapsed workers err stats-presence.
+func nonCanonicalFrames() map[string][]byte {
+	tamper := func(m Message, fromEnd int, c byte) []byte {
+		frame, _ := AppendMessageBinary(nil, m)
+		frame[len(frame)-fromEnd] = c
+		return frame
+	}
+	submit := Message{Type: MsgSubmit, Spec: &AppSpec{}}
+	reply := Message{Type: MsgStatsRply, Stats: &StatsInfo{}}
+	return map[string][]byte{
+		"spec presence 0xFF": tamper(submit, 12, 0xFF),
+		"validate byte 3":    tamper(submit, 8, 3),
+		"stats presence 2":   tamper(reply, 1+len(statsFields(&StatsInfo{})), 2),
+	}
+}
+
+// TestBinaryRejectsNonCanonicalBytes holds the decoder to the header's
+// "every malformed input is an error": such bytes are refused, not read
+// as "present" or "unset".
+func TestBinaryRejectsNonCanonicalBytes(t *testing.T) {
+	for name, frame := range nonCanonicalFrames() {
+		if m, err := DecodeMessageBinary(frame); err == nil || !strings.Contains(err.Error(), "flag byte") {
+			t.Errorf("%s: accepted as %+v (err %v)", name, m, err)
 		}
 	}
 }

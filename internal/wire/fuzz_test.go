@@ -97,6 +97,9 @@ func FuzzMessageBinary(f *testing.F) {
 		f.Add(flipped)
 	}
 	f.Add([]byte{BinMagic, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x7F})
+	for _, frame := range nonCanonicalFrames() {
+		f.Add(frame)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		m, err := DecodeMessageBinary(data)
 		if err != nil {

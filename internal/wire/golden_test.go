@@ -55,8 +55,7 @@ func TestGoldenSpecDecode(t *testing.T) {
 }
 
 // TestGoldenMessages pins the JSON rendering of the control messages
-// (the human-readable fixture beside messages.bin, and what
-// wireexhaustive reads): every message type, one line each, decoding
+// (the human-readable fixture beside messages.bin): every message type, one line each, decoding
 // back to the message it was rendered from.
 func TestGoldenMessages(t *testing.T) {
 	msgs := goldenFor("jsonl")
@@ -128,7 +127,7 @@ func TestGoldenMessagesBinary(t *testing.T) {
 func TestShapeKeyIgnoresKernels(t *testing.T) {
 	base := AppSpec{Workers: 4, Graphs: []GraphSpec{{
 		Steps: 10, Width: 4, Type: "stencil_1d",
-		Kernel: "compute_bound", Iterations: 1024,
+		KernelSpec: KernelSpec{Kernel: "compute_bound", Iterations: 1024},
 	}}}
 	kernelSwap := base
 	kernelSwap.Graphs = []GraphSpec{base.Graphs[0]}

@@ -133,7 +133,9 @@ type StatsInfo struct {
 // KernelSpec is the JSON form of one graph's kernel configuration —
 // the part of a job that changes between runs of the same
 // configuration (an METG sweep shrinks Iterations while the DAG shape,
-// and therefore the prepared session, stays fixed).
+// and therefore the prepared session, stays fixed). GraphSpec embeds
+// it, so these five fields are declared, converted and encoded here
+// only.
 type KernelSpec struct {
 	Kernel     string  `json:"kernel,omitempty"`
 	Iterations int64   `json:"iterations,omitempty"`
@@ -250,11 +252,7 @@ func ShapeKey(spec AppSpec) string {
 	shape := spec
 	shape.Graphs = make([]GraphSpec, len(spec.Graphs))
 	for i, g := range spec.Graphs {
-		g.Kernel = ""
-		g.Iterations = 0
-		g.SpanBytes = 0
-		g.WaitNanos = 0
-		g.Imbalance = 0
+		g.KernelSpec = KernelSpec{}
 		shape.Graphs[i] = g
 	}
 	b, err := json.Marshal(shape)
@@ -270,13 +268,7 @@ func ShapeKey(spec AppSpec) string {
 func KernelsOf(spec AppSpec) []KernelSpec {
 	ks := make([]KernelSpec, len(spec.Graphs))
 	for i, g := range spec.Graphs {
-		ks[i] = KernelSpec{
-			Kernel:     g.Kernel,
-			Iterations: g.Iterations,
-			SpanBytes:  g.SpanBytes,
-			WaitNanos:  g.WaitNanos,
-			Imbalance:  g.Imbalance,
-		}
+		ks[i] = g.KernelSpec
 	}
 	return ks
 }

@@ -8,28 +8,25 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"time"
 
 	"taskbench/internal/core"
-	"taskbench/internal/kernels"
 )
 
-// GraphSpec is the JSON form of one task graph.
+// GraphSpec is the JSON form of one task graph. The kernel fields are
+// the embedded KernelSpec: encoding/json promotes them, so they render
+// flat, between fraction and output_bytes, and the binary schedule
+// (binary.go) visits them at the same position.
 type GraphSpec struct {
-	Steps      int     `json:"steps"`
-	Width      int     `json:"width"`
-	Type       string  `json:"type"`
-	Radix      int     `json:"radix,omitempty"`
-	Period     int     `json:"period,omitempty"`
-	Fraction   float64 `json:"fraction,omitempty"`
-	Kernel     string  `json:"kernel,omitempty"`
-	Iterations int64   `json:"iterations,omitempty"`
-	SpanBytes  int64   `json:"span_bytes,omitempty"`
-	WaitNanos  int64   `json:"wait_nanos,omitempty"`
-	Imbalance  float64 `json:"imbalance,omitempty"`
-	Output     int     `json:"output_bytes,omitempty"`
-	Scratch    int64   `json:"scratch_bytes,omitempty"`
-	Seed       uint64  `json:"seed,omitempty"`
+	Steps    int     `json:"steps"`
+	Width    int     `json:"width"`
+	Type     string  `json:"type"`
+	Radix    int     `json:"radix,omitempty"`
+	Period   int     `json:"period,omitempty"`
+	Fraction float64 `json:"fraction,omitempty"`
+	KernelSpec
+	Output  int    `json:"output_bytes,omitempty"`
+	Scratch int64  `json:"scratch_bytes,omitempty"`
+	Seed    uint64 `json:"seed,omitempty"`
 }
 
 // AppSpec is the JSON form of a full configuration.
@@ -48,17 +45,12 @@ func FromApp(app *core.App) AppSpec {
 		spec.Validate = &f
 	}
 	for _, g := range app.Graphs {
-		gs := GraphSpec{
+		spec.Graphs = append(spec.Graphs, GraphSpec{
 			Steps: g.Timesteps, Width: g.MaxWidth, Type: g.Dependence.String(),
 			Radix: g.Radix, Period: g.Period, Fraction: g.Fraction,
-			Iterations: g.Kernel.Iterations, SpanBytes: g.Kernel.SpanBytes,
-			WaitNanos: int64(g.Kernel.WaitDuration), Imbalance: g.Kernel.ImbalanceFactor,
-			Output: g.OutputBytes, Scratch: g.ScratchBytes, Seed: g.Seed,
-		}
-		if g.Kernel.Type != kernels.Empty {
-			gs.Kernel = g.Kernel.Type.String()
-		}
-		spec.Graphs = append(spec.Graphs, gs)
+			KernelSpec: KernelSpecOf(g.Kernel),
+			Output:     g.OutputBytes, Scratch: g.ScratchBytes, Seed: g.Seed,
+		})
 	}
 	return spec
 }
@@ -77,15 +69,9 @@ func (spec AppSpec) ToApp() (*core.App, error) {
 		if err != nil {
 			return nil, fmt.Errorf("wire: graph %d: %w", gi, err)
 		}
-		k := kernels.Config{
-			Iterations: gs.Iterations, SpanBytes: gs.SpanBytes,
-			WaitDuration: time.Duration(gs.WaitNanos), ImbalanceFactor: gs.Imbalance,
-		}
-		if gs.Kernel != "" {
-			k.Type, err = kernels.ParseType(gs.Kernel)
-			if err != nil {
-				return nil, fmt.Errorf("wire: graph %d: %w", gi, err)
-			}
+		k, err := gs.ToConfig()
+		if err != nil {
+			return nil, fmt.Errorf("wire: graph %d: %w", gi, err)
 		}
 		g, err := core.New(core.Params{
 			GraphID: gi, Timesteps: gs.Steps, MaxWidth: gs.Width, Dependence: dep,

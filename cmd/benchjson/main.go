@@ -12,9 +12,11 @@
 //	benchjson -diff bench-prev/BENCH_GATE.json BENCH_GATE.json -gate 10
 //
 // With -gate the process exits nonzero if any benchmark present in both
-// reports slowed by more than the given percentage of ns/op, or
-// increased its allocs/op at all (the hot paths are zero-alloc by
-// design, so any new allocation is a regression, not noise). Which
+// reports slowed by more than the given percentage of ns/op, or grew
+// its allocs/op: at all where the baseline is 0 (the hot paths are
+// zero-alloc by design, so any new allocation is a regression, not
+// noise), by more than the same percentage elsewhere (a plan build's
+// five-digit count moves with the run, not only with the code). Which
 // benchmarks are gated is decided by what `go test -bench` ran — every
 // Go benchmark in the module — not here. Measurement proper is bench/.
 package main
@@ -187,7 +189,8 @@ func parse(r io.Reader) (*Report, error) {
 // status stays zero — the table is a trail; thresholds belong to
 // whoever reads it. With gatePct set, the diff becomes a CI tripwire:
 // a benchmark present in both reports that slowed by more than gatePct
-// percent of ns/op, or allocated more per op at all, is an error.
+// percent of ns/op, or whose allocs/op grew from 0 or by more than
+// gatePct percent of a non-zero baseline, is an error.
 // Appearing and vanishing benchmarks never trip the gate — renames and
 // new coverage are not regressions.
 func diff(w io.Writer, oldPath, newPath string, gatePct float64) error {
@@ -234,7 +237,7 @@ func diff(w io.Writer, oldPath, newPath string, gatePct float64) error {
 					tripped = append(tripped, fmt.Sprintf("%s: ns/op %+.1f%% exceeds +%.1f%%",
 						name, 100*(n.NsPerOp-o.NsPerOp)/o.NsPerOp, gatePct))
 				}
-				if o.AllocsPerOp != nil && n.AllocsPerOp != nil && *n.AllocsPerOp > *o.AllocsPerOp {
+				if o.AllocsPerOp != nil && n.AllocsPerOp != nil && *n.AllocsPerOp > *o.AllocsPerOp*(1+gatePct/100) {
 					tripped = append(tripped, fmt.Sprintf("%s: allocs/op %.0f → %.0f",
 						name, *o.AllocsPerOp, *n.AllocsPerOp))
 				}

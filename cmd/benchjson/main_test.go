@@ -162,6 +162,39 @@ func TestGateTripsOnAllocIncrease(t *testing.T) {
 	}
 }
 
+// TestGateHoldsNonZeroAllocsToPercent pins the other half of the
+// allocs rule: a benchmark that already allocates (a plan build's
+// thousands of objects) is held to the -gate percentage, not tripped by
+// one extra object, while a zero-alloc baseline still trips on one.
+func TestGateHoldsNonZeroAllocsToPercent(t *testing.T) {
+	f := func(v float64) *float64 { return &v }
+	for _, c := range []struct {
+		name     string
+		old, new float64
+		trips    bool
+	}{
+		{"zero_baseline_plus_one", 0, 1, true},
+		{"nonzero_within_gate", 10000, 10900, false},
+		{"nonzero_beyond_gate", 10000, 11100, true},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			dir := t.TempDir()
+			oldPath := writeReport(t, dir, "old.json", Report{Benchmarks: map[string]Result{
+				"BenchmarkX": {NsPerOp: 100, AllocsPerOp: f(c.old)},
+			}})
+			newPath := writeReport(t, dir, "new.json", Report{Benchmarks: map[string]Result{
+				"BenchmarkX": {NsPerOp: 100, AllocsPerOp: f(c.new)},
+			}})
+			var out strings.Builder
+			err := diff(&out, oldPath, newPath, 10)
+			if tripped := err != nil; tripped != c.trips {
+				t.Errorf("allocs/op %.0f → %.0f at -gate 10: tripped=%v, want %v\n%s",
+					c.old, c.new, tripped, c.trips, out.String())
+			}
+		})
+	}
+}
+
 // TestGateDisjointReports pins the gate to the intersection of the two
 // reports: with fully disjoint benchmark sets — a baseline from before a
 // wholesale benchmark rename, say — there is nothing to compare, so the

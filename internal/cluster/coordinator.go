@@ -523,17 +523,32 @@ func (c *Coordinator) serveWorker(mc *msgConn, reg wire.Message) {
 		waiters: map[replyKey]chan wire.Message{},
 	}
 	w.lastSeen.Store(time.Now().UnixNano())
+	c.mu.Lock()
+	c.nextWorker++
+	w.id = c.nextWorker
+	c.mu.Unlock()
+	if w.name == "" {
+		w.name = fmt.Sprintf("worker-%d", w.id)
+	}
 	// Chaos scopes to worker conversations only: the client admission
 	// protocol matches replies to submits in FIFO order, so dropping a
 	// client frame would desynchronize the connection rather than
 	// exercise a recoverable fault. Forked per worker connection so
 	// concurrent workers cannot perturb each other's schedules.
-	c.mu.Lock()
-	c.nextWorker++
-	w.id = c.nextWorker
-	if w.name == "" {
-		w.name = fmt.Sprintf("worker-%d", w.id)
+	mc.chaos = c.opts.Chaos.Fork(fmt.Sprintf("coord-worker-%d", w.id))
+	// Welcome goes out before the worker is published: once it is in
+	// c.workers a provisioning job may write prepare to it, and the
+	// worker's first frame must be welcome.
+	if err := mc.write(wire.Message{
+		Type:           wire.MsgWelcome,
+		Worker:         w.id,
+		HeartbeatNanos: int64(c.opts.HeartbeatInterval),
+	}); err != nil {
+		c.opts.Logf("cluster: worker %q from %s: welcome: %v", w.name, mc.remoteAddr(), err)
+		return
 	}
+
+	c.mu.Lock()
 	// A named worker re-registering after a fast restart replaces its
 	// stale fleet entry instead of double-counting slots: the old
 	// connection is a corpse the heartbeat monitor has not yet noticed.
@@ -558,18 +573,8 @@ func (c *Coordinator) serveWorker(mc *msgConn, reg wire.Message) {
 		}
 	}
 	c.mu.Unlock()
-	mc.chaos = c.opts.Chaos.Fork(fmt.Sprintf("coord-worker-%d", w.id))
 	if replaced != nil {
 		c.markDead(replaced, fmt.Errorf("replaced by re-registration from %s", mc.remoteAddr()))
-	}
-
-	if err := mc.write(wire.Message{
-		Type:           wire.MsgWelcome,
-		Worker:         w.id,
-		HeartbeatNanos: int64(c.opts.HeartbeatInterval),
-	}); err != nil {
-		c.markDead(w, fmt.Errorf("welcome: %w", err))
-		return
 	}
 	c.opts.Logf("cluster: worker %q registered from %s", w.name, mc.remoteAddr())
 

@@ -1,10 +1,13 @@
 package cluster
 
 import (
+	"bufio"
+	"net"
 	"testing"
 	"time"
 
 	"taskbench/internal/chaos"
+	"taskbench/internal/wire"
 )
 
 // TestClusterJoinReprovisionsShape pins join-triggered growth: a shape
@@ -263,4 +266,66 @@ func TestClusterChaosHeartbeatMute(t *testing.T) {
 	waitStats(t, coord, "muted worker times out", 10*time.Second, func(s Stats) bool {
 		return s.Workers == 1
 	})
+}
+
+// TestClusterWelcomePrecedesPrepare pins the registration order: a
+// worker is published to the fleet only after its welcome is written,
+// so a job already waiting for the fleet to grow cannot send prepare
+// first (nor read the connection's chaos injector while serveWorker is
+// still setting it — a race -race reports on every join if the order
+// regresses). The waiting job is parked by draining the only real
+// worker under a running job; each raw-socket worker that joins must
+// see welcome and then that job's prepare, and then hangs up, which
+// parks the job again for the next join.
+func TestClusterWelcomePrecedesPrepare(t *testing.T) {
+	const joins = 25
+	coord, workers := testFleetOpts(t, 1, func(o *Options) { o.MaxAttempts = 2*joins + 4 })
+	cli, err := Dial(coord.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cli.Close()
+	hold, err := cli.SubmitAsync(busySpec(1, 1, 60000, time.Millisecond))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer hold.Cancel()
+	waitStats(t, coord, "holding job running", 20*time.Second, func(s Stats) bool { return s.JobsRunning >= 1 })
+	if err := workers[0].Drain(); err != nil {
+		t.Fatal(err)
+	}
+	waitStats(t, coord, "drain observed", 5*time.Second, func(s Stats) bool { return s.WorkersDraining == 1 })
+
+	// Every live worker is draining, so this job's attempts fail
+	// retryably and wait for the next fleet change.
+	waiting, err := cli.SubmitAsync(stencilSpec(1, 8))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer waiting.Cancel()
+	for k := 0; k < joins; k++ {
+		// One retry per join for the dead raw worker, one for finding
+		// the fleet all-draining again: the job is parked once more.
+		retried := 1 + 2*k
+		waitStats(t, coord, "job parked", 10*time.Second, func(s Stats) bool { return s.JobsRetried >= retried })
+		conn, err := net.Dial("tcp", coord.Addr())
+		if err != nil {
+			t.Fatal(err)
+		}
+		conn.SetDeadline(time.Now().Add(10 * time.Second))
+		if err := wire.WriteMessageBinary(conn, wire.Message{Type: wire.MsgRegister}); err != nil {
+			t.Fatal(err)
+		}
+		br := bufio.NewReader(conn)
+		for _, want := range []string{wire.MsgWelcome, wire.MsgPrepare} {
+			m, err := wire.ReadMessageFrom(br)
+			if err != nil {
+				t.Fatalf("join %d: reading %s: %v", k, want, err)
+			}
+			if m.Type != want {
+				t.Fatalf("join %d: expected %s, got %q", k, want, m.Type)
+			}
+		}
+		conn.Close()
+	}
 }

@@ -1,6 +1,9 @@
 package core
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"errors"
 	"strings"
 	"testing"
@@ -22,6 +25,51 @@ func TestWriteOutputUnique(t *testing.T) {
 			}
 			seen[key] = true
 		}
+	}
+}
+
+// pinnedPayloadDigest is the SHA-256 of every payload
+// TestWriteOutputPinned writes, in order, computed at the commit before
+// WriteOutput's fill loop was strength-reduced. Fleet peers and
+// checkInput read these bytes, so a change here is a protocol change.
+const pinnedPayloadDigest = "754147c63f32502f18bed8ddc1d8374fd8e5d4428b123a935aeaa4ba5a648205"
+
+// TestWriteOutputPinned holds WriteOutput byte for byte to its
+// definition — the little-endian (t, i) header followed by fillByteAt
+// at every offset — and the whole set to pinnedPayloadDigest. Lengths
+// 16–300 cross every 32-byte-trip / 8-byte-lane / sub-word-tail
+// combination, 4096 / 4099 are tcp_payload's size with and without a
+// tail, and the (t, i) pairs include 0 and values at or above 2^32 so
+// both halves of the seed's t<<32 ^ i mixing are exercised.
+func TestWriteOutputPinned(t *testing.T) {
+	var sizes []int
+	for n := PayloadHeaderSize; n <= 300; n++ {
+		sizes = append(sizes, n)
+	}
+	sizes = append(sizes, 4096, 4099)
+	g := MustNew(Params{Timesteps: 1, MaxWidth: 1})
+	h := sha256.New()
+	for _, p := range [][2]int{{0, 0}, {3, 5}, {1 << 32, 1}, {2, 1<<32 + 7}, {1 << 40, 1 << 33}} {
+		seed := fillSeed(p[0], p[1])
+		for _, n := range sizes {
+			buf := make([]byte, n)
+			g.WriteOutput(p[0], p[1], buf)
+			h.Write(buf)
+			want := make([]byte, n)
+			binary.LittleEndian.PutUint64(want[0:8], uint64(int64(p[0])))
+			binary.LittleEndian.PutUint64(want[8:16], uint64(int64(p[1])))
+			for k := PayloadHeaderSize; k < n; k++ {
+				want[k] = fillByteAt(seed, k)
+			}
+			for k := range want {
+				if buf[k] != want[k] {
+					t.Fatalf("(t=%d, i=%d, n=%d): byte %d = %#x, want %#x", p[0], p[1], n, k, buf[k], want[k])
+				}
+			}
+		}
+	}
+	if got := hex.EncodeToString(h.Sum(nil)); got != pinnedPayloadDigest {
+		t.Errorf("payload digest = %s, want %s", got, pinnedPayloadDigest)
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"net"
+	goruntime "runtime"
 	"strings"
 	"testing"
 	"time"
@@ -222,55 +223,68 @@ func expectTeardown(t *testing.T, tr *MeshTransport, want string) {
 	}
 }
 
+// frame packs little-endian 32-bit fields into wire bytes: a frame
+// header is four fields, a batch header plus one descriptor eight.
+func frame(fields ...uint32) []byte {
+	b := make([]byte, 0, 4*len(fields))
+	for _, f := range fields {
+		b = binary.LittleEndian.AppendUint32(b, f)
+	}
+	return b
+}
+
 // TestDemuxRejectsOversizedFrame pins the max-frame guard: a corrupt
 // length prefix must tear the mesh down cleanly — error surfaced,
 // Recvs unblocked — instead of attempting a quarter-gigabyte-plus
 // allocation or hanging.
 func TestDemuxRejectsOversizedFrame(t *testing.T) {
 	tr, conn := corruptibleMesh(t)
-	var header [frameHeaderSize]byte
-	binary.LittleEndian.PutUint32(header[0:4], MaxFrameLen+1)
-	binary.LittleEndian.PutUint32(header[4:8], 0) // graph 0
-	binary.LittleEndian.PutUint32(header[8:12], 1)
-	binary.LittleEndian.PutUint32(header[12:16], 0)
-	if _, err := conn.Write(header[:]); err != nil {
+	if _, err := conn.Write(frame(MaxFrameLen+1, 0, 1, 0)); err != nil {
 		t.Fatal(err)
 	}
 	expectTeardown(t, tr, "exceeds limit")
 }
 
-// TestDemuxRejectsMalformedBatch pins batch-header validation: a
+// malformedBatches are batch frames whose headers do not add up: a
 // descriptor section that does not match the edge count, and payload
-// lengths that overrun the declared body, both tear the mesh down.
+// lengths that overrun the declared body.
+var malformedBatches = []struct {
+	name  string
+	frame []byte
+	want  string
+}{
+	// 3 edges but 1 descriptor.
+	{"desc_count_mismatch", frame(64, batchMarker, 3, 16), "malformed batch"},
+	// Body: 1 descriptor + 8 payload bytes, but the payload claims 100.
+	{"payload_overruns_body", frame(descSize+8, batchMarker, 1, descSize, 100, 0, 1, 0), "overrun"},
+}
+
+// TestDemuxRejectsMalformedBatch pins batch-header validation: both
+// malformedBatches tear the mesh down.
 func TestDemuxRejectsMalformedBatch(t *testing.T) {
-	t.Run("desc_count_mismatch", func(t *testing.T) {
-		tr, conn := corruptibleMesh(t)
-		var header [frameHeaderSize]byte
-		binary.LittleEndian.PutUint32(header[0:4], 64)
-		binary.LittleEndian.PutUint32(header[4:8], batchMarker)
-		binary.LittleEndian.PutUint32(header[8:12], 3)   // 3 edges…
-		binary.LittleEndian.PutUint32(header[12:16], 16) // …but 1 descriptor
-		if _, err := conn.Write(header[:]); err != nil {
-			t.Fatal(err)
-		}
-		expectTeardown(t, tr, "malformed batch")
-	})
-	t.Run("payload_overruns_body", func(t *testing.T) {
-		tr, conn := corruptibleMesh(t)
-		var frame [frameHeaderSize + descSize]byte
-		binary.LittleEndian.PutUint32(frame[0:4], descSize+8) // body: 1 desc + 8 payload bytes
-		binary.LittleEndian.PutUint32(frame[4:8], batchMarker)
-		binary.LittleEndian.PutUint32(frame[8:12], 1)
-		binary.LittleEndian.PutUint32(frame[12:16], descSize)
-		binary.LittleEndian.PutUint32(frame[16:20], 100) // …payload claims 100
-		binary.LittleEndian.PutUint32(frame[20:24], 0)   // graph
-		binary.LittleEndian.PutUint32(frame[24:28], 1)   // producer
-		binary.LittleEndian.PutUint32(frame[28:32], 0)   // consumer
-		if _, err := conn.Write(frame[:]); err != nil {
-			t.Fatal(err)
-		}
-		expectTeardown(t, tr, "overrun")
-	})
+	for _, c := range malformedBatches {
+		t.Run(c.name, func(t *testing.T) {
+			tr, conn := corruptibleMesh(t)
+			if _, err := conn.Write(c.frame); err != nil {
+				t.Fatal(err)
+			}
+			expectTeardown(t, tr, c.want)
+		})
+	}
+}
+
+// badRoutes are routes the demux must refuse; corruptibleMesh's only
+// inbound edge is g0 1→0, 64-byte payloads.
+var badRoutes = []struct {
+	name                            string
+	plen, graph, producer, consumer uint32
+	want                            string
+}{
+	{"unknown_graph", 64, 3, 1, 0, "unknown edge g3 1→0"},
+	{"unknown_edge", 64, 0, 0, 0, "unknown edge g0 0→0"},
+	{"edge_consumed_elsewhere", 64, 0, 0, 1, "unknown edge g0 0→1"},
+	{"column_out_of_range", 64, 0, 1, 1 << 20, "unknown edge"},
+	{"payload_over_bound", 65, 0, 1, 0, "exceeds the graph's 64"},
 }
 
 // TestDemuxRejectsBadRoute pins the order of the demux checks: the
@@ -280,45 +294,120 @@ func TestDemuxRejectsMalformedBatch(t *testing.T) {
 // demux that went for the body first would sit in the read and never
 // tear down.
 func TestDemuxRejectsBadRoute(t *testing.T) {
-	// corruptibleMesh's only inbound edge is g0 1→0, 64-byte payloads.
-	for _, c := range []struct {
-		name                            string
-		plen, graph, producer, consumer uint32
-		want                            string
-	}{
-		{"unknown_graph", 64, 3, 1, 0, "unknown edge g3 1→0"},
-		{"unknown_edge", 64, 0, 0, 0, "unknown edge g0 0→0"},
-		{"edge_consumed_elsewhere", 64, 0, 0, 1, "unknown edge g0 0→1"},
-		{"column_out_of_range", 64, 0, 1, 1 << 20, "unknown edge"},
-		{"payload_over_bound", 65, 0, 1, 0, "exceeds the graph's 64"},
-	} {
-		route := func(b []byte) {
-			binary.LittleEndian.PutUint32(b[0:4], c.plen)
-			binary.LittleEndian.PutUint32(b[4:8], c.graph)
-			binary.LittleEndian.PutUint32(b[8:12], c.producer)
-			binary.LittleEndian.PutUint32(b[12:16], c.consumer)
+	for _, c := range badRoutes {
+		for _, f := range []struct {
+			name  string
+			frame []byte
+		}{
+			{"single", frame(c.plen, c.graph, c.producer, c.consumer)},
+			{"batched", frame(descSize+c.plen, batchMarker, 1, descSize, c.plen, c.graph, c.producer, c.consumer)},
+		} {
+			t.Run(c.name+"/"+f.name, func(t *testing.T) {
+				tr, conn := corruptibleMesh(t)
+				if _, err := conn.Write(f.frame); err != nil {
+					t.Fatal(err)
+				}
+				expectTeardown(t, tr, c.want)
+			})
 		}
-		t.Run(c.name+"/single", func(t *testing.T) {
-			tr, conn := corruptibleMesh(t)
-			var header [frameHeaderSize]byte
-			route(header[:])
-			if _, err := conn.Write(header[:]); err != nil {
-				t.Fatal(err)
+	}
+}
+
+// FuzzBatchFrame writes arbitrary bytes into a live mesh's inbound
+// link after a valid handshake, then hangs up. Whatever the bytes, the
+// mesh must end in an error (the hang-up guarantees one) within a
+// deadline, every payload it delivered before that must fit the
+// graph's 64-byte OutputBytes, nothing may panic, and the demux may
+// allocate only in proportion to the bytes it was sent — far below
+// MaxFrameLen, whatever the headers claim.
+func FuzzBatchFrame(f *testing.F) {
+	payload := bytes.Repeat([]byte{0xa5}, 64)
+	f.Add(append(frame(descSize+64, batchMarker, 1, descSize, 64, 0, 1, 0), payload...))
+	f.Add(append(frame(64, 0, 1, 0), payload...))
+	f.Add(frame(MaxFrameLen+1, 0, 1, 0))
+	f.Add(frame(MaxFrameLen, batchMarker, MaxFrameLen/descSize, MaxFrameLen))
+	for _, c := range malformedBatches {
+		f.Add(c.frame)
+	}
+	for _, c := range badRoutes {
+		f.Add(frame(c.plen, c.graph, c.producer, c.consumer))
+		f.Add(frame(descSize+c.plen, batchMarker, 1, descSize, c.plen, c.graph, c.producer, c.consumer))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		tr, conn := corruptibleMesh(t)
+		var before, after goruntime.MemStats
+		goruntime.ReadMemStats(&before)
+		go func() {
+			conn.Write(data)
+			conn.Close()
+		}()
+		drained := make(chan int, 1)
+		go func() {
+			for {
+				p := tr.Recv(0, 1, 0)
+				if p == nil || len(p) > 64 {
+					drained <- len(p)
+					return
+				}
 			}
-			expectTeardown(t, tr, c.want)
-		})
-		t.Run(c.name+"/batched", func(t *testing.T) {
-			tr, conn := corruptibleMesh(t)
-			var frame [frameHeaderSize + descSize]byte
-			binary.LittleEndian.PutUint32(frame[0:4], descSize+c.plen)
-			binary.LittleEndian.PutUint32(frame[4:8], batchMarker)
-			binary.LittleEndian.PutUint32(frame[8:12], 1)
-			binary.LittleEndian.PutUint32(frame[12:16], descSize)
-			route(frame[frameHeaderSize:])
-			if _, err := conn.Write(frame[:]); err != nil {
-				t.Fatal(err)
+		}()
+		select {
+		case n := <-drained:
+			if n > 64 {
+				t.Fatalf("delivered a %d-byte payload on a 64-byte graph", n)
 			}
-			expectTeardown(t, tr, c.want)
+		case <-time.After(10 * time.Second):
+			t.Fatal("mesh neither delivered nor tore down within 10s")
+		}
+		if tr.Err() == nil {
+			t.Fatal("Recv unblocked with nil but the mesh reports no error")
+		}
+		goruntime.ReadMemStats(&after)
+		if alloc, bound := after.TotalAlloc-before.TotalAlloc, uint64(4*len(data)+1<<20); alloc > bound {
+			t.Fatalf("%d input bytes drove %d bytes of allocation, want <= %d", len(data), alloc, bound)
+		}
+	})
+}
+
+// TestMeshFlushAllocatesNothing pins that a warm send and flush
+// allocate nothing in either framing mode: the frame header and the
+// writev vector live in the rank pair's pendBatch, not in locals whose
+// address net.Buffers.WriteTo would move to the heap on every write.
+// hotpathalloc reads source, so it cannot see allocations that only
+// escape analysis introduces; this test can.
+func TestMeshFlushAllocatesNothing(t *testing.T) {
+	for _, mode := range []struct {
+		name    string
+		noBatch bool
+	}{{"batched", false}, {"unbatched", true}} {
+		t.Run(mode.name, func(t *testing.T) {
+			app := core.NewApp(core.MustNew(core.Params{
+				Timesteps: 2, MaxWidth: 2, Dependence: core.Stencil1DPeriodic,
+				OutputBytes: 64,
+			}))
+			app.Workers = 2
+			_, tr := soloMesh(t, app, 2, mode.noBatch)
+			defer tr.Close()
+			payload := make([]byte, 64)
+			step := func() {
+				if err := tr.Send(0, 0, 0, 1, payload); err != nil {
+					t.Fatal(err)
+				}
+				if err := tr.Flush(0); err != nil {
+					t.Fatal(err)
+				}
+				if tr.Recv(0, 0, 1) == nil {
+					t.Fatalf("Recv returned nil: %v", tr.Err())
+				}
+			}
+			// Take the edge once round its ring so every slot and the
+			// batch's buffers have reached their high-water marks.
+			for k := 0; k <= edgeCap; k++ {
+				step()
+			}
+			if got := testing.AllocsPerRun(100, step); got != 0 {
+				t.Errorf("warm send+flush allocates %v objects, want 0", got)
+			}
 		})
 	}
 }

@@ -38,6 +38,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"slices"
 	"sync"
 	"time"
 
@@ -109,6 +110,10 @@ const batchMarker = 0xFFFFFFFF
 // payload length, graph, producer, consumer — the same four fields a
 // single-payload header carries.
 const descSize = 16
+
+// descChunk is how far the demux grows its descriptor scratch per read
+// when a batch's descriptor section exceeds the scratch's capacity.
+const descChunk = 64 << 10
 
 // flushBytes caps how much payload a pending batch may accumulate
 // before it is written out mid-step. Batches normally flush at
@@ -460,13 +465,18 @@ func (tr *MeshTransport) demux(conn net.Conn) {
 					count, descLen, length))
 				return
 			}
-			if cap(desc) < int(descLen) {
-				desc = make([]byte, descLen) //taskbench:allocok descriptor scratch grows to its high-water mark, then reuses
-			}
-			desc = desc[:descLen]
-			if _, err := io.ReadFull(br, desc); err != nil {
-				tr.fail(fmt.Errorf("tcp: read batch descriptors: %w", err))
-				return
+			// The scratch grows only as descriptor bytes arrive, so a
+			// header that merely claims a huge section cannot make the
+			// demux allocate what its sender never sends.
+			desc = desc[:0]
+			for len(desc) < int(descLen) {
+				n := min(int(descLen)-len(desc), max(cap(desc)-len(desc), descChunk))
+				desc = slices.Grow(desc, n) //taskbench:allocok descriptor scratch grows to its high-water mark, then reuses
+				if _, err := io.ReadFull(br, desc[len(desc):len(desc)+n]); err != nil {
+					tr.fail(fmt.Errorf("tcp: read batch descriptors: %w", err))
+					return
+				}
+				desc = desc[:len(desc)+n]
 			}
 			body := int(length) - int(descLen)
 			for k := 0; k < int(count); k++ {
@@ -570,15 +580,41 @@ func (tr *MeshTransport) Recycle(graph int, payload []byte) {}
 
 // pendBatch accumulates one rank pair's outbound payloads between
 // flushes: packed edge descriptors, zero-copy references to the
-// payload buffers, and a reusable iovec. The references stay valid
-// until the flush because payload rows are double-buffered — a buffer
-// sent at timestep t is not rewritten until t+2, and the batch flushes
-// at the t/t+1 boundary (exec.Flusher) or sooner (flushBytes).
+// payload buffers, and the frame header and iovec of the next write.
+// The references stay valid until the flush because payload rows are
+// double-buffered — a buffer sent at timestep t is not rewritten until
+// t+2, and the batch flushes at the t/t+1 boundary (exec.Flusher) or
+// sooner (flushBytes). Per-edge frames (NoBatch) use only header and
+// iov.
 type pendBatch struct {
 	desc     []byte
 	payloads [][]byte
 	bytes    int
-	iov      net.Buffers
+	// header and iov are fields, not locals, because WriteTo takes its
+	// receiver's address: a local net.Buffers, and a header array
+	// sliced into it, would move to the heap on every write.
+	header [frameHeaderSize]byte
+	iov    net.Buffers
+}
+
+// putHeader fills p.header with a frame header's four fields.
+func (p *pendBatch) putHeader(length, graph, producer, consumer uint32) {
+	binary.LittleEndian.PutUint32(p.header[0:4], length)
+	binary.LittleEndian.PutUint32(p.header[4:8], graph)
+	binary.LittleEndian.PutUint32(p.header[8:12], producer)
+	binary.LittleEndian.PutUint32(p.header[12:16], consumer)
+}
+
+// writev sends p.iov to conn as a single writev. WriteTo consumes the
+// vector it is called on, so the backing array is restored for the
+// next write.
+//
+//taskbench:hotpath
+func (p *pendBatch) writev(conn net.Conn) error {
+	iov := p.iov
+	_, err := p.iov.WriteTo(conn)
+	p.iov = iov[:0]
+	return err
 }
 
 // SendEdge implements exec.Transport: the engine names the edge by its
@@ -604,19 +640,15 @@ func (tr *MeshTransport) Send(fromRank, graph, producer, consumer int, payload [
 	if conn == nil {
 		return fmt.Errorf("tcp: no connection rank %d→%d (mesh torn down?)", fromRank, toRank)
 	}
+	p := &tr.pend[fromRank][toRank]
 	if tr.noBatch {
-		var header [frameHeaderSize]byte
-		binary.LittleEndian.PutUint32(header[0:4], uint32(len(payload)))
-		binary.LittleEndian.PutUint32(header[4:8], uint32(graph))
-		binary.LittleEndian.PutUint32(header[8:12], uint32(producer))
-		binary.LittleEndian.PutUint32(header[12:16], uint32(consumer))
-		iov := net.Buffers{header[:], payload}
-		if _, err := iov.WriteTo(conn); err != nil {
+		p.putHeader(uint32(len(payload)), uint32(graph), uint32(producer), uint32(consumer))
+		p.iov = append(p.iov[:0], p.header[:], payload) //taskbench:allocok iovec allocated on the pair's first frame, then reused
+		if err := p.writev(conn); err != nil {
 			return fmt.Errorf("tcp: write frame: %w", err)
 		}
 		return nil
 	}
-	p := &tr.pend[fromRank][toRank]
 	p.desc = binary.LittleEndian.AppendUint32(p.desc, uint32(len(payload)))
 	p.desc = binary.LittleEndian.AppendUint32(p.desc, uint32(graph))
 	p.desc = binary.LittleEndian.AppendUint32(p.desc, uint32(producer))
@@ -660,22 +692,14 @@ func (tr *MeshTransport) flushTo(from, to int) error {
 	if len(p.payloads) == 0 {
 		return nil
 	}
-	conn := tr.out[from][to]
-	var header [frameHeaderSize]byte
-	binary.LittleEndian.PutUint32(header[0:4], uint32(len(p.desc)+p.bytes))
-	binary.LittleEndian.PutUint32(header[4:8], batchMarker)
-	binary.LittleEndian.PutUint32(header[8:12], uint32(len(p.payloads)))
-	binary.LittleEndian.PutUint32(header[12:16], uint32(len(p.desc)))
-	iov := append(p.iov[:0], header[:], p.desc) //taskbench:allocok iovec grows to its high-water mark, then reuses
-	iov = append(iov, p.payloads...)            //taskbench:allocok iovec grows to its high-water mark, then reuses
-	// WriteTo consumes the Buffers slice it is invoked on (advancing it
-	// as vectors drain), so keep our own reference to the backing array
-	// for the next flush.
-	p.iov = iov[:0]
+	p.putHeader(uint32(len(p.desc)+p.bytes), batchMarker, uint32(len(p.payloads)), uint32(len(p.desc)))
+	p.iov = append(p.iov[:0], p.header[:], p.desc) //taskbench:allocok iovec grows to its high-water mark, then reuses
+	p.iov = append(p.iov, p.payloads...)           //taskbench:allocok iovec grows to its high-water mark, then reuses
+	err := p.writev(tr.out[from][to])
 	p.desc = p.desc[:0]
 	p.payloads = p.payloads[:0]
 	p.bytes = 0
-	if _, err := iov.WriteTo(conn); err != nil {
+	if err != nil {
 		return fmt.Errorf("tcp: write batch rank %d→%d: %w", from, to, err)
 	}
 	return nil

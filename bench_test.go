@@ -1,5 +1,5 @@
-// The root package's share of the CI perf gate: four of the module's
-// eight Go benchmarks (the others sit beside internal/wire,
+// The root package's share of the CI perf gate: five of the module's
+// nine Go benchmarks (the others sit beside internal/wire,
 // internal/runtime/tcp and internal/kernels). Measurement belongs to
 // bench/, the reference-clocked single-P benchmark behind
 // BENCHMARK.json, and each benchmark here names its per-layer twin
@@ -14,6 +14,7 @@ import (
 	"testing"
 
 	"taskbench/internal/core"
+	"taskbench/internal/kernels"
 	"taskbench/internal/runtime"
 	_ "taskbench/internal/runtime/all"
 	"taskbench/internal/runtime/exec"
@@ -139,6 +140,45 @@ func BenchmarkFabricRoundtrip(b *testing.B) {
 		if len(f.Recv(0, 0, 1)) != len(payload) {
 			b.Fatal("short payload")
 		}
+	}
+}
+
+// BenchmarkEngineZeroGrain runs the shared-memory policies over a
+// reused Session at zero kernel iterations on dag_stencil's graph
+// (stencil, width 8, 250 steps, 16 B outputs), so ns/task is the
+// exec.Engine's per-task path: pop, execute, counter burn-down, push,
+// buffer release. The shared-memory twin of BenchmarkRankEngineZeroGrain.
+// bench/ twin: exec.policy.*.ns_per_task; kept as the CI tripwire, since
+// hosted runners cannot run the reference-clocked bench/.
+func BenchmarkEngineZeroGrain(b *testing.B) {
+	for _, name := range []string{"taskpool", "steal", "events", "graphexec", "central"} {
+		b.Run(name, func(b *testing.B) {
+			rt, err := runtime.New(name)
+			if err != nil {
+				b.Fatal(err)
+			}
+			pb, ok := rt.(runtime.PolicyBacked)
+			if !ok {
+				b.Fatalf("%s is not policy-backed", name)
+			}
+			app := core.NewApp(core.MustNew(core.Params{
+				Timesteps: 250, MaxWidth: 8, Dependence: core.Stencil1D, OutputBytes: 16,
+				Kernel: kernels.Config{Type: kernels.ComputeBound},
+			}))
+			app.Workers = 2
+			sess := exec.NewSession(app, pb.Policy())
+			if _, err := sess.Run(); err != nil { // warm: fill the buffer pools
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := sess.Run(); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(int64(b.N)*app.TotalTasks()), "ns/task")
+		})
 	}
 }
 

@@ -112,13 +112,13 @@ func (p *Policy) Wire(plan *exec.Plan) {
 			continue
 		}
 		id32 := int32(id)
-		n := task.Counter.Load()
+		n := task.Pending()
 		if n == 0 {
 			p.ready <- id32
 			continue
 		}
 		countdown := func() { //taskbench:allocok one subscription closure per task is the paradigm (Realm's event waiter)
-			if task.Counter.Add(-1) == 0 {
+			if task.CountDown() {
 				p.ready <- id32
 			}
 		}

@@ -9,22 +9,31 @@ import (
 // backends (the Engine's policies) execute tasks from different
 // timesteps concurrently, so a task's output must stay
 // alive exactly until its last consumer has validated it — the same
-// lifetime rule the paper's task-based runtimes implement. Producers
-// set the reference count to the consumer count; each consumer
-// releases once; the buffer then recycles through the pool.
+// lifetime rule the paper's task-based runtimes implement. The producer
+// takes the buffer with the count set to its number of readers and
+// holds no reference itself; each reader releases once and the last
+// one recycles the buffer through the pool. An output nobody reads
+// goes back to the pool as soon as its producer has written it.
 type Buf struct {
 	Data []byte
-	refs atomic.Int32
+	// refs is written with a plain store by Get, while the buffer is
+	// private to its producer, and only decremented atomically after
+	// that (see BufPool.Get).
+	refs int32
 	pool *BufPool
 }
 
 // Release drops one reference, recycling the buffer when it reaches
-// zero. Safe to call concurrently from multiple consumers.
+// zero. Safe to call concurrently from multiple consumers. Releasing
+// more often than the buffer was referenced panics.
 //
 //taskbench:hotpath
 func (b *Buf) Release() {
-	if b.refs.Add(-1) == 0 {
+	switch n := atomic.AddInt32(&b.refs, -1); {
+	case n == 0:
 		b.pool.put(b)
+	case n < 0:
+		panic("exec: Buf released more times than it was referenced")
 	}
 }
 
@@ -43,14 +52,18 @@ func NewBufPool(size int) *BufPool {
 	return p
 }
 
-// Get returns a buffer with the reference count set to refs. A task
-// with zero consumers may pass refs=1 and release after writing, so
-// the buffer is still valid while the task writes its output.
+// Get returns a buffer with the reference count set to refs, one per
+// reader. The count is a plain store: the buffer is private to the
+// caller until the caller publishes it to its readers, and in the
+// Engine that publication is the dependence-counter burn-down, a chain
+// of atomic read-modify-writes that orders the store before any
+// reader's Release. A buffer nobody will read (refs 0) goes back with
+// put once the caller is done with it.
 //
 //taskbench:hotpath
 func (p *BufPool) Get(refs int) *Buf {
 	b := p.pool.Get().(*Buf)
-	b.refs.Store(int32(refs))
+	b.refs = int32(refs)
 	return b
 }
 

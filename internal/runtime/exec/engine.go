@@ -25,6 +25,10 @@ type Engine struct {
 	workers   int
 	pools     []*BufPool
 	out       []*Buf
+	// ready[w] collects the tasks worker w's current batch made ready.
+	// It is sized for the most a flush can hold, ReadyBatch tasks times
+	// the plan's largest out-degree, so it never grows.
+	ready [][]int32
 }
 
 // NewEngine builds an engine over plan with the given policy and
@@ -38,14 +42,23 @@ func NewEngine(plan *Plan, policy Policy, workers int) *Engine {
 		compiler.Compile(plan)
 	}
 	completer, _ := policy.(Completer)
-	return &Engine{
+	e := &Engine{
 		plan:      plan,
 		policy:    policy,
 		completer: completer,
 		workers:   workers,
 		pools:     NewPools(plan.App),
 		out:       make([]*Buf, len(plan.Tasks)),
+		ready:     make([][]int32, workers),
 	}
+	maxOut := 0
+	for id := range plan.Tasks {
+		maxOut = max(maxOut, len(plan.Tasks[id].Consumers))
+	}
+	for w := range e.ready {
+		e.ready[w] = make([]int32, 0, ReadyBatch*maxOut)
+	}
+	return e
 }
 
 // Run executes every task of the plan once and returns the first
@@ -86,14 +99,21 @@ func (e *Engine) Run(validate bool) error {
 // runWorker is one worker goroutine's task loop — the innermost hot
 // path of every shared-memory DAG backend. At sub-100µs granularities
 // any per-task allocation here shows up directly in the METG curve, so
-// the gather buffer and the ready batch are reused across the whole
+// the gather buffer and the ready buffer are reused across the whole
 // run and only error paths construct values.
+//
+// The loop pays a locked instruction only where workers race: one per
+// edge in the counter burn-down and in Plan.Execute's input releases,
+// and one per popped batch on remaining. The tasks a batch readies
+// reach the policy in one Push at
+// the end of the batch, or every ReadyBatch executed tasks if the
+// batch is longer, so no successor waits behind more than ReadyBatch
+// tasks of its readier's batch.
 //
 //taskbench:hotpath
 func (e *Engine) runWorker(self int, validate bool, firstErr *ErrOnce, remaining *atomic.Int64) {
 	plan := e.plan
 	var inputs [][]byte
-	ready := make([]int32, 0, ReadyBatch) //taskbench:allocok per-worker setup, before the loop
 	for {
 		ids, ok := e.policy.Pop(self)
 		if !ok {
@@ -104,7 +124,8 @@ func (e *Engine) runWorker(self int, validate bool, firstErr *ErrOnce, remaining
 			stdruntime.Gosched()
 			continue
 		}
-		for _, id := range ids {
+		ready := e.ready[self][:0]
+		for k, id := range ids {
 			var err error
 			inputs, err = plan.Execute(id, e.out, e.pools,
 				validate && !firstErr.Failed(), inputs)
@@ -113,20 +134,23 @@ func (e *Engine) runWorker(self int, validate bool, firstErr *ErrOnce, remaining
 			}
 			if e.completer != nil {
 				e.completer.Complete(self, id)
-			} else {
+				continue
+			}
+			for _, cons := range plan.Tasks[id].Consumers {
+				if plan.Tasks[cons].CountDown() {
+					ready = append(ready, cons) //taskbench:allocok never grows: NewEngine sizes it for ReadyBatch tasks of the largest out-degree
+				}
+			}
+			if k%ReadyBatch == ReadyBatch-1 && len(ready) > 0 {
+				e.policy.Push(self, ready)
 				ready = ready[:0]
-				for _, cons := range plan.Tasks[id].Consumers {
-					if plan.Tasks[cons].Counter.Add(-1) == 0 {
-						ready = append(ready, cons) //taskbench:allocok bounded by cap(ReadyBatch) spills; amortized
-					}
-				}
-				if len(ready) > 0 {
-					e.policy.Push(self, ready)
-				}
 			}
-			if remaining.Add(-1) == 0 {
-				e.policy.Close()
-			}
+		}
+		if len(ready) > 0 {
+			e.policy.Push(self, ready)
+		}
+		if remaining.Add(-int64(len(ids))) == 0 {
+			e.policy.Close()
 		}
 	}
 }

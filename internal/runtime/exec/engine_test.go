@@ -118,8 +118,8 @@ func TestBuildPlanMatchesReference(t *testing.T) {
 				if !want.exists {
 					continue
 				}
-				if got.Counter.Load() != want.counter {
-					t.Errorf("task %d counter = %d, want %d", id, got.Counter.Load(), want.counter)
+				if got.Pending() != want.counter {
+					t.Errorf("task %d counter = %d, want %d", id, got.Pending(), want.counter)
 				}
 				if got.PayloadRefs != want.refs {
 					t.Errorf("task %d refs = %d, want %d", id, got.PayloadRefs, want.refs)
@@ -158,7 +158,7 @@ func TestBuildPlanParallelPathMatchesSerial(t *testing.T) {
 			continue
 		}
 		got := &plan.Tasks[id]
-		if got.Counter.Load() != ref[id].counter || !equalIDs(got.Inputs, ref[id].inputs) ||
+		if got.Pending() != ref[id].counter || !equalIDs(got.Inputs, ref[id].inputs) ||
 			!equalIDs(sortedCopy(got.Consumers), sortedCopy(ref[id].consumers)) {
 			t.Fatalf("task %d diverges from reference", id)
 		}
@@ -175,7 +175,7 @@ func TestPlanReset(t *testing.T) {
 	plan := BuildPlan(app)
 	want := make([]int32, len(plan.Tasks))
 	for id := range plan.Tasks {
-		want[id] = plan.Tasks[id].Counter.Load()
+		want[id] = plan.Tasks[id].Pending()
 	}
 	for round := 0; round < 3; round++ {
 		queue := append([]int32(nil), plan.Seeds...)
@@ -185,7 +185,7 @@ func TestPlanReset(t *testing.T) {
 			queue = queue[1:]
 			drained++
 			for _, cons := range plan.Tasks[id].Consumers {
-				if plan.Tasks[cons].Counter.Add(-1) == 0 {
+				if plan.Tasks[cons].CountDown() {
 					queue = append(queue, cons)
 				}
 			}
@@ -195,7 +195,7 @@ func TestPlanReset(t *testing.T) {
 		}
 		plan.Reset()
 		for id := range plan.Tasks {
-			if got := plan.Tasks[id].Counter.Load(); got != want[id] {
+			if got := plan.Tasks[id].Pending(); got != want[id] {
 				t.Fatalf("round %d: task %d counter after Reset = %d, want %d", round, id, got, want[id])
 			}
 		}

@@ -158,6 +158,17 @@ func TestBufPoolRefCounting(t *testing.T) {
 	b2.Release()
 }
 
+func TestBufDoubleReleasePanics(t *testing.T) {
+	b := NewBufPool(16).Get(1)
+	b.Release()
+	defer func() {
+		if recover() == nil {
+			t.Error("releasing a buffer past zero references did not panic")
+		}
+	}()
+	b.Release()
+}
+
 func TestWorkersFor(t *testing.T) {
 	g := core.MustNew(core.Params{Timesteps: 2, MaxWidth: 2})
 	app := core.NewApp(g)

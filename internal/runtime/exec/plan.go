@@ -46,13 +46,13 @@ type plannedTask struct {
 	Exists bool
 	Graph  int32
 	T, I   int32
-	// Counter holds the number of unsatisfied scheduling
-	// predecessors.
-	Counter atomic.Int32
+	// counter holds the number of unsatisfied scheduling
+	// predecessors; see PlannedTask.CountDown.
+	counter int32
 	// PayloadRefs is the number of tasks that read this task's output
-	// payload. The buffer is allocated with PayloadRefs+1 references;
-	// the extra one belongs to the producer and is dropped right after
-	// execution, so buffers with no readers recycle immediately.
+	// payload, and the reference count its buffer starts with. The
+	// producer holds no reference, so an output with no readers goes
+	// back to its pool as soon as the task has run.
 	PayloadRefs int32
 	// Inputs are the producer task IDs in dependence order.
 	Inputs []int32
@@ -60,15 +60,34 @@ type plannedTask struct {
 	Consumers []int32
 }
 
-// PlannedTask is one node of the expanded DAG. The embedded payload is
-// padded out to a multiple of 128 bytes (two cache lines, covering the
-// adjacent-line prefetcher) so that the Counters of neighboring tasks —
-// decremented concurrently by different workers during burn-down —
-// never false-share a cache line. Task slots in Plan.Tasks are
-// therefore line-aligned relative to each other.
+// PlannedTask is one node of the expanded DAG. Everything but its
+// dependence counter is immutable once the plan is built. The counter
+// is a plain field behind two methods: CountDown, the atomic decrement
+// workers race on during a run, and Pending, an atomic load. BuildPlan
+// and Reset write it with plain stores, because they run while no
+// worker does (see Reset). The embedded payload is padded out to a
+// multiple of 128 bytes (two cache lines, covering the adjacent-line
+// prefetcher) so that the counters of neighboring tasks — decremented
+// concurrently by different workers during burn-down — never
+// false-share a cache line. Task slots in Plan.Tasks are therefore
+// line-aligned relative to each other.
 type PlannedTask struct {
 	plannedTask
 	_ [(128 - unsafe.Sizeof(plannedTask{})%128) % 128]byte
+}
+
+// CountDown records one satisfied scheduling predecessor and reports
+// whether it was the last, i.e. whether the task is now ready. Workers
+// race on it, so it is an atomic decrement.
+//
+//taskbench:hotpath
+func (t *PlannedTask) CountDown() bool {
+	return atomic.AddInt32(&t.counter, -1) == 0
+}
+
+// Pending returns the number of unsatisfied scheduling predecessors.
+func (t *PlannedTask) Pending() int32 {
+	return atomic.LoadInt32(&t.counter)
 }
 
 // buildParallelThreshold is the task count below which BuildPlan stays
@@ -190,7 +209,7 @@ func (p *Plan) fillColumns(gi, lo, hi int) []int32 {
 				}
 			}
 
-			task.Counter.Store(int32(nDeps))
+			task.counter = int32(nDeps)
 			p.initCount[id] = int32(nDeps)
 			if nDeps == 0 {
 				seeds = append(seeds, id)
@@ -208,6 +227,11 @@ func (p *Plan) fillColumns(gi, lo, hi int) []int32 {
 // buildParallelThreshold fan the counter walk out over task spans, so
 // an METG sweep does not pay a serial O(tasks) pass at every
 // measurement point.
+//
+// The counters are restored with plain stores, which is safe because
+// Reset runs between runs: Engine.Run returns only after its WaitGroup
+// has seen every worker exit, and the next run's workers start with go
+// statements after Reset returns (runJobs joins the span goroutines).
 func (p *Plan) Reset() {
 	n := len(p.Tasks)
 	workers := stdruntime.GOMAXPROCS(0)
@@ -228,7 +252,7 @@ func (p *Plan) Reset() {
 // resetSpan restores the counters of task IDs [lo, hi).
 func (p *Plan) resetSpan(lo, hi int) {
 	for id := lo; id < hi; id++ {
-		p.Tasks[id].Counter.Store(p.initCount[id])
+		p.Tasks[id].counter = p.initCount[id]
 	}
 }
 
@@ -256,16 +280,20 @@ func (p *Plan) TaskCount() int64 {
 
 // Execute runs task id: it allocates the task's output from pool,
 // gathers input payloads from out, validates and executes the kernel,
-// publishes the output, and releases the input references. It does NOT
-// touch dependence counters — queueing discipline is the backend's
-// business. Returns the first validation error (the task still
-// publishes an output so execution can continue draining).
+// publishes the output, and releases the input references. An output
+// with no readers is not published; it goes straight back to its pool.
+// It does NOT touch dependence counters — queueing discipline is the
+// backend's business, and the counter burn-down is what hands the
+// output to its readers (see BufPool.Get). Returns the first
+// validation error (the task still publishes an output so execution
+// can continue draining).
 //
 //taskbench:hotpath
 func (p *Plan) Execute(id int32, out []*Buf, pools []*BufPool, validate bool, inputs [][]byte) ([][]byte, error) {
 	task := &p.Tasks[id]
 	g := p.App.Graphs[task.Graph]
-	buf := pools[task.Graph].Get(int(task.PayloadRefs) + 1)
+	pool := pools[task.Graph]
+	buf := pool.Get(int(task.PayloadRefs))
 
 	inputs = inputs[:0]
 	for _, prodID := range task.Inputs {
@@ -276,11 +304,14 @@ func (p *Plan) Execute(id int32, out []*Buf, pools []*BufPool, validate bool, in
 	if err != nil {
 		g.WriteOutput(int(task.T), int(task.I), buf.Data)
 	}
-	out[id] = buf
+	if task.PayloadRefs == 0 {
+		pool.put(buf)
+	} else {
+		out[id] = buf
+	}
 	for _, prodID := range task.Inputs {
 		out[prodID].Release()
 	}
-	buf.Release() // the producer's own reference
 	return inputs, err
 }
 

@@ -32,7 +32,7 @@ func TestBuildPlanShape(t *testing.T) {
 		if !task.Exists {
 			continue
 		}
-		if got := task.Counter.Load(); got != int32(len(task.Inputs)) {
+		if got := task.Pending(); got != int32(len(task.Inputs)) {
 			t.Errorf("task %d counter = %d, want %d", id, got, len(task.Inputs))
 		}
 	}
@@ -87,7 +87,7 @@ func TestBuildPlanScratchSerialization(t *testing.T) {
 	for tstep := 1; tstep < 3; tstep++ {
 		for i := 0; i < 2; i++ {
 			task := &p.Tasks[p.ID(0, tstep, i)]
-			if got := task.Counter.Load(); got != 1 {
+			if got := task.Pending(); got != 1 {
 				t.Errorf("task (%d,%d) counter = %d, want 1 serialization edge", tstep, i, got)
 			}
 			if len(task.Inputs) != 0 {
@@ -102,7 +102,7 @@ func TestBuildPlanScratchSerialization(t *testing.T) {
 	}))
 	p2 := BuildPlan(app2)
 	task := &p2.Tasks[p2.ID(0, 1, 0)]
-	if got := task.Counter.Load(); got != 1 {
+	if got := task.Pending(); got != 1 {
 		t.Errorf("no_comm task counter = %d, want 1 (self dep only)", got)
 	}
 }
@@ -126,7 +126,7 @@ func TestPlanExecuteSequentially(t *testing.T) {
 		}
 		executed++
 		for _, cons := range p.Tasks[id].Consumers {
-			if p.Tasks[cons].Counter.Add(-1) == 0 {
+			if p.Tasks[cons].CountDown() {
 				queue = append(queue, cons)
 			}
 		}
@@ -186,7 +186,7 @@ func TestPlanDrainsCompletelyProperty(t *testing.T) {
 			queue = queue[1:]
 			drained++
 			for _, cons := range plan.Tasks[id].Consumers {
-				if plan.Tasks[cons].Counter.Add(-1) == 0 {
+				if plan.Tasks[cons].CountDown() {
 					queue = append(queue, cons)
 				}
 			}

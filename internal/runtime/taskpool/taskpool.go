@@ -31,9 +31,16 @@ func init() {
 // policy is the central FIFO ready queue: one mutex-guarded list every
 // worker pushes to and pops from, in batches.
 type policy struct {
-	mu      sync.Mutex
-	cond    *sync.Cond
+	mu   sync.Mutex
+	cond *sync.Cond
+	// items[head:] are the queued tasks, oldest first. Pop advances
+	// head. When an append would grow the array and at least half of
+	// it is already popped, Push first moves the queue to the front,
+	// so the array is reused for the whole run instead of reallocated
+	// every few pushes, and a move costs no more than the pops that
+	// freed its room.
 	items   []int32
+	head    int
 	closed  bool
 	workers int
 	// batch[w] is worker w's reusable pop buffer.
@@ -42,7 +49,7 @@ type policy struct {
 
 func (p *policy) Init(plan *exec.Plan, workers int) {
 	p.cond = sync.NewCond(&p.mu)
-	p.items = append(p.items[:0], plan.Seeds...)
+	p.items, p.head = append(p.items[:0], plan.Seeds...), 0
 	p.closed = false
 	p.workers = workers
 	p.batch = make([][]int32, workers)
@@ -50,6 +57,9 @@ func (p *policy) Init(plan *exec.Plan, workers int) {
 
 func (p *policy) Push(worker int, ids []int32) {
 	p.mu.Lock()
+	if live := len(p.items) - p.head; p.head >= live && len(p.items)+len(ids) > cap(p.items) {
+		p.items, p.head = p.items[:copy(p.items, p.items[p.head:])], 0
+	}
 	p.items = append(p.items, ids...)
 	if len(ids) == 1 {
 		p.cond.Signal()
@@ -62,15 +72,15 @@ func (p *policy) Push(worker int, ids []int32) {
 func (p *policy) Pop(worker int) ([]int32, bool) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	for len(p.items) == 0 && !p.closed {
+	for p.head == len(p.items) && !p.closed {
 		p.cond.Wait()
 	}
-	if len(p.items) == 0 {
+	if p.head == len(p.items) {
 		return nil, false
 	}
-	n := exec.FairShare(len(p.items), p.workers)
-	p.batch[worker] = append(p.batch[worker][:0], p.items[:n]...)
-	p.items = p.items[n:]
+	n := exec.FairShare(len(p.items)-p.head, p.workers)
+	p.batch[worker] = append(p.batch[worker][:0], p.items[p.head:p.head+n]...)
+	p.head += n
 	return p.batch[worker], true
 }
 

@@ -152,7 +152,7 @@ func (s *simState) deliver(id int32, finish time.Duration, push func(cons int32)
 		if arrival > s.ready[cons] {
 			s.ready[cons] = arrival
 		}
-		if s.plan.Tasks[cons].Counter.Add(-1) == 0 {
+		if s.plan.Tasks[cons].CountDown() {
 			push(cons)
 		}
 	}

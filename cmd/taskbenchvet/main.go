@@ -2,9 +2,8 @@
 // suite: a multichecker over the analyzers in internal/lint that
 // enforce the invariants the benchmark's results depend on and no test
 // can see, because they hold of every path rather than of the paths a
-// test runs — the zero-allocation hot path (hotpathalloc), the
-// coordinator's lock hierarchy (lockorder) and panic-free metrics
-// registration (metricsonce).
+// test runs — the zero-allocation hot path (hotpathalloc) and the
+// coordinator's lock hierarchy (lockorder).
 //
 // Usage:
 //
@@ -12,15 +11,16 @@
 //	go run ./cmd/taskbenchvet -analyzers hotpathalloc,lockorder ./internal/cluster
 //
 // The exit status is 1 when any analyzer reports a finding, 2 on a
-// loading or internal error — the same convention as go vet, so the CI
-// lint lane can treat findings as errors. See DESIGN.md §14 for the
-// annotation conventions (//taskbench:hotpath, //taskbench:allocok)
+// usage, loading or internal error — the same convention as go vet, so
+// the CI lint lane can treat findings as errors. See DESIGN.md §14 for
+// the annotation conventions (//taskbench:hotpath, //taskbench:allocok)
 // and the lock-ordering table.
 package main
 
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 
@@ -28,14 +28,27 @@ import (
 )
 
 func main() {
-	analyzersFlag := flag.String("analyzers", "", "comma-separated subset of analyzers to run (default: all)")
-	flag.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: taskbenchvet [-analyzers a,b] [packages]\n\nanalyzers:\n")
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run is the whole command: it parses args, analyzes the packages they
+// name from the working directory, writes findings to stdout and
+// errors to stderr, and returns the exit status.
+func run(args []string, stdout, stderr io.Writer) int {
+	flags := flag.NewFlagSet("taskbenchvet", flag.ContinueOnError)
+	flags.SetOutput(stderr)
+	analyzersFlag := flags.String("analyzers", "", "comma-separated subset of analyzers to run (default: all)")
+	flags.Usage = func() {
+		fmt.Fprintf(stderr, "usage: taskbenchvet [-analyzers a,b] [packages]\n\nanalyzers:\n")
 		for _, a := range lint.Analyzers() {
-			fmt.Fprintf(os.Stderr, "  %-16s %s\n", a.Name, a.Doc)
+			fmt.Fprintf(stderr, "  %-16s %s\n", a.Name, a.Doc)
 		}
 	}
-	flag.Parse()
+	if err := flags.Parse(args); err == flag.ErrHelp {
+		return 0
+	} else if err != nil {
+		return 2
+	}
 
 	analyzers := lint.Analyzers()
 	if *analyzersFlag != "" {
@@ -47,37 +60,38 @@ func main() {
 		for _, name := range strings.Split(*analyzersFlag, ",") {
 			a, ok := byName[strings.TrimSpace(name)]
 			if !ok {
-				fmt.Fprintf(os.Stderr, "taskbenchvet: unknown analyzer %q\n", name)
-				os.Exit(2)
+				fmt.Fprintf(stderr, "taskbenchvet: unknown analyzer %q\n", name)
+				return 2
 			}
 			analyzers = append(analyzers, a)
 		}
 	}
 
-	patterns := flag.Args()
+	patterns := flags.Args()
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
 	}
 	session, err := lint.Load(".", patterns...)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "taskbenchvet:", err)
-		os.Exit(2)
+		fmt.Fprintln(stderr, "taskbenchvet:", err)
+		return 2
 	}
 
 	findings := 0
 	for _, a := range analyzers {
 		diags, err := session.Run(a)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "taskbenchvet:", err)
-			os.Exit(2)
+			fmt.Fprintln(stderr, "taskbenchvet:", err)
+			return 2
 		}
 		for _, d := range diags {
-			fmt.Printf("%s: %s (%s)\n", session.Fset.Position(d.Pos), d.Message, d.Analyzer)
+			fmt.Fprintf(stdout, "%s: %s (%s)\n", session.Fset.Position(d.Pos), d.Message, d.Analyzer)
 			findings++
 		}
 	}
 	if findings > 0 {
-		fmt.Fprintf(os.Stderr, "taskbenchvet: %d finding(s)\n", findings)
-		os.Exit(1)
+		fmt.Fprintf(stderr, "taskbenchvet: %d finding(s)\n", findings)
+		return 1
 	}
+	return 0
 }

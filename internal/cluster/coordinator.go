@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -612,22 +613,17 @@ func (c *Coordinator) markDead(w *workerConn, cause error) {
 		var torn []*clusterConfig
 		for key, e := range c.configs {
 			cfg := e.cfg
-			if cfg == nil {
+			if cfg == nil || !slices.Contains(cfg.members, w) {
 				continue
 			}
-			for _, member := range cfg.members {
-				if member == w {
-					cfg.lost.Store(true)
-					e.cfg = nil
-					if e.active == 0 {
-						// Idle shape: nothing references the entry, so
-						// it can leave the map right away.
-						delete(c.configs, key)
-					}
-					torn = append(torn, cfg)
-					break
-				}
+			cfg.lost.Store(true)
+			e.cfg = nil
+			if e.active == 0 {
+				// Idle shape: nothing references the entry, so it can
+				// leave the map right away.
+				delete(c.configs, key)
 			}
+			torn = append(torn, cfg)
 		}
 		c.mu.Unlock()
 
@@ -652,16 +648,6 @@ func (c *Coordinator) releaseConfig(cfg *clusterConfig, skip *workerConn) {
 	}
 }
 
-// configHas reports whether w is a member of cfg.
-func configHas(cfg *clusterConfig, w *workerConn) bool {
-	for _, member := range cfg.members {
-		if member == w {
-			return true
-		}
-	}
-	return false
-}
-
 // beginDrain starts a worker's graceful departure: it leaves the
 // placement pool immediately (buildConfig skips draining workers), its
 // prepared configurations are marked stale so the next job of each
@@ -677,7 +663,7 @@ func (c *Coordinator) beginDrain(w *workerConn) {
 	}
 	w.draining = true
 	for _, e := range c.configs {
-		if e.cfg != nil && configHas(e.cfg, w) {
+		if e.cfg != nil && slices.Contains(e.cfg.members, w) {
 			e.cfg.stale.Store(true)
 		}
 	}
@@ -710,7 +696,7 @@ func (c *Coordinator) drainWorker(w *workerConn) {
 		c.mu.Lock()
 		for key, e := range c.configs {
 			cfg := e.cfg
-			if cfg == nil || !configHas(cfg, w) {
+			if cfg == nil || !slices.Contains(cfg.members, w) {
 				continue
 			}
 			// Re-mark every pass: a config built from a fleet snapshot
@@ -730,7 +716,7 @@ func (c *Coordinator) drainWorker(w *workerConn) {
 			idle = append(idle, cfg)
 		}
 		for cfg := range c.building {
-			if configHas(cfg, w) {
+			if slices.Contains(cfg.members, w) {
 				busy = true // mid-provision; invisible to the entry scan
 			}
 		}

@@ -10,9 +10,10 @@ import (
 )
 
 // Exported metric names: the contract between the coordinator's
-// registry, the /metrics exposition, the /snapshots.json gauges the
-// loadgen poller reads, and the PromQL examples in the README. Gauges
-// carry bare names; counters end in _total per Prometheus convention.
+// registry, the /metrics exposition, the /snapshots.json ring and the
+// PromQL examples in the README. Gauges carry bare names; counters end
+// in _total per Prometheus convention. The coordinator registers
+// exactly these families (TestRegisteredFamiliesAreMetricConstants).
 const (
 	MetricQueueDepth      = "taskbench_queue_depth"
 	MetricQueueCapacity   = "taskbench_queue_capacity"
@@ -100,10 +101,7 @@ func newCoordMetrics(c *Coordinator) *coordMetrics {
 		queueWait:  reg.Histogram(MetricQueueWait, "Time from admission to a scheduler slot claiming the job.", nil),
 	}
 
-	// locked wraps a reader so the gauge samples under c.mu. The
-	// registration names stay literal constants at each GaugeFunc call:
-	// metricsonce needs the name at the registration site to vet
-	// duplicates statically.
+	// locked wraps a reader so the gauge samples under c.mu.
 	locked := func(fn func() float64) func() float64 {
 		return func() float64 {
 			c.mu.Lock()

@@ -1,0 +1,72 @@
+package cluster
+
+import (
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"strconv"
+	"strings"
+	"testing"
+)
+
+// TestRegisteredFamiliesAreMetricConstants holds the coordinator's
+// registry to the exported metric-name contract: every family a scrape
+// declares (its "# TYPE" line) must be the value of a Metric* constant
+// of metrics.go, and every such constant must be registered. A computed
+// name, a literal with no constant and a constant nobody registers all
+// fail here, by name; a duplicate registration already panics in
+// newCoordMetrics, which every coordinator test runs.
+func TestRegisteredFamiliesAreMetricConstants(t *testing.T) {
+	file, err := parser.ParseFile(token.NewFileSet(), "metrics.go", nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	constant := map[string]string{} // metric name → constant
+	ast.Inspect(file, func(n ast.Node) bool {
+		vs, ok := n.(*ast.ValueSpec)
+		if !ok || len(vs.Names) != 1 || len(vs.Values) != 1 || !strings.HasPrefix(vs.Names[0].Name, "Metric") {
+			return true
+		}
+		lit, ok := vs.Values[0].(*ast.BasicLit)
+		if !ok || lit.Kind != token.STRING {
+			t.Errorf("%s is not a string literal", vs.Names[0].Name)
+			return true
+		}
+		name, _ := strconv.Unquote(lit.Value)
+		if other, dup := constant[name]; dup {
+			t.Errorf("%s and %s both name %q", other, vs.Names[0].Name, name)
+		}
+		constant[name] = vs.Names[0].Name
+		return true
+	})
+	if len(constant) == 0 {
+		t.Fatal("metrics.go declares no Metric* constants")
+	}
+
+	coord, err := Start(Options{Logf: t.Logf})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer coord.Close()
+	var sb strings.Builder
+	if err := coord.metrics.reg.WritePrometheus(&sb); err != nil {
+		t.Fatal(err)
+	}
+	registered := map[string]bool{}
+	for _, line := range strings.Split(sb.String(), "\n") {
+		if f := strings.Fields(line); len(f) == 4 && f[0] == "#" && f[1] == "TYPE" {
+			registered[f[2]] = true
+		}
+	}
+
+	for name := range registered {
+		if constant[name] == "" {
+			t.Errorf("the coordinator registers %q, which no Metric* constant names", name)
+		}
+	}
+	for name, c := range constant {
+		if !registered[name] {
+			t.Errorf("%s (%q) is never registered by the coordinator", c, name)
+		}
+	}
+}

@@ -1,11 +1,11 @@
 // Package lint is a self-contained static-analysis framework plus the
 // taskbenchvet analyzers that enforce this repository's load-bearing
-// invariants: the zero-allocation hot path (hotpathalloc), the
-// coordinator's lock hierarchy (lockorder) and panic-free metrics
-// registration (metricsonce) — properties of every path through the
-// code, which a test, seeing only the paths it runs, cannot check. What
-// a test can see is a test: the wire schema's exhaustiveness lives in
-// internal/wire's schema_test.go.
+// invariants: the zero-allocation hot path (hotpathalloc) and the
+// coordinator's lock hierarchy (lockorder) — properties of every path
+// through the code, which a test, seeing only the paths it runs, cannot
+// check. What a test can see is a test: the wire schema's
+// exhaustiveness lives in internal/wire's schema_test.go, the metric
+// names' in internal/cluster's metrics_test.go.
 //
 // The framework mirrors the golang.org/x/tools go/analysis API shape —
 // Analyzer, Pass, Diagnostic, cross-package facts — but is built on the
@@ -159,7 +159,6 @@ func Analyzers() []*Analyzer {
 	return []*Analyzer{
 		HotPathAlloc,
 		LockOrder,
-		MetricsOnce,
 	}
 }
 

@@ -6,9 +6,9 @@ import (
 )
 
 // Snapshot is a flat point-in-time sample of every instrument in a
-// registry — the unit the /snapshots.json endpoint retains and the
-// loadgen poller consumes. Labeled counters flatten to
-// "name{label=value}" keys so the map stays one level deep.
+// registry — the unit the /snapshots.json endpoint retains. Labeled
+// counters flatten to "name{label=value}" keys so the map stays one
+// level deep.
 type Snapshot struct {
 	UnixNanos  int64                    `json:"unix_nanos"`
 	Counters   map[string]int64         `json:"counters,omitempty"`

@@ -18,8 +18,8 @@ import (
 )
 
 // soloMesh builds a single-process mesh hosting every rank, the way
-// the in-process tcp backend does, with batching switched as given.
-func soloMesh(t testing.TB, app *core.App, ranks int, noBatch bool) (*exec.RankPlan, *MeshTransport) {
+// the in-process tcp backend does.
+func soloMesh(t testing.TB, app *core.App, ranks int) (*exec.RankPlan, *MeshTransport) {
 	t.Helper()
 	plan := exec.BuildRankPlan(app, ranks)
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -34,7 +34,6 @@ func soloMesh(t testing.TB, app *core.App, ranks int, noBatch bool) (*exec.RankP
 		Local:    exec.Span{Lo: 0, Hi: ranks},
 		Addrs:    addrs,
 		Listener: ln,
-		NoBatch:  noBatch,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -50,12 +49,12 @@ func pattern(buf []byte, seed byte) {
 	}
 }
 
-// TestBatchDemuxMatchesPerEdge sends the same cross-rank payloads
-// through a batching mesh and a per-edge-frame mesh at rank counts 1–3
-// and requires the receiving side to observe bit-for-bit identical
-// bytes on every edge. Payload sizes straddle flushBytes so both the
-// boundary flush and the mid-step threshold flush paths are exercised.
-func TestBatchDemuxMatchesPerEdge(t *testing.T) {
+// TestBatchDemuxDeliversEveryEdge sends a distinct pattern on every
+// cross-rank edge at rank counts 1–3 and requires the receiving side
+// to observe it bit for bit on the edge it was sent on. Payload sizes
+// straddle flushBytes so both the boundary flush and the mid-step
+// threshold flush paths are exercised.
+func TestBatchDemuxDeliversEveryEdge(t *testing.T) {
 	for ranks := 1; ranks <= 3; ranks++ {
 		for _, size := range []int{16, 1024, 48 << 10} {
 			app := core.NewApp(core.MustNew(core.Params{
@@ -64,52 +63,40 @@ func TestBatchDemuxMatchesPerEdge(t *testing.T) {
 			}))
 			app.Workers = ranks
 
-			got := [2]map[exec.Edge][]byte{}
-			for mode, noBatch := range map[int]bool{0: false, 1: true} {
-				plan, tr := soloMesh(t, app, ranks, noBatch)
-				edges := plan.Edges(0)
-				// Queue every cross-rank edge's payload from its
-				// producer's rank, then flush each rank — the transport
-				// sequence of one timestep.
-				for k, e := range edges {
-					from := exec.OwnerOf(e.Producer, app.Graphs[0].MaxWidth, ranks)
-					buf := make([]byte, size)
-					pattern(buf, byte(k+1))
-					if err := tr.Send(from, 0, e.Producer, e.Consumer, buf); err != nil {
-						t.Fatal(err)
-					}
-				}
-				for r := 0; r < ranks; r++ {
-					if err := tr.Flush(r); err != nil {
-						t.Fatal(err)
-					}
-				}
-				got[mode] = map[exec.Edge][]byte{}
-				for k, e := range edges {
-					payload := tr.Recv(0, e.Producer, e.Consumer)
-					if payload == nil {
-						t.Fatalf("ranks=%d size=%d noBatch=%v: Recv %d→%d returned nil (err: %v)",
-							ranks, size, noBatch, e.Producer, e.Consumer, tr.Err())
-					}
-					want := make([]byte, size)
-					pattern(want, byte(k+1))
-					if !bytes.Equal(payload, want) {
-						t.Fatalf("ranks=%d size=%d noBatch=%v: edge %d→%d corrupted",
-							ranks, size, noBatch, e.Producer, e.Consumer)
-					}
-					got[mode][e] = payload
-				}
-				if ranks == 1 && len(edges) != 0 {
-					t.Fatalf("single-rank plan has %d cross-rank edges, want 0", len(edges))
-				}
-				tr.Close()
+			plan, tr := soloMesh(t, app, ranks)
+			edges := plan.Edges(0)
+			if ranks == 1 && len(edges) != 0 {
+				t.Fatalf("single-rank plan has %d cross-rank edges, want 0", len(edges))
 			}
-			for e, b := range got[0] {
-				if !bytes.Equal(b, got[1][e]) {
-					t.Fatalf("ranks=%d size=%d: batched and per-edge demux disagree on edge %d→%d",
-						ranks, size, e.Producer, e.Consumer)
+			// Queue every cross-rank edge's payload from its producer's
+			// rank, then flush each rank — the transport sequence of one
+			// timestep.
+			for k, e := range edges {
+				from := exec.OwnerOf(e.Producer, app.Graphs[0].MaxWidth, ranks)
+				buf := make([]byte, size)
+				pattern(buf, byte(k+1))
+				if err := tr.Send(from, 0, e.Producer, e.Consumer, buf); err != nil {
+					t.Fatal(err)
 				}
 			}
+			for r := 0; r < ranks; r++ {
+				if err := tr.Flush(r); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for k, e := range edges {
+				payload := tr.Recv(0, e.Producer, e.Consumer)
+				if payload == nil {
+					t.Fatalf("ranks=%d size=%d: Recv %d→%d returned nil (err: %v)",
+						ranks, size, e.Producer, e.Consumer, tr.Err())
+				}
+				want := make([]byte, size)
+				pattern(want, byte(k+1))
+				if !bytes.Equal(payload, want) {
+					t.Fatalf("ranks=%d size=%d: edge %d→%d corrupted", ranks, size, e.Producer, e.Consumer)
+				}
+			}
+			tr.Close()
 		}
 	}
 }
@@ -125,7 +112,7 @@ func TestBatchedEngineRuns(t *testing.T) {
 			OutputBytes: 256,
 		}))
 		app.Workers = ranks
-		plan, tr := soloMesh(t, app, ranks, false)
+		plan, tr := soloMesh(t, app, ranks)
 		engine := exec.NewLocalRankEngine(plan, &policy{}, 1, tr)
 		for run := 0; run < 2; run++ {
 			plan.Reset()
@@ -242,7 +229,7 @@ func expectTeardown(t *testing.T, tr *MeshTransport, want string) {
 }
 
 // frame packs little-endian 32-bit fields into wire bytes: a frame
-// header is four fields, a batch header plus one descriptor eight.
+// header is four fields, a header plus one descriptor eight.
 func frame(fields ...uint32) []byte {
 	b := make([]byte, 0, 4*len(fields))
 	for _, f := range fields {
@@ -263,22 +250,26 @@ func TestDemuxRejectsOversizedFrame(t *testing.T) {
 	expectTeardown(t, tr, "exceeds limit")
 }
 
-// malformedBatches are batch frames whose headers do not add up: a
-// descriptor section that does not match the edge count, and payload
-// lengths that overrun the declared body.
+// malformedBatches are frames whose headers do not add up: a header
+// without batchMarker, a descriptor section that does not match the
+// edge count, and payload lengths that overrun the declared body.
 var malformedBatches = []struct {
 	name  string
 	frame []byte
 	want  string
 }{
+	// A frame of the older per-edge format: a valid route and length
+	// where the marker belongs. Only the header is sent, so a demux that
+	// read on into the body would never tear down.
+	{"not_a_batch_frame", frame(64, 0, 1, 0), "not a batch frame"},
 	// 3 edges but 1 descriptor.
 	{"desc_count_mismatch", frame(64, batchMarker, 3, 16), "malformed batch"},
 	// Body: 1 descriptor + 8 payload bytes, but the payload claims 100.
 	{"payload_overruns_body", frame(descSize+8, batchMarker, 1, descSize, 100, 0, 1, 0), "overrun"},
 }
 
-// TestDemuxRejectsMalformedBatch pins batch-header validation: both
-// malformedBatches tear the mesh down.
+// TestDemuxRejectsMalformedBatch pins header validation: every
+// malformedBatches case tears the mesh down.
 func TestDemuxRejectsMalformedBatch(t *testing.T) {
 	for _, c := range malformedBatches {
 		t.Run(c.name, func(t *testing.T) {
@@ -310,30 +301,35 @@ var badRoutes = []struct {
 // the graph's OutputBytes, before a single body byte is read. Every
 // case writes the header (or batch header and descriptor) only — a
 // demux that went for the body first would sit in the read and never
-// tear down.
+// tear down. The single variant carries the route in a frame of the
+// older per-edge format, which must be refused as not a batch frame
+// before its route is looked at.
 func TestDemuxRejectsBadRoute(t *testing.T) {
 	for _, c := range badRoutes {
 		for _, f := range []struct {
 			name  string
 			frame []byte
+			want  string
 		}{
-			{"single", frame(c.plen, c.graph, c.producer, c.consumer)},
-			{"batched", frame(descSize+c.plen, batchMarker, 1, descSize, c.plen, c.graph, c.producer, c.consumer)},
+			{"single", frame(c.plen, c.graph, c.producer, c.consumer), "not a batch frame"},
+			{"batched", frame(descSize+c.plen, batchMarker, 1, descSize, c.plen, c.graph, c.producer, c.consumer), c.want},
 		} {
 			t.Run(c.name+"/"+f.name, func(t *testing.T) {
 				tr, conn := corruptibleMesh(t)
 				if _, err := conn.Write(f.frame); err != nil {
 					t.Fatal(err)
 				}
-				expectTeardown(t, tr, c.want)
+				expectTeardown(t, tr, f.want)
 			})
 		}
 	}
 }
 
 // FuzzBatchFrame writes arbitrary bytes into a live mesh's inbound
-// link after a valid handshake, then hangs up. Whatever the bytes, the
-// mesh must end in an error (the hang-up guarantees one) within a
+// link after a valid handshake, then hangs up. Some seeds are frames
+// of the older per-edge format, which must tear the mesh down.
+// Whatever the bytes, the mesh must end in an error (the hang-up
+// guarantees one) within a
 // deadline, every payload it delivered before that must fit the
 // graph's 64-byte OutputBytes, nothing may panic, and the demux may
 // allocate only in proportion to the bytes it was sent — far below
@@ -475,44 +471,39 @@ func (c *countingConn) Read(p []byte) (int, error) {
 }
 
 // TestMeshFlushAllocatesNothing pins that a warm send and flush
-// allocate nothing in either framing mode: the frame header and the
-// writev vector live in the rank pair's pendBatch, not in locals whose
-// address net.Buffers.WriteTo would move to the heap on every write.
+// allocate nothing: the frame header and the writev vector live in the
+// rank pair's pendBatch, not in locals whose address
+// net.Buffers.WriteTo would move to the heap on every write.
 // hotpathalloc reads source, so it cannot see allocations that only
 // escape analysis introduces; this test can.
 func TestMeshFlushAllocatesNothing(t *testing.T) {
-	for _, mode := range []struct {
-		name    string
-		noBatch bool
-	}{{"batched", false}, {"unbatched", true}} {
-		t.Run(mode.name, func(t *testing.T) {
-			app := core.NewApp(core.MustNew(core.Params{
-				Timesteps: 2, MaxWidth: 2, Dependence: core.Stencil1DPeriodic,
-				OutputBytes: 64,
-			}))
-			app.Workers = 2
-			_, tr := soloMesh(t, app, 2, mode.noBatch)
-			defer tr.Close()
-			payload := make([]byte, 64)
-			step := func() {
-				if err := tr.Send(0, 0, 0, 1, payload); err != nil {
-					t.Fatal(err)
-				}
-				if err := tr.Flush(0); err != nil {
-					t.Fatal(err)
-				}
-				if tr.Recv(0, 0, 1) == nil {
-					t.Fatalf("Recv returned nil: %v", tr.Err())
-				}
+	t.Run("batched", func(t *testing.T) {
+		app := core.NewApp(core.MustNew(core.Params{
+			Timesteps: 2, MaxWidth: 2, Dependence: core.Stencil1DPeriodic,
+			OutputBytes: 64,
+		}))
+		app.Workers = 2
+		_, tr := soloMesh(t, app, 2)
+		defer tr.Close()
+		payload := make([]byte, 64)
+		step := func() {
+			if err := tr.Send(0, 0, 0, 1, payload); err != nil {
+				t.Fatal(err)
 			}
-			// Take the edge once round its ring so every slot and the
-			// batch's buffers have reached their high-water marks.
-			for k := 0; k <= edgeCap; k++ {
-				step()
+			if err := tr.Flush(0); err != nil {
+				t.Fatal(err)
 			}
-			if got := testing.AllocsPerRun(100, step); got != 0 {
-				t.Errorf("warm send+flush allocates %v objects, want 0", got)
+			if tr.Recv(0, 0, 1) == nil {
+				t.Fatalf("Recv returned nil: %v", tr.Err())
 			}
-		})
-	}
+		}
+		// Take the edge once round its ring so every slot and the
+		// batch's buffers have reached their high-water marks.
+		for k := 0; k <= edgeCap; k++ {
+			step()
+		}
+		if got := testing.AllocsPerRun(100, step); got != 0 {
+			t.Errorf("warm send+flush allocates %v objects, want 0", got)
+		}
+	})
 }

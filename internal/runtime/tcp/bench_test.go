@@ -10,32 +10,25 @@ import (
 
 // BenchmarkMeshSend measures one timestep's worth of cross-rank
 // traffic — every cross-rank edge of an all-to-all graph sent, flushed
-// and received back — through a loopback 2-rank mesh, with payload
-// batching on (the default) and off. The batched mode's win at small
-// payloads is the point of the batching layer.
+// and received back — through a loopback 2-rank mesh.
 // bench/ twin: tcp.send_{small,large}_ns; kept as the CI tripwire, since
 // hosted runners cannot run the reference-clocked bench/.
 func BenchmarkMeshSend(b *testing.B) {
-	for _, mode := range []struct {
-		name    string
-		noBatch bool
-	}{{"batched", false}, {"unbatched", true}} {
-		for _, size := range []int{16, 1024, 64 << 10} {
-			b.Run(fmt.Sprintf("%s/%dB", mode.name, size), func(b *testing.B) {
-				benchMeshSend(b, size, mode.noBatch)
-			})
-		}
+	for _, size := range []int{16, 1024, 64 << 10} {
+		b.Run(fmt.Sprintf("batched/%dB", size), func(b *testing.B) {
+			benchMeshSend(b, size)
+		})
 	}
 }
 
-func benchMeshSend(b *testing.B, size int, noBatch bool) {
+func benchMeshSend(b *testing.B, size int) {
 	const ranks = 2
 	app := core.NewApp(core.MustNew(core.Params{
 		Timesteps: 2, MaxWidth: 4 * ranks, Dependence: core.AllToAll,
 		OutputBytes: size,
 	}))
 	app.Workers = ranks
-	plan, tr := soloMesh(b, app, ranks, noBatch)
+	plan, tr := soloMesh(b, app, ranks)
 	defer tr.Close()
 
 	edges := plan.Edges(0)

@@ -88,28 +88,24 @@ func (*policy) OpenTransport(plan *exec.RankPlan) (exec.Transport, error) {
 	})
 }
 
-// frameHeader is the fixed wire header preceding every payload:
-// payload length, graph index, producer column, consumer column. A
-// batched frame reuses the same 16 bytes with the graph field set to
-// batchMarker: body length, marker, edge count, descriptor-section
-// length.
+// frameHeader is the fixed wire header opening every frame: body
+// length, batchMarker, edge count, descriptor-section length.
 const frameHeaderSize = 16
 
-// MaxFrameLen bounds the length field of any frame (single payload or
-// batch body). A corrupt or hostile length prefix beyond it tears the
-// mesh down cleanly instead of driving an unbounded allocation. Far
-// above any real payload: a graph column's output is OutputBytes,
-// typically bytes to megabytes.
+// MaxFrameLen bounds the body length field of any frame. A corrupt or
+// hostile length prefix beyond it tears the mesh down cleanly instead
+// of driving an unbounded allocation. Far above any real payload: a
+// graph column's output is OutputBytes, typically bytes to megabytes.
 const MaxFrameLen = 1 << 28
 
-// batchMarker in the header's graph field marks a batched frame. Real
-// graph indices are small (one per task graph of an app), so the
-// all-ones value can never collide.
+// batchMarker fills every header's second field, so a header without
+// it means the stream is out of sync. The all-ones value is no graph
+// index a plan reaches, which keeps a frame of the older per-edge
+// format (graph index in that field) from passing for a batch.
 const batchMarker = 0xFFFFFFFF
 
 // descSize is the bytes per packed edge descriptor in a batch body:
-// payload length, graph, producer, consumer — the same four fields a
-// single-payload header carries.
+// payload length, graph, producer, consumer.
 const descSize = 16
 
 // descChunk is how far the demux grows its descriptor scratch per read
@@ -162,11 +158,6 @@ type Topology struct {
 	// coordinator-declared peer death interrupts a mesh still dialing
 	// the dead process instead of waiting out the full Timeout.
 	Cancel <-chan struct{}
-	// NoBatch disables outbound payload batching: every Send writes its
-	// own frame immediately instead of coalescing per-peer until the
-	// timestep boundary. For measuring the batching win
-	// (BenchmarkMeshSend) and debugging; production meshes batch.
-	NoBatch bool
 	// Wrap, when non-nil, wraps every outbound (dialed) mesh connection
 	// after its handshake — the chaos harness's injection point for
 	// data-plane throttling and resets. The wrapper must preserve Close
@@ -192,8 +183,7 @@ type MeshTransport struct {
 	// queued for rank `to` this timestep; only local rows are
 	// populated, and each cell is touched only by rank `from`'s
 	// goroutine (the same single-writer discipline as out).
-	pend    [][]pendBatch
-	noBatch bool
+	pend [][]pendBatch
 	// plan maps the engine's dense edge ids back to the columns frames
 	// carry (Edges) and bounds each graph's payloads (OutputBytes).
 	plan *exec.RankPlan
@@ -245,13 +235,12 @@ func NewMeshTransport(plan *exec.RankPlan, topo Topology) (*MeshTransport, error
 		return nil, fmt.Errorf("tcp: topology has %d addrs, want %d", len(topo.Addrs), ranks)
 	}
 	tr := &MeshTransport{
-		ranks:   ranks,
-		local:   topo.Local,
-		widths:  make([]int, len(app.Graphs)),
-		plan:    plan,
-		done:    make(chan struct{}),
-		ln:      topo.Listener,
-		noBatch: topo.NoBatch,
+		ranks:  ranks,
+		local:  topo.Local,
+		widths: make([]int, len(app.Graphs)),
+		plan:   plan,
+		done:   make(chan struct{}),
+		ln:     topo.Listener,
 	}
 	tr.pend = make([][]pendBatch, ranks)
 	for from := topo.Local.Lo; from < topo.Local.Hi; from++ {
@@ -442,10 +431,10 @@ func readHandshake(r io.Reader) (config uint64, from, to int, err error) {
 // syscall typically drains several small frames. A read failure while
 // the mesh is still live means a peer process died mid-run; the whole
 // mesh is torn down so blocked ranks unwedge and surface the error
-// instead of hanging. Malformed frames — oversized lengths, headers
-// that do not add up — also tear the mesh down: framing is
-// self-inflicted, so a bad header means the stream is unrecoverably
-// desynchronized.
+// instead of hanging. Malformed frames — oversized lengths, a missing
+// batchMarker, headers that do not add up — also tear the mesh down:
+// framing is self-inflicted, so a bad header means the stream is
+// unrecoverably desynchronized.
 //
 //taskbench:hotpath
 func (tr *MeshTransport) demux(conn net.Conn) {
@@ -462,47 +451,45 @@ func (tr *MeshTransport) demux(conn net.Conn) {
 			tr.fail(fmt.Errorf("tcp: frame length %d exceeds limit %d", length, MaxFrameLen))
 			return
 		}
-		if binary.LittleEndian.Uint32(header[4:8]) == batchMarker {
-			count := binary.LittleEndian.Uint32(header[8:12])
-			descLen := binary.LittleEndian.Uint32(header[12:16])
-			if uint64(descLen) != uint64(count)*descSize || descLen > length {
-				tr.fail(fmt.Errorf("tcp: malformed batch header (%d edges, %d descriptor bytes, %d body)",
-					count, descLen, length))
-				return
-			}
-			// The scratch grows only as descriptor bytes arrive, so a
-			// header that merely claims a huge section cannot make the
-			// demux allocate what its sender never sends.
-			desc = desc[:0]
-			for len(desc) < int(descLen) {
-				n := min(int(descLen)-len(desc), max(cap(desc)-len(desc), descChunk))
-				desc = slices.Grow(desc, n) //taskbench:allocok descriptor scratch grows to its high-water mark, then reuses
-				if _, err := io.ReadFull(br, desc[len(desc):len(desc)+n]); err != nil {
-					tr.fail(fmt.Errorf("tcp: read batch descriptors: %w", err))
-					return
-				}
-				desc = desc[:len(desc)+n]
-			}
-			body := int(length) - int(descLen)
-			for k := 0; k < int(count); k++ {
-				d := desc[k*descSize : (k+1)*descSize]
-				plen := int(binary.LittleEndian.Uint32(d[0:4]))
-				if plen > body {
-					tr.fail(fmt.Errorf("tcp: batch payloads overrun body by %d bytes", plen-body))
-					return
-				}
-				body -= plen
-				if !tr.deliver(br, d[4:], plen) {
-					return
-				}
-			}
-			if body != 0 {
-				tr.fail(fmt.Errorf("tcp: batch body has %d trailing bytes", body))
-				return
-			}
-			continue
+		if marker := binary.LittleEndian.Uint32(header[4:8]); marker != batchMarker {
+			tr.fail(fmt.Errorf("tcp: not a batch frame (marker field %#x)", marker))
+			return
 		}
-		if !tr.deliver(br, header[4:], int(length)) {
+		count := binary.LittleEndian.Uint32(header[8:12])
+		descLen := binary.LittleEndian.Uint32(header[12:16])
+		if uint64(descLen) != uint64(count)*descSize || descLen > length {
+			tr.fail(fmt.Errorf("tcp: malformed batch header (%d edges, %d descriptor bytes, %d body)",
+				count, descLen, length))
+			return
+		}
+		// The scratch grows only as descriptor bytes arrive, so a header
+		// that merely claims a huge section cannot make the demux
+		// allocate what its sender never sends.
+		desc = desc[:0]
+		for len(desc) < int(descLen) {
+			n := min(int(descLen)-len(desc), max(cap(desc)-len(desc), descChunk))
+			desc = slices.Grow(desc, n) //taskbench:allocok descriptor scratch grows to its high-water mark, then reuses
+			if _, err := io.ReadFull(br, desc[len(desc):len(desc)+n]); err != nil {
+				tr.fail(fmt.Errorf("tcp: read batch descriptors: %w", err))
+				return
+			}
+			desc = desc[:len(desc)+n]
+		}
+		body := int(length) - int(descLen)
+		for k := 0; k < int(count); k++ {
+			d := desc[k*descSize : (k+1)*descSize]
+			plen := int(binary.LittleEndian.Uint32(d[0:4]))
+			if plen > body {
+				tr.fail(fmt.Errorf("tcp: batch payloads overrun body by %d bytes", plen-body))
+				return
+			}
+			body -= plen
+			if !tr.deliver(br, d[4:], plen) {
+				return
+			}
+		}
+		if body != 0 {
+			tr.fail(fmt.Errorf("tcp: batch body has %d trailing bytes", body))
 			return
 		}
 	}
@@ -589,8 +576,7 @@ func (tr *MeshTransport) Recycle(graph int, payload []byte) {}
 // The references stay valid until the flush because payload rows are
 // double-buffered — a buffer sent at timestep t is not rewritten until
 // t+2, and the batch flushes at the t/t+1 boundary (exec.Flusher) or
-// sooner (flushBytes). Per-edge frames (NoBatch) use only header and
-// iov.
+// sooner (flushBytes).
 type pendBatch struct {
 	desc     []byte
 	payloads [][]byte
@@ -600,26 +586,6 @@ type pendBatch struct {
 	// sliced into it, would move to the heap on every write.
 	header [frameHeaderSize]byte
 	iov    net.Buffers
-}
-
-// putHeader fills p.header with a frame header's four fields.
-func (p *pendBatch) putHeader(length, graph, producer, consumer uint32) {
-	binary.LittleEndian.PutUint32(p.header[0:4], length)
-	binary.LittleEndian.PutUint32(p.header[4:8], graph)
-	binary.LittleEndian.PutUint32(p.header[8:12], producer)
-	binary.LittleEndian.PutUint32(p.header[12:16], consumer)
-}
-
-// writev sends p.iov to conn as a single writev. WriteTo consumes the
-// vector it is called on, so the backing array is restored for the
-// next write.
-//
-//taskbench:hotpath
-func (p *pendBatch) writev(conn net.Conn) error {
-	iov := p.iov
-	_, err := p.iov.WriteTo(conn)
-	p.iov = iov[:0]
-	return err
 }
 
 // SendEdge implements exec.Transport: the engine names the edge by its
@@ -635,25 +601,15 @@ func (tr *MeshTransport) SendEdge(fromRank, graph, edge int, payload []byte) err
 // everything headed to the same peer this timestep into one batched
 // frame written at the flush point. Only the owning rank goroutine
 // writes a given connection (or touches its pending batches), so no
-// locking is needed. With batching disabled the frame still leaves in
-// a single writev — header and payload in one syscall, not two.
+// locking is needed.
 //
 //taskbench:hotpath
 func (tr *MeshTransport) Send(fromRank, graph, producer, consumer int, payload []byte) error {
 	toRank := exec.OwnerOf(consumer, tr.widths[graph], tr.ranks)
-	conn := tr.out[fromRank][toRank]
-	if conn == nil {
+	if tr.out[fromRank][toRank] == nil {
 		return fmt.Errorf("tcp: no connection rank %d→%d (mesh torn down?)", fromRank, toRank)
 	}
 	p := &tr.pend[fromRank][toRank]
-	if tr.noBatch {
-		p.putHeader(uint32(len(payload)), uint32(graph), uint32(producer), uint32(consumer))
-		p.iov = append(p.iov[:0], p.header[:], payload) //taskbench:allocok iovec allocated on the pair's first frame, then reused
-		if err := p.writev(conn); err != nil {
-			return fmt.Errorf("tcp: write frame: %w", err)
-		}
-		return nil
-	}
 	p.desc = binary.LittleEndian.AppendUint32(p.desc, uint32(len(payload)))
 	p.desc = binary.LittleEndian.AppendUint32(p.desc, uint32(graph))
 	p.desc = binary.LittleEndian.AppendUint32(p.desc, uint32(producer))
@@ -672,7 +628,7 @@ func (tr *MeshTransport) Send(fromRank, graph, producer, consumer int, payload [
 //
 //taskbench:hotpath
 func (tr *MeshTransport) Flush(rank int) error {
-	if tr.noBatch || rank < tr.local.Lo || rank >= tr.local.Hi {
+	if rank < tr.local.Lo || rank >= tr.local.Hi {
 		return nil
 	}
 	for to := 0; to < tr.ranks; to++ {
@@ -697,10 +653,17 @@ func (tr *MeshTransport) flushTo(from, to int) error {
 	if len(p.payloads) == 0 {
 		return nil
 	}
-	p.putHeader(uint32(len(p.desc)+p.bytes), batchMarker, uint32(len(p.payloads)), uint32(len(p.desc)))
+	binary.LittleEndian.PutUint32(p.header[0:4], uint32(len(p.desc)+p.bytes))
+	binary.LittleEndian.PutUint32(p.header[4:8], batchMarker)
+	binary.LittleEndian.PutUint32(p.header[8:12], uint32(len(p.payloads)))
+	binary.LittleEndian.PutUint32(p.header[12:16], uint32(len(p.desc)))
 	p.iov = append(p.iov[:0], p.header[:], p.desc) //taskbench:allocok iovec grows to its high-water mark, then reuses
 	p.iov = append(p.iov, p.payloads...)           //taskbench:allocok iovec grows to its high-water mark, then reuses
-	err := p.writev(tr.out[from][to])
+	// WriteTo consumes the vector it is called on; keep the backing
+	// array for the next flush.
+	iov := p.iov
+	_, err := p.iov.WriteTo(tr.out[from][to])
+	p.iov = iov[:0]
 	p.desc = p.desc[:0]
 	p.payloads = p.payloads[:0]
 	p.bytes = 0

@@ -182,14 +182,15 @@ func BenchmarkEngineZeroGrain(b *testing.B) {
 	}
 }
 
-// BenchmarkRankEngineZeroGrain runs every rank policy over a reused
-// RankSession at zero kernel iterations on a communication-rich graph
-// (spread, five mostly cross-rank inputs per task), so ns/task is the
-// rank data plane itself: gather, receive, validate, send.
+// BenchmarkRankEngineZeroGrain runs the four distinct rank steps over a
+// reused RankSession at zero kernel iterations on a communication-rich
+// graph (spread, five mostly cross-rank inputs per task), so ns/task is
+// the rank data plane itself: gather, receive, validate, send. Every
+// other rank backend reuses one of these steps.
 // bench/ twin: exec.rank.*.ns_per_task; kept as the CI tripwire, since
 // hosted runners cannot run the reference-clocked bench/.
 func BenchmarkRankEngineZeroGrain(b *testing.B) {
-	for _, name := range []string{"p2p", "bsp", "dtd", "ptg", "hybrid"} {
+	for _, name := range []string{"p2p", "bsp", "dtd", "hybrid"} {
 		name := name
 		b.Run(name, func(b *testing.B) {
 			rt, err := runtime.New(name)

@@ -389,12 +389,6 @@ func (g *Graph) ReverseDependenciesForPoint(t, i int) IntervalList {
 	return rev.clip(off, off+w-1)
 }
 
-// PrecomputeReverse builds the reverse-dependence tables eagerly.
-// Parallel plan construction calls it before fanning out over columns
-// so worker goroutines only read shared graph state instead of
-// serializing on the lazy once-guarded build.
-func (g *Graph) PrecomputeReverse() { g.buildReverse() }
-
 // buildReverse computes the reverse-dependence table by inverting the
 // forward relation, guaranteeing the two are exactly consistent for
 // every pattern (including hashed random patterns).

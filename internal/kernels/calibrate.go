@@ -27,11 +27,6 @@ func (c Calibration) PeakFlops() float64 {
 	return c.FlopsPerSecondPerCore * float64(c.Cores)
 }
 
-// PeakBytes returns the machine peak B/s across the calibrated cores.
-func (c Calibration) PeakBytes() float64 {
-	return c.BytesPerSecondPerCore * float64(c.Cores)
-}
-
 var (
 	calOnce sync.Once
 	cal     Calibration
@@ -70,31 +65,5 @@ func measure() Calibration {
 		FlopsPerSecondPerCore: flops,
 		BytesPerSecondPerCore: bytes,
 		Cores:                 cores,
-	}
-}
-
-// EstimateDuration predicts how long a kernel invocation will take on a
-// calibrated core. The discrete-event simulator uses this to convert a
-// kernel configuration into a task duration without executing it.
-func (c Calibration) EstimateDuration(cfg Config) time.Duration {
-	switch cfg.Type {
-	case Empty:
-		return 0
-	case BusyWait:
-		return cfg.WaitDuration
-	case ComputeBound, LoadImbalance:
-		if c.FlopsPerSecondPerCore <= 0 {
-			return 0
-		}
-		flops := float64(cfg.Iterations) * FlopsPerIteration
-		return time.Duration(flops / c.FlopsPerSecondPerCore * float64(time.Second))
-	case MemoryBound:
-		if c.BytesPerSecondPerCore <= 0 {
-			return 0
-		}
-		bytes := float64(cfg.Iterations) * float64(cfg.SpanBytes) * 2
-		return time.Duration(bytes / c.BytesPerSecondPerCore * float64(time.Second))
-	default:
-		return 0
 	}
 }

@@ -231,36 +231,9 @@ func TestCalibrate(t *testing.T) {
 	if c.PeakFlops() != c.FlopsPerSecondPerCore*float64(c.Cores) {
 		t.Error("PeakFlops inconsistent")
 	}
-	if c.PeakBytes() != c.BytesPerSecondPerCore*float64(c.Cores) {
-		t.Error("PeakBytes inconsistent")
-	}
 	// Cached: second call returns identical values.
 	if c2 := Calibrate(); c2 != c {
 		t.Error("Calibrate not cached")
-	}
-}
-
-func TestEstimateDuration(t *testing.T) {
-	c := Calibration{FlopsPerSecondPerCore: 1e9, BytesPerSecondPerCore: 1e9, Cores: 4}
-	compute := Config{Type: ComputeBound, Iterations: 1_000_000}
-	want := time.Duration(float64(compute.Iterations) * FlopsPerIteration)
-	if got := c.EstimateDuration(compute); got != want {
-		t.Errorf("compute estimate = %v, want %v", got, want)
-	}
-	mem := Config{Type: MemoryBound, Iterations: 10, SpanBytes: 1000}
-	if got := c.EstimateDuration(mem); got != 20*time.Microsecond {
-		t.Errorf("memory estimate = %v, want 20µs", got)
-	}
-	bw := Config{Type: BusyWait, WaitDuration: 3 * time.Millisecond}
-	if got := c.EstimateDuration(bw); got != 3*time.Millisecond {
-		t.Errorf("busy wait estimate = %v, want 3ms", got)
-	}
-	if got := c.EstimateDuration(Config{Type: Empty}); got != 0 {
-		t.Errorf("empty estimate = %v, want 0", got)
-	}
-	var zero Calibration
-	if zero.EstimateDuration(compute) != 0 {
-		t.Error("zero calibration should estimate 0")
 	}
 }
 

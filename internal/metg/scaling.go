@@ -3,17 +3,9 @@ package metg
 import "time"
 
 // This file implements the paper's §4 relationship between METG and
-// the quantities application developers actually care about: the
-// smallest problem that weak-scales, and the node count at which
-// strong scaling stops paying off.
-
-// WeakScalingFloor returns the smallest per-task granularity that can
-// be weak-scaled to the given node count at the target efficiency: by
-// definition (§4), exactly METG at that node count. metgAt reports
-// METG(threshold) as a function of node count.
-func WeakScalingFloor(metgAt func(nodes int) time.Duration, nodes int) time.Duration {
-	return metgAt(nodes)
-}
+// the node count at which strong scaling stops paying off. Its weak
+// scaling counterpart needs no code: the smallest granularity that
+// weak-scales to n nodes is, by definition, METG at n nodes.
 
 // StrongScalingLimit returns the largest node count (≤ maxNodes,
 // scanned in powers of two) at which a workload whose task granularity

@@ -5,15 +5,6 @@ import (
 	"time"
 )
 
-func TestWeakScalingFloor(t *testing.T) {
-	metgAt := func(nodes int) time.Duration {
-		return time.Duration(nodes) * 10 * time.Microsecond
-	}
-	if got := WeakScalingFloor(metgAt, 16); got != 160*time.Microsecond {
-		t.Errorf("WeakScalingFloor = %v, want 160µs", got)
-	}
-}
-
 func TestStrongScalingLimit(t *testing.T) {
 	// Flat METG of 10µs: a 640µs-granularity workload strong-scales
 	// 64× before tasks hit the floor.

@@ -11,7 +11,8 @@
 //   - "dtd": full SPMD enumeration with per-task dynamic checks.
 //   - "shard": the paper's manually optimized variant that skips
 //     enumeration of tasks that cannot touch local data, completely
-//     eliminating the dynamic checks.
+//     eliminating the dynamic checks. Pruned to the owned window, the
+//     walk is p2p's eager step, so shard registers p2p's policy.
 package dtd
 
 import (
@@ -20,6 +21,7 @@ import (
 	"taskbench/internal/core"
 	"taskbench/internal/runtime"
 	"taskbench/internal/runtime/exec"
+	"taskbench/internal/runtime/p2p"
 )
 
 func init() {
@@ -31,7 +33,7 @@ func init() {
 		Distributed: true,
 		Async:       false,
 		Notes:       "SPMD enumeration of the whole graph with per-task dynamic checks",
-	}, func() exec.RankPolicy { return policy{shard: false} })
+	}, func() exec.RankPolicy { return policy{} })
 	runtime.RegisterRanks(runtime.Info{
 		Name:        "shard",
 		Analog:      "PaRSEC shard",
@@ -40,25 +42,20 @@ func init() {
 		Distributed: true,
 		Async:       false,
 		Notes:       "enumerates only tasks adjacent to owned columns; no dynamic checks",
-	}, func() exec.RankPolicy { return policy{shard: true} })
+	}, func() exec.RankPolicy { return p2p.Policy{} })
 }
 
 // checkSink keeps the dynamic-check work observable so the compiler
 // cannot elide it.
 var checkSink atomic.Int64
 
-// policy is the SPMD discovery discipline. With shard=false every rank
-// walks the full graph width and dynamically classifies each task;
-// with shard=true discovery is pruned to the owned block (sends are
-// discovered from the owned side via reverse dependencies), which is
-// exactly the paper's manual optimization.
-type policy struct {
-	shard bool
-}
+// policy is the SPMD discovery discipline: every rank walks the full
+// graph width and dynamically classifies each task.
+type policy struct{}
 
 func (policy) Layout(app *core.App) exec.RankLayout { return exec.FlatLayout(app) }
 
-func (p policy) Step(rc *exec.RankCtx, t int) {
+func (policy) Step(rc *exec.RankCtx, t int) {
 	var checks int64
 	for gi := 0; gi < rc.Graphs(); gi++ {
 		if !rc.Active(gi, t) {
@@ -67,12 +64,8 @@ func (p policy) Step(rc *exec.RankCtx, t int) {
 		g := rc.Graph(gi)
 		span := rc.Span(gi)
 
-		// Task discovery. DTD walks the full active width; shard walks
-		// only the owned window.
+		// Task discovery walks the full active width.
 		lo, hi := g.OffsetAtTimestep(t), g.OffsetAtTimestep(t)+g.WidthAtTimestep(t)
-		if p.shard {
-			lo, hi = rc.Window(gi, t)
-		}
 		for i := lo; i < hi; i++ {
 			if i < span.Lo || i >= span.Hi {
 				// Dynamic check: would this remote task exchange data
@@ -99,8 +92,7 @@ func (p policy) Step(rc *exec.RankCtx, t int) {
 		rc.Flip(gi)
 	}
 	if checks != 0 {
-		// Skipped entirely by shard (which performs no checks), and
-		// kept off the timed path for check-free steps.
+		// Kept off the timed path for check-free steps.
 		checkSink.Add(checks)
 	}
 }

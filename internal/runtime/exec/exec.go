@@ -149,12 +149,11 @@ func OwnerOf(i, width, ranks int) int {
 // barrier is the RankEngine's reusable cyclic barrier, reached by
 // bulk-synchronous policies through RankCtx.Barrier.
 type barrier struct {
-	mu     sync.Mutex
-	cond   *sync.Cond
-	n      int
-	count  int
-	round  int
-	broken bool
+	mu    sync.Mutex
+	cond  *sync.Cond
+	n     int
+	count int
+	round int
 }
 
 // newBarrier creates a barrier for n participants.
@@ -164,36 +163,23 @@ func newBarrier(n int) *barrier {
 	return b
 }
 
-// Wait blocks until all n participants arrive. If Break has been
-// called, Wait returns false immediately (and releases all waiters),
-// letting bulk-synchronous workers unwind after an error.
-func (b *barrier) Wait() bool {
+// Wait blocks until all n participants arrive. It needs no failure
+// path: a failed run keeps every rank stepping (execWith still
+// publishes), so every rank reaches every barrier.
+func (b *barrier) Wait() {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	if b.broken {
-		return false
-	}
 	round := b.round
 	b.count++
 	if b.count == b.n {
 		b.count = 0
 		b.round++
 		b.cond.Broadcast()
-		return true
+		return
 	}
-	for b.round == round && !b.broken {
+	for b.round == round {
 		b.cond.Wait()
 	}
-	return !b.broken
-}
-
-// Break permanently releases the barrier; all current and future
-// waiters return false.
-func (b *barrier) Break() {
-	b.mu.Lock()
-	b.broken = true
-	b.cond.Broadcast()
-	b.mu.Unlock()
 }
 
 // Rows manages the double-buffered payload rows of one graph: the
@@ -256,17 +242,4 @@ func (r *Rows) Rehome() {
 	if r.flipped {
 		r.Flip()
 	}
-}
-
-// GatherInputs appends the input payloads of task (t, i) drawn from
-// prev rows, in dependence order, reusing dst. Hot callers should
-// hoist the prev func value out of their task loop so the closure is
-// created once per run, not once per task.
-func GatherInputs(g *core.Graph, t, i int, prev func(int) []byte, dst [][]byte) [][]byte {
-	dst = dst[:0]
-	it := g.PointDeps(t, i)
-	for dep, ok := it.Next(); ok; dep, ok = it.Next() {
-		dst = append(dst, prev(dep))
-	}
-	return dst
 }

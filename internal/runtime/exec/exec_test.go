@@ -99,10 +99,7 @@ func TestBarrierRendezvous(t *testing.T) {
 				mu.Lock()
 				counts[r]++
 				mu.Unlock()
-				if !b.Wait() {
-					t.Error("barrier broken unexpectedly")
-					return
-				}
+				b.Wait()
 				// After the barrier, every participant must have
 				// incremented this round's count.
 				mu.Lock()
@@ -114,19 +111,6 @@ func TestBarrierRendezvous(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-}
-
-func TestBarrierBreak(t *testing.T) {
-	b := newBarrier(2)
-	done := make(chan bool)
-	go func() { done <- b.Wait() }()
-	b.Break()
-	if ok := <-done; ok {
-		t.Error("Wait returned true after Break")
-	}
-	if b.Wait() {
-		t.Error("Wait after Break returned true")
-	}
 }
 
 func TestRowsDoubleBuffer(t *testing.T) {
@@ -184,14 +168,5 @@ func TestWorkersFor(t *testing.T) {
 	app2.Workers = 4
 	if w := WorkersFor(app2); w != 4 {
 		t.Errorf("two-graph workers = %d, want 4", w)
-	}
-}
-
-func TestGatherInputsOrder(t *testing.T) {
-	g := core.MustNew(core.Params{Timesteps: 3, MaxWidth: 8, Dependence: core.Stencil1D})
-	rows := map[int][]byte{3: {3}, 4: {4}, 5: {5}}
-	inputs := GatherInputs(g, 1, 4, func(i int) []byte { return rows[i] }, nil)
-	if len(inputs) != 3 || inputs[0][0] != 3 || inputs[1][0] != 4 || inputs[2][0] != 5 {
-		t.Errorf("GatherInputs = %v", inputs)
 	}
 }

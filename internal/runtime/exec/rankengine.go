@@ -66,8 +66,8 @@ func FlatLayout(app *core.App) RankLayout {
 // buffering, and first-error capture — and delegates only the
 // paradigm itself: how one rank enumerates and communicates one
 // timestep. Each backend registered with runtime.RegisterRanks is one
-// RankPolicy of a few dozen lines, or just a Layout over another's
-// Step.
+// RankPolicy of a few dozen lines, a Layout over another's Step, or
+// another backend's policy as is.
 //
 // A RankPolicy is used by one RankEngine at a time. Step is called
 // concurrently from every rank's goroutine; per-rank policy state must
@@ -84,15 +84,6 @@ type RankPolicy interface {
 	// steps where the rank owns no work, so barrier-phased policies
 	// stay aligned.
 	Step(rc *RankCtx, t int)
-}
-
-// RankCompiler is an optional RankPolicy extension for policies that
-// expand per-rank schedules from the plan (ptg's parameterized task
-// graph). NewRankEngine invokes it once at construction — outside any
-// timed region — so every point of an METG sweep sees an
-// already-compiled schedule.
-type RankCompiler interface {
-	CompileRanks(plan *RankPlan)
 }
 
 // RankTransporter is an optional RankPolicy extension that replaces
@@ -142,10 +133,6 @@ func (rc *RankCtx) Window(gi, t int) (lo, hi int) {
 	return max(span.Lo, off), min(span.Hi, off+g.WidthAtTimestep(t))
 }
 
-// Prev returns the payload column i of graph gi produced in the
-// previous timestep.
-func (rc *RankCtx) Prev(gi, i int) []byte { return rc.plan().Rows(rc.Rank, gi).Prev(i) }
-
 // Cur returns the output buffer of column i of graph gi in the current
 // timestep.
 func (rc *RankCtx) Cur(gi, i int) []byte { return rc.plan().Rows(rc.Rank, gi).Cur(i) }
@@ -158,19 +145,11 @@ func (rc *RankCtx) Flip(gi int) { rc.plan().Rows(rc.Rank, gi).Flip() }
 // on every rank at every timestep or not at all.
 func (rc *RankCtx) Barrier() { rc.engine.barrier.Wait() }
 
-// Recv blocks until the next payload on edge (a Route.Edge of graph gi)
-// arrives. The bytes stay valid until the next Recv on the same edge.
-//
-//taskbench:hotpath
-func (rc *RankCtx) Recv(gi, edge int) []byte {
-	return rc.engine.transport.RecvEdge(gi, edge)
-}
-
-// Send transmits payload along edge (a Route.Edge of graph gi),
+// send transmits payload along edge (a route.Edge of graph gi),
 // capturing transport failures as the run's first error.
 //
 //taskbench:hotpath
-func (rc *RankCtx) Send(gi, edge int, payload []byte) {
+func (rc *RankCtx) send(gi, edge int, payload []byte) {
 	if err := rc.engine.transport.SendEdge(rc.Rank, gi, edge, payload); err != nil {
 		rc.firstErr.Set(err)
 	}
@@ -200,17 +179,17 @@ func (rc *RankCtx) RunInto(inputs [][]byte, gi, t, i int) ([][]byte, []byte) {
 	rows := plan.Rows(rc.Rank, gi)
 	tr := rc.engine.transport
 	inputs = inputs[:0]
-	for _, in := range plan.Gather(gi, t, i) {
-		if in.Edge == LocalEdge {
+	for _, in := range plan.gather(gi, t, i) {
+		if in.Edge == localEdge {
 			inputs = append(inputs, rows.Prev(int(in.Col))) //taskbench:allocok grows to the max in-degree once, then reuses capacity
 		} else {
 			inputs = append(inputs, tr.RecvEdge(gi, int(in.Edge))) //taskbench:allocok grows to the max in-degree once, then reuses capacity
 		}
 	}
-	return inputs, rc.ExecWith(gi, t, i, inputs)
+	return inputs, rc.execWith(gi, t, i, inputs)
 }
 
-// ExecWith executes task (t, i) of graph gi with explicitly gathered
+// execWith executes task (t, i) of graph gi with explicitly gathered
 // inputs, writing into the current row. On failure it records the
 // run's first error but still publishes a valid output, keeping the
 // protocol flowing so peer ranks do not deadlock on missing sends.
@@ -221,7 +200,7 @@ func (rc *RankCtx) RunInto(inputs [][]byte, gi, t, i int) ([][]byte, []byte) {
 // rather than after the full busy-wait schedule.
 //
 //taskbench:hotpath
-func (rc *RankCtx) ExecWith(gi, t, i int, inputs [][]byte) []byte {
+func (rc *RankCtx) execWith(gi, t, i int, inputs [][]byte) []byte {
 	g := rc.Graph(gi)
 	out := rc.plan().Rows(rc.Rank, gi).Cur(i)
 	if rc.firstErr.Failed() {
@@ -242,8 +221,8 @@ func (rc *RankCtx) ExecWith(gi, t, i int, inputs [][]byte) []byte {
 //
 //taskbench:hotpath
 func (rc *RankCtx) SendOutputs(gi, t, i int, out []byte) {
-	for _, to := range rc.plan().Sends(gi, t, i) {
-		rc.Send(gi, int(to.Edge), out)
+	for _, to := range rc.plan().sends(gi, t, i) {
+		rc.send(gi, int(to.Edge), out)
 	}
 }
 
@@ -265,10 +244,9 @@ type RankEngine struct {
 }
 
 // NewRankEngine builds an engine over plan with the given policy and
-// intra-rank thread count. Schedule compilation (RankCompiler) and
-// transport construction (RankTransporter, defaulting to the
-// in-process Fabric over the plan's edge index) happen here, outside
-// any timed region.
+// intra-rank thread count. Transport construction (RankTransporter,
+// defaulting to the in-process Fabric over the plan's edge index)
+// happens here, outside any timed region.
 func NewRankEngine(plan *RankPlan, policy RankPolicy, threads int) (*RankEngine, error) {
 	e := newRankEngine(plan, policy, threads)
 	if transporter, ok := policy.(RankTransporter); ok {
@@ -299,9 +277,6 @@ func NewLocalRankEngine(plan *RankPlan, policy RankPolicy, threads int, transpor
 func newRankEngine(plan *RankPlan, policy RankPolicy, threads int) *RankEngine {
 	if threads < 1 {
 		threads = 1
-	}
-	if compiler, ok := policy.(RankCompiler); ok {
-		compiler.CompileRanks(plan)
 	}
 	e := &RankEngine{
 		plan:    plan,

@@ -134,16 +134,16 @@ func (p *RankPlan) localColumns(gi int) Span {
 	return Span{Lo: p.spans[gi][p.Local.Lo].Lo, Hi: p.spans[gi][p.Local.Hi-1].Hi}
 }
 
-// LocalEdge is the Route.Edge of a dependence whose two ends share a
+// localEdge is the route.Edge of a dependence whose two ends share a
 // rank: the payload is read from the rank's own previous row.
-const LocalEdge = -1
+const localEdge = -1
 
-// Route is one compiled hop of a task's dataflow. In a gather list Col
+// route is one compiled hop of a task's dataflow. In a gather list Col
 // is a producer column of the previous timestep and Edge the ring its
-// payload arrives on, or LocalEdge; in a send list Col is a consumer
+// payload arrives on, or localEdge; in a send list Col is a consumer
 // column of the next timestep owned by another rank and Edge the ring
 // to send on. Edge ids index RankPlan.Edges.
-type Route struct {
+type route struct {
 	Col, Edge int32
 }
 
@@ -173,7 +173,7 @@ func (w stepWindow) contains(i int) bool {
 // routeLists stores the list of (dset, i) at
 // arena[off[dset*width+i]:off[dset*width+i+1]], like core's depRel.
 type routeLists struct {
-	arena []Route
+	arena []route
 	off   []int32
 }
 
@@ -182,7 +182,7 @@ type routeLists struct {
 // clipping is two end trims — no per-entry test on the hot path.
 //
 //taskbench:hotpath
-func (l *routeLists) clipped(k int, win stepWindow) []Route {
+func (l *routeLists) clipped(k int, win stepWindow) []route {
 	list := l.arena[l.off[k]:l.off[k+1]]
 	for len(list) > 0 && list[0].Col < win.off {
 		list = list[1:]
@@ -213,7 +213,7 @@ func compileRoutes(g *core.Graph, spans []Span, ix *edgeIndex, local Span) route
 	}
 	rt.gather.off = make([]int32, sets*w+1)
 	rt.sends.off = make([]int32, sets*w+1)
-	sends := make([][]Route, local.Len())
+	sends := make([][]route, local.Len())
 	for dset := 0; dset < sets; dset++ {
 		for k := range sends {
 			sends[k] = sends[k][:0]
@@ -227,18 +227,18 @@ func compileRoutes(g *core.Graph, spans []Span, ix *edgeIndex, local Span) route
 			id, end := ix.idBefore(c), ix.idBefore(c+1)
 			for _, iv := range dt.Forward(dset, c) {
 				for j := max(iv.First, 0); j <= min(iv.Last, w-1); j++ {
-					edge := int32(LocalEdge)
+					edge := int32(localEdge)
 					if j < own.Lo || j >= own.Hi {
 						for id < end && ix.edges[id].Producer != j {
 							id++
 						}
 						edge = int32(id)
 						if j >= local.Lo && j < local.Hi {
-							sends[j-local.Lo] = append(sends[j-local.Lo], Route{Col: int32(c), Edge: edge})
+							sends[j-local.Lo] = append(sends[j-local.Lo], route{Col: int32(c), Edge: edge})
 						}
 					}
 					if c >= local.Lo && c < local.Hi {
-						rt.gather.arena = append(rt.gather.arena, Route{Col: int32(j), Edge: edge})
+						rt.gather.arena = append(rt.gather.arena, route{Col: int32(j), Edge: edge})
 					}
 				}
 			}
@@ -289,17 +289,17 @@ func (p *RankPlan) Span(gi, rank int) Span { return p.spans[gi][rank] }
 
 // Edges returns graph gi's distinct cross-rank dependence edges,
 // sorted by consumer then producer. An edge's position is its dense
-// id: what Route.Edge holds and Transport addresses.
+// id: what route.Edge holds and Transport addresses.
 func (p *RankPlan) Edges(gi int) []Edge { return p.index[gi].edges }
 
-// Gather returns the compiled input routes of task (t, i) of graph gi,
+// gather returns the compiled input routes of task (t, i) of graph gi,
 // one per dependence in PointDeps order: local producers read from the
 // rank's previous row, remote ones received on the named edge. The
 // result is a view into the plan; it is empty for columns outside the
 // plan's Local ranks.
 //
 //taskbench:hotpath
-func (p *RankPlan) Gather(gi, t, i int) []Route {
+func (p *RankPlan) gather(gi, t, i int) []route {
 	rt := &p.routes[gi]
 	if t <= 0 || t >= len(rt.steps) || !rt.steps[t].contains(i) {
 		return nil
@@ -307,13 +307,13 @@ func (p *RankPlan) Gather(gi, t, i int) []Route {
 	return rt.gather.clipped(int(rt.steps[t].dset)*rt.width+i, rt.steps[t-1])
 }
 
-// Sends returns the compiled output routes of task (t, i) of graph gi:
+// sends returns the compiled output routes of task (t, i) of graph gi:
 // its consumers at t+1 owned by other ranks, in PointConsumers order,
 // each with the edge to send on. The result is a view into the plan;
 // it is empty for columns outside the plan's Local ranks.
 //
 //taskbench:hotpath
-func (p *RankPlan) Sends(gi, t, i int) []Route {
+func (p *RankPlan) sends(gi, t, i int) []route {
 	rt := &p.routes[gi]
 	if t < 0 || t+1 >= len(rt.steps) || !rt.steps[t].contains(i) {
 		return nil

@@ -189,11 +189,11 @@ func routeGraphs(t *testing.T) []*core.Graph {
 
 // wantRoutes derives task (t, i)'s routes the slow way: the dependence
 // iterators filtered by OwnerOf, edge ids by searching the edge list.
-func wantRoutes(g *core.Graph, edges []Edge, ranks, t, i int) (gather, sends []Route) {
+func wantRoutes(g *core.Graph, edges []Edge, ranks, t, i int) (gather, sends []route) {
 	w := g.MaxWidth
 	edgeID := func(producer, consumer int) int32 {
 		if OwnerOf(producer, w, ranks) == OwnerOf(consumer, w, ranks) {
-			return LocalEdge
+			return localEdge
 		}
 		for id, e := range edges {
 			if e == (Edge{Producer: producer, Consumer: consumer}) {
@@ -204,12 +204,12 @@ func wantRoutes(g *core.Graph, edges []Edge, ranks, t, i int) (gather, sends []R
 	}
 	deps := g.PointDeps(t, i)
 	for dep, ok := deps.Next(); ok; dep, ok = deps.Next() {
-		gather = append(gather, Route{Col: int32(dep), Edge: edgeID(dep, i)})
+		gather = append(gather, route{Col: int32(dep), Edge: edgeID(dep, i)})
 	}
 	cons := g.PointConsumers(t, i)
 	for c, ok := cons.Next(); ok; c, ok = cons.Next() {
-		if id := edgeID(i, c); id != LocalEdge {
-			sends = append(sends, Route{Col: int32(c), Edge: id})
+		if id := edgeID(i, c); id != localEdge {
+			sends = append(sends, route{Col: int32(c), Edge: id})
 		}
 	}
 	return gather, sends
@@ -226,11 +226,11 @@ func TestCompiledRoutesMatchDependenceQueries(t *testing.T) {
 			for step := 0; step < g.Timesteps; step++ {
 				for i := 0; i < g.MaxWidth; i++ {
 					wantG, wantS := wantRoutes(g, plan.Edges(0), ranks, step, i)
-					if got := plan.Gather(0, step, i); !slices.Equal(got, wantG) {
+					if got := plan.gather(0, step, i); !slices.Equal(got, wantG) {
 						t.Fatalf("%s w=%d radix=%d period=%d seed=%d ranks=%d: Gather(%d, %d) = %v, want %v",
 							g.Dependence, g.MaxWidth, g.Radix, g.Period, g.Seed, ranks, step, i, got, wantG)
 					}
-					if got := plan.Sends(0, step, i); !slices.Equal(got, wantS) {
+					if got := plan.sends(0, step, i); !slices.Equal(got, wantS) {
 						t.Fatalf("%s w=%d radix=%d period=%d seed=%d ranks=%d: Sends(%d, %d) = %v, want %v",
 							g.Dependence, g.MaxWidth, g.Radix, g.Period, g.Seed, ranks, step, i, got, wantS)
 					}
@@ -253,14 +253,14 @@ func TestLocalPlanCompilesLocalRoutesOnly(t *testing.T) {
 	}
 	for step := 0; step < g.Timesteps; step++ {
 		for i := 0; i < g.MaxWidth; i++ {
-			wantG, wantS := full.Gather(0, step, i), full.Sends(0, step, i)
+			wantG, wantS := full.gather(0, step, i), full.sends(0, step, i)
 			if r := OwnerOf(i, g.MaxWidth, ranks); r < 1 || r >= 3 {
 				wantG, wantS = nil, nil
 			}
-			if got := local.Gather(0, step, i); !slices.Equal(got, wantG) {
+			if got := local.gather(0, step, i); !slices.Equal(got, wantG) {
 				t.Errorf("Gather(%d, %d) = %v, want %v", step, i, got, wantG)
 			}
-			if got := local.Sends(0, step, i); !slices.Equal(got, wantS) {
+			if got := local.sends(0, step, i); !slices.Equal(got, wantS) {
 				t.Errorf("Sends(%d, %d) = %v, want %v", step, i, got, wantS)
 			}
 		}

@@ -15,8 +15,10 @@ import (
 // Policy is the eager point-to-point discipline: each rank walks its
 // owned window in program order, receiving and computing each task and
 // sending its output to remote consumers the moment it is produced.
-// The tcp backend reuses this policy over its wire transport, and the
-// actor backend under a rank-per-column layout.
+// The tcp backend reuses this policy over its wire transport, the
+// actor backend under a rank-per-column layout, and ptg and shard as
+// is (the plan's compiled routes are ptg's firing rules, and the owned
+// window is shard's pruned walk).
 type Policy struct{}
 
 // Layout runs one single-threaded rank per worker.

@@ -49,14 +49,15 @@ func runGraph(g *core.Graph, validate bool) error {
 		scratch[i] = kernels.NewScratch(g.ScratchBytes)
 	}
 	var inputs [][]byte
-	// Bind the method value once: creating it per task would allocate a
-	// closure on the steady-state path.
-	prev := rows.Prev
 	for t := 0; t < g.Timesteps; t++ {
 		off := g.OffsetAtTimestep(t)
 		w := g.WidthAtTimestep(t)
 		for i := off; i < off+w; i++ {
-			inputs = exec.GatherInputs(g, t, i, prev, inputs)
+			inputs = inputs[:0]
+			deps := g.PointDeps(t, i)
+			for dep, ok := deps.Next(); ok; dep, ok = deps.Next() {
+				inputs = append(inputs, rows.Prev(dep))
+			}
 			if err := g.ExecutePoint(t, i, rows.Cur(i), inputs, scratch[i], validate); err != nil {
 				return err
 			}

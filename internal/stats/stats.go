@@ -17,20 +17,6 @@ func Mean(xs []float64) float64 {
 	return sum / float64(len(xs))
 }
 
-// StdDev returns the sample standard deviation of xs.
-func StdDev(xs []float64) float64 {
-	if len(xs) < 2 {
-		return 0
-	}
-	m := Mean(xs)
-	var ss float64
-	for _, x := range xs {
-		d := x - m
-		ss += d * d
-	}
-	return math.Sqrt(ss / float64(len(xs)-1))
-}
-
 // Min returns the minimum of xs (0 for an empty slice).
 func Min(xs []float64) float64 {
 	if len(xs) == 0 {
@@ -75,23 +61,6 @@ func NearestRank(n int, q float64) int {
 		return n
 	}
 	return rank
-}
-
-// GeomSpace returns n values geometrically spaced from lo to hi
-// inclusive. lo and hi must be positive and n >= 2.
-func GeomSpace(lo, hi float64, n int) []float64 {
-	if n < 2 {
-		return []float64{lo}
-	}
-	out := make([]float64, n)
-	ratio := math.Pow(hi/lo, 1/float64(n-1))
-	v := lo
-	for i := 0; i < n; i++ {
-		out[i] = v
-		v *= ratio
-	}
-	out[n-1] = hi
-	return out
 }
 
 // GeomIters returns descending iteration counts from hi down to lo

@@ -6,16 +6,13 @@ import (
 	"testing/quick"
 )
 
-func TestMeanStdDev(t *testing.T) {
+func TestMean(t *testing.T) {
 	xs := []float64{2, 4, 4, 4, 5, 5, 7, 9}
 	if got := Mean(xs); got != 5 {
 		t.Errorf("Mean = %v, want 5", got)
 	}
-	if got := StdDev(xs); math.Abs(got-2.138) > 0.01 {
-		t.Errorf("StdDev = %v, want ≈ 2.138", got)
-	}
-	if Mean(nil) != 0 || StdDev(nil) != 0 || StdDev([]float64{1}) != 0 {
-		t.Error("empty/singleton edge cases wrong")
+	if Mean(nil) != 0 {
+		t.Error("empty Mean should be 0")
 	}
 }
 
@@ -26,22 +23,6 @@ func TestMinMax(t *testing.T) {
 	}
 	if Min(nil) != 0 || Max(nil) != 0 {
 		t.Error("empty Min/Max should be 0")
-	}
-}
-
-func TestGeomSpace(t *testing.T) {
-	got := GeomSpace(1, 16, 5)
-	want := []float64{1, 2, 4, 8, 16}
-	if len(got) != 5 {
-		t.Fatalf("len = %d", len(got))
-	}
-	for i := range want {
-		if math.Abs(got[i]-want[i]) > 1e-9 {
-			t.Errorf("GeomSpace[%d] = %v, want %v", i, got[i], want[i])
-		}
-	}
-	if got := GeomSpace(5, 100, 1); got[0] != 5 {
-		t.Errorf("n<2 = %v", got)
 	}
 }
 

@@ -67,8 +67,7 @@ func usage() {
 	fmt.Fprintln(os.Stderr, `usage:
   taskbenchd coordinator [-listen addr] [-heartbeat d] [-timeout d] [-job-timeout d]
                          [-concurrency n] [-retries n] [-queue n] [-max-configs n]
-                         [-drain-timeout d] [-chaos scenario]
-                         [-http addr] [-snapshot-interval d] [-snapshot-retention n]
+                         [-drain-timeout d] [-chaos scenario] [-http addr]
   taskbenchd worker -coordinator addr [-name s] [-advertise host]
                     [-drain-on SIGTERM] [-chaos scenario] [-chaos-seed n]`)
 }
@@ -84,9 +83,7 @@ func runCoordinator(args []string) error {
 	queue := fs.Int("queue", 64, "job queue depth; submissions beyond it are rejected immediately")
 	maxConfigs := fs.Int("max-configs", 32, "prepared shape configurations kept live; cold ones are evicted LRU")
 	drainTimeout := fs.Duration("drain-timeout", 0, "grace for a draining worker's in-flight runs before it is declared dead (default -job-timeout)")
-	httpAddr := fs.String("http", "", "serve observability endpoints (/metrics /healthz /snapshots.json) on this address; empty disables")
-	snapInterval := fs.Duration("snapshot-interval", time.Second, "metrics snapshot sampling interval (with -http)")
-	snapRetention := fs.Int("snapshot-retention", 300, "snapshots retained in the /snapshots.json ring (with -http)")
+	httpAddr := fs.String("http", "", "serve observability endpoints (/metrics /healthz) on this address; empty disables")
 	chaosFlag := fs.String("chaos", "", "chaos scenario for worker control conversations: a preset ("+strings.Join(chaos.PresetNames(), ", ")+") or a rule script")
 	chaosSeed := fs.Int64("chaos-seed", 1, "seed of the chaos fault schedule")
 	fs.Parse(args)
@@ -111,10 +108,7 @@ func runCoordinator(args []string) error {
 		DrainTimeout: *drainTimeout,
 		Chaos:        inj,
 		Logf:         log.Printf,
-
-		HTTPAddr:          *httpAddr,
-		SnapshotInterval:  *snapInterval,
-		SnapshotRetention: *snapRetention,
+		HTTPAddr:     *httpAddr,
 	})
 	if err != nil {
 		return err

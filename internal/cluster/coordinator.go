@@ -12,7 +12,6 @@ import (
 	"time"
 
 	"taskbench/internal/chaos"
-	"taskbench/internal/metrics"
 	"taskbench/internal/runtime/exec"
 	"taskbench/internal/wire"
 )
@@ -59,17 +58,9 @@ type Options struct {
 	// hostage. Default JobTimeout.
 	DrainTimeout time.Duration
 	// HTTPAddr, when non-empty, serves the observability endpoints —
-	// /metrics (Prometheus text exposition), /healthz, /snapshots.json —
-	// on that address. Empty disables the HTTP server entirely.
+	// /metrics (Prometheus text exposition) and /healthz — on that
+	// address. Empty disables the HTTP server entirely.
 	HTTPAddr string
-	// SnapshotInterval is how often the metrics collector samples the
-	// registry into the retained ring; default 1s. Only meaningful with
-	// HTTPAddr set.
-	SnapshotInterval time.Duration
-	// SnapshotRetention is how many periodic snapshots the ring keeps
-	// (oldest evicted first); default 300 — five minutes of history at
-	// the default interval.
-	SnapshotRetention int
 	// Chaos, when set, injects scripted faults into the control frames
 	// this coordinator writes (forked per accepted connection). Tests
 	// and the chaos harness only; nil injects nothing.
@@ -109,12 +100,6 @@ func (o *Options) fill() {
 	if o.DrainTimeout <= 0 {
 		o.DrainTimeout = o.JobTimeout
 	}
-	if o.SnapshotInterval <= 0 {
-		o.SnapshotInterval = time.Second
-	}
-	if o.SnapshotRetention <= 0 {
-		o.SnapshotRetention = 300
-	}
 	if o.Logf == nil {
 		o.Logf = func(string, ...any) {}
 	}
@@ -147,10 +132,9 @@ type Coordinator struct {
 	wg    sync.WaitGroup
 
 	// metrics is the scrape-side instrumentation; always non-nil. The
-	// HTTP server and collector only exist when Options.HTTPAddr is set.
-	metrics   *coordMetrics
-	collector *metrics.Collector
-	http      *httpServer
+	// HTTP server only exists when Options.HTTPAddr is set.
+	metrics *coordMetrics
+	http    *httpServer
 }
 
 // workerConn is the coordinator's view of one registered worker.
@@ -306,7 +290,7 @@ func Start(opts Options) (*Coordinator, error) {
 		queue:        make(chan *job, opts.QueueDepth),
 		done:         make(chan struct{}),
 	}
-	c.metrics = newCoordMetrics(c)
+	c.metrics = newCoordMetrics(opts)
 	if opts.HTTPAddr != "" {
 		srv, err := startHTTPServer(c, opts.HTTPAddr)
 		if err != nil {
@@ -314,7 +298,6 @@ func Start(opts Options) (*Coordinator, error) {
 			return nil, err
 		}
 		c.http = srv
-		c.collector = metrics.StartCollector(c.metrics.reg, opts.SnapshotInterval, opts.SnapshotRetention)
 	}
 	c.wg.Add(2 + opts.Concurrency)
 	go c.acceptLoop()
@@ -330,54 +313,34 @@ func Start(opts Options) (*Coordinator, error) {
 func (c *Coordinator) Addr() string { return c.ln.Addr().String() }
 
 // Stats returns a snapshot of the coordinator's counters and gauges:
-// every counter is read from the metrics registry (metrics.go), the
-// fleet and queue gauges from the coordinator's own state. It reads the
-// registry before taking c.mu: CounterVec.Total and Histogram.Snapshot
-// take their own locks, which rank below c.mu.
+// the fleet and queue gauges from sample, every counter from the
+// metrics registry (metrics.go).
 func (c *Coordinator) Stats() Stats {
+	s := c.sample()
 	m := c.metrics
 	hits := int(m.cacheHits.Total())
-	s := Stats{
-		ConfigsBuilt:         int(m.configsBuilt.Value()),
-		ConfigsReused:        hits,
-		JobsRun:              int(m.jobsCompleted.Value()),
-		JobsFailed:           int(m.jobsFailed.Value()),
-		JobsInFlight:         int(m.inFlight.Value()),
-		JobsRunning:          int(m.running.Value()),
-		JobsRetried:          int(m.jobsRetried.Value()),
-		JobsRejected:         int(m.jobsRejected.Value()),
-		JobsCancelled:        int(m.jobsCancelled.Value()),
-		QueueCap:             c.opts.QueueDepth,
-		Concurrency:          c.opts.Concurrency,
-		MaxAttempts:          c.opts.MaxAttempts,
-		ConfigsReprovisioned: int(m.configsReprovisioned.Value()),
-		ConfigsEvicted:       int(m.configsEvicted.Value()),
-		ConfigCacheHits:      hits,
-		ConfigCacheMisses:    int(m.cacheMisses.Total()),
-	}
+	s.ConfigsBuilt = int(m.configsBuilt.Value())
+	s.ConfigsReused = hits
+	s.JobsRun = int(m.jobsCompleted.Value())
+	s.JobsFailed = int(m.jobsFailed.Value())
+	s.JobsInFlight = int(m.inFlight.Value())
+	s.JobsRunning = int(m.running.Value())
+	s.JobsRetried = int(m.jobsRetried.Value())
+	s.JobsRejected = int(m.jobsRejected.Value())
+	s.JobsCancelled = int(m.jobsCancelled.Value())
+	s.QueueCap = c.opts.QueueDepth
+	s.Concurrency = c.opts.Concurrency
+	s.MaxAttempts = c.opts.MaxAttempts
+	s.ConfigsReprovisioned = int(m.configsReprovisioned.Value())
+	s.ConfigsEvicted = int(m.configsEvicted.Value())
+	s.ConfigCacheHits = hits
+	s.ConfigCacheMisses = int(m.cacheMisses.Total())
 	if lat := m.jobLatency.Snapshot(); lat.Count > 0 {
 		s.LatencyP50Nanos = int(lat.Quantile(0.50) * float64(time.Second))
 		s.LatencyP95Nanos = int(lat.Quantile(0.95) * float64(time.Second))
 		s.LatencyP99Nanos = int(lat.Quantile(0.99) * float64(time.Second))
 	}
-	s.MaxHeartbeatAgeNanos = int(c.maxHeartbeatAgeNanos(time.Now()))
-	c.mu.Lock()
-	s.Workers = len(c.workers)
-	s.WorkersDraining = c.drainingLocked()
-	s.QueueLen = len(c.queue)
-	c.mu.Unlock()
 	return s
-}
-
-// drainingLocked counts mid-drain fleet members. Callers hold c.mu.
-func (c *Coordinator) drainingLocked() int {
-	n := 0
-	for _, w := range c.workers {
-		if w.draining {
-			n++
-		}
-	}
-	return n
 }
 
 // WorkerCount returns the current live fleet size.
@@ -415,7 +378,8 @@ func (c *Coordinator) WaitWorkers(n int, timeout time.Duration) (int, error) {
 		case <-changed:
 			timer.Stop()
 		case <-timer.C:
-			return c.WorkerCount(), fmt.Errorf("cluster: %d of %d workers registered after %v", c.WorkerCount(), n, timeout)
+			got := c.WorkerCount()
+			return got, fmt.Errorf("cluster: %d of %d workers registered after %v", got, n, timeout)
 		}
 	}
 }
@@ -435,9 +399,6 @@ func (c *Coordinator) Close() {
 	c.stop.Do(func() {
 		close(c.done)
 		c.ln.Close()
-		if c.collector != nil {
-			c.collector.Stop()
-		}
 		if c.http != nil {
 			c.http.close()
 		}
@@ -1155,8 +1116,7 @@ func (c *Coordinator) runJob(j *job) (wire.Message, runVerdict, *clusterConfig) 
 	}
 	if cfg == nil {
 		// Cache miss, counted at lookup whether or not the build then
-		// succeeds. CounterVec.With takes the vec's own lock, so it must
-		// run outside c.mu.
+		// succeeds.
 		c.metrics.cacheMisses.With(shapeLabel(j.spec)).Inc()
 		var err error
 		cfg, err = c.buildConfig(j.key, j.spec, j.cancel)

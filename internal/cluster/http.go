@@ -6,15 +6,12 @@ import (
 	"net"
 	"net/http"
 	"time"
-
-	"taskbench/internal/metrics"
 )
 
 // httpServer serves the coordinator's observability endpoints:
 //
-//	/metrics        Prometheus text exposition v0.0.4 of the registry
-//	/healthz        fleet quorum + queue saturation, 200 ok / 503 degraded
-//	/snapshots.json the retained snapshot ring, oldest first
+//	/metrics  Prometheus text exposition v0.0.4 of the registry
+//	/healthz  fleet quorum + queue saturation, 200 ok / 503 degraded
 //
 // It is read-only and coordinator-local: every handler samples state
 // the same way a stats reply does, so a scrape can never mutate the
@@ -34,13 +31,12 @@ func startHTTPServer(c *Coordinator, addr string) (*httpServer, error) {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/metrics", s.handleMetrics)
 	mux.HandleFunc("/healthz", s.handleHealthz)
-	mux.HandleFunc("/snapshots.json", s.handleSnapshots)
 	s.srv = &http.Server{
 		Handler:           mux,
 		ReadHeaderTimeout: 10 * time.Second,
 	}
 	go s.srv.Serve(ln)
-	c.opts.Logf("cluster: observability endpoints on http://%s (/metrics /healthz /snapshots.json)", ln.Addr())
+	c.opts.Logf("cluster: observability endpoints on http://%s (/metrics /healthz)", ln.Addr())
 	return s, nil
 }
 
@@ -59,6 +55,7 @@ func (c *Coordinator) HTTPAddr() string {
 
 func (s *httpServer) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
+	s.c.sample()
 	s.c.metrics.reg.WritePrometheus(w)
 }
 
@@ -100,25 +97,5 @@ func (s *httpServer) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	if reply.Status != "ok" {
 		w.WriteHeader(http.StatusServiceUnavailable)
 	}
-	json.NewEncoder(w).Encode(reply)
-}
-
-// snapshotsReply is the /snapshots.json body: the sampling dimensions
-// plus the retained ring, oldest first.
-type snapshotsReply struct {
-	IntervalNanos int64              `json:"interval_ns"`
-	Retention     int                `json:"retention"`
-	Snapshots     []metrics.Snapshot `json:"snapshots"`
-}
-
-func (s *httpServer) handleSnapshots(w http.ResponseWriter, r *http.Request) {
-	reply := snapshotsReply{
-		IntervalNanos: int64(s.c.opts.SnapshotInterval),
-		Retention:     s.c.opts.SnapshotRetention,
-	}
-	if col := s.c.collector; col != nil {
-		reply.Snapshots = col.Ring().Snapshots()
-	}
-	w.Header().Set("Content-Type", "application/json")
 	json.NewEncoder(w).Encode(reply)
 }

@@ -25,11 +25,7 @@ func httpGet(t *testing.T, url string) (int, []byte) {
 }
 
 func TestHTTPObservabilityEndpoints(t *testing.T) {
-	coord, _ := testFleetOpts(t, 2, func(o *Options) {
-		o.HTTPAddr = "127.0.0.1:0"
-		o.SnapshotInterval = 20 * time.Millisecond
-		o.SnapshotRetention = 5
-	})
+	coord, _ := testFleetOpts(t, 2, func(o *Options) { o.HTTPAddr = "127.0.0.1:0" })
 	base := "http://" + coord.HTTPAddr()
 	if coord.HTTPAddr() == "" {
 		t.Fatal("HTTPAddr empty with HTTPAddr option set")
@@ -82,38 +78,6 @@ func TestHTTPObservabilityEndpoints(t *testing.T) {
 	}
 	if hz.Status != "ok" || hz.Workers != 2 || hz.QueueCap == 0 {
 		t.Fatalf("/healthz = %+v", hz)
-	}
-
-	// /snapshots.json: the ring retains at most SnapshotRetention
-	// samples and the newest one carries the completed-jobs counter.
-	deadline := time.Now().Add(5 * time.Second)
-	var sr snapshotsReply
-	for {
-		_, body = httpGet(t, base+"/snapshots.json")
-		sr = snapshotsReply{}
-		if err := json.Unmarshal(body, &sr); err != nil {
-			t.Fatalf("/snapshots.json decode: %v", err)
-		}
-		if len(sr.Snapshots) == sr.Retention {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("ring never filled: %d of %d snapshots", len(sr.Snapshots), sr.Retention)
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-	if sr.Retention != 5 || sr.IntervalNanos != int64(20*time.Millisecond) {
-		t.Fatalf("snapshot dims = %+v", sr)
-	}
-	last := sr.Snapshots[len(sr.Snapshots)-1]
-	if last.Counters[MetricJobsCompleted] != 2 {
-		t.Fatalf("latest snapshot counters = %+v", last.Counters)
-	}
-	if _, ok := last.Gauges[MetricWorkersLive]; !ok {
-		t.Fatalf("latest snapshot gauges = %+v", last.Gauges)
-	}
-	if prev := sr.Snapshots[0].UnixNanos; prev >= last.UnixNanos {
-		t.Fatalf("snapshots not oldest-first: %d .. %d", prev, last.UnixNanos)
 	}
 }
 
@@ -170,20 +134,22 @@ func TestStatsInfoObservabilityFields(t *testing.T) {
 }
 
 // TestMetricsOffDataPlane pins the instrumentation to the control
-// plane: a coordinator without -http runs no collector and no HTTP
-// server, and per-job metric updates are atomics — the zero-alloc
-// data-plane benchmarks in internal/runtime stay the enforcement for
-// the task path itself.
+// plane: a coordinator without -http runs no HTTP server, and per-job
+// metric updates are atomics — the zero-alloc data-plane benchmarks in
+// internal/runtime stay the enforcement for the task path itself.
 func TestMetricsOffDataPlane(t *testing.T) {
 	coord, _ := testFleet(t, 1)
-	if coord.collector != nil || coord.http != nil {
-		t.Fatal("collector/http running without HTTPAddr")
+	if coord.http != nil {
+		t.Fatal("http running without HTTPAddr")
 	}
 	if coord.HTTPAddr() != "" {
 		t.Fatalf("HTTPAddr = %q without HTTP server", coord.HTTPAddr())
 	}
 	// The registry still exists (Stats reads its counters and percentiles), and
-	// scraping it directly is allowed even without the server.
+	// scraping it directly is allowed even without the server. The fleet
+	// gauges hold what the last sample set, so sample first, as the
+	// /metrics handler does.
+	coord.sample()
 	var sb strings.Builder
 	if err := coord.metrics.reg.WritePrometheus(&sb); err != nil {
 		t.Fatal(err)

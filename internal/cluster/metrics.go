@@ -10,10 +10,10 @@ import (
 )
 
 // Exported metric names: the contract between the coordinator's
-// registry, the /metrics exposition, the /snapshots.json ring and the
-// PromQL examples in the README. Gauges carry bare names; counters end
-// in _total per Prometheus convention. The coordinator registers
-// exactly these families (TestRegisteredFamiliesAreMetricConstants).
+// registry, the /metrics exposition and the PromQL examples in the
+// README. Gauges carry bare names; counters end in _total per
+// Prometheus convention. The coordinator registers exactly these
+// families (TestRegisteredFamiliesAreMetricConstants).
 const (
 	MetricQueueDepth      = "taskbench_queue_depth"
 	MetricQueueCapacity   = "taskbench_queue_capacity"
@@ -43,15 +43,21 @@ const (
 )
 
 // coordMetrics is the coordinator's instrumentation and its only event
-// counters: counters, the two job gauges and histograms updated from
-// the scheduler paths (atomic writes, no coordinator locks), the other
-// gauges computed at scrape time from the coordinator's own state.
-// Coordinator.Stats and the statsreply read the same instruments.
+// counters. Counters, histograms and the two job gauges are updated
+// from the scheduler paths; the gauges derived from coordinator state
+// are set by Coordinator.sample, which Stats and the /metrics handler
+// both call.
 type coordMetrics struct {
 	reg *metrics.Registry
 
 	inFlight *metrics.Gauge
 	running  *metrics.Gauge
+
+	queueDepth      *metrics.Gauge
+	workersLive     *metrics.Gauge
+	workersDraining *metrics.Gauge
+	configsPrepared *metrics.Gauge
+	heartbeatAge    *metrics.Gauge
 
 	jobsCompleted *metrics.Counter
 	jobsFailed    *metrics.Counter
@@ -70,19 +76,23 @@ type coordMetrics struct {
 	queueWait  *metrics.Histogram
 }
 
-// newCoordMetrics builds the registry and wires the gauge functions to
-// the coordinator. Gauge functions run at scrape/snapshot time with
-// the registry mutex held and take c.mu (or read atomics) themselves —
-// so coordinator code must never call registry-level methods (scrape,
-// snapshot, registration) while holding c.mu. Counter and histogram
-// updates are atomic and safe anywhere.
-func newCoordMetrics(c *Coordinator) *coordMetrics {
+// newCoordMetrics builds the registry. Queue capacity and scheduler
+// slots never change, so they are set here once.
+func newCoordMetrics(opts Options) *coordMetrics {
 	reg := metrics.NewRegistry()
-	m := &coordMetrics{
+	reg.Gauge(MetricQueueCapacity, "Job queue capacity.").Set(float64(opts.QueueDepth))
+	reg.Gauge(MetricSchedulerSlots, "Scheduler concurrency slots.").Set(float64(opts.Concurrency))
+	return &coordMetrics{
 		reg: reg,
 
 		inFlight: reg.Gauge(MetricJobsInFlight, "Jobs claimed by scheduler slots."),
 		running:  reg.Gauge(MetricJobsRunning, "Jobs currently executing on the fleet."),
+
+		queueDepth:      reg.Gauge(MetricQueueDepth, "Jobs queued awaiting a scheduler slot."),
+		workersLive:     reg.Gauge(MetricWorkersLive, "Registered live workers."),
+		workersDraining: reg.Gauge(MetricWorkersDraining, "Fleet members mid-drain."),
+		configsPrepared: reg.Gauge(MetricConfigsPrepared, "Shapes currently holding a prepared configuration."),
+		heartbeatAge:    reg.Gauge(MetricHeartbeatAge, "Age of the stalest live worker's last heartbeat."),
 
 		jobsCompleted: reg.Counter(MetricJobsCompleted, "Jobs that ran to completion, successful or not."),
 		jobsFailed:    reg.Counter(MetricJobsFailed, "Jobs that completed with an error."),
@@ -100,55 +110,42 @@ func newCoordMetrics(c *Coordinator) *coordMetrics {
 		jobLatency: reg.Histogram(MetricJobLatency, "Job latency from admission to done reply.", nil),
 		queueWait:  reg.Histogram(MetricQueueWait, "Time from admission to a scheduler slot claiming the job.", nil),
 	}
-
-	// locked wraps a reader so the gauge samples under c.mu.
-	locked := func(fn func() float64) func() float64 {
-		return func() float64 {
-			c.mu.Lock()
-			defer c.mu.Unlock()
-			return fn()
-		}
-	}
-	reg.GaugeFunc(MetricQueueDepth, "Jobs queued awaiting a scheduler slot.",
-		locked(func() float64 { return float64(len(c.queue)) }))
-	reg.GaugeFunc(MetricQueueCapacity, "Job queue capacity.",
-		locked(func() float64 { return float64(c.opts.QueueDepth) }))
-	reg.GaugeFunc(MetricWorkersLive, "Registered live workers.",
-		locked(func() float64 { return float64(len(c.workers)) }))
-	reg.GaugeFunc(MetricWorkersDraining, "Fleet members mid-drain.",
-		locked(func() float64 { return float64(c.drainingLocked()) }))
-	reg.GaugeFunc(MetricSchedulerSlots, "Scheduler concurrency slots.",
-		locked(func() float64 { return float64(c.opts.Concurrency) }))
-	reg.GaugeFunc(MetricConfigsPrepared, "Shapes currently holding a prepared configuration.",
-		locked(func() float64 {
-			n := 0
-			for _, e := range c.configs {
-				if e.cfg != nil {
-					n++
-				}
-			}
-			return float64(n)
-		}))
-	reg.GaugeFunc(MetricHeartbeatAge, "Age of the stalest live worker's last heartbeat.",
-		func() float64 {
-			return time.Duration(c.maxHeartbeatAgeNanos(time.Now())).Seconds()
-		})
-	return m
 }
 
-// maxHeartbeatAgeNanos is the age of the stalest live worker's last
-// heartbeat — 0 with an empty fleet (nothing to be stale about).
-func (c *Coordinator) maxHeartbeatAgeNanos(now time.Time) int64 {
-	nowNanos := now.UnixNano()
+// sample sets the gauges derived from coordinator state and returns
+// them as the fleet fields of a Stats. Fleet size, drains, prepared
+// shapes and heartbeat age are read in one c.mu critical section;
+// queue depth is the channel's length, which needs no lock. An empty
+// fleet has heartbeat age 0: nothing to be stale about.
+func (c *Coordinator) sample() Stats {
+	var s Stats
+	now := time.Now().UnixNano()
+	var age int64
+	prepared := 0
 	c.mu.Lock()
-	defer c.mu.Unlock()
-	var max int64
+	s.Workers = len(c.workers)
 	for _, w := range c.workers {
-		if age := nowNanos - w.lastSeen.Load(); age > max {
-			max = age
+		if w.draining {
+			s.WorkersDraining++
+		}
+		age = max(age, now-w.lastSeen.Load())
+	}
+	for _, e := range c.configs {
+		if e.cfg != nil {
+			prepared++
 		}
 	}
-	return max
+	c.mu.Unlock()
+	s.QueueLen = len(c.queue)
+	s.MaxHeartbeatAgeNanos = int(age)
+
+	m := c.metrics
+	m.queueDepth.Set(float64(s.QueueLen))
+	m.workersLive.Set(float64(s.Workers))
+	m.workersDraining.Set(float64(s.WorkersDraining))
+	m.configsPrepared.Set(float64(prepared))
+	m.heartbeatAge.Set(time.Duration(age).Seconds())
+	return s
 }
 
 // shapeLabel renders a spec's structural shape as a bounded-length,

@@ -4,9 +4,11 @@ import (
 	"go/ast"
 	"go/parser"
 	"go/token"
+	"io"
 	"strconv"
 	"strings"
 	"testing"
+	"time"
 )
 
 // TestRegisteredFamiliesAreMetricConstants holds the coordinator's
@@ -68,5 +70,30 @@ func TestRegisteredFamiliesAreMetricConstants(t *testing.T) {
 		if !registered[name] {
 			t.Errorf("%s (%q) is never registered by the coordinator", c, name)
 		}
+	}
+}
+
+// TestRegistryRendersUnderCoordinatorLock pins the registry's one-way
+// dependency: rendering reads instruments and never calls back into
+// the coordinator, so a scrape completes even while c.mu is held.
+func TestRegistryRendersUnderCoordinatorLock(t *testing.T) {
+	coord, err := Start(Options{Logf: t.Logf})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer coord.Close()
+	done := make(chan error, 1)
+	coord.mu.Lock()
+	go func() { done <- coord.metrics.reg.WritePrometheus(io.Discard) }()
+	select {
+	case err = <-done:
+		coord.mu.Unlock()
+	case <-time.After(2 * time.Second):
+		coord.mu.Unlock()
+		<-done
+		t.Fatal("WritePrometheus blocked for 2s while c.mu was held: the registry calls back into the coordinator")
+	}
+	if err != nil {
+		t.Fatal(err)
 	}
 }

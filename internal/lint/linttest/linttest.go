@@ -9,7 +9,7 @@
 // message matches; every diagnostic must be demanded by some want.
 // Testdata trees use the GOPATH-style layout testdata/src/<import
 // path>/*.go, so fake stand-ins for real module packages (for example a
-// skeletal taskbench/internal/metrics) can occupy their real import
+// skeletal taskbench/internal/cluster) can occupy their real import
 // paths.
 package linttest
 

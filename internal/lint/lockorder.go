@@ -12,25 +12,19 @@ import (
 // any held lock's rank — directly, or by calling a function whose
 // (transitive) acquire set contains one — is a violation.
 //
-// The hierarchy (see DESIGN.md §14 and the internal/metrics package
-// comment):
+// The hierarchy (see DESIGN.md §14):
 //
 //	rank 10  cluster.configEntry.lock  per-shape run lock (a 1-buffered
 //	         channel: a send acquires, a receive releases)
-//	rank 20  metrics.Registry.mu       held across render/snapshot and
-//	         while gauge functions run
-//	rank 25  metrics.CounterVec.mu     CounterVec.With must run outside
-//	         c.mu (the runJob cache-miss contract)
-//	rank 30  cluster.Coordinator.mu    taken by gauge functions, so
-//	         coordinator code must never call registry-level methods
-//	         while holding it
+//	rank 30  cluster.Coordinator.mu
 //	rank 40  cluster.workerConn.mu, cluster.clientConn.mu  leaf locks
 //
-// Gauge closures passed to Registry.GaugeFunc are analyzed as if
-// metrics.Registry.mu were already held, because that is how the
-// registry runs them. Branch bodies are analyzed with a copy of the
-// held set; function facts carry each function's transitive acquire
-// set across packages.
+// The metrics package's locks are not in the table: it imports nothing
+// from cluster and runs no caller code, so they nest only each other
+// and can close no cycle with a coordinator lock. Closures are analyzed
+// in their own context with nothing held. Branch bodies are analyzed
+// with a copy of the held set; function facts carry each function's
+// transitive acquire set across packages.
 var LockOrder = &Analyzer{
 	Name: "lockorder",
 	Doc:  "enforce the coordinator's declarative lock hierarchy",
@@ -49,15 +43,10 @@ type lockInfo struct {
 
 var lockOrderTable = map[lockKey]lockInfo{
 	{"taskbench/internal/cluster", "configEntry", "lock"}: {10, "configEntry.lock (per-shape run lock)", true},
-	{"taskbench/internal/metrics", "Registry", "mu"}:      {20, "metrics.Registry.mu", false},
-	{"taskbench/internal/metrics", "CounterVec", "mu"}:    {25, "metrics.CounterVec.mu", false},
 	{"taskbench/internal/cluster", "Coordinator", "mu"}:   {30, "cluster.Coordinator.mu", false},
 	{"taskbench/internal/cluster", "workerConn", "mu"}:    {40, "cluster.workerConn.mu", false},
 	{"taskbench/internal/cluster", "clientConn", "mu"}:    {40, "cluster.clientConn.mu", false},
 }
-
-// registryMu is the lock implicitly held while gauge functions run.
-var registryMu = lockKey{"taskbench/internal/metrics", "Registry", "mu"}
 
 type lockAcquireSet map[lockKey]bool
 
@@ -115,7 +104,6 @@ type lockWalker struct {
 	pass       *Pass
 	local      map[*types.Func]lockAcquireSet
 	localCalls map[*types.Func][]*types.Func
-	gaugeLits  map[*ast.FuncLit]bool
 }
 
 // lockField resolves expr to a lock in the ordering table: a selector
@@ -403,9 +391,8 @@ func (w *lockWalker) scanExpr(e ast.Expr, held map[lockKey]token.Pos) {
 }
 
 // handleCall applies one call's effect on the held set: mutex ops
-// mutate it, gauge-function registrations get their closure analyzed
-// under the registry lock, and other static calls are checked against
-// their acquire facts.
+// mutate it, and other static calls are checked against their acquire
+// facts.
 func (w *lockWalker) handleCall(call *ast.CallExpr, held map[lockKey]token.Pos) {
 	if key, acquire, ok := w.mutexOp(call); ok {
 		if acquire {
@@ -416,38 +403,13 @@ func (w *lockWalker) handleCall(call *ast.CallExpr, held map[lockKey]token.Pos) 
 		}
 		return
 	}
-	fn := w.callTarget(call)
-	if fn == nil {
-		return
+	if fn := w.callTarget(call); fn != nil {
+		w.checkCall(call, fn, held)
 	}
-	if fn.Name() == "GaugeFunc" && fn.Pkg() != nil && fn.Pkg().Path() == registryMu.pkg {
-		if lit, ok := lastFuncLit(call.Args); ok {
-			if w.gaugeLits == nil {
-				w.gaugeLits = map[*ast.FuncLit]bool{}
-			}
-			w.gaugeLits[lit] = true
-		}
-	}
-	w.checkCall(call, fn, held)
 }
 
-// analyzeFuncLit checks a closure body in its own context: gauge
-// closures run with the registry mutex held, everything else starts
-// clean.
+// analyzeFuncLit checks a closure body in its own context, starting
+// with nothing held.
 func (w *lockWalker) analyzeFuncLit(lit *ast.FuncLit) {
-	held := map[lockKey]token.Pos{}
-	if w.gaugeLits[lit] {
-		held[registryMu] = lit.Pos()
-	}
-	w.checkBody(lit.Body, held)
-}
-
-// lastFuncLit returns the trailing function-literal argument, the
-// position Registry.GaugeFunc takes its gauge in.
-func lastFuncLit(args []ast.Expr) (*ast.FuncLit, bool) {
-	if len(args) == 0 {
-		return nil, false
-	}
-	lit, ok := ast.Unparen(args[len(args)-1]).(*ast.FuncLit)
-	return lit, ok
+	w.checkBody(lit.Body, map[lockKey]token.Pos{})
 }

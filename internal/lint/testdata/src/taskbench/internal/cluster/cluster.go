@@ -1,15 +1,10 @@
 // Package cluster is a skeletal stand-in for the real
 // taskbench/internal/cluster exercising the documented lock hierarchy:
-// configEntry.lock (10) < metrics.Registry.mu (20) <
-// metrics.CounterVec.mu (25) < Coordinator.mu (30) < workerConn.mu /
+// configEntry.lock (10) < Coordinator.mu (30) < workerConn.mu /
 // clientConn.mu (40). Locks may only be acquired in increasing rank.
 package cluster
 
-import (
-	"sync"
-
-	"taskbench/internal/metrics"
-)
+import "sync"
 
 type configEntry struct {
 	lock chan struct{}
@@ -21,55 +16,8 @@ type workerConn struct {
 
 type Coordinator struct {
 	mu      sync.Mutex
-	reg     *metrics.Registry
-	vec     *metrics.CounterVec
 	queue   []int
 	workers []*workerConn
-}
-
-// goodGauge follows the hierarchy: the gauge closure runs under the
-// registry render lock (rank 20) and takes c.mu (rank 30) inside it.
-func (c *Coordinator) goodGauge() {
-	c.reg.GaugeFunc("queue_depth", "", func() float64 {
-		c.mu.Lock()
-		defer c.mu.Unlock()
-		return float64(len(c.queue))
-	})
-}
-
-// badRegistryUnderCoordinator registers a metric while holding c.mu:
-// rank 20 acquired under rank 30.
-func (c *Coordinator) badRegistryUnderCoordinator() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.reg.Counter("x", "") // want `calling Counter, which acquires metrics\.Registry\.mu \(rank 20\), while holding cluster\.Coordinator\.mu \(rank 30\)`
-}
-
-// badGaugeReentry calls back into the registry from a gauge closure,
-// which deadlocks against the render loop that invoked it.
-func (c *Coordinator) badGaugeReentry() {
-	c.reg.GaugeFunc("bad", "", func() float64 {
-		c.reg.Counter("y", "") // want `calling Counter, which acquires metrics\.Registry\.mu \(rank 20\), while holding metrics\.Registry\.mu \(rank 20\)`
-		return 0
-	})
-}
-
-// badVecUnderCoordinator touches a CounterVec under c.mu; With must run
-// outside the coordinator lock.
-func (c *Coordinator) badVecUnderCoordinator() {
-	c.mu.Lock()
-	c.vec.With("shape") // want `calling With, which acquires metrics\.CounterVec\.mu \(rank 25\), while holding cluster\.Coordinator\.mu \(rank 30\)`
-	c.mu.Unlock()
-}
-
-// goodVecOutside releases c.mu before touching the vec.
-func (c *Coordinator) goodVecOutside() {
-	c.mu.Lock()
-	n := len(c.queue)
-	c.mu.Unlock()
-	if n > 0 {
-		c.vec.With("shape").Inc()
-	}
 }
 
 // badRunLockUnderMu acquires the per-shape run lock (rank 10, a channel
@@ -101,6 +49,19 @@ func (c *Coordinator) helperLocks() {
 	defer c.mu.Unlock()
 }
 
+// goodCallLeaf calls a helper that takes a leaf lock (rank 40) while
+// holding c.mu (rank 30).
+func (c *Coordinator) goodCallLeaf(w *workerConn) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	w.touch()
+}
+
+func (w *workerConn) touch() {
+	w.mu.Lock()
+	w.mu.Unlock()
+}
+
 // badLeafOrder takes the coordinator lock while holding a leaf
 // connection lock: rank 30 acquired under rank 40.
 func (c *Coordinator) badLeafOrder(w *workerConn) {
@@ -130,6 +91,40 @@ func (c *Coordinator) goodBranches(stop bool) {
 	c.mu.Unlock()
 }
 
+// badAfterBranch releases the leaf lock only on the early-exit path,
+// so the steady path still holds it when it takes c.mu.
+func (c *Coordinator) badAfterBranch(w *workerConn, stop bool) {
+	w.mu.Lock()
+	if stop {
+		w.mu.Unlock()
+		return
+	}
+	c.mu.Lock() // want `acquiring cluster\.Coordinator\.mu \(rank 30\) while holding cluster\.workerConn\.mu \(rank 40\)`
+	c.mu.Unlock()
+	w.mu.Unlock()
+}
+
+// goodClosureUnderMu builds, under c.mu, a closure that takes c.mu when
+// it later runs: a closure starts with nothing held.
+func (c *Coordinator) goodClosureUnderMu() func() {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return func() {
+		c.mu.Lock()
+		c.mu.Unlock()
+	}
+}
+
+// badClosureBody misorders inside the closure itself.
+func (c *Coordinator) badClosureBody(w *workerConn) func() {
+	return func() {
+		w.mu.Lock()
+		c.mu.Lock() // want `acquiring cluster\.Coordinator\.mu \(rank 30\) while holding cluster\.workerConn\.mu \(rank 40\)`
+		c.mu.Unlock()
+		w.mu.Unlock()
+	}
+}
+
 // goodTryAcquire models the select-based non-blocking try-acquire of a
 // run lock: the send arm holds the lock inside the clause only.
 func (c *Coordinator) goodTryAcquire(e *configEntry) bool {
@@ -139,5 +134,15 @@ func (c *Coordinator) goodTryAcquire(e *configEntry) bool {
 		return true
 	default:
 		return false
+	}
+}
+
+// badTryAcquireReentry sends on the run lock again inside the clause
+// that won it: the clause runs with the lock held.
+func (c *Coordinator) badTryAcquireReentry(e *configEntry) {
+	select {
+	case e.lock <- struct{}{}:
+		e.lock <- struct{}{} // want `acquiring configEntry\.lock \(per-shape run lock\) while already holding it`
+	default:
 	}
 }

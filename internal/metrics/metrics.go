@@ -1,23 +1,20 @@
 // Package metrics is the coordinator-side instrumentation registry:
 // counters, gauges and fixed-bucket latency histograms fed from the
-// scheduler hot paths, rendered on demand as Prometheus text
-// exposition (prom.go) and sampled periodically into a bounded ring of
-// snapshots (snapshot.go) so a scrape sees history, not just an
-// instant.
+// scheduler hot paths and rendered on demand as Prometheus text
+// exposition (prom.go).
 //
 // The package is deliberately hand-rolled — no client_golang, no new
-// dependencies — and deliberately cheap on the write side: counter and
-// histogram updates are single atomic operations, so instrumentation
-// lives on the coordinator's control plane without ever touching the
+// dependencies — and deliberately cheap on the write side: instrument
+// updates are atomic operations, so instrumentation lives on the
+// coordinator's control plane without ever touching the
 // zero-allocation data plane the benchmark exists to measure.
 //
-// Lock ordering: the registry mutex is taken by registration, render
-// and snapshot only. Instrument updates (Inc, Add, Set, Observe) are
-// lock-free; CounterVec.With takes only the vec's own mutex. Gauge
-// functions run during render/snapshot with the registry mutex held,
-// so a gauge function may take its owner's locks but an instrument
-// owner must never call registry-level methods while holding a lock a
-// gauge function also takes.
+// The registry only holds values and renders them; it never runs
+// caller code. An owner that derives a gauge from its own state samples
+// it and calls Set. So the package's locks — the registry mutex
+// (registration, render) and each CounterVec's mutex (With, Total,
+// render) — nest only each other, and an owner may update, register or
+// render under any lock of its own.
 package metrics
 
 import (
@@ -52,33 +49,37 @@ func (c *Counter) Add(n int64) {
 // Value returns the current count.
 func (c *Counter) Value() int64 { return c.v.Load() }
 
-// Gauge is an instantaneous integer value that can go up and down.
+// Gauge is an instantaneous value that can go up and down. Prometheus
+// gauges are floats, and so is this one: heartbeat age is a fraction
+// of a second.
 type Gauge struct {
 	name, help string
-	v          atomic.Int64
+	bits       atomic.Uint64 // float64 bits of the value
 }
 
 // Set replaces the value.
-func (g *Gauge) Set(v int64) { g.v.Store(v) }
+func (g *Gauge) Set(v float64) { g.bits.Store(math.Float64bits(v)) }
 
 // Add moves the value by delta.
-func (g *Gauge) Add(delta int64) { g.v.Add(delta) }
+func (g *Gauge) Add(delta float64) { addFloat(&g.bits, delta) }
 
 // Value returns the current value.
-func (g *Gauge) Value() int64 { return g.v.Load() }
+func (g *Gauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }
 
-// gaugeFunc is a gauge computed at render/snapshot time — the right
-// shape for values the owner already maintains under its own locks
-// (queue depth, fleet size, heartbeat age).
-type gaugeFunc struct {
-	name, help string
-	fn         func() float64
+// addFloat adds v to the float64 stored as bits in a, with a CAS loop.
+func addFloat(a *atomic.Uint64, v float64) {
+	for {
+		old := a.Load()
+		if a.CompareAndSwap(old, math.Float64bits(math.Float64frombits(old)+v)) {
+			return
+		}
+	}
 }
 
 // CounterVec is a family of counters partitioned by one label — the
 // per-shape config cache counters. Children are created on first use
-// and live for the registry's lifetime (shape cardinality is bounded
-// by the coordinator's MaxConfigs-style caps, not by traffic).
+// and never pruned, so the label set is every value ever passed to
+// With: for the coordinator, every shape submitted over its lifetime.
 type CounterVec struct {
 	name, help, label string
 
@@ -156,13 +157,7 @@ func (h *Histogram) Observe(v float64) {
 	i := sort.SearchFloat64s(h.bounds, v) // first bound >= v: le semantics
 	h.counts[i].Add(1)
 	h.count.Add(1)
-	for {
-		old := h.sumBits.Load()
-		next := math.Float64bits(math.Float64frombits(old) + v)
-		if h.sumBits.CompareAndSwap(old, next) {
-			return
-		}
-	}
+	addFloat(&h.sumBits, v)
 }
 
 // ObserveDuration records a duration in seconds.
@@ -205,10 +200,10 @@ func (h *Histogram) Snapshot() HistogramData {
 // HistogramData is a point-in-time copy of a histogram: per-bucket
 // counts (not cumulative), the implicit overflow bucket last.
 type HistogramData struct {
-	Bounds []float64 `json:"bounds"`
-	Counts []int64   `json:"counts"` // len(Bounds)+1; last is the +Inf overflow
-	Count  int64     `json:"count"`
-	Sum    float64   `json:"sum"`
+	Bounds []float64
+	Counts []int64 // len(Bounds)+1; last is the +Inf overflow
+	Count  int64
+	Sum    float64
 }
 
 // Quantile is the nearest-rank quantile over the bucketed counts; see
@@ -233,15 +228,14 @@ func (d HistogramData) Quantile(q float64) float64 {
 
 // Registry holds named instruments. Registration happens at
 // construction time (duplicate names panic: a name collision is a
-// programming error, not a runtime condition); rendering and
-// snapshotting iterate instruments sorted by name.
+// programming error, not a runtime condition); rendering iterates
+// instruments sorted by name.
 type Registry struct {
 	mu    sync.Mutex
 	names map[string]struct{}
 
 	counters   []*Counter
 	gauges     []*Gauge
-	gaugeFns   []*gaugeFunc
 	vecs       []*CounterVec
 	histograms []*Histogram
 }
@@ -269,7 +263,7 @@ func (r *Registry) Counter(name, help string) *Counter {
 	return c
 }
 
-// Gauge registers and returns an integer gauge.
+// Gauge registers and returns a gauge, initially 0.
 func (r *Registry) Gauge(name, help string) *Gauge {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -277,16 +271,6 @@ func (r *Registry) Gauge(name, help string) *Gauge {
 	g := &Gauge{name: name, help: help}
 	r.gauges = append(r.gauges, g)
 	return g
-}
-
-// GaugeFunc registers a gauge computed by fn at render/snapshot time.
-// fn runs with the registry mutex held; see the package comment for
-// the lock-ordering contract.
-func (r *Registry) GaugeFunc(name, help string, fn func() float64) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.claim(name)
-	r.gaugeFns = append(r.gaugeFns, &gaugeFunc{name: name, help: help, fn: fn})
 }
 
 // CounterVec registers a one-label counter family.

@@ -20,8 +20,7 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 		name   string
 		render func(*bufio.Writer)
 	}
-	fams := make([]family, 0,
-		len(r.counters)+len(r.gauges)+len(r.gaugeFns)+len(r.vecs)+len(r.histograms))
+	fams := make([]family, 0, len(r.counters)+len(r.gauges)+len(r.vecs)+len(r.histograms))
 
 	for _, c := range r.counters {
 		c := c
@@ -34,14 +33,7 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 		g := g
 		fams = append(fams, family{g.name, func(bw *bufio.Writer) {
 			header(bw, g.name, g.help, "gauge")
-			fmt.Fprintf(bw, "%s %d\n", g.name, g.Value())
-		}})
-	}
-	for _, gf := range r.gaugeFns {
-		gf := gf
-		fams = append(fams, family{gf.name, func(bw *bufio.Writer) {
-			header(bw, gf.name, gf.help, "gauge")
-			fmt.Fprintf(bw, "%s %s\n", gf.name, formatFloat(gf.fn()))
+			fmt.Fprintf(bw, "%s %s\n", g.name, formatFloat(g.Value()))
 		}})
 	}
 	for _, v := range r.vecs {

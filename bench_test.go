@@ -1,7 +1,7 @@
 // The root package's share of the CI perf gate: five of the module's
-// nine Go benchmarks (the others sit beside internal/wire,
-// internal/runtime/tcp and internal/kernels). Measurement belongs to
-// bench/, the reference-clocked single-P benchmark behind
+// ten Go benchmarks (the others sit beside internal/wire,
+// internal/runtime/tcp, internal/kernels and internal/core).
+// Measurement belongs to bench/, the reference-clocked single-P benchmark behind
 // BENCHMARK.json, and each benchmark here names its per-layer twin
 // there. They survive because
 // bench/ needs a quiet host and a hosted CI runner is not one; the gate

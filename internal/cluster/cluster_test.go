@@ -600,6 +600,34 @@ func TestClusterRejectsBadSpec(t *testing.T) {
 	}
 }
 
+// TestAdmitRejectsOversizedOutput: a graph whose outputs could never
+// travel in one mesh frame is turned away at admission. Admitted, its
+// plan rows would be sized from output_bytes and the worker would die
+// of an out-of-memory fatal error in prepare, which no recover catches.
+func TestAdmitRejectsOversizedOutput(t *testing.T) {
+	coord, _ := testFleet(t, 2)
+	cli, err := Dial(coord.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cli.Close()
+	res, err := cli.Submit(wire.AppSpec{Graphs: []wire.GraphSpec{{
+		Steps: 2, Width: 4, Type: "stencil_1d", Output: 1 << 40,
+	}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Rejected || res.Err == nil || !strings.Contains(res.Err.Error(), "invalid spec") {
+		t.Fatalf("oversized output not rejected at admission: %+v", res)
+	}
+	if n := coord.WorkerCount(); n != 2 {
+		t.Errorf("workers = %d after the rejected submit, want 2", n)
+	}
+	if _, err := cli.Run(stencilSpec(2, 8)); err != nil {
+		t.Errorf("normal job after the rejection: %v", err)
+	}
+}
+
 // TestClusterRejectsNonBinaryOpener pins the one framing from both
 // ends: a peer whose first byte is not a binary frame's is torn down
 // like any other malformed frame — no reply, one log line, and the

@@ -13,6 +13,7 @@ import (
 
 	"taskbench/internal/chaos"
 	"taskbench/internal/runtime/exec"
+	"taskbench/internal/runtime/tcp"
 	"taskbench/internal/wire"
 )
 
@@ -879,6 +880,13 @@ func (c *Coordinator) admit(cl *clientConn, m wire.Message) bool {
 	}
 	if _, err := m.Spec.ToApp(); err != nil {
 		return reject(id, "invalid spec: %v", err)
+	}
+	// A worker sizes its rows from output_bytes in prepare; past what
+	// one mesh frame can carry, that allocation is a fatal error there.
+	for k, g := range m.Spec.Graphs {
+		if g.Output > tcp.MaxFrameLen {
+			return reject(id, "invalid spec: graph %d: output_bytes %d exceeds the mesh frame limit %d", k, g.Output, tcp.MaxFrameLen)
+		}
 	}
 	j := &job{
 		id:       id,

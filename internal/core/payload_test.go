@@ -31,21 +31,22 @@ func TestWriteOutputUnique(t *testing.T) {
 }
 
 // pinnedPayloadDigest is the SHA-256 of every payload
-// TestWriteOutputPinned writes, in order, computed at the commit before
-// WriteOutput's fill loop was strength-reduced. Fleet peers and
-// checkInput read these bytes, so a change here is a protocol change.
-const pinnedPayloadDigest = "754147c63f32502f18bed8ddc1d8374fd8e5d4428b123a935aeaa4ba5a648205"
+// TestWriteOutputPinned writes, in order, computed with the pure-Go
+// fill loop before the vector body existed. Fleet peers and checkInput
+// read these bytes, so a change here is a protocol change.
+const pinnedPayloadDigest = "3199623dcfb69d0d1e901dff813cea54da44f1ad82550fdbf234cdf4d8c8caf8"
 
 // TestWriteOutputPinned holds WriteOutput byte for byte to its
 // definition — the little-endian (t, i) header followed by fillByteAt
 // at every offset — and the whole set to pinnedPayloadDigest. Lengths
-// 16–300 cross every 32-byte-trip / 8-byte-lane / sub-word-tail
-// combination, 4096 / 4099 are tcp_payload's size with and without a
-// tail, and the (t, i) pairs include 0 and values at or above 2^32 so
-// both halves of the seed's t<<32 ^ i mixing are exercised.
+// 16–1100 put every 32-byte-trip / 8-byte-lane / sub-word-tail
+// remainder behind 0–7 whole 128-byte vector blocks, and reach 8;
+// 4096 / 4099 are tcp_payload's size with and without a tail, and the (t, i)
+// pairs include 0 and values at or above 2^32 so both halves of the
+// seed's t<<32 ^ i mixing are exercised.
 func TestWriteOutputPinned(t *testing.T) {
 	var sizes []int
-	for n := PayloadHeaderSize; n <= 300; n++ {
+	for n := PayloadHeaderSize; n <= 1100; n++ {
 		sizes = append(sizes, n)
 	}
 	sizes = append(sizes, 4096, 4099)

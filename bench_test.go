@@ -125,19 +125,25 @@ func BenchmarkPlanBuild(b *testing.B) {
 }
 
 // BenchmarkFabricRoundtrip measures one message through the in-process
-// fabric — Send then Recv on one edge, 64 bytes, producer and consumer
-// on the same goroutine so nothing parks: the per-message floor under
-// every rank backend's task overhead.
+// fabric the rank engine builds — SendEdge then RecvEdge on the edge
+// 0→1 of a 2-rank stencil, 64 bytes, producer and consumer on the same
+// goroutine so nothing parks: the per-message floor under every rank
+// backend's task overhead.
 // bench/ twin: exec.fabric_roundtrip_ns; kept as the CI tripwire, since
 // hosted runners cannot run the reference-clocked bench/.
 func BenchmarkFabricRoundtrip(b *testing.B) {
-	f := exec.NewFabricFromEdges([][]exec.Edge{{{Producer: 0, Consumer: 1}}})
+	app := core.NewApp(core.MustNew(core.Params{
+		Timesteps: 2, MaxWidth: 2, Dependence: core.Stencil1D, OutputBytes: 64,
+	}))
+	plan := exec.BuildRankPlan(app, 2)
+	f := exec.NewFabric(plan, 4, nil) // the rank engine's per-edge capacity
+	edge := plan.EdgeID(0, 0, 1)
 	payload := make([]byte, 64)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		f.Send(0, 0, 1, payload)
-		if len(f.Recv(0, 0, 1)) != len(payload) {
+		f.SendEdge(0, 0, edge, payload)
+		if len(f.RecvEdge(0, edge)) != len(payload) {
 			b.Fatal("short payload")
 		}
 	}

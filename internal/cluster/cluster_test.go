@@ -605,20 +605,48 @@ func TestClusterRejectsBadSpec(t *testing.T) {
 // plan rows would be sized from output_bytes and the worker would die
 // of an out-of-memory fatal error in prepare, which no recover catches.
 func TestAdmitRejectsOversizedOutput(t *testing.T) {
+	expectRejectedAtAdmission(t, wire.GraphSpec{
+		Steps: 2, Width: 4, Type: "stencil_1d", Output: 1 << 40,
+	})
+}
+
+// TestAdmitRejectsOversizedScratch: a graph whose per-column scratch
+// is past the worker's allocation budget is turned away at admission.
+// Admitted, the worker would die of an out-of-memory fatal error in
+// kernels.NewScratch during prepare.
+func TestAdmitRejectsOversizedScratch(t *testing.T) {
+	expectRejectedAtAdmission(t, wire.GraphSpec{
+		Steps: 2, Width: 4, Type: "stencil_1d", Scratch: 1 << 42,
+	})
+}
+
+// TestAdmitRejectsTooManySteps: a graph past the step limit is turned
+// away at admission. Admitted, the worker would sit in prepare sizing
+// its per-step window table — holding its control read loop while its
+// heartbeats keep it alive — until provisioning timed out.
+func TestAdmitRejectsTooManySteps(t *testing.T) {
+	expectRejectedAtAdmission(t, wire.GraphSpec{
+		Steps: 1 << 42, Width: 4, Type: "stencil_1d",
+	})
+}
+
+// expectRejectedAtAdmission submits a one-graph spec to a 2-worker
+// fleet and requires an "invalid spec" rejection that leaves both
+// workers in the fleet and able to run a normal job afterwards.
+func expectRejectedAtAdmission(t *testing.T, g wire.GraphSpec) {
+	t.Helper()
 	coord, _ := testFleet(t, 2)
 	cli, err := Dial(coord.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer cli.Close()
-	res, err := cli.Submit(wire.AppSpec{Graphs: []wire.GraphSpec{{
-		Steps: 2, Width: 4, Type: "stencil_1d", Output: 1 << 40,
-	}}})
+	res, err := cli.Submit(wire.AppSpec{Graphs: []wire.GraphSpec{g}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !res.Rejected || res.Err == nil || !strings.Contains(res.Err.Error(), "invalid spec") {
-		t.Fatalf("oversized output not rejected at admission: %+v", res)
+		t.Fatalf("%+v not rejected at admission: %+v", g, res)
 	}
 	if n := coord.WorkerCount(); n != 2 {
 		t.Errorf("workers = %d after the rejected submit, want 2", n)

@@ -856,6 +856,12 @@ loop:
 	}
 }
 
+// Admission limits on what preparing one graph makes a worker allocate,
+// past which prepare dies of a fatal error or wedges its control loop
+// (DESIGN §9): steps size the rank plan's per-step window table, width
+// × (2·output_bytes + scratch_bytes) its payload rows and scratch.
+const maxSteps, maxGraphBytes = 1 << 20, 1 << 30
+
 // admit validates and enqueues one submission, answering immediately:
 // accepted (job id, now queued) or rejected (invalid spec, full queue,
 // closing coordinator). It never blocks on the queue — admission
@@ -878,14 +884,18 @@ func (c *Coordinator) admit(cl *clientConn, m wire.Message) bool {
 	if m.Spec == nil {
 		return reject(id, "submit without spec")
 	}
-	if _, err := m.Spec.ToApp(); err != nil {
+	app, err := m.Spec.ToApp()
+	if err != nil {
 		return reject(id, "invalid spec: %v", err)
 	}
-	// A worker sizes its rows from output_bytes in prepare; past what
-	// one mesh frame can carry, that allocation is a fatal error there.
-	for k, g := range m.Spec.Graphs {
-		if g.Output > tcp.MaxFrameLen {
-			return reject(id, "invalid spec: graph %d: output_bytes %d exceeds the mesh frame limit %d", k, g.Output, tcp.MaxFrameLen)
+	for k, g := range app.Graphs {
+		switch {
+		case g.OutputBytes > tcp.MaxFrameLen:
+			return reject(id, "invalid spec: graph %d: output_bytes %d exceeds the mesh frame limit %d", k, g.OutputBytes, tcp.MaxFrameLen)
+		case g.Timesteps > maxSteps:
+			return reject(id, "invalid spec: graph %d: %d steps exceed the limit %d", k, g.Timesteps, maxSteps)
+		case g.ScratchBytes > maxGraphBytes || int64(g.MaxWidth) > maxGraphBytes/(2*int64(g.OutputBytes)+g.ScratchBytes):
+			return reject(id, "invalid spec: graph %d: width × (2·output_bytes + scratch_bytes) exceeds the limit of %d bytes", k, maxGraphBytes)
 		}
 	}
 	j := &job{

@@ -19,8 +19,8 @@ import (
 func TestHotPathAnnotationCoverage(t *testing.T) {
 	want := map[string][]string{
 		"../core":         {"ExecutePoint", "WriteOutput", "checkInput", "PointDeps", "Next"},
-		"../runtime/exec": {"runWorker", "Execute", "Get", "Release", "RunInto", "Send"},
-		"../runtime/tcp":  {"Send", "flushTo", "demux", "deliver", "Recv"},
+		"../runtime/exec": {"runWorker", "Execute", "Get", "Release", "RunInto", "Send", "SendEdge", "RecvEdge"},
+		"../runtime/tcp":  {"Send", "flushTo", "demux", "deliver", "Recv", "SendEdge", "RecvEdge"},
 		// The one queue policy written since the analyzer exists, and the
 		// event wiring dataflow runs concurrently with execution.
 		"../runtime/places": {"Push", "Pop"},

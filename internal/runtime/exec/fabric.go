@@ -129,10 +129,10 @@ const edgeCap = 4
 // order, so no tag matching is needed; payload headers are still
 // validated by the core library.
 //
-// Rings are addressed by dense edge id (the engine's compiled routes
-// carry ids) or by columns (an index lookup in front of the same
-// rings). The tcp mesh builds its inbound side from the same type,
-// restricted to the edges its process consumes.
+// Rings are addressed by dense edge id, the one name the engine's routes
+// and the tcp mesh's frames carry; the mesh builds its inbound side from
+// the same type, restricted to the edges its process consumes. Send,
+// Recv and Recycle by columns are adapters for bench/layers.go.
 type Fabric struct {
 	graphs []fabricGraph
 }
@@ -148,7 +148,7 @@ type fabricGraph struct {
 
 // NewFabricFromEdges builds an in-process fabric over explicit
 // cross-rank edge lists, one per graph, with edgeCap messages in
-// flight per edge.
+// flight per edge. Kept for bench/layers.go until ROADMAP 1(d).
 func NewFabricFromEdges(lists [][]Edge) *Fabric {
 	f := &Fabric{graphs: make([]fabricGraph, len(lists))}
 	for gi, list := range lists {
@@ -182,60 +182,58 @@ func newFabricGraph(ix edgeIndex, lo, hi, capacity int, done <-chan struct{}) fa
 	return g
 }
 
-// Ring returns the slot ring of the edge producer→consumer of graph,
-// or nil when the fabric has no such edge — the lookup a wire
-// transport performs on routes that arrive off the network.
+// Ring returns the slot ring of graph's edge id edge, or nil unless
+// graph is in range and this fabric holds that id — the check a wire
+// transport makes on routes that arrive off the network.
 //
 //taskbench:hotpath
-func (f *Fabric) Ring(graph, producer, consumer int) *Ring {
-	if graph < 0 || graph >= len(f.graphs) {
-		return nil
+func (f *Fabric) Ring(graph, edge int) *Ring {
+	if graph >= 0 && graph < len(f.graphs) {
+		if g := &f.graphs[graph]; edge >= g.lo && edge-g.lo < len(g.rings) {
+			return &g.rings[edge-g.lo]
+		}
 	}
-	g := &f.graphs[graph]
-	k := g.index.id(producer, consumer) - g.lo
-	if k < 0 || k >= len(g.rings) {
-		return nil
-	}
-	return &g.rings[k]
+	return nil
 }
 
-// mustRing is Ring for in-process callers, where an unknown edge is a
-// programmer error: it panics naming the edge instead of blocking on
-// a queue that does not exist.
+// mustRing is Ring by columns for the adapters, where an unknown edge
+// is a programmer error: it panics naming the edge instead of blocking
+// on a queue that does not exist.
 //
 //taskbench:hotpath
 func (f *Fabric) mustRing(graph, producer, consumer int) *Ring {
-	r := f.Ring(graph, producer, consumer)
+	var r *Ring
+	if graph >= 0 && graph < len(f.graphs) {
+		r = f.Ring(graph, f.graphs[graph].index.id(producer, consumer))
+	}
 	if r == nil {
 		panic(fmt.Sprintf("exec: fabric has no edge g%d %d→%d", graph, producer, consumer))
 	}
 	return r
 }
 
-// Send transmits a copy of payload along the edge producer→consumer.
-// The copy models the network's ownership transfer: the producer is
-// free to reuse its output buffer immediately.
+// Send is SendEdge addressed by columns. Kept for bench/layers.go until
+// ROADMAP 1(d).
 //
 //taskbench:hotpath
 func (f *Fabric) Send(graph, producer, consumer int, payload []byte) {
 	f.mustRing(graph, producer, consumer).send(payload)
 }
 
-// Recv blocks until the next message on the edge producer→consumer
-// arrives and returns it. The returned bytes stay valid until the next
-// Recv on the same edge.
+// Recv is RecvEdge addressed by columns. Kept for bench/layers.go until
+// ROADMAP 1(d).
 //
 //taskbench:hotpath
 func (f *Fabric) Recv(graph, producer, consumer int) []byte {
 	return f.mustRing(graph, producer, consumer).Recv()
 }
 
-// Recycle is a no-op kept for callers written against the free-list
-// fabric: a received payload is a ring slot, released by the next Recv
-// on its edge.
+// Recycle is a no-op: a ring slot is released by the next Recv on its
+// edge. Kept for bench/layers.go until ROADMAP 1(d).
 func (f *Fabric) Recycle(graph int, payload []byte) {}
 
-// SendEdge implements Transport by dense edge id.
+// SendEdge implements Transport by dense edge id. It copies payload,
+// as a network would: the producer may reuse its buffer at once.
 //
 //taskbench:hotpath
 func (f *Fabric) SendEdge(rank, graph, edge int, payload []byte) error {

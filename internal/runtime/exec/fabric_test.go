@@ -20,11 +20,13 @@ func planFabric(app *core.App, ranks int) *Fabric {
 }
 
 func TestFabricSendCopies(t *testing.T) {
-	f := planFabric(fabricApp(8), 2) // ranks own [0,4) and [4,8)
+	plan := BuildRankPlan(fabricApp(8), 2) // ranks own [0,4) and [4,8)
+	f := NewFabric(plan, edgeCap, nil)
+	edge := plan.EdgeID(0, 3, 4)
 	payload := []byte("0123456789abcdef")
-	f.Send(0, 3, 4, payload)
+	f.SendEdge(0, 0, edge, payload)
 	payload[0] = 'X' // producer reuses its buffer
-	got := f.Recv(0, 3, 4)
+	got := f.RecvEdge(0, edge)
 	if string(got) != "0123456789abcdef" {
 		t.Errorf("Recv = %q, want the pre-mutation copy", got)
 	}
@@ -40,7 +42,8 @@ func TestCrossEdgesMatchesFabric(t *testing.T) {
 	app := fabricApp(8)
 	g := app.Graphs[0]
 	for _, ranks := range []int{1, 2, 3} {
-		f := planFabric(app, ranks)
+		plan := BuildRankPlan(app, ranks)
+		f := NewFabric(plan, edgeCap, nil)
 		edges := map[Edge]int{}
 		last := Edge{-1, -1}
 		CrossEdges(g, ranks, func(producer, consumer int) {
@@ -59,14 +62,24 @@ func TestCrossEdgesMatchesFabric(t *testing.T) {
 				t.Errorf("ranks=%d: edge %+v does not cross a rank boundary", ranks, e)
 			}
 		}
-		// The fabric must have a ring for exactly the enumerated edges.
+		// Exactly the enumerated edges have an id, and the fabric has a
+		// ring for exactly the ids.
 		for i := -1; i <= g.MaxWidth; i++ {
 			for j := -1; j <= g.MaxWidth; j++ {
 				_, want := edges[Edge{Producer: j, Consumer: i}]
-				if got := f.Ring(0, j, i) != nil; got != want {
-					t.Errorf("ranks=%d: has ring %d→%d = %v, want %v", ranks, j, i, got, want)
+				if got := plan.EdgeID(0, j, i) >= 0; got != want {
+					t.Errorf("ranks=%d: has id %d→%d = %v, want %v", ranks, j, i, got, want)
 				}
 			}
+		}
+		for id := -1; id <= len(edges); id++ {
+			want := id >= 0 && id < len(edges)
+			if got := f.Ring(0, id) != nil; got != want {
+				t.Errorf("ranks=%d: has ring e%d = %v, want %v", ranks, id, got, want)
+			}
+		}
+		if f.Ring(1, 0) != nil || f.Ring(-1, 0) != nil {
+			t.Errorf("ranks=%d: has a ring of a graph the app does not have", ranks)
 		}
 	}
 }
@@ -84,8 +97,8 @@ func TestFabricFromUnsortedEdges(t *testing.T) {
 			t.Errorf("edge %+v delivered %v, want [%d]", e, got, k)
 		}
 	}
-	if f.Ring(0, 4, 2) != nil || f.Ring(0, 0, 3) != nil {
-		t.Error("fabric has rings for edges it was not given")
+	if f.Ring(0, 4) != nil {
+		t.Error("fabric has more rings than the distinct edges it was given")
 	}
 }
 

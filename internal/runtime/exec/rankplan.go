@@ -292,6 +292,10 @@ func (p *RankPlan) Span(gi, rank int) Span { return p.spans[gi][rank] }
 // id: what route.Edge holds and Transport addresses.
 func (p *RankPlan) Edges(gi int) []Edge { return p.index[gi].edges }
 
+// EdgeID is the inverse of Edges: the dense id of graph gi's edge
+// producer→consumer, or -1 when the graph has no such cross-rank edge.
+func (p *RankPlan) EdgeID(gi, producer, consumer int) int { return p.index[gi].id(producer, consumer) }
+
 // gather returns the compiled input routes of task (t, i) of graph gi,
 // one per dependence in PointDeps order: local producers read from the
 // rank's previous row, remote ones received on the named edge. The

@@ -21,6 +21,13 @@ import (
 // the in-process tcp backend does.
 func soloMesh(t testing.TB, app *core.App, ranks int) (*exec.RankPlan, *MeshTransport) {
 	t.Helper()
+	return wrappedMesh(t, app, ranks, nil)
+}
+
+// wrappedMesh is soloMesh with every outbound connection passed
+// through wrap (Topology.Wrap), when non-nil.
+func wrappedMesh(t testing.TB, app *core.App, ranks int, wrap func(net.Conn) net.Conn) (*exec.RankPlan, *MeshTransport) {
+	t.Helper()
 	plan := exec.BuildRankPlan(app, ranks)
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -34,6 +41,7 @@ func soloMesh(t testing.TB, app *core.App, ranks int) (*exec.RankPlan, *MeshTran
 		Local:    exec.Span{Lo: 0, Hi: ranks},
 		Addrs:    addrs,
 		Listener: ln,
+		Wrap:     wrap,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -75,7 +83,7 @@ func TestBatchDemuxDeliversEveryEdge(t *testing.T) {
 				from := exec.OwnerOf(e.Producer, app.Graphs[0].MaxWidth, ranks)
 				buf := make([]byte, size)
 				pattern(buf, byte(k+1))
-				if err := tr.Send(from, 0, e.Producer, e.Consumer, buf); err != nil {
+				if err := tr.SendEdge(from, 0, k, buf); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -85,7 +93,7 @@ func TestBatchDemuxDeliversEveryEdge(t *testing.T) {
 				}
 			}
 			for k, e := range edges {
-				payload := tr.Recv(0, e.Producer, e.Consumer)
+				payload := tr.RecvEdge(0, k)
 				if payload == nil {
 					t.Fatalf("ranks=%d size=%d: Recv %d→%d returned nil (err: %v)",
 						ranks, size, e.Producer, e.Consumer, tr.Err())
@@ -99,6 +107,96 @@ func TestBatchDemuxDeliversEveryEdge(t *testing.T) {
 			tr.Close()
 		}
 	}
+}
+
+// TestMeshColumnAdapters pins the column-addressed Send, Recv and
+// Recycle that bench/layers.go drives the mesh with: a payload sent by
+// columns arrives on the edge's id, and one sent by id is received by
+// columns. They go with ROADMAP 1(d).
+func TestMeshColumnAdapters(t *testing.T) {
+	app := core.NewApp(core.MustNew(core.Params{
+		Timesteps: 2, MaxWidth: 4, Dependence: core.Stencil1DPeriodic, OutputBytes: 64,
+	}))
+	app.Workers = 2
+	plan, tr := soloMesh(t, app, 2)
+	defer tr.Close()
+	for k, e := range plan.Edges(0) {
+		from := exec.OwnerOf(e.Producer, app.Graphs[0].MaxWidth, 2)
+		want := make([]byte, 64)
+		pattern(want, byte(k+1))
+		if err := tr.Send(from, 0, e.Producer, e.Consumer, want); err != nil {
+			t.Fatal(err)
+		}
+		if err := tr.Flush(from); err != nil {
+			t.Fatal(err)
+		}
+		if got := tr.RecvEdge(0, k); !bytes.Equal(got, want) {
+			t.Fatalf("edge %d→%d: sent by columns, received %v by id (err: %v)", e.Producer, e.Consumer, got, tr.Err())
+		}
+		if err := tr.SendEdge(from, 0, k, want); err != nil {
+			t.Fatal(err)
+		}
+		if err := tr.Flush(from); err != nil {
+			t.Fatal(err)
+		}
+		got := tr.Recv(0, e.Producer, e.Consumer)
+		if !bytes.Equal(got, want) {
+			t.Fatalf("edge %d→%d: sent by id, received %v by columns (err: %v)", e.Producer, e.Consumer, got, tr.Err())
+		}
+		tr.Recycle(0, got)
+	}
+}
+
+// TestMeshBytesPerTask pins what the mesh puts on the wire for the
+// shapes of the two workloads bench/ runs over it (its
+// tcp.writes_per_step and tcp.bytes_per_task): one 2-rank p2p run at
+// zero grain over connections that count their traffic. A wrapped
+// connection is no longer a *net.TCPConn, so net.Buffers writes each
+// vector of a batch frame (header, descriptors, each payload) with its
+// own Write: the write count is of vectors.
+func TestMeshBytesPerTask(t *testing.T) {
+	for _, c := range []struct {
+		name                        string
+		params                      core.Params
+		writesPerStep, bytesPerTask float64
+	}{
+		{"stencil_1d", core.Params{Timesteps: 20, MaxWidth: 4, Dependence: core.Stencil1D, OutputBytes: 16}, 5.7, 20.9},
+		{"nearest", core.Params{Timesteps: 125, MaxWidth: 8, Dependence: core.Nearest, Radix: 3, OutputBytes: 4096}, 5.952, 1022.752},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			app := core.NewApp(core.MustNew(c.params))
+			app.Workers = 2
+			var writes, sent atomic.Int64
+			plan, tr := wrappedMesh(t, app, 2, func(conn net.Conn) net.Conn {
+				return &writeCounter{Conn: conn, writes: &writes, bytes: &sent}
+			})
+			engine := exec.NewLocalRankEngine(plan, &policy{}, 1, tr)
+			defer engine.Close()
+			if err := engine.Run(true); err != nil {
+				t.Fatal(err)
+			}
+			steps, tasks := float64(c.params.Timesteps), float64(app.TotalTasks())
+			if got := float64(writes.Load()) / steps; got != c.writesPerStep {
+				t.Errorf("writes/step = %v (%d writes), want %v", got, writes.Load(), c.writesPerStep)
+			}
+			if got := float64(sent.Load()) / tasks; got != c.bytesPerTask {
+				t.Errorf("bytes/task = %v (%d bytes), want %v", got, sent.Load(), c.bytesPerTask)
+			}
+		})
+	}
+}
+
+// writeCounter counts the Write calls and bytes of one connection into
+// counters shared by the whole mesh.
+type writeCounter struct {
+	net.Conn
+	writes, bytes *atomic.Int64
+}
+
+func (c *writeCounter) Write(b []byte) (int, error) {
+	c.writes.Add(1)
+	c.bytes.Add(int64(len(b)))
+	return c.Conn.Write(b)
 }
 
 // TestBatchedEngineRuns drives full engine runs (validation on) over
@@ -217,7 +315,7 @@ func expectTeardown(t *testing.T, tr *MeshTransport, want string) {
 		t.Fatalf("teardown error %q does not mention %q", err, want)
 	}
 	recvDone := make(chan []byte, 1)
-	go func() { recvDone <- tr.Recv(0, 1, 0) }()
+	go func() { recvDone <- tr.RecvEdge(0, inEdge) }()
 	select {
 	case payload := <-recvDone:
 		if payload != nil {
@@ -229,7 +327,7 @@ func expectTeardown(t *testing.T, tr *MeshTransport, want string) {
 }
 
 // frame packs little-endian 32-bit fields into wire bytes: a frame
-// header is four fields, a header plus one descriptor eight.
+// header is four fields, a header plus one descriptor seven.
 func frame(fields ...uint32) []byte {
 	b := make([]byte, 0, 4*len(fields))
 	for _, f := range fields {
@@ -263,9 +361,9 @@ var malformedBatches = []struct {
 	// read on into the body would never tear down.
 	{"not_a_batch_frame", frame(64, 0, 1, 0), "not a batch frame"},
 	// 3 edges but 1 descriptor.
-	{"desc_count_mismatch", frame(64, batchMarker, 3, 16), "malformed batch"},
+	{"desc_count_mismatch", frame(64, batchMarker, 3, descSize), "malformed batch"},
 	// Body: 1 descriptor + 8 payload bytes, but the payload claims 100.
-	{"payload_overruns_body", frame(descSize+8, batchMarker, 1, descSize, 100, 0, 1, 0), "overrun"},
+	{"payload_overruns_body", frame(descSize+8, batchMarker, 1, descSize, 100, 0, inEdge), "overrun"},
 }
 
 // TestDemuxRejectsMalformedBatch pins header validation: every
@@ -282,28 +380,34 @@ func TestDemuxRejectsMalformedBatch(t *testing.T) {
 	}
 }
 
-// badRoutes are routes the demux must refuse; corruptibleMesh's only
-// inbound edge is g0 1→0, 64-byte payloads.
+// inEdge is the id of corruptibleMesh's only inbound edge, g0 1→0
+// with 64-byte payloads; edge 1 is g0 0→1, consumed by the remote
+// rank 1, and the graph has no others.
+const inEdge = 0
+
+// badRoutes are routes the demux must refuse.
 var badRoutes = []struct {
-	name                            string
-	plen, graph, producer, consumer uint32
-	want                            string
+	name              string
+	plen, graph, edge uint32
+	want              string
 }{
-	{"unknown_graph", 64, 3, 1, 0, "unknown edge g3 1→0"},
-	{"unknown_edge", 64, 0, 0, 0, "unknown edge g0 0→0"},
-	{"edge_consumed_elsewhere", 64, 0, 0, 1, "unknown edge g0 0→1"},
-	{"column_out_of_range", 64, 0, 1, 1 << 20, "unknown edge"},
-	{"payload_over_bound", 65, 0, 1, 0, "exceeds the graph's 64"},
+	{"unknown_graph", 64, 3, inEdge, "unknown edge g3 e0"},
+	{"unknown_edge", 64, 0, 2, "unknown edge g0 e2"},
+	{"edge_consumed_elsewhere", 64, 0, 1, "unknown edge g0 e1"},
+	{"column_out_of_range", 64, 0, 0xFFFFFFFF, "unknown edge g0 e-1"},
+	{"payload_over_bound", 65, 0, inEdge, "exceeds the graph's 64"},
 }
 
 // TestDemuxRejectsBadRoute pins the order of the demux checks: the
-// route is resolved to a ring, and the payload length checked against
-// the graph's OutputBytes, before a single body byte is read. Every
-// case writes the header (or batch header and descriptor) only — a
-// demux that went for the body first would sit in the read and never
-// tear down. The single variant carries the route in a frame of the
-// older per-edge format, which must be refused as not a batch frame
-// before its route is looked at.
+// route — a graph out of range, an edge id this process does not
+// consume, one past the graph's edges, a negative one — is resolved to
+// a ring, and the payload length checked against the graph's
+// OutputBytes, before a single body byte is read. Every case writes the
+// header (or batch header and descriptor) only — a demux that went for
+// the body first would sit in the read and never tear down. The single
+// variant carries the route in a header of the older per-edge format,
+// which must be refused as not a batch frame before its route is
+// looked at.
 func TestDemuxRejectsBadRoute(t *testing.T) {
 	for _, c := range badRoutes {
 		for _, f := range []struct {
@@ -311,8 +415,8 @@ func TestDemuxRejectsBadRoute(t *testing.T) {
 			frame []byte
 			want  string
 		}{
-			{"single", frame(c.plen, c.graph, c.producer, c.consumer), "not a batch frame"},
-			{"batched", frame(descSize+c.plen, batchMarker, 1, descSize, c.plen, c.graph, c.producer, c.consumer), c.want},
+			{"single", frame(c.plen, c.graph, c.edge, 0), "not a batch frame"},
+			{"batched", frame(descSize+c.plen, batchMarker, 1, descSize, c.plen, c.graph, c.edge), c.want},
 		} {
 			t.Run(c.name+"/"+f.name, func(t *testing.T) {
 				tr, conn := corruptibleMesh(t)
@@ -336,16 +440,16 @@ func TestDemuxRejectsBadRoute(t *testing.T) {
 // MaxFrameLen, whatever the headers claim.
 func FuzzBatchFrame(f *testing.F) {
 	payload := bytes.Repeat([]byte{0xa5}, 64)
-	f.Add(append(frame(descSize+64, batchMarker, 1, descSize, 64, 0, 1, 0), payload...))
+	f.Add(append(frame(descSize+64, batchMarker, 1, descSize, 64, 0, inEdge), payload...))
 	f.Add(append(frame(64, 0, 1, 0), payload...))
 	f.Add(frame(MaxFrameLen+1, 0, 1, 0))
-	f.Add(frame(MaxFrameLen, batchMarker, MaxFrameLen/descSize, MaxFrameLen))
+	f.Add(frame(MaxFrameLen, batchMarker, MaxFrameLen/descSize, MaxFrameLen/descSize*descSize))
 	for _, c := range malformedBatches {
 		f.Add(c.frame)
 	}
 	for _, c := range badRoutes {
-		f.Add(frame(c.plen, c.graph, c.producer, c.consumer))
-		f.Add(frame(descSize+c.plen, batchMarker, 1, descSize, c.plen, c.graph, c.producer, c.consumer))
+		f.Add(frame(c.plen, c.graph, c.edge, 0))
+		f.Add(frame(descSize+c.plen, batchMarker, 1, descSize, c.plen, c.graph, c.edge))
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		tr, conn := corruptibleMesh(t)
@@ -358,7 +462,7 @@ func FuzzBatchFrame(f *testing.F) {
 		drained := make(chan int, 1)
 		go func() {
 			for {
-				p := tr.Recv(0, 1, 0)
+				p := tr.RecvEdge(0, inEdge)
 				if p == nil || len(p) > 64 {
 					drained <- len(p)
 					return
@@ -483,17 +587,18 @@ func TestMeshFlushAllocatesNothing(t *testing.T) {
 			OutputBytes: 64,
 		}))
 		app.Workers = 2
-		_, tr := soloMesh(t, app, 2)
+		plan, tr := soloMesh(t, app, 2)
 		defer tr.Close()
+		edge := plan.EdgeID(0, 0, 1)
 		payload := make([]byte, 64)
 		step := func() {
-			if err := tr.Send(0, 0, 0, 1, payload); err != nil {
+			if err := tr.SendEdge(0, 0, edge, payload); err != nil {
 				t.Fatal(err)
 			}
 			if err := tr.Flush(0); err != nil {
 				t.Fatal(err)
 			}
-			if tr.Recv(0, 0, 1) == nil {
+			if tr.RecvEdge(0, edge) == nil {
 				t.Fatalf("Recv returned nil: %v", tr.Err())
 			}
 		}

@@ -44,8 +44,8 @@ func benchMeshSend(b *testing.B, size int) {
 	}
 
 	step := func() {
-		for k, e := range edges {
-			if err := tr.Send(owners[k], 0, e.Producer, e.Consumer, payloads[k]); err != nil {
+		for k := range edges {
+			if err := tr.SendEdge(owners[k], 0, k, payloads[k]); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -54,8 +54,8 @@ func benchMeshSend(b *testing.B, size int) {
 				b.Fatal(err)
 			}
 		}
-		for _, e := range edges {
-			if tr.Recv(0, e.Producer, e.Consumer) == nil {
+		for k := range edges {
+			if tr.RecvEdge(0, k) == nil {
 				b.Fatalf("Recv returned nil: %v", tr.Err())
 			}
 		}

@@ -29,7 +29,8 @@
 // The inbound side is an exec.Fabric — the same per-edge slot rings the
 // in-process backends use — built from the RankPlan's edge index for
 // the edges this process consumes, so both transports agree exactly on
-// which edges exist and how they are numbered.
+// which edges exist and how they are numbered: a frame names an edge by
+// graph and dense id, as the engine does, and the demux indexes its ring.
 package tcp
 
 import (
@@ -105,8 +106,8 @@ const MaxFrameLen = 1 << 28
 const batchMarker = 0xFFFFFFFF
 
 // descSize is the bytes per packed edge descriptor in a batch body:
-// payload length, graph, producer, consumer.
-const descSize = 16
+// payload length, graph (whose OutputBytes bound it), dense edge id.
+const descSize = 12
 
 // descChunk is how far the demux grows its descriptor scratch per read
 // when a batch's descriptor section exceeds the scratch's capacity.
@@ -171,11 +172,6 @@ type Topology struct {
 // fails validation at the consumer, so a dead peer process produces an
 // error, never a hang.
 type MeshTransport struct {
-	ranks int
-	local exec.Span
-	// widths[g] is graph g's max width, for routing frames to the
-	// consumer's rank.
-	widths []int
 	// out[from][to] is the connection written by rank `from`; only
 	// rows in the local span are populated.
 	out [][]net.Conn
@@ -184,8 +180,8 @@ type MeshTransport struct {
 	// populated, and each cell is touched only by rank `from`'s
 	// goroutine (the same single-writer discipline as out).
 	pend [][]pendBatch
-	// plan maps the engine's dense edge ids back to the columns frames
-	// carry (Edges) and bounds each graph's payloads (OutputBytes).
+	// plan holds Local (which must match the topology's), routes an edge
+	// id to its consumer's rank and bounds each graph's payloads.
 	plan *exec.RankPlan
 	// in holds the slot rings of the edges this process consumes;
 	// demultiplexers fill them, local ranks receive from them.
@@ -230,17 +226,13 @@ func (tr *MeshTransport) register(conn net.Conn) bool {
 // against the others' pre-bound listeners.
 func NewMeshTransport(plan *exec.RankPlan, topo Topology) (*MeshTransport, error) {
 	ranks := plan.Ranks
-	app := plan.App
 	if len(topo.Addrs) != ranks {
 		return nil, fmt.Errorf("tcp: topology has %d addrs, want %d", len(topo.Addrs), ranks)
 	}
 	tr := &MeshTransport{
-		ranks:  ranks,
-		local:  topo.Local,
-		widths: make([]int, len(app.Graphs)),
-		plan:   plan,
-		done:   make(chan struct{}),
-		ln:     topo.Listener,
+		plan: plan,
+		done: make(chan struct{}),
+		ln:   topo.Listener,
 	}
 	tr.pend = make([][]pendBatch, ranks)
 	for from := topo.Local.Lo; from < topo.Local.Hi; from++ {
@@ -251,9 +243,6 @@ func NewMeshTransport(plan *exec.RankPlan, topo Topology) (*MeshTransport, error
 	// ring memory scales with its rank span, not the whole run. Sends
 	// to remote consumers need no ring (frames leave on a connection),
 	// and inbound frames are only ever addressed to local consumers.
-	for gi, g := range app.Graphs {
-		tr.widths[gi] = g.MaxWidth
-	}
 	tr.in = exec.NewFabric(plan, edgeCap, tr.done)
 
 	var deadline time.Time
@@ -495,29 +484,28 @@ func (tr *MeshTransport) demux(conn net.Conn) {
 	}
 }
 
-// deliver routes one payload of plen bytes: it resolves the 12 bytes
-// of route (graph, producer, consumer) to the edge's ring, checks plen
-// against the graph's payload bound, and only then reads the body from
-// br straight into the ring's next slot. It returns false when the
-// demux loop must stop (unknown edge, oversized payload, read failure
-// or teardown), having already failed the mesh where that is
+// deliver routes one payload of plen bytes: it resolves the 8 bytes of
+// route (graph, edge id) to the edge's ring, checks plen against the
+// graph's payload bound, and only then reads the body from br straight
+// into the ring's next slot. It returns false when the demux loop must
+// stop (an edge this process does not consume, oversized payload, read
+// failure or teardown), having already failed the mesh where that is
 // warranted.
 //
 //taskbench:hotpath
 func (tr *MeshTransport) deliver(br *bufio.Reader, route []byte, plen int) bool {
 	graph := int(int32(binary.LittleEndian.Uint32(route[0:4])))
-	producer := int(int32(binary.LittleEndian.Uint32(route[4:8])))
-	consumer := int(int32(binary.LittleEndian.Uint32(route[8:12])))
-	ring := tr.in.Ring(graph, producer, consumer)
+	edge := int(int32(binary.LittleEndian.Uint32(route[4:8])))
+	ring := tr.in.Ring(graph, edge)
 	if ring == nil {
-		tr.fail(fmt.Errorf("tcp: frame for unknown edge g%d %d→%d", graph, producer, consumer))
+		tr.fail(fmt.Errorf("tcp: frame for unknown edge g%d e%d", graph, edge))
 		return false
 	}
 	// No payload of a graph is longer than its OutputBytes, so a frame
 	// that claims more is malformed.
 	if bound := tr.plan.App.Graphs[graph].OutputBytes; plen > bound {
-		tr.fail(fmt.Errorf("tcp: payload of %d bytes on edge g%d %d→%d exceeds the graph's %d",
-			plen, graph, producer, consumer, bound))
+		tr.fail(fmt.Errorf("tcp: payload of %d bytes on edge g%d e%d exceeds the graph's %d",
+			plen, graph, edge, bound))
 		return false
 	}
 	slot := ring.Acquire(plen)
@@ -565,9 +553,8 @@ func (tr *MeshTransport) teardown() {
 	})
 }
 
-// Recycle is a no-op kept for callers written against the free-list
-// mesh: a received payload is a ring slot, released by the next Recv
-// on its edge.
+// Recycle is a no-op: a ring slot is released by the next Recv on its
+// edge. Kept for bench/layers.go until ROADMAP 1(d).
 func (tr *MeshTransport) Recycle(graph int, payload []byte) {}
 
 // pendBatch accumulates one rank pair's outbound payloads between
@@ -588,32 +575,24 @@ type pendBatch struct {
 	iov    net.Buffers
 }
 
-// SendEdge implements exec.Transport: the engine names the edge by its
-// dense id, the wire by its columns.
+// SendEdge implements exec.Transport: it queues the payload for the
+// edge consumer's rank, coalescing everything headed to the same peer
+// this timestep into one batched frame written at the flush point. The
+// descriptor names the edge as the engine does, by graph and dense id.
+// Only the owning rank goroutine writes a given connection (or touches
+// its pending batches), so no locking is needed.
 //
 //taskbench:hotpath
 func (tr *MeshTransport) SendEdge(fromRank, graph, edge int, payload []byte) error {
-	e := tr.plan.Edges(graph)[edge]
-	return tr.Send(fromRank, graph, e.Producer, e.Consumer, payload)
-}
-
-// Send queues the payload for the consumer's rank, coalescing
-// everything headed to the same peer this timestep into one batched
-// frame written at the flush point. Only the owning rank goroutine
-// writes a given connection (or touches its pending batches), so no
-// locking is needed.
-//
-//taskbench:hotpath
-func (tr *MeshTransport) Send(fromRank, graph, producer, consumer int, payload []byte) error {
-	toRank := exec.OwnerOf(consumer, tr.widths[graph], tr.ranks)
+	consumer := tr.plan.Edges(graph)[edge].Consumer
+	toRank := exec.OwnerOf(consumer, tr.plan.App.Graphs[graph].MaxWidth, tr.plan.Ranks)
 	if tr.out[fromRank][toRank] == nil {
 		return fmt.Errorf("tcp: no connection rank %d→%d (mesh torn down?)", fromRank, toRank)
 	}
 	p := &tr.pend[fromRank][toRank]
 	p.desc = binary.LittleEndian.AppendUint32(p.desc, uint32(len(payload)))
 	p.desc = binary.LittleEndian.AppendUint32(p.desc, uint32(graph))
-	p.desc = binary.LittleEndian.AppendUint32(p.desc, uint32(producer))
-	p.desc = binary.LittleEndian.AppendUint32(p.desc, uint32(consumer))
+	p.desc = binary.LittleEndian.AppendUint32(p.desc, uint32(edge))
 	p.payloads = append(p.payloads, payload) //taskbench:allocok grows to the per-step batch high-water mark, then reuses
 	p.bytes += len(payload)
 	if p.bytes >= flushBytes {
@@ -628,10 +607,10 @@ func (tr *MeshTransport) Send(fromRank, graph, producer, consumer int, payload [
 //
 //taskbench:hotpath
 func (tr *MeshTransport) Flush(rank int) error {
-	if rank < tr.local.Lo || rank >= tr.local.Hi {
+	if rank < tr.plan.Local.Lo || rank >= tr.plan.Local.Hi {
 		return nil
 	}
-	for to := 0; to < tr.ranks; to++ {
+	for to := 0; to < tr.plan.Ranks; to++ {
 		if to == rank {
 			continue
 		}
@@ -684,8 +663,16 @@ func (tr *MeshTransport) RecvEdge(graph, edge int) []byte {
 	return tr.in.RecvEdge(graph, edge)
 }
 
-// Recv is RecvEdge addressed by columns. The edge must be one this
-// process consumes.
+// Send is SendEdge addressed by columns. Kept for bench/layers.go until
+// ROADMAP 1(d).
+//
+//taskbench:hotpath
+func (tr *MeshTransport) Send(fromRank, graph, producer, consumer int, payload []byte) error {
+	return tr.SendEdge(fromRank, graph, tr.plan.EdgeID(graph, producer, consumer), payload)
+}
+
+// Recv is RecvEdge addressed by columns, for an edge this process
+// consumes. Kept for bench/layers.go until ROADMAP 1(d).
 //
 //taskbench:hotpath
 func (tr *MeshTransport) Recv(graph, producer, consumer int) []byte {

@@ -6,6 +6,7 @@ import (
 
 	"taskbench/internal/core"
 	"taskbench/internal/metg"
+	"taskbench/internal/trace"
 )
 
 // stencilWorkload is the paper's baseline configuration scaled down in
@@ -26,6 +27,33 @@ func simMETG(t *testing.T, w Workload, m Machine, profileName string) time.Durat
 		t.Fatalf("METG(50%%) not found for %s", profileName)
 	}
 	return got
+}
+
+// TestSimulateRespectsLowerBounds holds the simulator to trace's
+// scheduling lower bounds: no profile may finish an app sooner than its
+// critical path, or its work spread over every core of the machine.
+// AppBounds assumes one fixed time per task, so only the balanced
+// compute kernel is checked, at its full-speed time per task — which a
+// profile's overheads and utilization cap can only lengthen.
+func TestSimulateRespectsLowerBounds(t *testing.T) {
+	for _, nodes := range []int{1, 4} {
+		m := Cori(nodes)
+		m.CoresPerNode = 8
+		for _, dt := range core.DependenceTypes() {
+			w := Workload{Dependence: dt, Radix: 5, Steps: 20, WidthPerNode: 8}
+			for _, iters := range []int64{1 << 6, 1 << 12, 1 << 18} {
+				app := w.App(nodes, iters)
+				perTask := time.Duration(float64(iters) * 128 / m.FlopsPerCore * float64(time.Second))
+				lower := trace.AppBounds(app, perTask, m.TotalCores()).Lower
+				for _, p := range Profiles() {
+					if got := Simulate(app, m, p).Elapsed; got < lower {
+						t.Errorf("%s, %s, %d nodes, %d iterations: makespan %v below the lower bound %v",
+							p.Name, dt, nodes, iters, got, lower)
+					}
+				}
+			}
+		}
+	}
 }
 
 func TestMachineModels(t *testing.T) {

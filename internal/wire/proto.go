@@ -13,8 +13,9 @@ import (
 // misinterpreting its fields. Any change to the binary field schedule
 // (binary.go) bumps it, and fields are only ever appended, per the
 // statsFields contract: version 6 ends with StatsInfo's cache hit/miss
-// counters, heartbeat age and latency percentiles.
-const ProtoVersion = 6
+// counters, heartbeat age and latency percentiles. It also versions the
+// tcp mesh's frames: from version 7 a descriptor names its edge by id.
+const ProtoVersion = 7
 
 // Message types of the cluster control protocol. One flat Message
 // envelope carries every type; unused fields stay at their zero value

@@ -3,6 +3,7 @@ package cluster
 import (
 	"errors"
 	"io"
+	"math"
 	"net"
 	"os"
 	"strings"
@@ -386,6 +387,43 @@ func TestReplyKeyMatchesRequestToReply(t *testing.T) {
 	}
 }
 
+// TestCallWriteFailureLeavesFleet pins the invariant the retry path
+// rests on: a worker-lost error from a failed control write returns
+// only after the worker has left the fleet, so a retry placing at once
+// cannot pick the corpse again.
+func TestCallWriteFailureLeavesFleet(t *testing.T) {
+	coord, err := Start(Options{Logf: t.Logf})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer coord.Close()
+	local, remote := net.Pipe()
+	remote.Close()
+	w := &workerConn{
+		id:      1,
+		name:    "closed",
+		mc:      newMsgConn(local),
+		dead:    make(chan struct{}),
+		waiters: map[replyKey]chan wire.Message{},
+	}
+	coord.mu.Lock()
+	coord.workers[w.id] = w
+	coord.mu.Unlock()
+
+	_, err = coord.call(w, wire.Message{Type: wire.MsgPrepare, Config: 1}, time.Second, nil)
+	if !errors.Is(err, errWorkerLost) {
+		t.Fatalf("call over a closed pipe = %v, want errWorkerLost", err)
+	}
+	if n := coord.WorkerCount(); n != 0 {
+		t.Errorf("workers = %d when the write error returned, want 0", n)
+	}
+	select {
+	case <-w.dead:
+	default:
+		t.Error("worker not declared dead when the write error returned")
+	}
+}
+
 // TestClusterQueueFullRejectsFast fills the one-deep queue behind a
 // busy one-slot scheduler: the next submission must get an immediate
 // rejected reply, not block until capacity frees up.
@@ -627,6 +665,25 @@ func TestAdmitRejectsOversizedScratch(t *testing.T) {
 func TestAdmitRejectsTooManySteps(t *testing.T) {
 	expectRejectedAtAdmission(t, wire.GraphSpec{
 		Steps: 1 << 42, Width: 4, Type: "stencil_1d",
+	})
+}
+
+// TestAdmitRejectsNaNFraction: a NaN fraction fails the [0, 1] range
+// check instead of slipping past it (every comparison with NaN is
+// false). Admitted, it reached the shape key, whose JSON encoding
+// could not represent it, and the coordinator panicked.
+func TestAdmitRejectsNaNFraction(t *testing.T) {
+	expectRejectedAtAdmission(t, wire.GraphSpec{
+		Steps: 2, Width: 4, Type: "stencil_1d", Fraction: math.NaN(),
+	})
+}
+
+// TestAdmitRejectsNaNImbalance: a NaN imbalance factor fails the
+// kernel's [0, 1] range check instead of running.
+func TestAdmitRejectsNaNImbalance(t *testing.T) {
+	expectRejectedAtAdmission(t, wire.GraphSpec{
+		Steps: 2, Width: 4, Type: "stencil_1d",
+		KernelSpec: wire.KernelSpec{Kernel: "load_imbalance", Iterations: 8, Imbalance: math.NaN()},
 	})
 }
 

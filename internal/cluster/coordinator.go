@@ -47,11 +47,12 @@ type Options struct {
 	// re-provisioned over the reshaped fleet, up to this many attempts.
 	// 1 disables retry.
 	MaxAttempts int
-	// MaxConfigs caps how many shapes may hold a prepared configuration
-	// (plans, payload rows, a live mesh) across the fleet at once;
-	// default 32. Past the cap the least-recently-used idle shape is
-	// evicted, so an elastic fleet reshaping under a long-tailed shape
-	// mix recycles mesh state instead of accumulating it forever.
+	// MaxConfigs caps how many shapes may hold a configuration (plans,
+	// payload rows, a live mesh) across the fleet at once, counting each
+	// from the moment it is placed, provisioning included; default 32.
+	// Past the cap the least-recently-used idle shape is evicted, so an
+	// elastic fleet reshaping under a long-tailed shape mix recycles
+	// mesh state instead of accumulating it forever.
 	MaxConfigs int
 	// DrainTimeout bounds a graceful drain: a worker whose configs are
 	// still busy after this long is treated as dead (configs torn,
@@ -121,8 +122,7 @@ type Coordinator struct {
 	workers      map[int64]*workerConn
 	fleetChanged chan struct{} // closed and replaced on every registration/death
 	configs      map[string]*configEntry
-	building     map[*clusterConfig]struct{} // configs mid-provision, not yet in an entry
-	conns        map[*msgConn]struct{}       // every open control connection (workers and clients)
+	conns        map[*msgConn]struct{} // every open control connection (workers and clients)
 	nextWorker   int64
 	nextConfig   uint64
 	nextJob      uint64
@@ -181,15 +181,12 @@ func replyKeyOf(m wire.Message) replyKey {
 	panic("cluster: replyKeyOf: message type has no matched reply")
 }
 
-// clusterConfig is one provisioned configuration: a shape of job
-// prepared across a fixed set of workers, with a live mesh between
-// them.
+// clusterConfig is one configuration: a shape of job placed across a
+// fixed set of workers and, once provisioned, a live mesh between them.
 type clusterConfig struct {
 	id      uint64
-	key     string
 	ranks   int
 	members []*workerConn
-	spans   []exec.Span
 	// lost is set when a member died: a job that failed on this
 	// configuration may retry over the reshaped fleet.
 	lost atomic.Bool
@@ -286,7 +283,6 @@ func Start(opts Options) (*Coordinator, error) {
 		workers:      map[int64]*workerConn{},
 		fleetChanged: make(chan struct{}),
 		configs:      map[string]*configEntry{},
-		building:     map[*clusterConfig]struct{}{},
 		conns:        map[*msgConn]struct{}{},
 		queue:        make(chan *job, opts.QueueDepth),
 		done:         make(chan struct{}),
@@ -643,10 +639,12 @@ func (c *Coordinator) beginDrain(w *workerConn) {
 // references the draining worker, proactively tearing down idle ones,
 // then releases the worker with a drained reply. Configurations with
 // jobs in flight (active references) are left to finish or to observe
-// the stale flag themselves; freshly built ones that raced the drain
-// announcement are re-marked stale every pass. A drain that exceeds
-// DrainTimeout falls back to the death path: configs torn, running
-// attempts retried — the worker leaves either way.
+// the stale flag themselves. beginDrain's sweep marked every one of
+// them: a placement is installed in its entry under the same c.mu
+// section that reads the draining flags, so none can land afterwards
+// with this worker in it. A drain that exceeds DrainTimeout falls back
+// to the death path: configs torn, running attempts retried — the
+// worker leaves either way.
 func (c *Coordinator) drainWorker(w *workerConn) {
 	deadline := time.NewTimer(c.opts.DrainTimeout)
 	defer deadline.Stop()
@@ -661,9 +659,6 @@ func (c *Coordinator) drainWorker(w *workerConn) {
 			if cfg == nil || !slices.Contains(cfg.members, w) {
 				continue
 			}
-			// Re-mark every pass: a config built from a fleet snapshot
-			// taken before the drain began can land here afterwards.
-			cfg.stale.Store(true)
 			if e.active > 0 {
 				busy = true // a job holds or awaits this shape's run lock
 				continue
@@ -676,11 +671,6 @@ func (c *Coordinator) drainWorker(w *workerConn) {
 			delete(c.configs, key)
 			c.metrics.configsReprovisioned.Inc()
 			idle = append(idle, cfg)
-		}
-		for cfg := range c.building {
-			if slices.Contains(cfg.members, w) {
-				busy = true // mid-provision; invisible to the entry scan
-			}
 		}
 		changed := c.fleetChanged
 		c.mu.Unlock()
@@ -751,12 +741,16 @@ func (c *Coordinator) monitorHeartbeats() {
 	}
 }
 
-// call registers interest in the reply to m (replyKeyOf), sends m, and
-// waits for it — failing fast if the worker dies, the job is cancelled,
-// or the timeout passes. A reply whose Err field is set is returned as an
-// error. Worker-loss failures wrap errWorkerLost (the retryable
-// class); cancellation returns errCancelled.
-func (w *workerConn) call(m wire.Message, timeout time.Duration, cancel <-chan struct{}) (wire.Message, error) {
+// call registers interest in the reply to m (replyKeyOf), sends m to w,
+// and waits for it — failing fast if the worker dies, the job is
+// cancelled, or the timeout passes. A reply whose Err field is set is
+// returned as an error; cancellation returns errCancelled. Worker-loss
+// failures wrap errWorkerLost (the retryable class), and each leaves w
+// out of c.workers before it returns: a failed write declares w dead
+// here (a control socket that cannot take one frame within the write
+// deadline has lost its worker, heartbeats or not), and w.dead closes
+// only after markDead or finishDrain has updated the map.
+func (c *Coordinator) call(w *workerConn, m wire.Message, timeout time.Duration, cancel <-chan struct{}) (wire.Message, error) {
 	key := replyKeyOf(m)
 	ch := make(chan wire.Message, 1)
 	w.mu.Lock()
@@ -769,6 +763,7 @@ func (w *workerConn) call(m wire.Message, timeout time.Duration, cancel <-chan s
 	}()
 
 	if err := w.mc.write(m); err != nil {
+		c.markDead(w, fmt.Errorf("write %s: %v", m.Type, err))
 		return wire.Message{}, fmt.Errorf("worker %q: write %s: %v: %w", w.name, m.Type, err, errWorkerLost)
 	}
 	timer := time.NewTimer(timeout)
@@ -1024,51 +1019,24 @@ func (c *Coordinator) runJobWithRetry(j *job) (wire.Message, runVerdict) {
 		j.attempt++
 		c.metrics.jobsRetried.Inc()
 		c.opts.Logf("cluster: job %d re-queued (attempt %d/%d): %v", j.id, j.attempt+1, c.opts.MaxAttempts, done.Err)
-		c.waitMemberGone(failed, j)
-	}
-}
-
-// waitMemberGone blocks until some member of a failed configuration
-// has actually left the fleet, bounded by the heartbeat timeout (the
-// slowest any death can take to land). A worker-lost write error can
-// race ahead of markDead — the read loop has not yet noticed the
-// corpse — and an immediate retry would re-provision over a fleet map
-// still listing the dead worker, burning the whole attempt budget in
-// microseconds. Waiting on membership (not merely on one fleet-change
-// event, which an unrelated registration also fires) guarantees the
-// retry sees a reshaped fleet. A retryable failure with no named
-// configuration (every worker mid-drain) instead waits for any fleet
-// change at all — a join or a completed drain is what unblocks it.
-func (c *Coordinator) waitMemberGone(failed *clusterConfig, j *job) {
-	deadline := time.NewTimer(c.opts.HeartbeatTimeout)
-	defer deadline.Stop()
-	for {
-		c.mu.Lock()
-		gone := false
-		if failed != nil {
-			for _, member := range failed.members {
-				if _, live := c.workers[member.id]; !live {
-					gone = true
-					break
-				}
+		// A failed config needs no wait: every worker-lost error left
+		// its worker out of c.workers before it returned (see call), so
+		// the next placement already sees the reshaped fleet. No config
+		// means every live worker is mid-drain, and only a join or a
+		// completed drain changes that: wait for the next fleet change,
+		// bounded by the heartbeat timeout.
+		if failed == nil {
+			c.mu.Lock()
+			changed := c.fleetChanged
+			c.mu.Unlock()
+			deadline := time.NewTimer(c.opts.HeartbeatTimeout)
+			select {
+			case <-changed:
+			case <-j.cancel:
+			case <-c.done:
+			case <-deadline.C:
 			}
-		}
-		changed := c.fleetChanged
-		c.mu.Unlock()
-		if gone {
-			return
-		}
-		select {
-		case <-changed:
-			if failed == nil {
-				return // any reshape at all is what the retry needs
-			}
-		case <-j.cancel:
-			return
-		case <-c.done:
-			return
-		case <-deadline.C:
-			return
+			deadline.Stop()
 		}
 	}
 }
@@ -1103,8 +1071,8 @@ func (c *Coordinator) releaseEntry(e *configEntry) {
 // runJob executes one attempt: acquire the shape's run lock, provision
 // or reuse the shape's configuration, fan the run out, and classify
 // the outcome for the retry machinery. On a retryable failure the
-// third return names the configuration that failed, so the retry can
-// wait for its dead member to actually leave the fleet.
+// third return names the configuration that failed; nil means none
+// could be placed.
 func (c *Coordinator) runJob(j *job) (wire.Message, runVerdict, *clusterConfig) {
 	fail := func(format string, args ...any) wire.Message {
 		return wire.Message{Type: wire.MsgDone, Job: j.id, Err: fmt.Sprintf(format, args...)}
@@ -1137,7 +1105,7 @@ func (c *Coordinator) runJob(j *job) (wire.Message, runVerdict, *clusterConfig) 
 		// succeeds.
 		c.metrics.cacheMisses.With(shapeLabel(j.spec)).Inc()
 		var err error
-		cfg, err = c.buildConfig(j.key, j.spec, j.cancel)
+		cfg, err = c.buildConfig(e, j.spec, j.cancel)
 		if err != nil {
 			if errors.Is(err, errCancelled) {
 				return fail("cancelled: %s", j.cancelReason), runCancelled, nil
@@ -1148,11 +1116,8 @@ func (c *Coordinator) runJob(j *job) (wire.Message, runVerdict, *clusterConfig) 
 			}
 			return fail("provision: %v", err), verdict, cfg
 		}
-		var evicted []*clusterConfig
 		c.mu.Lock()
-		e.cfg = cfg
-		delete(c.building, cfg) // ownership handoff; see buildConfig
-		evicted = c.evictColdLocked(e)
+		evicted := c.evictColdLocked(e)
 		c.mu.Unlock()
 		c.metrics.configsBuilt.Inc()
 		for _, victim := range evicted {
@@ -1173,7 +1138,7 @@ func (c *Coordinator) runJob(j *job) (wire.Message, runVerdict, *clusterConfig) 
 	attempt := j.attempt
 	results := make([]wire.Message, len(cfg.members))
 	err := fanout(cfg.members, func(k int, w *workerConn) error {
-		reply, err := w.call(wire.Message{
+		reply, err := c.call(w, wire.Message{
 			Type:    wire.MsgRun,
 			Config:  cfg.id,
 			Job:     j.id,
@@ -1213,13 +1178,16 @@ func (c *Coordinator) runJob(j *job) (wire.Message, runVerdict, *clusterConfig) 
 	}, runOK, nil
 }
 
-// buildConfig provisions a new configuration over the live fleet:
-// assign rank spans, prepare every member (plan slice + data
-// listener), then distribute the rank→address table and wait for the
-// mesh to come up. On a provisioning error the partially built
-// configuration is released and still returned (alongside the error),
-// so the retry path knows which members the failure involved.
-func (c *Coordinator) buildConfig(key string, spec wire.AppSpec, cancel <-chan struct{}) (*clusterConfig, error) {
+// buildConfig places a new configuration of e's shape over the live
+// fleet and provisions it. One c.mu section takes the fleet snapshot,
+// assigns rank spans, takes the next config id and installs the config
+// as e.cfg, so the join, drain and death sweeps see it from the moment
+// it is placed. Then every member prepares (plan slice + data
+// listener), the rank→address table goes out, and the mesh comes up.
+// On a provisioning error the config is dropped from e and released,
+// and still returned alongside the error, so the retry path knows one
+// was placed. Callers hold e's run lock.
+func (c *Coordinator) buildConfig(e *configEntry, spec wire.AppSpec, cancel <-chan struct{}) (*clusterConfig, error) {
 	c.mu.Lock()
 	fleet := make([]*workerConn, 0, len(c.workers))
 	for _, w := range c.workers {
@@ -1228,11 +1196,9 @@ func (c *Coordinator) buildConfig(key string, spec wire.AppSpec, cancel <-chan s
 		}
 		fleet = append(fleet, w)
 	}
-	total := len(c.workers)
-	c.nextConfig++
-	id := c.nextConfig
-	c.mu.Unlock()
 	if len(fleet) == 0 {
+		total := len(c.workers)
+		c.mu.Unlock()
 		if total > 0 {
 			// Every live worker is mid-drain: retryable, because a
 			// replacement joining (or a drain completing) reshapes the
@@ -1247,74 +1213,58 @@ func (c *Coordinator) buildConfig(key string, spec wire.AppSpec, cancel <-chan s
 	if ranks <= 0 {
 		ranks = len(fleet)
 	}
-	spans := exec.BlockAssign(ranks, len(fleet))
-	cfg := &clusterConfig{id: id, key: key, ranks: ranks}
+	assigned := exec.BlockAssign(ranks, len(fleet))
+	c.nextConfig++
+	cfg := &clusterConfig{id: c.nextConfig, ranks: ranks}
+	var spans []exec.Span
 	for k, w := range fleet {
-		if spans[k].Len() == 0 {
+		if assigned[k].Len() == 0 {
 			continue // more workers than ranks: the excess idles
 		}
 		cfg.members = append(cfg.members, w)
-		cfg.spans = append(cfg.spans, spans[k])
+		spans = append(spans, assigned[k])
 	}
-
-	// Register the build so a concurrent drain sees the worker as busy
-	// even before the configuration lands in its entry — the fleet
-	// snapshot above may predate the drain announcement. On success the
-	// registration stays: the caller clears it in the same critical
-	// section that installs the config in its entry, so no instant
-	// exists where a drain scan sees the config in neither place.
-	c.mu.Lock()
-	c.building[cfg] = struct{}{}
+	e.cfg = cfg
 	c.mu.Unlock()
-	unbuild := func() {
-		c.mu.Lock()
-		delete(c.building, cfg)
-		c.mu.Unlock()
-	}
 
 	// Prepare: every member builds its local plan slice and binds its
 	// data listener, replying with the address.
 	addrs := make([]string, ranks)
 	err := fanout(cfg.members, func(k int, w *workerConn) error {
 		spec := spec
-		reply, err := w.call(wire.Message{
+		reply, err := c.call(w, wire.Message{
 			Type:   wire.MsgPrepare,
-			Config: id,
+			Config: cfg.id,
 			Spec:   &spec,
 			Ranks:  ranks,
-			RankLo: cfg.spans[k].Lo,
-			RankHi: cfg.spans[k].Hi,
+			RankLo: spans[k].Lo,
+			RankHi: spans[k].Hi,
 		}, c.opts.SetupTimeout, cancel)
 		if err != nil {
 			return err
 		}
-		for r := cfg.spans[k].Lo; r < cfg.spans[k].Hi; r++ {
+		for r := spans[k].Lo; r < spans[k].Hi; r++ {
 			addrs[r] = reply.Addr
 		}
 		return nil
 	})
+	if err == nil {
+		// Connect: all members wire the mesh concurrently — each one's
+		// dials complete against the others' already-bound listeners.
+		err = fanout(cfg.members, func(k int, w *workerConn) error {
+			_, err := c.call(w, wire.Message{
+				Type:   wire.MsgConnect,
+				Config: cfg.id,
+				Addrs:  addrs,
+			}, c.opts.SetupTimeout, cancel)
+			return err
+		})
+	}
 	if err != nil {
-		unbuild()
-		c.releaseConfig(cfg, nil)
+		c.dropConfig(e, cfg)
 		return cfg, err
 	}
-
-	// Connect: all members wire the mesh concurrently — each one's
-	// dials complete against the others' already-bound listeners.
-	err = fanout(cfg.members, func(k int, w *workerConn) error {
-		_, err := w.call(wire.Message{
-			Type:   wire.MsgConnect,
-			Config: id,
-			Addrs:  addrs,
-		}, c.opts.SetupTimeout, cancel)
-		return err
-	})
-	if err != nil {
-		unbuild()
-		c.releaseConfig(cfg, nil)
-		return cfg, err
-	}
-	c.opts.Logf("cluster: config %d ready: %d ranks over %d workers", id, ranks, len(cfg.members))
+	c.opts.Logf("cluster: config %d ready: %d ranks over %d workers", cfg.id, ranks, len(cfg.members))
 	return cfg, nil
 }
 

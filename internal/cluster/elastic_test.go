@@ -57,6 +57,73 @@ func TestClusterJoinReprovisionsShape(t *testing.T) {
 	}
 }
 
+// TestClusterJoinDuringProvisioning: a worker that joins while a
+// squeezed shape is still provisioning marks that configuration stale,
+// so the shape's next job re-provisions over the grown fleet. The
+// coordinator's control frames are delayed so the join lands between
+// placement and a ready mesh.
+func TestClusterJoinDuringProvisioning(t *testing.T) {
+	sc, err := chaos.Parse("delay:p=1,d=300ms")
+	if err != nil {
+		t.Fatal(err)
+	}
+	coord, _ := testFleetOpts(t, 1, func(o *Options) { o.Chaos = chaos.NewInjector(sc, 1) })
+	cli, err := Dial(coord.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cli.Close()
+
+	// Two ranks squeezed onto the single worker.
+	spec := stencilSpec(2, 64)
+	first, err := cli.SubmitAsync(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		coord.mu.Lock()
+		placed := coord.nextConfig >= 1
+		coord.mu.Unlock()
+		if placed {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("first job never placed a configuration")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if st := coord.Stats(); st.ConfigsBuilt != 0 {
+		t.Fatalf("configs built = %d once placed, want 0 (still provisioning)", st.ConfigsBuilt)
+	}
+
+	late := NewWorker(WorkerOptions{
+		Coordinator: coord.Addr(),
+		Name:        "late-join",
+		Logf:        t.Logf,
+	})
+	go late.Run()
+	t.Cleanup(late.Close)
+	if _, err := coord.WaitWorkers(2, 10*time.Second); err != nil {
+		t.Fatal(err)
+	}
+	if st := coord.Stats(); st.ConfigsBuilt != 0 {
+		t.Fatalf("configs built = %d when the join landed, want 0: the join missed the provisioning window", st.ConfigsBuilt)
+	}
+	if res, err := first.Wait(); err != nil || res.Err != nil {
+		t.Fatalf("first job: %v / %v", err, res.Err)
+	}
+
+	if _, err := cli.Run(spec); err != nil {
+		t.Fatalf("post-join run: %v", err)
+	}
+	st := coord.Stats()
+	if st.ConfigsReprovisioned != 1 || st.ConfigsBuilt != 2 {
+		t.Errorf("configs reprovisioned %d built %d, want 1 and 2 (the join marked the provisioning config stale)",
+			st.ConfigsReprovisioned, st.ConfigsBuilt)
+	}
+}
+
 // TestClusterDrainMidRun pins the graceful-departure contract: a
 // worker draining while it hosts ranks of a running job lets that run
 // finish (no errWorkerLost retry, no failure), is excluded from new

@@ -22,7 +22,7 @@ const (
 	MetricWorkersLive     = "taskbench_workers_live"
 	MetricWorkersDraining = "taskbench_workers_draining"
 	MetricSchedulerSlots  = "taskbench_scheduler_slots"
-	MetricConfigsPrepared = "taskbench_configs_prepared"
+	MetricConfigsPrepared = "taskbench_configs_prepared" // from placement, provisioning included
 	MetricHeartbeatAge    = "taskbench_worker_heartbeat_age_seconds"
 
 	MetricJobsCompleted = "taskbench_jobs_completed_total"
@@ -91,7 +91,7 @@ func newCoordMetrics(opts Options) *coordMetrics {
 		queueDepth:      reg.Gauge(MetricQueueDepth, "Jobs queued awaiting a scheduler slot."),
 		workersLive:     reg.Gauge(MetricWorkersLive, "Registered live workers."),
 		workersDraining: reg.Gauge(MetricWorkersDraining, "Fleet members mid-drain."),
-		configsPrepared: reg.Gauge(MetricConfigsPrepared, "Shapes currently holding a prepared configuration."),
+		configsPrepared: reg.Gauge(MetricConfigsPrepared, "Shapes currently holding a configuration, counted from placement (provisioning included)."),
 		heartbeatAge:    reg.Gauge(MetricHeartbeatAge, "Age of the stalest live worker's last heartbeat."),
 
 		jobsCompleted: reg.Counter(MetricJobsCompleted, "Jobs that ran to completion, successful or not."),
@@ -151,7 +151,7 @@ func (c *Coordinator) sample() Stats {
 // shapeLabel renders a spec's structural shape as a bounded-length,
 // human-readable metric label: per-graph "type/WxS" joined by "+",
 // plus the requested rank count. Unlike wire.ShapeKey (the exact
-// canonical JSON used as the cache key), the label is for dashboards —
+// binary encoding used as the cache key), the label is for dashboards —
 // two specs with the same label may be distinct cache keys (kernel
 // payload sizes differ), and that is fine for a counter label.
 func shapeLabel(spec wire.AppSpec) string {

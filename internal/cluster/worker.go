@@ -73,11 +73,9 @@ type Worker struct {
 // concurrently: mu guards the lifecycle fields, and cancel (closed by
 // release) interrupts an in-flight mesh establishment.
 type workerSession struct {
-	id    uint64
-	app   *core.App
-	plan  *exec.RankPlan
-	span  exec.Span
-	ranks int
+	id   uint64
+	app  *core.App
+	plan *exec.RankPlan
 
 	mu       sync.Mutex
 	released bool
@@ -296,8 +294,7 @@ func (w *Worker) handlePrepare(m wire.Message) wire.Message {
 	}
 	app.Workers = m.Ranks
 
-	span := exec.Span{Lo: m.RankLo, Hi: m.RankHi}
-	plan := exec.BuildRankPlanLocal(app, m.Ranks, span)
+	plan := exec.BuildRankPlanLocal(app, m.Ranks, exec.Span{Lo: m.RankLo, Hi: m.RankHi})
 	ln, err := net.Listen("tcp", net.JoinHostPort(w.opts.Advertise, "0"))
 	if err != nil {
 		return fail("data listener: %v", err)
@@ -306,8 +303,6 @@ func (w *Worker) handlePrepare(m wire.Message) wire.Message {
 		id:     m.Config,
 		app:    app,
 		plan:   plan,
-		span:   span,
-		ranks:  m.Ranks,
 		cancel: make(chan struct{}),
 		ln:     ln,
 	}
@@ -328,7 +323,7 @@ func (w *Worker) handlePrepare(m wire.Message) wire.Message {
 	w.mu.Unlock()
 
 	w.opts.Logf("cluster: prepared config %d: ranks [%d,%d) of %d, data %s",
-		m.Config, span.Lo, span.Hi, m.Ranks, ln.Addr())
+		m.Config, m.RankLo, m.RankHi, m.Ranks, ln.Addr())
 	return wire.Message{Type: wire.MsgPrepared, Config: m.Config, Addr: ln.Addr().String()}
 }
 
@@ -344,7 +339,7 @@ func (w *Worker) handleConnect(m wire.Message) wire.Message {
 		return fail("connect for unknown config %d", m.Config)
 	}
 	tr, err := tcp.NewMeshTransport(sess.plan, tcp.Topology{
-		Local:    sess.span,
+		Local:    sess.plan.Local,
 		Addrs:    m.Addrs,
 		Config:   m.Config,
 		Listener: sess.ln,
@@ -369,7 +364,7 @@ func (w *Worker) handleConnect(m wire.Message) wire.Message {
 	// process-spanning engine requires.
 	sess.engine = exec.NewLocalRankEngine(sess.plan, p2p.Policy{}, 1, tr)
 	sess.mu.Unlock()
-	w.opts.Logf("cluster: config %d mesh up (%d ranks)", m.Config, sess.ranks)
+	w.opts.Logf("cluster: config %d mesh up (%d ranks)", m.Config, sess.plan.Ranks)
 	return wire.Message{Type: wire.MsgReady, Config: m.Config}
 }
 

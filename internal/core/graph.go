@@ -111,7 +111,7 @@ func New(p Params) (*Graph, error) {
 	if p.Fraction == 0 {
 		p.Fraction = 0.25
 	}
-	if p.Fraction < 0 || p.Fraction > 1 {
+	if !(p.Fraction >= 0 && p.Fraction <= 1) { // NaN fails too
 		return nil, errors.New("core: fraction must be in [0, 1]")
 	}
 	if p.OutputBytes < PayloadHeaderSize {
@@ -120,7 +120,7 @@ func New(p Params) (*Graph, error) {
 	if p.ScratchBytes < 0 {
 		return nil, errors.New("core: scratch bytes must be non-negative")
 	}
-	if p.FaultRate < 0 || p.FaultRate > 1 {
+	if !(p.FaultRate >= 0 && p.FaultRate <= 1) {
 		return nil, errors.New("core: fault rate must be in [0, 1]")
 	}
 	if p.FaultRate > 0 && p.OutputBytes <= PayloadHeaderSize {

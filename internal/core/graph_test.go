@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"reflect"
 	"testing"
 	"testing/quick"
@@ -41,6 +42,8 @@ func TestNewValidation(t *testing.T) {
 		{"negative radix", func(p *Params) { p.Radix = -1 }},
 		{"spread radix zero", func(p *Params) { p.Dependence = Spread }},
 		{"bad fraction", func(p *Params) { p.Dependence = RandomNearest; p.Radix = 2; p.Fraction = 1.5 }},
+		{"NaN fraction", func(p *Params) { p.Dependence = RandomNearest; p.Radix = 2; p.Fraction = math.NaN() }},
+		{"NaN fault rate", func(p *Params) { p.FaultRate = math.NaN() }},
 		{"negative scratch", func(p *Params) { p.ScratchBytes = -1 }},
 		{"negative period", func(p *Params) { p.Period = -2 }},
 		{"bad kernel", func(p *Params) { p.Kernel.Iterations = -1 }},

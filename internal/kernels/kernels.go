@@ -127,7 +127,7 @@ func (c Config) Validate() error {
 	if c.Type == BusyWait && c.WaitDuration < 0 {
 		return errors.New("kernels: busy_wait duration must be non-negative")
 	}
-	if c.ImbalanceFactor < 0 || c.ImbalanceFactor > 1 {
+	if !(c.ImbalanceFactor >= 0 && c.ImbalanceFactor <= 1) { // NaN fails too
 		return errors.New("kernels: imbalance factor must be in [0, 1]")
 	}
 	return nil

@@ -39,6 +39,7 @@ func TestConfigValidate(t *testing.T) {
 		{Type: BusyWait, WaitDuration: -time.Second},
 		{Type: LoadImbalance, ImbalanceFactor: 2},
 		{Type: LoadImbalance, ImbalanceFactor: -0.5},
+		{Type: LoadImbalance, ImbalanceFactor: math.NaN()},
 	}
 	for _, c := range invalid {
 		if err := c.Validate(); err == nil {

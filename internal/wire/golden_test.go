@@ -143,6 +143,10 @@ func TestShapeKeyIgnoresKernels(t *testing.T) {
 		func(g *GraphSpec) { g.Type = "fft" },
 		func(g *GraphSpec) { g.Output = 64 },
 		func(g *GraphSpec) { g.Seed = 1 },
+		func(g *GraphSpec) { g.Radix = 3 },
+		func(g *GraphSpec) { g.Period = 2 },
+		func(g *GraphSpec) { g.Fraction = 0.5 },
+		func(g *GraphSpec) { g.Scratch = 4096 },
 	} {
 		changed := base
 		changed.Graphs = []GraphSpec{base.Graphs[0]}
@@ -155,6 +159,29 @@ func TestShapeKeyIgnoresKernels(t *testing.T) {
 	moreRanks.Workers = 8
 	if ShapeKey(base) == ShapeKey(moreRanks) {
 		t.Error("rank-count change did not alter the shape key")
+	}
+	moreNodes := base
+	moreNodes.Nodes = 2
+	if ShapeKey(base) == ShapeKey(moreNodes) {
+		t.Error("node-count change did not alter the shape key")
+	}
+	yes, no := true, false
+	keys := map[string]bool{}
+	for _, v := range []*bool{nil, &no, &yes} {
+		s := base
+		s.Validate = v
+		keys[ShapeKey(s)] = true
+	}
+	if len(keys) != 3 {
+		t.Errorf("validate nil/false/true give %d distinct shape keys, want 3", len(keys))
+	}
+	second := base.Graphs[0]
+	second.Type = "fft"
+	ab, ba := base, base
+	ab.Graphs = []GraphSpec{base.Graphs[0], second}
+	ba.Graphs = []GraphSpec{second, base.Graphs[0]}
+	if ShapeKey(ab) == ShapeKey(ba) {
+		t.Error("swapping two graphs did not alter the shape key")
 	}
 }
 

@@ -1,8 +1,6 @@
 package wire
 
 import (
-	"encoding/json"
-	"fmt"
 	"time"
 
 	"taskbench/internal/kernels"
@@ -245,23 +243,20 @@ type Message struct {
 }
 
 // ShapeKey canonicalizes the structural part of a spec — everything
-// except the kernel configurations — as a comparable string. Two jobs
-// with equal shape keys can share one prepared cluster configuration
-// (plans, payload rows, connection mesh), the cross-request analog of
-// the reusable RankSession.
+// except the kernel configurations — as a comparable string: the
+// spec's binary encoding (appendSpec) with every KernelSpec zeroed.
+// Two jobs with equal shape keys can share one prepared cluster
+// configuration (plans, payload rows, connection mesh), the
+// cross-request analog of the reusable RankSession.
 func ShapeKey(spec AppSpec) string {
-	shape := spec
-	shape.Graphs = make([]GraphSpec, len(spec.Graphs))
+	graphs := make([]GraphSpec, len(spec.Graphs))
 	for i, g := range spec.Graphs {
 		g.KernelSpec = KernelSpec{}
-		shape.Graphs[i] = g
+		graphs[i] = g
 	}
-	b, err := json.Marshal(shape)
-	if err != nil {
-		// AppSpec contains only marshalable fields; this is unreachable.
-		panic(fmt.Sprintf("wire: shape key: %v", err))
-	}
-	return string(b)
+	spec.Graphs = graphs
+	var buf [128]byte // a typical key fits, so only the string is copied out
+	return string(appendSpec(buf[:0], spec))
 }
 
 // KernelsOf extracts the per-graph kernel configurations of a spec, in

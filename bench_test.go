@@ -125,27 +125,26 @@ func BenchmarkPlanBuild(b *testing.B) {
 }
 
 // BenchmarkFabricRoundtrip measures one message through the in-process
-// fabric the rank engine builds — SendEdge then RecvEdge on the edge
-// 0→1 of a 2-rank stencil, 64 bytes, producer and consumer on the same
-// goroutine so nothing parks: the per-message floor under every rank
-// backend's task overhead.
+// fabric exactly as its bench/ twin's probe does — column Send then
+// Recycle(Recv) on a one-edge fabric, 64 bytes, producer and consumer
+// on the same goroutine so nothing parks. The column adapters publish
+// and acknowledge per message, so this is the fabric's per-message
+// floor with both of its stores; the rank engine pays those once per
+// step instead (BenchmarkRankEngineZeroGrain).
 // bench/ twin: exec.fabric_roundtrip_ns; kept as the CI tripwire, since
 // hosted runners cannot run the reference-clocked bench/.
 func BenchmarkFabricRoundtrip(b *testing.B) {
-	app := core.NewApp(core.MustNew(core.Params{
-		Timesteps: 2, MaxWidth: 2, Dependence: core.Stencil1D, OutputBytes: 64,
-	}))
-	plan := exec.BuildRankPlan(app, 2)
-	f := exec.NewFabric(plan, 4, nil) // the rank engine's per-edge capacity
-	edge := plan.EdgeID(0, 0, 1)
+	f := exec.NewFabricFromEdges([][]exec.Edge{{{Producer: 0, Consumer: 1}}})
 	payload := make([]byte, 64)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		f.SendEdge(0, 0, edge, payload)
-		if len(f.RecvEdge(0, edge)) != len(payload) {
+		f.Send(0, 0, 1, payload)
+		buf := f.Recv(0, 0, 1)
+		if len(buf) != len(payload) {
 			b.Fatal("short payload")
 		}
+		f.Recycle(0, buf)
 	}
 }
 

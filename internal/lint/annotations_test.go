@@ -13,14 +13,15 @@ import (
 // TestHotPathAnnotationCoverage pins the //taskbench:hotpath annotation
 // set to the packages the benchmark's zero-allocation claim rests on:
 // the shared-memory engine's task loop, the compiled dependence table
-// and point iterator, payload fill/validate, and the tcp mesh's batch
-// send and demux. An annotation removed by a refactor fails here, not
+// and point iterator, payload fill/validate, the rank fabric's
+// per-message and per-step paths, and the tcp mesh's batch send and
+// demux. An annotation removed by a refactor fails here, not
 // silently in a future allocation regression.
 func TestHotPathAnnotationCoverage(t *testing.T) {
 	want := map[string][]string{
 		"../core":         {"ExecutePoint", "WriteOutput", "checkInput", "PointDeps", "Next"},
-		"../runtime/exec": {"runWorker", "Execute", "Get", "Release", "RunInto", "Send", "SendEdge", "RecvEdge"},
-		"../runtime/tcp":  {"Send", "flushTo", "demux", "deliver", "Recv", "SendEdge", "RecvEdge"},
+		"../runtime/exec": {"runWorker", "Execute", "Get", "Release", "RunInto", "Send", "SendEdge", "RecvEdge", "Flush"},
+		"../runtime/tcp":  {"Send", "flushTo", "demux", "deliver", "Recv", "SendEdge", "RecvEdge", "Flush"},
 		// The one queue policy written since the analyzer exists, and the
 		// event wiring dataflow runs concurrently with execution.
 		"../runtime/places": {"Push", "Pop"},

@@ -10,7 +10,7 @@
 // than a new mechanism: with one rank per column every chare is a
 // goroutine that advances whenever its own inputs are in, the Go
 // scheduler multiplexes the chares over the cores, and a chare's
-// mailbox is the slot rings of its incoming edges.
+// mailbox is the slots of its incoming edges.
 package actor
 
 import (

@@ -21,6 +21,8 @@ import (
 	"taskbench/internal/runtime"
 	"taskbench/internal/runtime/exec"
 
+	_ "taskbench/internal/runtime/bsp"
+	_ "taskbench/internal/runtime/dtd"
 	_ "taskbench/internal/runtime/graphexec"
 	_ "taskbench/internal/runtime/p2p"
 	_ "taskbench/internal/runtime/places"
@@ -90,45 +92,55 @@ func TestZeroAllocsPerTaskEngine(t *testing.T) {
 	}
 }
 
+// TestZeroAllocsPerTaskRanks covers every distinct rank step that is
+// meant to be allocation-free in steady state: p2p's eager sends (which
+// tcp, ptg, shard and actor reuse), bsp's barrier phases and dtd's
+// whole-width discovery walk. hybrid (and coforall, which runs its
+// step) stays out until ROADMAP item 11: its fork-join spawns a
+// goroutine per chunk per step.
 func TestZeroAllocsPerTaskRanks(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates; AllocsPerRun is meaningless")
 	}
-	allocsAt := func(steps int) (float64, int64) {
-		rt, err := runtime.New("p2p")
-		if err != nil {
-			t.Fatal(err)
-		}
-		rb, ok := rt.(runtime.RankBacked)
-		if !ok {
-			t.Fatal("p2p is not rank-backed")
-		}
-		app := allocApp(steps)
-		sess, err := exec.NewRankSession(app, rb.RankPolicy())
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(sess.Close)
-		var runErr error
-		run := func() {
-			_, runErr = sess.Run()
-		}
-		run() // warm: populate the fabric's payload free lists
-		if runErr != nil {
-			t.Fatal(runErr)
-		}
-		allocs := testing.AllocsPerRun(5, run)
-		if runErr != nil {
-			t.Fatal(runErr)
-		}
-		return allocs, app.TotalTasks()
-	}
-	smallAllocs, smallTasks := allocsAt(16)
-	bigAllocs, bigTasks := allocsAt(272)
-	perTask := (bigAllocs - smallAllocs) / float64(bigTasks-smallTasks)
-	if perTask > perTaskAllocBudget {
-		t.Errorf("rank steady state allocates %.3f allocs/task, want 0 (run allocs: %d tasks → %.0f, %d tasks → %.0f)",
-			perTask, smallTasks, smallAllocs, bigTasks, bigAllocs)
+	for _, name := range []string{"p2p", "bsp", "dtd"} {
+		t.Run(name, func(t *testing.T) {
+			allocsAt := func(steps int) (float64, int64) {
+				rt, err := runtime.New(name)
+				if err != nil {
+					t.Fatal(err)
+				}
+				rb, ok := rt.(runtime.RankBacked)
+				if !ok {
+					t.Fatalf("%s is not rank-backed", name)
+				}
+				app := allocApp(steps)
+				sess, err := exec.NewRankSession(app, rb.RankPolicy())
+				if err != nil {
+					t.Fatal(err)
+				}
+				t.Cleanup(sess.Close)
+				var runErr error
+				run := func() {
+					_, runErr = sess.Run()
+				}
+				run() // warm: allocate every slot on its first use
+				if runErr != nil {
+					t.Fatal(runErr)
+				}
+				allocs := testing.AllocsPerRun(5, run)
+				if runErr != nil {
+					t.Fatal(runErr)
+				}
+				return allocs, app.TotalTasks()
+			}
+			smallAllocs, smallTasks := allocsAt(16)
+			bigAllocs, bigTasks := allocsAt(272)
+			perTask := (bigAllocs - smallAllocs) / float64(bigTasks-smallTasks)
+			if perTask > perTaskAllocBudget {
+				t.Errorf("%s steady state allocates %.3f allocs/task, want 0 (run allocs: %d tasks → %.0f, %d tasks → %.0f)",
+					name, perTask, smallTasks, smallAllocs, bigTasks, bigAllocs)
+			}
+		})
 	}
 }
 

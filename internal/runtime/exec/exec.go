@@ -2,7 +2,7 @@
 // backend: the Engine/Policy scheduler core and the reusable,
 // parallel-built task-DAG Plan it executes (engine.go, policy.go,
 // plan.go), the RankEngine/RankPolicy rank core with its RankPlan and
-// slot-ring fabric (rankengine.go, rankplan.go, ring.go, fabric.go),
+// step-sequenced fabric (rankengine.go, rankplan.go, fabric.go),
 // plus worker accounting, block distribution of columns over ranks,
 // first-error capture and double-buffered payload rows. Keeping these
 // here keeps each backend down to its scheduling paradigm, mirroring
@@ -203,7 +203,7 @@ func NewRows(width, outputBytes int) *Rows {
 // newSpanRows allocates the double buffers of one rank: indexed by
 // column over the whole width, like NewRows, but backed only for the
 // columns of own. A rank reads and writes rows of its own span only —
-// remote inputs are ring slots — so the other columns stay nil and a
+// remote inputs are fabric slots — so the other columns stay nil and a
 // rank's payload memory is 2 × span × outputBytes however many ranks
 // share the graph.
 func newSpanRows(width int, own Span, outputBytes int) *Rows {

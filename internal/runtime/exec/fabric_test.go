@@ -16,16 +16,20 @@ func fabricApp(width int) *core.App {
 
 // planFabric builds the in-process fabric the engine would build.
 func planFabric(app *core.App, ranks int) *Fabric {
-	return NewFabric(BuildRankPlan(app, ranks), edgeCap, nil)
+	return NewFabric(BuildRankPlan(app, ranks))
 }
 
 func TestFabricSendCopies(t *testing.T) {
 	plan := BuildRankPlan(fabricApp(8), 2) // ranks own [0,4) and [4,8)
-	f := NewFabric(plan, edgeCap, nil)
+	f := NewFabric(plan)
 	edge := plan.EdgeID(0, 3, 4)
 	payload := []byte("0123456789abcdef")
 	f.SendEdge(0, 0, edge, payload)
 	payload[0] = 'X' // producer reuses its buffer
+	// Both ranks end step 0, as the engine would; rank 1's step 1
+	// receives.
+	f.Flush(0)
+	f.Flush(1)
 	got := f.RecvEdge(0, edge)
 	if string(got) != "0123456789abcdef" {
 		t.Errorf("Recv = %q, want the pre-mutation copy", got)
@@ -43,7 +47,7 @@ func TestCrossEdgesMatchesFabric(t *testing.T) {
 	g := app.Graphs[0]
 	for _, ranks := range []int{1, 2, 3} {
 		plan := BuildRankPlan(app, ranks)
-		f := NewFabric(plan, edgeCap, nil)
+		f := NewFabric(plan)
 		edges := map[Edge]int{}
 		last := Edge{-1, -1}
 		CrossEdges(g, ranks, func(producer, consumer int) {
@@ -62,8 +66,8 @@ func TestCrossEdgesMatchesFabric(t *testing.T) {
 				t.Errorf("ranks=%d: edge %+v does not cross a rank boundary", ranks, e)
 			}
 		}
-		// Exactly the enumerated edges have an id, and the fabric has a
-		// ring for exactly the ids.
+		// Exactly the enumerated edges have an id, and the fabric has
+		// slots for exactly the ids.
 		for i := -1; i <= g.MaxWidth; i++ {
 			for j := -1; j <= g.MaxWidth; j++ {
 				_, want := edges[Edge{Producer: j, Consumer: i}]
@@ -74,19 +78,19 @@ func TestCrossEdgesMatchesFabric(t *testing.T) {
 		}
 		for id := -1; id <= len(edges); id++ {
 			want := id >= 0 && id < len(edges)
-			if got := f.Ring(0, id) != nil; got != want {
-				t.Errorf("ranks=%d: has ring e%d = %v, want %v", ranks, id, got, want)
+			if got := f.edge(0, id) != nil; got != want {
+				t.Errorf("ranks=%d: has slots for e%d = %v, want %v", ranks, id, got, want)
 			}
 		}
-		if f.Ring(1, 0) != nil || f.Ring(-1, 0) != nil {
-			t.Errorf("ranks=%d: has a ring of a graph the app does not have", ranks)
+		if f.edge(1, 0) != nil || f.edge(-1, 0) != nil {
+			t.Errorf("ranks=%d: has slots for a graph the app does not have", ranks)
 		}
 	}
 }
 
 // TestFabricFromUnsortedEdges pins the column-addressed contract of
 // NewFabricFromEdges: any edge list, in any order and with duplicates,
-// gets one ring per distinct edge.
+// gets slots, and a pair of its own, per distinct edge.
 func TestFabricFromUnsortedEdges(t *testing.T) {
 	f := NewFabricFromEdges([][]Edge{{{5, 2}, {0, 1}, {3, 2}, {0, 1}, {1, 0}}})
 	for k, e := range []Edge{{1, 0}, {0, 1}, {3, 2}, {5, 2}} {
@@ -97,8 +101,8 @@ func TestFabricFromUnsortedEdges(t *testing.T) {
 			t.Errorf("edge %+v delivered %v, want [%d]", e, got, k)
 		}
 	}
-	if f.Ring(0, 4) != nil {
-		t.Error("fabric has more rings than the distinct edges it was given")
+	if f.edge(0, 4) != nil || len(f.pairs) != 4 {
+		t.Error("fabric has more edges than the distinct edges it was given")
 	}
 }
 

@@ -11,33 +11,31 @@ import (
 // RankPlan.Edges(graph) that the plan's compiled routes carry. The
 // in-process Fabric is the default; the tcp backend substitutes a real
 // wire transport via RankTransporter.
+//
+// The timestep is the unit of synchronisation: a payload sent during a
+// rank's step becomes receivable once the rank has flushed that step,
+// and a receive at a rank's step k (after k flushes) takes the payload
+// its producer sent at step k-1. That is every policy's shape, since
+// dependencies span consecutive timesteps.
 type Transport interface {
 	// SendEdge transmits payload along the edge. rank identifies the
 	// sending rank, for transports that route by connection.
 	SendEdge(rank, graph, edge int, payload []byte) error
-	// RecvEdge blocks until the next payload on the edge arrives and
-	// returns it. The bytes stay valid until the next RecvEdge on the
-	// same edge, so a caller must be done with one payload of an edge
-	// before asking for the next — which timestep order gives every
-	// policy for free.
+	// RecvEdge blocks until the edge's payload of the producer's
+	// previous step is published and returns it. The bytes stay valid
+	// until the consumer rank's next Flush, so a caller must be done
+	// with one payload of an edge before its rank ends the step — which
+	// every policy does.
 	RecvEdge(graph, edge int) []byte
+	// Flush ends rank's step: it publishes every payload rank sent
+	// during the step and acknowledges every payload it received. The
+	// engine calls it on the rank's own goroutine once per step, after
+	// Step or from inside Barrier.
+	Flush(rank int) error
 	// Err reports any asynchronous transport failure observed so far.
 	Err() error
 	// Close releases transport resources.
 	Close()
-}
-
-// Flusher is an optional Transport extension for transports that batch
-// outbound sends (tcp's mesh coalesces every payload headed to the
-// same peer rank into one frame). The engine calls Flush(rank) on the
-// rank's own goroutine after every policy Step, so the flush point is
-// the timestep boundary: a batching transport may defer any Send until
-// then. That is safe for every policy whose receives at step t consume
-// only payloads sent at steps before t (dependencies span consecutive
-// timesteps); a policy that consumed same-step sends would need an
-// explicit mid-step flush, which no current policy does.
-type Flusher interface {
-	Flush(rank int) error
 }
 
 // RankLayout is a policy's rank/thread decomposition of an app.
@@ -105,6 +103,8 @@ type RankCtx struct {
 	in       [][]byte // reusable gather buffer
 	validate bool
 	firstErr *ErrOnce
+	// flushed records that Barrier already flushed this step.
+	flushed bool
 }
 
 func (rc *RankCtx) plan() *RankPlan { return rc.engine.plan }
@@ -142,8 +142,22 @@ func (rc *RankCtx) Flip(gi int) { rc.plan().Rows(rc.Rank, gi).Flip() }
 
 // Barrier blocks until every rank of the engine arrives — the global
 // barrier of the bulk-synchronous paradigm. A policy either calls it
-// on every rank at every timestep or not at all.
-func (rc *RankCtx) Barrier() { rc.engine.barrier.Wait() }
+// on every rank at every timestep or not at all, as the step's last
+// act. It flushes the step first, so no rank leaves the barrier to
+// park on a peer's step that the peer has not yet published.
+func (rc *RankCtx) Barrier() {
+	rc.flush()
+	rc.flushed = true
+	rc.engine.barrier.Wait()
+}
+
+// flush ends the rank's step on the transport, capturing a failure as
+// the run's first error.
+func (rc *RankCtx) flush() {
+	if err := rc.engine.transport.Flush(rc.Rank); err != nil {
+		rc.firstErr.Set(err)
+	}
+}
 
 // send transmits payload along edge (a route.Edge of graph gi),
 // capturing transport failures as the run's first error.
@@ -171,7 +185,7 @@ func (rc *RankCtx) Run(gi, t, i int) []byte {
 // buffer and the task's output. The gather walks the plan's compiled
 // routes: no dependence query, ownership test or edge lookup happens
 // per input, and received payloads need no hand-back (the transport
-// reclaims each on the edge's next receive).
+// reclaims them when the rank flushes its step).
 //
 //taskbench:hotpath
 func (rc *RankCtx) RunInto(inputs [][]byte, gi, t, i int) ([][]byte, []byte) {
@@ -256,7 +270,7 @@ func NewRankEngine(plan *RankPlan, policy RankPolicy, threads int) (*RankEngine,
 		}
 		e.transport = transport
 	} else {
-		e.transport = NewFabric(plan, edgeCap, nil)
+		e.transport = NewFabric(plan)
 	}
 	return e, nil
 }
@@ -299,7 +313,6 @@ func newRankEngine(plan *RankPlan, policy RankPolicy, threads int) *RankEngine {
 // Call Plan.Reset before running again.
 func (e *RankEngine) Run(validate bool) error {
 	firstErr := &ErrOnce{}
-	flusher, _ := e.transport.(Flusher)
 	var wg sync.WaitGroup
 	for r := e.local.Lo; r < e.local.Hi; r++ {
 		rc := e.ctxs[r]
@@ -310,11 +323,10 @@ func (e *RankEngine) Run(validate bool) error {
 			defer wg.Done()
 			for t := 0; t < e.plan.MaxSteps; t++ {
 				e.policy.Step(rc, t)
-				if flusher != nil {
-					if err := flusher.Flush(rc.Rank); err != nil {
-						firstErr.Set(err)
-					}
+				if !rc.flushed {
+					rc.flush()
 				}
+				rc.flushed = false
 			}
 		}(rc)
 	}

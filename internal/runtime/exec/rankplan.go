@@ -12,7 +12,7 @@ import (
 // RankPlan is the rank-space analog of Plan: the precomputed, reusable
 // layout a rank-based backend executes. It holds the per-rank column
 // spans under block distribution, the distinct cross-rank dependence
-// edges of every graph (the slot rings a transport must provide), the
+// edges of every graph (the edges a transport must provide slots for), the
 // compiled gather and send routes of every local column, each rank's
 // double-buffered payload rows, and the persistent per-column scratch
 // working sets. Building it is the setup cost an METG sweep used to pay
@@ -139,9 +139,9 @@ func (p *RankPlan) localColumns(gi int) Span {
 const localEdge = -1
 
 // route is one compiled hop of a task's dataflow. In a gather list Col
-// is a producer column of the previous timestep and Edge the ring its
+// is a producer column of the previous timestep and Edge the edge its
 // payload arrives on, or localEdge; in a send list Col is a consumer
-// column of the next timestep owned by another rank and Edge the ring
+// column of the next timestep owned by another rank and Edge the edge
 // to send on. Edge ids index RankPlan.Edges.
 type route struct {
 	Col, Edge int32

@@ -29,7 +29,7 @@ func init() {
 // Policy is the ranks-of-engines discipline: each rank forks a
 // parallel loop over its owned columns every timestep (each chunk
 // worker receives its own remote inputs — edges are per-consumer, so
-// chunks never contend on a ring), joins, and then communicates in
+// chunks never contend on an edge's slots), joins, and then communicates in
 // a funneled phase. The coforall backend reuses it on a single rank,
 // where the send lists are empty and only the fork-join remains.
 type Policy struct{}

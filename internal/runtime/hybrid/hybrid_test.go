@@ -1,7 +1,10 @@
 package hybrid
 
 import (
+	"fmt"
+	goruntime "runtime"
 	"testing"
+	"time"
 
 	"taskbench/internal/core"
 	"taskbench/internal/runtime"
@@ -32,5 +35,23 @@ func TestExplicitNodeCount(t *testing.T) {
 	}
 	if stats.Workers != 8 {
 		t.Errorf("Workers = %d, want 8 (4 nodes × 2 threads)", stats.Workers)
+	}
+}
+
+// TestParkedThreadsAllWake runs hybrid's fork-join step at 2 ranks × 3
+// threads over rank_spread's graph (spread, radix 5, width 8), 200
+// times through one reused engine, at 1, 2 and 4 Ps. Several threads of
+// a rank park on the same rank pair waiting for a peer's step: a
+// publication must wake every one of them, or the run wedges and the
+// deadline names the pair.
+func TestParkedThreadsAllWake(t *testing.T) {
+	for _, procs := range []int{1, 2, 4} {
+		t.Run(fmt.Sprintf("procs=%d", procs), func(t *testing.T) {
+			defer goruntime.GOMAXPROCS(goruntime.GOMAXPROCS(procs))
+			app := core.NewApp(core.MustNew(core.Params{
+				Timesteps: 20, MaxWidth: 8, Dependence: core.Spread, Radix: 5, OutputBytes: 16,
+			}))
+			runtimetest.FabricRuns(t, app, Policy{}, 2, 3, 200, 60*time.Second)
+		})
 	}
 }

@@ -1,9 +1,10 @@
 // Package p2p implements the MPI point-to-point analog: one goroutine
-// per rank, columns block-distributed over ranks, and one
-// send/receive slot ring per dependence edge that crosses a rank
-// boundary (paper §3.4). Each rank alternates a receive+compute phase
-// with sends issued as soon as each task completes, the best
-// performing strategy the paper found for MPI.
+// per rank, columns block-distributed over ranks, and one send/receive
+// pair of payload slots per dependence edge that crosses a rank
+// boundary (paper §3.4), synchronised once per timestep per rank pair.
+// Each rank alternates a receive+compute phase with sends issued as
+// soon as each task completes, the best performing strategy the paper
+// found for MPI.
 package p2p
 
 import (
@@ -47,6 +48,6 @@ func init() {
 		Parallelism: "explicit",
 		Distributed: true,
 		Async:       false,
-		Notes:       "rank per worker; per-edge slot rings; sends issued per task",
+		Notes:       "rank per worker; per-edge slots; slots written per task, published per step",
 	}, func() exec.RankPolicy { return Policy{} })
 }

@@ -12,6 +12,7 @@ package runtimetest
 
 import (
 	"errors"
+	"fmt"
 	"testing"
 	"time"
 
@@ -394,7 +395,7 @@ func RankPlanReuse(t *testing.T, name string) {
 // dependence pattern at widths that divide unevenly (or not at all)
 // across the ranks, including a width smaller than the rank count.
 // Thirteen timesteps put more messages on every cross-rank edge than
-// its slot ring holds, so every ring wraps (and the tree pattern gets
+// it has slots, so every edge's slots wrap (and the tree pattern gets
 // through its fan-out into the butterfly sets).
 func RankCounts(t *testing.T, name string) {
 	t.Helper()
@@ -489,5 +490,37 @@ func Repeat(t *testing.T, name string, times int) {
 		if _, err := rt.Run(app); err != nil {
 			t.Fatalf("%s failed on repeat %d: %v", name, k, err)
 		}
+	}
+}
+
+// FabricRuns runs app runs times through one reused plan, engine and
+// in-process fabric, ranks ranks of threads threads each under policy,
+// and fails naming every rank pair's counters and parked threads if the
+// runs have not finished within deadline — the signature of a lost
+// wake-up or a wait cycle in the fabric's step protocol.
+func FabricRuns(t *testing.T, app *core.App, policy exec.RankPolicy, ranks, threads, runs int, deadline time.Duration) {
+	t.Helper()
+	plan := exec.BuildRankPlan(app, ranks)
+	fabric := exec.NewFabric(plan)
+	engine := exec.NewLocalRankEngine(plan, policy, threads, fabric)
+	done := make(chan error, 1)
+	go func() {
+		for k := 0; k < runs; k++ {
+			plan.Reset()
+			if err := engine.Run(app.Validate); err != nil {
+				done <- fmt.Errorf("run %d: %w", k, err)
+				return
+			}
+		}
+		done <- nil
+	}()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+		engine.Close()
+	case <-time.After(deadline):
+		t.Fatalf("%d runs did not finish within %v; rank pairs:\n%v", runs, deadline, fabric)
 	}
 }

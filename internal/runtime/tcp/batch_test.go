@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"net"
 	"os"
 	goruntime "runtime"
@@ -111,39 +112,112 @@ func TestBatchDemuxDeliversEveryEdge(t *testing.T) {
 
 // TestMeshColumnAdapters pins the column-addressed Send, Recv and
 // Recycle that bench/layers.go drives the mesh with: a payload sent by
-// columns arrives on the edge's id, and one sent by id is received by
-// columns. They go with ROADMAP 1(d).
+// columns arrives on the edge's id once both ranks end the step, and
+// one sent by id is received by columns with only the sender flushing —
+// the adapters' per-message semantics. They go with ROADMAP 1(d).
 func TestMeshColumnAdapters(t *testing.T) {
 	app := core.NewApp(core.MustNew(core.Params{
 		Timesteps: 2, MaxWidth: 4, Dependence: core.Stencil1DPeriodic, OutputBytes: 64,
 	}))
 	app.Workers = 2
-	plan, tr := soloMesh(t, app, 2)
-	defer tr.Close()
-	for k, e := range plan.Edges(0) {
-		from := exec.OwnerOf(e.Producer, app.Graphs[0].MaxWidth, 2)
-		want := make([]byte, 64)
-		pattern(want, byte(k+1))
-		if err := tr.Send(from, 0, e.Producer, e.Consumer, want); err != nil {
-			t.Fatal(err)
+	width := app.Graphs[0].MaxWidth
+	// One engine step: every edge sent, every rank flushed once, then
+	// the consumers' next step receives.
+	t.Run("columns_to_id", func(t *testing.T) {
+		plan, tr := soloMesh(t, app, 2)
+		defer tr.Close()
+		edges := plan.Edges(0)
+		for k, e := range edges {
+			want := make([]byte, 64)
+			pattern(want, byte(k+1))
+			if err := tr.Send(exec.OwnerOf(e.Producer, width, 2), 0, e.Producer, e.Consumer, want); err != nil {
+				t.Fatal(err)
+			}
 		}
-		if err := tr.Flush(from); err != nil {
-			t.Fatal(err)
+		for r := 0; r < 2; r++ {
+			if err := tr.Flush(r); err != nil {
+				t.Fatal(err)
+			}
 		}
-		if got := tr.RecvEdge(0, k); !bytes.Equal(got, want) {
-			t.Fatalf("edge %d→%d: sent by columns, received %v by id (err: %v)", e.Producer, e.Consumer, got, tr.Err())
+		for k, e := range edges {
+			want := make([]byte, 64)
+			pattern(want, byte(k+1))
+			if got := tr.RecvEdge(0, k); !bytes.Equal(got, want) {
+				t.Fatalf("edge %d→%d: sent by columns, received %v by id (err: %v)", e.Producer, e.Consumer, got, tr.Err())
+			}
 		}
-		if err := tr.SendEdge(from, 0, k, want); err != nil {
-			t.Fatal(err)
+	})
+	// Rank 0 only sends and rank 1 only receives, as in the probes: a
+	// rank's Flush acknowledges the pairs it consumes, which the
+	// per-message Recv would count a second time.
+	t.Run("id_to_columns", func(t *testing.T) {
+		plan, tr := soloMesh(t, app, 2)
+		defer tr.Close()
+		for k, e := range plan.Edges(0) {
+			from := exec.OwnerOf(e.Producer, width, 2)
+			if from != 0 {
+				continue
+			}
+			want := make([]byte, 64)
+			pattern(want, byte(k+1))
+			if err := tr.SendEdge(from, 0, k, want); err != nil {
+				t.Fatal(err)
+			}
+			if err := tr.Flush(from); err != nil {
+				t.Fatal(err)
+			}
+			got := tr.Recv(0, e.Producer, e.Consumer)
+			if !bytes.Equal(got, want) {
+				t.Fatalf("edge %d→%d: sent by id, received %v by columns (err: %v)", e.Producer, e.Consumer, got, tr.Err())
+			}
+			tr.Recycle(0, got)
 		}
-		if err := tr.Flush(from); err != nil {
-			t.Fatal(err)
-		}
-		got := tr.Recv(0, e.Producer, e.Consumer)
-		if !bytes.Equal(got, want) {
-			t.Fatalf("edge %d→%d: sent by id, received %v by columns (err: %v)", e.Producer, e.Consumer, got, tr.Err())
-		}
-		tr.Recycle(0, got)
+	})
+}
+
+// TestMeshProbeRoundTrips runs exactly what bench/layers.go's
+// tcp.send_small and tcp.send_large probes run — Send and Flush on rank
+// 0, Recv and Recycle on rank 1, which never flushes — on the probes'
+// 2-rank stencil mesh, far enough to wrap the edge's slots and pass the
+// steps-ahead bound twice.
+func TestMeshProbeRoundTrips(t *testing.T) {
+	for _, size := range []int{16, 4 << 10} {
+		t.Run(fmt.Sprintf("%dB", size), func(t *testing.T) {
+			app := core.NewApp(core.MustNew(core.Params{
+				Timesteps: 2, MaxWidth: 2, Dependence: core.Stencil1D, OutputBytes: size,
+			}))
+			_, tr := soloMesh(t, app, 2)
+			defer tr.Close()
+			verdict := make(chan error, 1)
+			go func() {
+				payload := make([]byte, size)
+				for k := 0; k < 2*exec.EdgeCap+2; k++ {
+					if err := tr.Send(0, 0, 0, 1, payload); err != nil {
+						verdict <- err
+						return
+					}
+					if err := tr.Flush(0); err != nil {
+						verdict <- err
+						return
+					}
+					buf := tr.Recv(0, 0, 1)
+					if len(buf) != size {
+						verdict <- fmt.Errorf("round trip %d received %d bytes, want %d (err: %v)", k, len(buf), size, tr.Err())
+						return
+					}
+					tr.Recycle(0, buf)
+				}
+				verdict <- nil
+			}()
+			select {
+			case err := <-verdict:
+				if err != nil {
+					t.Fatal(err)
+				}
+			case <-time.After(10 * time.Second):
+				t.Fatalf("probe wedged\n%v", tr.in)
+			}
+		})
 	}
 }
 
@@ -301,7 +375,9 @@ func meshAfter(t *testing.T, ln net.Listener, before func()) (*MeshTransport, ne
 }
 
 // expectTeardown waits for the mesh to fail with an error mentioning
-// want, and requires pending Recvs to unblock with nil.
+// want, and requires a pending receive to unblock with nil: rank 0
+// keeps ending steps and receiving until it asks for a step that rank
+// 1 never published.
 func expectTeardown(t *testing.T, tr *MeshTransport, want string) {
 	t.Helper()
 	deadline := time.Now().Add(10 * time.Second)
@@ -315,7 +391,15 @@ func expectTeardown(t *testing.T, tr *MeshTransport, want string) {
 		t.Fatalf("teardown error %q does not mention %q", err, want)
 	}
 	recvDone := make(chan []byte, 1)
-	go func() { recvDone <- tr.RecvEdge(0, inEdge) }()
+	go func() {
+		for {
+			tr.Flush(0)
+			if p := tr.RecvEdge(0, inEdge); p == nil || tr.in.Steps(0) > exec.EdgeCap {
+				recvDone <- p
+				return
+			}
+		}
+	}()
 	select {
 	case payload := <-recvDone:
 		if payload != nil {
@@ -342,28 +426,58 @@ func frame(fields ...uint32) []byte {
 // allocation or hanging.
 func TestDemuxRejectsOversizedFrame(t *testing.T) {
 	tr, conn := corruptibleMesh(t)
-	if _, err := conn.Write(frame(MaxFrameLen+1, 0, 1, 0)); err != nil {
+	if _, err := conn.Write(frame(MaxFrameLen+1, 1, 1, 0)); err != nil {
 		t.Fatal(err)
 	}
 	expectTeardown(t, tr, "exceeds limit")
 }
 
-// malformedBatches are frames whose headers do not add up: a header
-// without batchMarker, a descriptor section that does not match the
-// edge count, and payload lengths that overrun the declared body.
+// malformedBatches are frames whose headers do not add up: a step
+// count that does not advance, a descriptor section that does not match
+// the edge count, and payload lengths that overrun the declared body.
 var malformedBatches = []struct {
 	name  string
 	frame []byte
 	want  string
 }{
-	// A frame of the older per-edge format: a valid route and length
-	// where the marker belongs. Only the header is sent, so a demux that
-	// read on into the body would never tear down.
-	{"not_a_batch_frame", frame(64, 0, 1, 0), "not a batch frame"},
+	// A frame of the older per-edge format: graph index 0 where the
+	// step count belongs, and no first frame is for step 0. Only the
+	// header is sent, so a demux that read on into the body would never
+	// tear down.
+	{"not_a_batch_frame", frame(64, 0, 1, 0), "step 0 after step 0"},
 	// 3 edges but 1 descriptor.
-	{"desc_count_mismatch", frame(64, batchMarker, 3, descSize), "malformed batch"},
+	{"desc_count_mismatch", frame(64, 1, 3, descSize), "malformed batch"},
 	// Body: 1 descriptor + 8 payload bytes, but the payload claims 100.
-	{"payload_overruns_body", frame(descSize+8, batchMarker, 1, descSize, 100, 0, inEdge), "overrun"},
+	{"payload_overruns_body", frame(descSize+8, 1, 1, descSize, 100, 0, inEdge), "overrun"},
+}
+
+// TestDemuxRejectsStepOutOfOrder pins the desynchronization check the
+// step count carries: after a frame closes step 2, a frame for step 2
+// again, for step 1, or further ahead than the plan's steps allow tears
+// the mesh down — and so does an early-cut frame followed by one for an
+// older step.
+func TestDemuxRejectsStepOutOfOrder(t *testing.T) {
+	closing := append(frame(descSize+64, 2, 1, descSize, 64, 0, inEdge), make([]byte, 64)...)
+	cut := append(frame(descSize+64, 2, 1|frameOpen, descSize, 64, 0, inEdge), make([]byte, 64)...)
+	for _, c := range []struct {
+		name   string
+		before []byte
+		frame  []byte
+		want   string
+	}{
+		{"repeats_closed_step", closing, frame(0, 2, 0, 0), "step 2 after step 2"},
+		{"goes_back", closing, frame(0, 1, 0, 0), "step 1 after step 2"},
+		{"jumps_past_a_run", closing, frame(0, 5, 0, 0), "step 5 after step 2"},
+		{"goes_back_from_open_step", cut, frame(0, 1, 0, 0), "step 1 after step 2"},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			tr, conn := corruptibleMesh(t)
+			if _, err := conn.Write(append(c.before, c.frame...)); err != nil {
+				t.Fatal(err)
+			}
+			expectTeardown(t, tr, c.want)
+		})
+	}
 }
 
 // TestDemuxRejectsMalformedBatch pins header validation: every
@@ -385,28 +499,31 @@ func TestDemuxRejectsMalformedBatch(t *testing.T) {
 // rank 1, and the graph has no others.
 const inEdge = 0
 
-// badRoutes are routes the demux must refuse.
+// badRoutes are routes the demux must refuse. single is what the
+// header of the older per-edge format carrying the route is refused
+// for: its graph index sits where the step count belongs and its
+// producer where the edge count does.
 var badRoutes = []struct {
 	name              string
 	plen, graph, edge uint32
-	want              string
+	want, single      string
 }{
-	{"unknown_graph", 64, 3, inEdge, "unknown edge g3 e0"},
-	{"unknown_edge", 64, 0, 2, "unknown edge g0 e2"},
-	{"edge_consumed_elsewhere", 64, 0, 1, "unknown edge g0 e1"},
-	{"column_out_of_range", 64, 0, 0xFFFFFFFF, "unknown edge g0 e-1"},
-	{"payload_over_bound", 65, 0, inEdge, "exceeds the graph's 64"},
+	{"unknown_graph", 64, 3, inEdge, "unknown edge g3 e0", "step 3 after step 0"},
+	{"unknown_edge", 64, 0, 2, "unknown edge g0 e2", "step 0 after step 0"},
+	{"edge_consumed_elsewhere", 64, 0, 1, "unknown edge g0 e1", "step 0 after step 0"},
+	{"column_out_of_range", 64, 0, 0xFFFFFFFF, "unknown edge g0 e-1", "step 0 after step 0"},
+	{"payload_over_bound", 65, 0, inEdge, "exceeds the graph's 64", "step 0 after step 0"},
 }
 
 // TestDemuxRejectsBadRoute pins the order of the demux checks: the
+// payload length is checked against the graph's OutputBytes and the
 // route — a graph out of range, an edge id this process does not
 // consume, one past the graph's edges, a negative one — is resolved to
-// a ring, and the payload length checked against the graph's
-// OutputBytes, before a single body byte is read. Every case writes the
-// header (or batch header and descriptor) only — a demux that went for
-// the body first would sit in the read and never tear down. The single
-// variant carries the route in a header of the older per-edge format,
-// which must be refused as not a batch frame before its route is
+// a slot of the connection's pair before a single body byte is read.
+// Every case writes the header (or batch header and descriptor) only —
+// a demux that went for the body first would sit in the read and never
+// tear down. The single variant carries the route in a header of the
+// older per-edge format, which must be refused before its route is
 // looked at.
 func TestDemuxRejectsBadRoute(t *testing.T) {
 	for _, c := range badRoutes {
@@ -415,8 +532,8 @@ func TestDemuxRejectsBadRoute(t *testing.T) {
 			frame []byte
 			want  string
 		}{
-			{"single", frame(c.plen, c.graph, c.edge, 0), "not a batch frame"},
-			{"batched", frame(descSize+c.plen, batchMarker, 1, descSize, c.plen, c.graph, c.edge), c.want},
+			{"single", frame(c.plen, c.graph, c.edge, 0), c.single},
+			{"batched", frame(descSize+c.plen, 1, 1, descSize, c.plen, c.graph, c.edge), c.want},
 		} {
 			t.Run(c.name+"/"+f.name, func(t *testing.T) {
 				tr, conn := corruptibleMesh(t)
@@ -431,25 +548,29 @@ func TestDemuxRejectsBadRoute(t *testing.T) {
 
 // FuzzBatchFrame writes arbitrary bytes into a live mesh's inbound
 // link after a valid handshake, then hangs up. Some seeds are frames
-// of the older per-edge format, which must tear the mesh down.
-// Whatever the bytes, the mesh must end in an error (the hang-up
-// guarantees one) within a
-// deadline, every payload it delivered before that must fit the
-// graph's 64-byte OutputBytes, nothing may panic, and the demux may
-// allocate only in proportion to the bytes it was sent — far below
-// MaxFrameLen, whatever the headers claim.
+// of the older per-edge format, which must tear the mesh down. Rank 0
+// drains its inbound edge with the column Recv, which takes and
+// acknowledges one published step at a time, so the demux never waits
+// long on rank 0 (a step that carried no payload reads as an empty
+// slot). Whatever the bytes, the mesh must end in an error (the
+// hang-up guarantees one) within a deadline, every payload it
+// delivered before that must fit the graph's 64-byte OutputBytes,
+// nothing may panic, and the demux may allocate only in proportion to
+// the bytes it was sent — far below MaxFrameLen, whatever the headers
+// claim.
 func FuzzBatchFrame(f *testing.F) {
 	payload := bytes.Repeat([]byte{0xa5}, 64)
-	f.Add(append(frame(descSize+64, batchMarker, 1, descSize, 64, 0, inEdge), payload...))
+	f.Add(append(frame(descSize+64, 1, 1, descSize, 64, 0, inEdge), payload...))
+	f.Add(append(append(frame(descSize+64, 1, 1|frameOpen, descSize, 64, 0, inEdge), payload...), frame(0, 1, 0, 0)...))
 	f.Add(append(frame(64, 0, 1, 0), payload...))
-	f.Add(frame(MaxFrameLen+1, 0, 1, 0))
-	f.Add(frame(MaxFrameLen, batchMarker, MaxFrameLen/descSize, MaxFrameLen/descSize*descSize))
+	f.Add(frame(MaxFrameLen+1, 1, 1, 0))
+	f.Add(frame(MaxFrameLen, 1, MaxFrameLen/descSize, MaxFrameLen/descSize*descSize))
 	for _, c := range malformedBatches {
 		f.Add(c.frame)
 	}
 	for _, c := range badRoutes {
 		f.Add(frame(c.plen, c.graph, c.edge, 0))
-		f.Add(frame(descSize+c.plen, batchMarker, 1, descSize, c.plen, c.graph, c.edge))
+		f.Add(frame(descSize+c.plen, 1, 1, descSize, c.plen, c.graph, c.edge))
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		tr, conn := corruptibleMesh(t)
@@ -462,8 +583,8 @@ func FuzzBatchFrame(f *testing.F) {
 		drained := make(chan int, 1)
 		go func() {
 			for {
-				p := tr.RecvEdge(0, inEdge)
-				if p == nil || len(p) > 64 {
+				p := tr.Recv(0, 1, 0)
+				if len(p) > 64 || (p == nil && tr.Err() != nil) {
 					drained <- len(p)
 					return
 				}
@@ -475,10 +596,7 @@ func FuzzBatchFrame(f *testing.F) {
 				t.Fatalf("delivered a %d-byte payload on a 64-byte graph", n)
 			}
 		case <-time.After(10 * time.Second):
-			t.Fatal("mesh neither delivered nor tore down within 10s")
-		}
-		if tr.Err() == nil {
-			t.Fatal("Recv unblocked with nil but the mesh reports no error")
+			t.Fatalf("mesh neither delivered nor tore down within 10s\n%v", tr.in)
 		}
 		goruntime.ReadMemStats(&after)
 		if alloc, bound := after.TotalAlloc-before.TotalAlloc, uint64(4*len(data)+1<<20); alloc > bound {
@@ -492,8 +610,10 @@ func FuzzBatchFrame(f *testing.F) {
 // the stray must be closed, establishment must still complete within
 // the handshake budget, and rejecting it may read no more than the
 // fixed handshake and allocate nothing beyond that read's buffer. Bytes
-// that are a genuine handshake for this mesh are a peer, not a stray:
-// config ids are not secrets, so those inputs are skipped.
+// that are a genuine handshake for this mesh — its config, from rank 1
+// to rank 0 — are a peer, not a stray: config ids are not secrets, so
+// those inputs are skipped. A handshake with the right config whose
+// sending rank is out of range or is the receiving rank is a stray.
 func FuzzHandshake(f *testing.F) {
 	f.Add([]byte{})
 	f.Add(frame(handshakeMagic)[:3])                                         // short read
@@ -501,9 +621,11 @@ func FuzzHandshake(f *testing.F) {
 	f.Add(frame(handshakeMagic, 99, 0, 1, 0))                                // wrong config
 	f.Add(frame(handshakeMagic, meshConfig, 0, 0, 1))                        // to: rank 1 is remote
 	f.Add(frame(handshakeMagic, meshConfig, 0, 1, 0xFFFFFFFF))               // to: -1
-	f.Add(append(frame(handshakeMagic, 99, 0, 1, 0), frame(64, 0, 1, 0)...)) // trailing frame
+	f.Add(frame(handshakeMagic, meshConfig, 0, 0, 0))                        // from: the receiving rank
+	f.Add(frame(handshakeMagic, meshConfig, 0, 2, 0))                        // from: no such rank
+	f.Add(append(frame(handshakeMagic, 99, 0, 1, 0), frame(64, 1, 1, 0)...)) // trailing frame
 	f.Fuzz(func(t *testing.T, data []byte) {
-		if config, _, to, err := readHandshake(bytes.NewReader(data)); err == nil && config == meshConfig && to == 0 {
+		if config, from, to, err := readHandshake(bytes.NewReader(data)); err == nil && config == meshConfig && from == 1 && to == 0 {
 			t.Skip("a genuine handshake for this mesh, not a stray")
 		}
 		var r bytes.Reader
@@ -595,16 +717,18 @@ func TestMeshFlushAllocatesNothing(t *testing.T) {
 			if err := tr.SendEdge(0, 0, edge, payload); err != nil {
 				t.Fatal(err)
 			}
-			if err := tr.Flush(0); err != nil {
-				t.Fatal(err)
+			for r := 0; r < 2; r++ {
+				if err := tr.Flush(r); err != nil {
+					t.Fatal(err)
+				}
 			}
 			if tr.RecvEdge(0, edge) == nil {
 				t.Fatalf("Recv returned nil: %v", tr.Err())
 			}
 		}
-		// Take the edge once round its ring so every slot and the
+		// Take the edge once round its slots so every slot and the
 		// batch's buffers have reached their high-water marks.
-		for k := 0; k <= edgeCap; k++ {
+		for k := 0; k <= exec.EdgeCap; k++ {
 			step()
 		}
 		if got := testing.AllocsPerRun(100, step); got != 0 {

@@ -60,9 +60,9 @@ func benchMeshSend(b *testing.B, size int) {
 			}
 		}
 	}
-	// Every ring slot is allocated on its first use; take each edge once
-	// round its ring so the timed loop is the steady state.
-	for k := 0; k <= edgeCap; k++ {
+	// Every slot is allocated on its first use; take each edge once
+	// round its slots so the timed loop is the steady state.
+	for k := 0; k <= exec.EdgeCap; k++ {
 		step()
 	}
 	b.SetBytes(int64(len(edges) * size))

@@ -9,12 +9,14 @@
 // Topology: a full mesh. Every ordered rank pair (s → r) gets one
 // connection, written only by s and read by a demultiplexer goroutine
 // at the process hosting r that reads each payload straight into its
-// edge's slot ring. Outbound payloads are batched: everything a rank
-// sends to one peer within a timestep coalesces into a single
-// multi-edge frame written with one writev at the timestep boundary
-// (exec.Flusher), so at fine granularity the per-task syscall cost
-// amortizes across the whole step. The mesh is constructible in two
-// shapes:
+// edge's slot and stands in for s on the pair's step sequencer.
+// Outbound payloads are batched: everything a rank sends to one peer
+// within a timestep coalesces into a single multi-edge frame written
+// with one writev at the timestep boundary (exec.Transport's Flush),
+// and the frame carries the sender's step count, so at fine
+// granularity the per-task syscall cost amortizes across the whole
+// step and the receiver publishes once per frame. The mesh is
+// constructible in two shapes:
 //
 //   - In-process (the "tcp" backend): one process hosts every rank on
 //     loopback. Scheduling is exactly the p2p backend's eager rank
@@ -26,11 +28,12 @@
 //     NewMeshTransport wires the spans together from an externally
 //     supplied rank→address map (internal/cluster drives this).
 //
-// The inbound side is an exec.Fabric — the same per-edge slot rings the
-// in-process backends use — built from the RankPlan's edge index for
-// the edges this process consumes, so both transports agree exactly on
-// which edges exist and how they are numbered: a frame names an edge by
-// graph and dense id, as the engine does, and the demux indexes its ring.
+// The inbound side is an exec.Fabric — the same per-edge slots and
+// per-pair sequencers the in-process backends use — built from the
+// RankPlan's edge index for the edges this process consumes, so both
+// transports agree exactly on which edges exist and how they are
+// numbered: a frame names an edge by graph and dense id, as the engine
+// does, and the demux indexes its slots.
 package tcp
 
 import (
@@ -69,7 +72,7 @@ type policy struct {
 }
 
 // OpenTransport implements exec.RankTransporter: it dials the full
-// loopback mesh and builds the per-edge slot rings from the plan's
+// loopback mesh and builds the per-edge slots from the plan's
 // cross-rank edge index. The engine owns (and Closes) the transport,
 // so a reused RankSession pays connection establishment once per
 // configuration instead of per run.
@@ -90,7 +93,8 @@ func (*policy) OpenTransport(plan *exec.RankPlan) (exec.Transport, error) {
 }
 
 // frameHeader is the fixed wire header opening every frame: body
-// length, batchMarker, edge count, descriptor-section length.
+// length, the sender's step count, edge count (with frameOpen),
+// descriptor-section length.
 const frameHeaderSize = 16
 
 // MaxFrameLen bounds the body length field of any frame. A corrupt or
@@ -99,11 +103,11 @@ const frameHeaderSize = 16
 // graph column's output is OutputBytes, typically bytes to megabytes.
 const MaxFrameLen = 1 << 28
 
-// batchMarker fills every header's second field, so a header without
-// it means the stream is out of sync. The all-ones value is no graph
-// index a plan reaches, which keeps a frame of the older per-edge
-// format (graph index in that field) from passing for a batch.
-const batchMarker = 0xFFFFFFFF
+// frameOpen marks, in a header's edge-count field, a frame cut early
+// by flushBytes: its step is still open, so the receiver publishes
+// nothing until the frame that closes it. No real edge count reaches
+// the bit (MaxFrameLen bounds it far lower).
+const frameOpen = 1 << 31
 
 // descSize is the bytes per packed edge descriptor in a batch body:
 // payload length, graph (whose OutputBytes bound it), dense edge id.
@@ -114,9 +118,9 @@ const descSize = 12
 const descChunk = 64 << 10
 
 // flushBytes caps how much payload a pending batch may accumulate
-// before it is written out mid-step. Batches normally flush at
-// timestep boundaries (exec.Flusher); the cap bounds buffering when a
-// rank owns many wide columns.
+// before it is written out mid-step, as a frameOpen frame. Batches
+// normally flush at timestep boundaries; the cap bounds buffering when
+// a rank owns many wide columns.
 const flushBytes = 128 << 10
 
 // handshakeMagic opens every connection of a mesh, so a stray dialer
@@ -126,10 +130,6 @@ const handshakeMagic = 0x54424d48 // "TBMH"
 
 // handshakeSize is magic + config id + from rank + to rank.
 const handshakeSize = 4 + 8 + 4 + 4
-
-// edgeCap bounds the frames in flight per edge; the step-lockstep
-// structure keeps at most a couple outstanding.
-const edgeCap = 8
 
 // Topology describes one process's slice of a rank mesh: which ranks it
 // hosts, where every rank's hosting process listens, and the pre-bound
@@ -183,8 +183,9 @@ type MeshTransport struct {
 	// plan holds Local (which must match the topology's), routes an edge
 	// id to its consumer's rank and bounds each graph's payloads.
 	plan *exec.RankPlan
-	// in holds the slot rings of the edges this process consumes;
-	// demultiplexers fill them, local ranks receive from them.
+	// in holds the slots of the edges this process consumes;
+	// demultiplexers fill and publish them, local ranks receive from
+	// them and acknowledge at Flush.
 	in *exec.Fabric
 	// errs records fatal transport errors from the demultiplexers.
 	errs exec.ErrOnce
@@ -218,7 +219,7 @@ func (tr *MeshTransport) register(conn net.Conn) bool {
 }
 
 // NewMeshTransport builds this process's slice of the connection mesh
-// — a slot ring for every locally consumed cross-rank edge, one
+// — slots for every locally consumed cross-rank edge, one
 // outbound connection per (local rank, peer rank) pair, and one
 // demultiplexer per inbound connection — and blocks until every
 // expected inbound link has arrived. All processes of a topology must
@@ -239,11 +240,11 @@ func NewMeshTransport(plan *exec.RankPlan, topo Topology) (*MeshTransport, error
 		tr.pend[from] = make([]pendBatch, ranks)
 	}
 
-	// Slot rings only for the edges this process consumes: a worker's
-	// ring memory scales with its rank span, not the whole run. Sends
-	// to remote consumers need no ring (frames leave on a connection),
+	// Slots only for the edges this process consumes: a worker's slot
+	// memory scales with its rank span, not the whole run. Sends to
+	// remote consumers need no slots (frames leave on a connection),
 	// and inbound frames are only ever addressed to local consumers.
-	tr.in = exec.NewFabric(plan, edgeCap, tr.done)
+	tr.in = exec.NewFabric(plan)
 
 	var deadline time.Time
 	if topo.Timeout > 0 {
@@ -326,7 +327,10 @@ func (tr *MeshTransport) acceptInbound(topo Topology, expect int, deadline time.
 	if dl, ok := topo.Listener.(interface{ SetDeadline(time.Time) error }); ok && !deadline.IsZero() {
 		dl.SetDeadline(deadline)
 	}
-	for linked := 0; linked < expect; {
+	// One demultiplexer per pair: a second link claiming a pair would
+	// race the first for its slots.
+	linked := map[[2]int]bool{}
+	for len(linked) < expect {
 		conn, err := topo.Listener.Accept()
 		if err != nil {
 			return err
@@ -339,8 +343,10 @@ func (tr *MeshTransport) acceptInbound(topo Topology, expect int, deadline time.
 			hsDeadline = deadline
 		}
 		conn.SetReadDeadline(hsDeadline)
-		config, _, to, err := readHandshake(conn)
-		if err != nil || config != topo.Config || to < topo.Local.Lo || to >= topo.Local.Hi {
+		config, from, to, err := readHandshake(conn)
+		link := [2]int{from, to}
+		if err != nil || config != topo.Config || to < topo.Local.Lo || to >= topo.Local.Hi ||
+			from < 0 || from >= tr.plan.Ranks || from == to || linked[link] {
 			conn.Close()
 			continue
 		}
@@ -348,8 +354,8 @@ func (tr *MeshTransport) acceptInbound(topo Topology, expect int, deadline time.
 		if !tr.register(conn) {
 			return fmt.Errorf("mesh torn down during establishment")
 		}
-		go tr.demux(conn)
-		linked++
+		go tr.demux(conn, tr.in.Inlet(from, to))
+		linked[link] = true
 	}
 	return nil
 }
@@ -415,21 +421,28 @@ func readHandshake(r io.Reader) (config uint64, from, to int, err error) {
 	return config, from, to, nil
 }
 
-// demux reads frames from one connection into their edges' slot
-// rings. The connection is read through a bufio.Reader, so one read
-// syscall typically drains several small frames. A read failure while
-// the mesh is still live means a peer process died mid-run; the whole
-// mesh is torn down so blocked ranks unwedge and surface the error
-// instead of hanging. Malformed frames — oversized lengths, a missing
-// batchMarker, headers that do not add up — also tear the mesh down:
-// framing is self-inflicted, so a bad header means the stream is
-// unrecoverably desynchronized.
+// demux reads frames from one connection into their edges' slots,
+// standing in for the sending rank on the pair's sequencer (in): it
+// waits for the consumer's acknowledgements before filling a step's
+// slots, as a local producer would, and publishes the step once the
+// frame that closes it is in. The connection is read through a
+// bufio.Reader, so one read syscall typically drains several small
+// frames. A read failure while the mesh is still live means a peer
+// process died mid-run; the whole mesh is torn down so blocked ranks
+// unwedge and surface the error instead of hanging. Malformed frames —
+// oversized lengths, a step count that does not advance, headers that
+// do not add up — also tear the mesh down: framing is self-inflicted,
+// so a bad header means the stream is unrecoverably desynchronized.
 //
 //taskbench:hotpath
-func (tr *MeshTransport) demux(conn net.Conn) {
+func (tr *MeshTransport) demux(conn net.Conn, in *exec.Inlet) {
 	br := bufio.NewReaderSize(conn, 64<<10) //taskbench:allocok one-time per-connection setup, before the loop
 	var header [frameHeaderSize]byte
 	var desc []byte // reusable batch descriptor scratch
+	// step is the sender's step count of the last frame, and open
+	// whether that frame left its step open.
+	var step uint64
+	open := false
 	for {
 		if _, err := io.ReadFull(br, header[:]); err != nil {
 			tr.fail(fmt.Errorf("tcp: peer connection lost: %w", err))
@@ -440,11 +453,20 @@ func (tr *MeshTransport) demux(conn net.Conn) {
 			tr.fail(fmt.Errorf("tcp: frame length %d exceeds limit %d", length, MaxFrameLen))
 			return
 		}
-		if marker := binary.LittleEndian.Uint32(header[4:8]); marker != batchMarker {
-			tr.fail(fmt.Errorf("tcp: not a batch frame (marker field %#x)", marker))
+		// The wire carries the low 32 bits of the step count. It must
+		// move past a closed step, stay on an open one, and never go
+		// back; and a pair that carries messages at all does so at least
+		// once per run of MaxSteps steps, which bounds a step's advance.
+		low := binary.LittleEndian.Uint32(header[4:8])
+		advance := int64(int32(low - uint32(step)))
+		if advance < 0 || advance > int64(tr.plan.MaxSteps) || (advance == 0 && !open) {
+			tr.fail(fmt.Errorf("tcp: frame for step %d after step %d", low, uint32(step)))
 			return
 		}
+		step += uint64(advance)
 		count := binary.LittleEndian.Uint32(header[8:12])
+		open = count&frameOpen != 0
+		count &^= frameOpen
 		descLen := binary.LittleEndian.Uint32(header[12:16])
 		if uint64(descLen) != uint64(count)*descSize || descLen > length {
 			tr.fail(fmt.Errorf("tcp: malformed batch header (%d edges, %d descriptor bytes, %d body)",
@@ -464,6 +486,9 @@ func (tr *MeshTransport) demux(conn net.Conn) {
 			}
 			desc = desc[:len(desc)+n]
 		}
+		if count > 0 && !in.Reserve(step) {
+			return // torn down while the consumer was behind
+		}
 		body := int(length) - int(descLen)
 		for k := 0; k < int(count); k++ {
 			d := desc[k*descSize : (k+1)*descSize]
@@ -473,7 +498,7 @@ func (tr *MeshTransport) demux(conn net.Conn) {
 				return
 			}
 			body -= plen
-			if !tr.deliver(br, d[4:], plen) {
+			if !tr.deliver(br, in, d[4:], plen) {
 				return
 			}
 		}
@@ -481,23 +506,25 @@ func (tr *MeshTransport) demux(conn net.Conn) {
 			tr.fail(fmt.Errorf("tcp: batch body has %d trailing bytes", body))
 			return
 		}
+		if !open {
+			in.Publish(step)
+		}
 	}
 }
 
-// deliver routes one payload of plen bytes: it resolves the 8 bytes of
-// route (graph, edge id) to the edge's ring, checks plen against the
-// graph's payload bound, and only then reads the body from br straight
-// into the ring's next slot. It returns false when the demux loop must
-// stop (an edge this process does not consume, oversized payload, read
-// failure or teardown), having already failed the mesh where that is
-// warranted.
+// deliver routes one payload of plen bytes: it checks plen against the
+// graph's payload bound, resolves the 8 bytes of route (graph, edge id)
+// to the edge's next slot — the edge must be one of the connection's
+// pair, in — and only then reads the body from br straight into the
+// slot. It returns false when the demux loop must stop (an edge of
+// another pair or process, oversized payload or read failure), having
+// failed the mesh.
 //
 //taskbench:hotpath
-func (tr *MeshTransport) deliver(br *bufio.Reader, route []byte, plen int) bool {
+func (tr *MeshTransport) deliver(br *bufio.Reader, in *exec.Inlet, route []byte, plen int) bool {
 	graph := int(int32(binary.LittleEndian.Uint32(route[0:4])))
 	edge := int(int32(binary.LittleEndian.Uint32(route[4:8])))
-	ring := tr.in.Ring(graph, edge)
-	if ring == nil {
+	if graph < 0 || graph >= len(tr.plan.App.Graphs) {
 		tr.fail(fmt.Errorf("tcp: frame for unknown edge g%d e%d", graph, edge))
 		return false
 	}
@@ -508,15 +535,15 @@ func (tr *MeshTransport) deliver(br *bufio.Reader, route []byte, plen int) bool 
 			plen, graph, edge, bound))
 		return false
 	}
-	slot := ring.Acquire(plen)
+	slot := in.Slot(graph, edge, plen)
 	if slot == nil {
-		return false // torn down while the edge was full
+		tr.fail(fmt.Errorf("tcp: frame for unknown edge g%d e%d", graph, edge))
+		return false
 	}
 	if _, err := io.ReadFull(br, slot); err != nil {
 		tr.fail(fmt.Errorf("tcp: read payload: %w", err))
 		return false
 	}
-	ring.Publish()
 	return true
 }
 
@@ -542,6 +569,7 @@ func (tr *MeshTransport) Abort(err error) { tr.fail(err) }
 func (tr *MeshTransport) teardown() {
 	tr.downOnce.Do(func() {
 		close(tr.done)
+		tr.in.Close()
 		tr.connMu.Lock()
 		for _, c := range tr.conns {
 			c.Close()
@@ -553,8 +581,8 @@ func (tr *MeshTransport) teardown() {
 	})
 }
 
-// Recycle is a no-op: a ring slot is released by the next Recv on its
-// edge. Kept for bench/layers.go until ROADMAP 1(d).
+// Recycle is a no-op: a slot is released by its pair's
+// acknowledgement. Kept for bench/layers.go until ROADMAP 1(d).
 func (tr *MeshTransport) Recycle(graph int, payload []byte) {}
 
 // pendBatch accumulates one rank pair's outbound payloads between
@@ -562,12 +590,15 @@ func (tr *MeshTransport) Recycle(graph int, payload []byte) {}
 // payload buffers, and the frame header and iovec of the next write.
 // The references stay valid until the flush because payload rows are
 // double-buffered — a buffer sent at timestep t is not rewritten until
-// t+2, and the batch flushes at the t/t+1 boundary (exec.Flusher) or
-// sooner (flushBytes).
+// t+2, and the batch flushes at the t/t+1 boundary or sooner
+// (flushBytes).
 type pendBatch struct {
 	desc     []byte
 	payloads [][]byte
 	bytes    int
+	// cut records that a frameOpen frame left this step open, so the
+	// boundary must close it even with nothing left to send.
+	cut bool
 	// header and iov are fields, not locals, because WriteTo takes its
 	// receiver's address: a local net.Buffers, and a header array
 	// sliced into it, would move to the heap on every write.
@@ -596,25 +627,28 @@ func (tr *MeshTransport) SendEdge(fromRank, graph, edge int, payload []byte) err
 	p.payloads = append(p.payloads, payload) //taskbench:allocok grows to the per-step batch high-water mark, then reuses
 	p.bytes += len(payload)
 	if p.bytes >= flushBytes {
-		return tr.flushTo(fromRank, toRank)
+		return tr.flushTo(fromRank, toRank, tr.in.Steps(fromRank)+1, true)
 	}
 	return nil
 }
 
-// Flush implements exec.Flusher: it writes out every batch rank has
-// pending, one writev per peer with queued payloads. The engine calls
-// it at each timestep boundary on the rank's own goroutine.
+// Flush implements exec.Transport: it ends rank's step. It
+// acknowledges the step on every pair rank consumes, then writes out
+// every batch rank has pending, one writev per peer with queued
+// payloads, each carrying the new step count. The engine calls it at
+// each timestep boundary on the rank's own goroutine.
 //
 //taskbench:hotpath
 func (tr *MeshTransport) Flush(rank int) error {
 	if rank < tr.plan.Local.Lo || rank >= tr.plan.Local.Hi {
 		return nil
 	}
+	step := tr.in.Ack(rank)
 	for to := 0; to < tr.plan.Ranks; to++ {
 		if to == rank {
 			continue
 		}
-		if err := tr.flushTo(rank, to); err != nil {
+		if err := tr.flushTo(rank, to, step, false); err != nil {
 			return err
 		}
 	}
@@ -623,18 +657,24 @@ func (tr *MeshTransport) Flush(rank int) error {
 
 // flushTo writes the pending batch for one rank pair as a single
 // writev: batch header, descriptor section, then every payload,
-// borrowed zero-copy from the senders. Called only from rank `from`'s
-// goroutine.
+// borrowed zero-copy from the senders. step is the sender's step count
+// once the current step is flushed; open marks a frame cut mid-step.
+// Called only from rank `from`'s goroutine.
 //
 //taskbench:hotpath
-func (tr *MeshTransport) flushTo(from, to int) error {
+func (tr *MeshTransport) flushTo(from, to int, step uint64, open bool) error {
 	p := &tr.pend[from][to]
-	if len(p.payloads) == 0 {
+	if len(p.payloads) == 0 && !p.cut {
 		return nil
 	}
+	p.cut = open
+	count := uint32(len(p.payloads))
+	if open {
+		count |= frameOpen
+	}
 	binary.LittleEndian.PutUint32(p.header[0:4], uint32(len(p.desc)+p.bytes))
-	binary.LittleEndian.PutUint32(p.header[4:8], batchMarker)
-	binary.LittleEndian.PutUint32(p.header[8:12], uint32(len(p.payloads)))
+	binary.LittleEndian.PutUint32(p.header[4:8], uint32(step))
+	binary.LittleEndian.PutUint32(p.header[8:12], count)
 	binary.LittleEndian.PutUint32(p.header[12:16], uint32(len(p.desc)))
 	p.iov = append(p.iov[:0], p.header[:], p.desc) //taskbench:allocok iovec grows to its high-water mark, then reuses
 	p.iov = append(p.iov, p.payloads...)           //taskbench:allocok iovec grows to its high-water mark, then reuses
@@ -652,11 +692,11 @@ func (tr *MeshTransport) flushTo(from, to int) error {
 	return nil
 }
 
-// RecvEdge implements exec.Transport: it blocks until the next frame
-// on the edge arrives — or the mesh is torn down, in which case it
-// returns a nil payload that fails validation at the consumer. Keeping
-// the protocol flowing after a failure is what turns a killed peer
-// process into a clean job error instead of a hang.
+// RecvEdge implements exec.Transport: it blocks until the frame that
+// closes the producer's previous step has arrived — or the mesh is torn
+// down, in which case it returns a nil payload that fails validation at
+// the consumer. Keeping the protocol flowing after a failure is what
+// turns a killed peer process into a clean job error instead of a hang.
 //
 //taskbench:hotpath
 func (tr *MeshTransport) RecvEdge(graph, edge int) []byte {
@@ -672,7 +712,9 @@ func (tr *MeshTransport) Send(fromRank, graph, producer, consumer int, payload [
 }
 
 // Recv is RecvEdge addressed by columns, for an edge this process
-// consumes. Kept for bench/layers.go until ROADMAP 1(d).
+// consumes, with the fabric adapter's per-message semantics: it takes
+// the pair's next published step and acknowledges it, so the consumer
+// rank need not flush. Kept for bench/layers.go until ROADMAP 1(d).
 //
 //taskbench:hotpath
 func (tr *MeshTransport) Recv(graph, producer, consumer int) []byte {

@@ -12,8 +12,10 @@ import (
 // (binary.go) bumps it, and fields are only ever appended, per the
 // statsFields contract: version 6 ends with StatsInfo's cache hit/miss
 // counters, heartbeat age and latency percentiles. It also versions the
-// tcp mesh's frames: from version 7 a descriptor names its edge by id.
-const ProtoVersion = 7
+// tcp mesh's frames: from version 7 a descriptor names its edge by id,
+// and from version 8 a header carries its sender's step count where a
+// constant marker was.
+const ProtoVersion = 8
 
 // Message types of the cluster control protocol. One flat Message
 // envelope carries every type; unused fields stay at their zero value

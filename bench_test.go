@@ -172,7 +172,7 @@ func BenchmarkEngineZeroGrain(b *testing.B) {
 			}))
 			app.Workers = 2
 			sess := exec.NewSession(app, pb.Policy())
-			if _, err := sess.Run(); err != nil { // warm: fill the buffer pools
+			if _, err := sess.Run(); err != nil { // warm: take the step rows
 				b.Fatal(err)
 			}
 			b.ReportAllocs()

@@ -211,8 +211,11 @@ type clusterConfig struct {
 // later same-shape job would mint a second run lock and break the
 // shape's mutual exclusion.
 type configEntry struct {
-	key  string
-	lock chan struct{} // buffered(1): send acquires, receive releases
+	key string
+	// label is the shape's metric label (shapeLabel), rendered once
+	// when the entry is created.
+	label string
+	lock  chan struct{} // buffered(1): send acquires, receive releases
 	// cfg, active and lastUsed are guarded by Coordinator.mu.
 	cfg    *clusterConfig
 	active int
@@ -1041,15 +1044,15 @@ func (c *Coordinator) runJobWithRetry(j *job) (wire.Message, runVerdict) {
 	}
 }
 
-// entry returns (creating if needed) the scheduler entry of one
+// entry returns (creating if needed) the scheduler entry of j's
 // shape, taking a reference a matching releaseEntry must drop.
-func (c *Coordinator) entry(key string) *configEntry {
+func (c *Coordinator) entry(j *job) *configEntry {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	e := c.configs[key]
+	e := c.configs[j.key]
 	if e == nil {
-		e = &configEntry{key: key, lock: make(chan struct{}, 1)}
-		c.configs[key] = e
+		e = &configEntry{key: j.key, label: shapeLabel(j.spec), lock: make(chan struct{}, 1)}
+		c.configs[j.key] = e
 	}
 	e.active++
 	e.lastUsed = time.Now()
@@ -1078,7 +1081,7 @@ func (c *Coordinator) runJob(j *job) (wire.Message, runVerdict, *clusterConfig) 
 		return wire.Message{Type: wire.MsgDone, Job: j.id, Err: fmt.Sprintf(format, args...)}
 	}
 
-	e := c.entry(j.key)
+	e := c.entry(j)
 	defer c.releaseEntry(e)
 	select {
 	case e.lock <- struct{}{}:
@@ -1103,7 +1106,7 @@ func (c *Coordinator) runJob(j *job) (wire.Message, runVerdict, *clusterConfig) 
 	if cfg == nil {
 		// Cache miss, counted at lookup whether or not the build then
 		// succeeds.
-		c.metrics.cacheMisses.With(shapeLabel(j.spec)).Inc()
+		c.metrics.cacheMisses.With(e.label).Inc()
 		var err error
 		cfg, err = c.buildConfig(e, j.spec, j.cancel)
 		if err != nil {
@@ -1124,7 +1127,7 @@ func (c *Coordinator) runJob(j *job) (wire.Message, runVerdict, *clusterConfig) 
 			c.releaseConfig(victim, nil)
 		}
 	} else {
-		c.metrics.cacheHits.With(shapeLabel(j.spec)).Inc()
+		c.metrics.cacheHits.With(e.label).Inc()
 	}
 
 	// Run the job on every member and take the slowest worker's wall

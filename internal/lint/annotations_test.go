@@ -20,7 +20,7 @@ import (
 func TestHotPathAnnotationCoverage(t *testing.T) {
 	want := map[string][]string{
 		"../core":         {"ExecutePoint", "WriteOutput", "checkInput", "PointDeps", "Next"},
-		"../runtime/exec": {"runWorker", "Execute", "Get", "Release", "RunInto", "Send", "SendEdge", "RecvEdge", "Flush"},
+		"../runtime/exec": {"runWorker", "Execute", "takeRow", "releaseRow", "RunInto", "Send", "SendEdge", "RecvEdge", "Flush"},
 		"../runtime/tcp":  {"Send", "flushTo", "demux", "deliver", "Recv", "SendEdge", "RecvEdge", "Flush"},
 		// The one queue policy written since the analyzer exists, and the
 		// event wiring dataflow runs concurrently with execution.

@@ -11,7 +11,7 @@ package exec_test
 // fixed part covers goroutine spawns, the stats struct, policy Init).
 // Measuring two session sizes and differencing isolates perTask, which
 // must be ~0. A small tolerance absorbs runtime-internal noise
-// (occasional sync.Pool chain growth, stack growth).
+// (stack growth, a queue's occasional regrowth).
 
 import (
 	"testing"
@@ -151,5 +151,46 @@ func TestPlannedTaskPadding(t *testing.T) {
 	var task exec.PlannedTask
 	if size := unsafe.Sizeof(task); size%128 != 0 {
 		t.Errorf("PlannedTask is %d bytes, want a multiple of 128", size)
+	}
+}
+
+// TestWarmSessionRunAllocs pins what a warm Session.Run of an
+// allocation-free policy may allocate per run: the run's error capture,
+// completion count and WaitGroup, and each worker goroutine with its
+// closure. Policy state, worker buffers and payload rows all carry over
+// from the previous run. steal is allowed one more per worker: a steal
+// takes the front of the victim's slice, so its capacity shrinks until
+// an append reallocates it.
+func TestWarmSessionRunAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates; AllocsPerRun is meaningless")
+	}
+	const workers = 4
+	for _, name := range []string{"taskpool", "steal", "graphexec", "places"} {
+		t.Run(name, func(t *testing.T) {
+			rt, err := runtime.New(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			app := allocApp(64)
+			app.Workers = workers
+			sess := exec.NewSession(app, rt.(runtime.PolicyBacked).Policy())
+			var runErr error
+			run := func() {
+				_, runErr = sess.Run()
+			}
+			run() // warm: grow queues and take the rows
+			allocs := testing.AllocsPerRun(20, run)
+			if runErr != nil {
+				t.Fatal(runErr)
+			}
+			ceiling := float64(3 + 2*workers)
+			if name == "steal" {
+				ceiling += workers
+			}
+			if allocs > ceiling {
+				t.Errorf("%s: a warm run allocates %.1f objects, want at most %.0f", name, allocs, ceiling)
+			}
+		})
 	}
 }

@@ -10,25 +10,25 @@ import (
 
 // Engine executes a Plan under a pluggable scheduling Policy. It owns
 // the parts every shared-memory DAG backend previously duplicated:
-// the worker goroutines, the output-buffer table and its reference
-// counting, first-error capture with validation short-circuiting,
-// dependence-counter burn-down, and completion tracking. The Policy
+// the worker goroutines and their buffers, first-error capture with
+// validation short-circuiting, dependence-counter burn-down, and
+// completion tracking. The Policy
 // decides only where ready tasks wait and which worker runs them.
 //
 // An Engine may be reused: each Run re-initializes the policy, so a
-// caller holding a Reset Plan can rerun it without reallocating the
-// O(tasks) output table (see Session).
+// caller holding a Reset Plan can rerun it (see Session).
 type Engine struct {
 	plan      *Plan
 	policy    Policy
 	completer Completer // non-nil when policy propagates readiness itself
 	workers   int
-	pools     []*BufPool
-	out       []*Buf
-	// ready[w] collects the tasks worker w's current batch made ready.
-	// It is sized for the most a flush can hold, ReadyBatch tasks times
-	// the plan's largest out-degree, so it never grows.
-	ready [][]int32
+	// Worker w's buffers, kept across runs and sized so none grows:
+	// ready[w] collects the tasks its current batch made ready (at most
+	// ReadyBatch tasks times the plan's largest out-degree), inputs[w]
+	// gathers a task's payloads and sink[w] takes outputs nobody reads.
+	ready  [][]int32
+	inputs [][][]byte
+	sink   [][]byte
 }
 
 // NewEngine builds an engine over plan with the given policy and
@@ -47,16 +47,22 @@ func NewEngine(plan *Plan, policy Policy, workers int) *Engine {
 		policy:    policy,
 		completer: completer,
 		workers:   workers,
-		pools:     NewPools(plan.App),
-		out:       make([]*Buf, len(plan.Tasks)),
 		ready:     make([][]int32, workers),
+		inputs:    make([][][]byte, workers),
+		sink:      make([][]byte, workers),
 	}
-	maxOut := 0
+	maxIn, maxOut, maxBytes := 0, 0, 0
 	for id := range plan.Tasks {
+		maxIn = max(maxIn, len(plan.Tasks[id].Inputs))
 		maxOut = max(maxOut, len(plan.Tasks[id].Consumers))
+	}
+	for _, g := range plan.App.Graphs {
+		maxBytes = max(maxBytes, g.OutputBytes)
 	}
 	for w := range e.ready {
 		e.ready[w] = make([]int32, 0, ReadyBatch*maxOut)
+		e.inputs[w] = make([][]byte, 0, maxIn)
+		e.sink[w] = make([]byte, maxBytes)
 	}
 	return e
 }
@@ -71,8 +77,6 @@ func NewEngine(plan *Plan, policy Policy, workers int) *Engine {
 // policy always sees a complete run.
 func (e *Engine) Run(validate bool) error {
 	plan := e.plan
-	clear(e.out)
-
 	var firstErr ErrOnce
 	var remaining atomic.Int64
 	remaining.Store(plan.TaskCount())
@@ -99,21 +103,20 @@ func (e *Engine) Run(validate bool) error {
 // runWorker is one worker goroutine's task loop — the innermost hot
 // path of every shared-memory DAG backend. At sub-100µs granularities
 // any per-task allocation here shows up directly in the METG curve, so
-// the gather buffer and the ready buffer are reused across the whole
-// run and only error paths construct values.
+// the worker's buffers are reused across runs and only error paths
+// construct values.
 //
 // The loop pays a locked instruction only where workers race: one per
-// edge in the counter burn-down and in Plan.Execute's input releases,
-// and one per popped batch on remaining. The tasks a batch readies
-// reach the policy in one Push at
-// the end of the batch, or every ReadyBatch executed tasks if the
-// batch is longer, so no successor waits behind more than ReadyBatch
-// tasks of its readier's batch.
+// edge in the counter burn-down, one per task with inputs in
+// Plan.Execute's step release, and one per popped batch on remaining.
+// The tasks a batch readies reach the policy in one Push at the end of
+// the batch, or every ReadyBatch executed tasks if the batch is longer,
+// so no successor waits behind more than ReadyBatch tasks of its
+// readier's batch.
 //
 //taskbench:hotpath
 func (e *Engine) runWorker(self int, validate bool, firstErr *ErrOnce, remaining *atomic.Int64) {
-	plan := e.plan
-	var inputs [][]byte
+	plan, inputs, sink := e.plan, e.inputs[self], e.sink[self]
 	for {
 		ids, ok := e.policy.Pop(self)
 		if !ok {
@@ -127,8 +130,7 @@ func (e *Engine) runWorker(self int, validate bool, firstErr *ErrOnce, remaining
 		ready := e.ready[self][:0]
 		for k, id := range ids {
 			var err error
-			inputs, err = plan.Execute(id, e.out, e.pools,
-				validate && !firstErr.Failed(), inputs)
+			inputs, err = plan.Execute(id, sink, validate && !firstErr.Failed(), inputs)
 			if err != nil {
 				firstErr.Set(err)
 			}

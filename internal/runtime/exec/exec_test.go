@@ -127,32 +127,6 @@ func TestRowsDoubleBuffer(t *testing.T) {
 	}
 }
 
-func TestBufPoolRefCounting(t *testing.T) {
-	p := NewBufPool(16)
-	b := p.Get(3)
-	data := &b.Data[0]
-	b.Release()
-	b.Release()
-	// Still one reference: a fresh Get must NOT return the same buffer.
-	b2 := p.Get(1)
-	if &b2.Data[0] == data {
-		t.Fatal("buffer recycled while still referenced")
-	}
-	b.Release() // now recycled
-	b2.Release()
-}
-
-func TestBufDoubleReleasePanics(t *testing.T) {
-	b := NewBufPool(16).Get(1)
-	b.Release()
-	defer func() {
-		if recover() == nil {
-			t.Error("releasing a buffer past zero references did not panic")
-		}
-	}()
-	b.Release()
-}
-
 func TestWorkersFor(t *testing.T) {
 	g := core.MustNew(core.Params{Timesteps: 2, MaxWidth: 2})
 	app := core.NewApp(g)

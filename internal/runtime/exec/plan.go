@@ -2,6 +2,7 @@ package exec
 
 import (
 	stdruntime "runtime"
+	"sync"
 	"sync/atomic"
 	"unsafe"
 
@@ -12,7 +13,7 @@ import (
 // Plan is the fully expanded task DAG of an application, shared by the
 // shared-memory DAG backends (the Engine's policies). It resolves each
 // task's dependencies to task IDs, counts scheduling predecessors, and
-// precomputes the reference count of each task's output buffer.
+// keeps the payload rows tasks write their outputs into.
 //
 // Tasks of the same column are additionally serialized when the graph
 // carries a per-column scratch buffer: the memory kernel's working set
@@ -21,9 +22,10 @@ import (
 // as a read-write region of the column. The extra edge carries no
 // payload.
 //
-// The dependence counters burn down as a run progresses; Reset
-// restores them, so one Plan can serve many runs (an METG sweep
-// measures the same DAG at every point of the granularity curve).
+// Outputs are stored by timestep (see Execute). The dependence and
+// reader counters burn down as a run progresses; Reset restores them,
+// so one Plan can serve many runs (an METG sweep measures the same DAG
+// at every point of the granularity curve).
 type Plan struct {
 	App   *core.App
 	Tasks []PlannedTask
@@ -36,6 +38,25 @@ type Plan struct {
 	initCount []int32
 	// scratch[gi][i] is the persistent working set of column i.
 	scratch [][]*kernels.Scratch
+	// steps[stepBase[gi]+t] is timestep t of graph gi.
+	steps    []planStep
+	stepBase []int32
+	// free[gi] holds graph gi's rows no step holds, guarded by rowMu.
+	rowMu sync.Mutex
+	free  [][]*stepRow
+}
+
+// stepRow holds one timestep's read outputs, column i's at
+// data[i*OutputBytes:].
+type stepRow struct{ data []byte }
+
+// planStep is one timestep of one graph: its row, held from its first
+// read output's write until its last reader is done, and the count of
+// next-step tasks with inputs still to read it, readers at a run start.
+type planStep struct {
+	row     atomic.Pointer[stepRow]
+	pending atomic.Int32
+	readers int32
 }
 
 // plannedTask carries the fields of PlannedTask; see PlannedTask for
@@ -50,9 +71,8 @@ type plannedTask struct {
 	// predecessors; see PlannedTask.CountDown.
 	counter int32
 	// PayloadRefs is the number of tasks that read this task's output
-	// payload, and the reference count its buffer starts with. The
-	// producer holds no reference, so an output with no readers goes
-	// back to its pool as soon as the task has run.
+	// payload. An output with readers goes into its step's row; one
+	// with none goes to the executing worker's sink.
 	PayloadRefs int32
 	// Inputs are the producer task IDs in dependence order.
 	Inputs []int32
@@ -100,15 +120,19 @@ const buildParallelThreshold = 4096
 // every goroutine writes only the tasks of its own columns.
 func BuildPlan(app *core.App) *Plan {
 	p := &Plan{App: app}
-	total := int32(0)
+	total, steps := int32(0), int32(0)
 	p.base = make([]int32, len(app.Graphs))
+	p.stepBase = make([]int32, len(app.Graphs))
 	p.scratch = make([][]*kernels.Scratch, len(app.Graphs))
 	for gi, g := range app.Graphs {
-		p.base[gi] = total
+		p.base[gi], p.stepBase[gi] = total, steps
 		total += int32(g.Timesteps * g.MaxWidth)
+		steps += int32(g.Timesteps)
 		p.scratch[gi] = make([]*kernels.Scratch, g.MaxWidth)
 	}
 	p.Tasks = make([]PlannedTask, total)
+	p.steps = make([]planStep, steps)
+	p.free = make([][]*stepRow, len(app.Graphs))
 	p.initCount = make([]int32, total)
 
 	// One job per (graph, column span). The compiled dependence tables
@@ -144,6 +168,9 @@ func BuildPlan(app *core.App) *Plan {
 	runJobs(workers, fills)
 	for _, part := range seedParts {
 		p.Seeds = append(p.Seeds, part...)
+	}
+	for k := range p.steps {
+		p.steps[k].readers = p.steps[k].pending.Load()
 	}
 	return p
 }
@@ -209,6 +236,9 @@ func (p *Plan) fillColumns(gi, lo, hi int) []int32 {
 				}
 			}
 
+			if len(task.Inputs) > 0 {
+				p.steps[p.stepBase[gi]+int32(t)-1].pending.Add(1)
+			}
 			task.counter = int32(nDeps)
 			p.initCount[id] = int32(nDeps)
 			if nDeps == 0 {
@@ -219,10 +249,11 @@ func (p *Plan) fillColumns(gi, lo, hi int) []int32 {
 	return seeds
 }
 
-// Reset restores the dependence counters of a drained plan, making it
-// ready for another run without rebuilding the O(tasks) DAG. The seed
-// list, inputs, consumers and payload reference counts are immutable,
-// so only the counters need restoring. Scratch buffers keep their
+// Reset restores the dependence and reader counters of a drained plan,
+// making it ready for another run without rebuilding the O(tasks) DAG.
+// The seed list, inputs, consumers and reader counts are immutable, and
+// a run hands every row it took back to the free list, so only the
+// counters need restoring. Scratch buffers keep their
 // contents: they model persistent per-column working sets. Plans above
 // buildParallelThreshold fan the counter walk out over task spans, so
 // an METG sweep does not pay a serial O(tasks) pass at every
@@ -233,6 +264,9 @@ func (p *Plan) fillColumns(gi, lo, hi int) []int32 {
 // has seen every worker exit, and the next run's workers start with go
 // statements after Reset returns (runJobs joins the span goroutines).
 func (p *Plan) Reset() {
+	for k := range p.steps {
+		p.steps[k].pending.Store(p.steps[k].readers)
+	}
 	n := len(p.Tasks)
 	workers := stdruntime.GOMAXPROCS(0)
 	if n < buildParallelThreshold || workers <= 1 {
@@ -278,48 +312,82 @@ func (p *Plan) TaskCount() int64 {
 	return p.App.TotalTasks()
 }
 
-// Execute runs task id: it allocates the task's output from pool,
-// gathers input payloads from out, validates and executes the kernel,
-// publishes the output, and releases the input references. An output
-// with no readers is not published; it goes straight back to its pool.
-// It does NOT touch dependence counters — queueing discipline is the
-// backend's business, and the counter burn-down is what hands the
-// output to its readers (see BufPool.Get). Returns the first
-// validation error (the task still publishes an output so execution
-// can continue draining).
+// Execute runs task id. Every payload dependence joins adjacent
+// timesteps of one graph, so it reads its inputs from the previous
+// step's row, and writes its output into its column's slot of its own
+// step's row, or into sink (the worker's, at least OutputBytes long)
+// when nobody reads it. It does NOT touch dependence counters — the
+// backend's burn-down is what hands the output to its readers. A task
+// with inputs then counts itself off the previous step; the last one
+// hands that row back to the free list. Returns the first validation
+// error (the task still writes an output so execution can continue
+// draining).
 //
 //taskbench:hotpath
-func (p *Plan) Execute(id int32, out []*Buf, pools []*BufPool, validate bool, inputs [][]byte) ([][]byte, error) {
+func (p *Plan) Execute(id int32, sink []byte, validate bool, inputs [][]byte) ([][]byte, error) {
 	task := &p.Tasks[id]
 	g := p.App.Graphs[task.Graph]
-	pool := pools[task.Graph]
-	buf := pool.Get(int(task.PayloadRefs))
+	n := g.OutputBytes
+	step := p.stepBase[task.Graph] + task.T
+	out := sink[:n]
+	if task.PayloadRefs > 0 {
+		r := p.steps[step].row.Load()
+		if r == nil {
+			r = p.takeRow(step, task.Graph)
+		}
+		slot := int(task.I) * n
+		out = r.data[slot : slot+n]
+	}
 
 	inputs = inputs[:0]
-	for _, prodID := range task.Inputs {
-		inputs = append(inputs, out[prodID].Data) //taskbench:allocok grows to the DAG's max in-degree once, then reuses capacity
+	if len(task.Inputs) > 0 {
+		row := p.steps[step-1].row.Load().data
+		first := p.base[task.Graph] + (task.T-1)*int32(g.MaxWidth)
+		for _, prodID := range task.Inputs {
+			slot := int(prodID-first) * n
+			inputs = append(inputs, row[slot:slot+n]) //taskbench:allocok grows to the DAG's max in-degree once, then reuses capacity
+		}
 	}
 
-	err := g.ExecutePoint(int(task.T), int(task.I), buf.Data, inputs, p.Scratch(id), validate)
+	err := g.ExecutePoint(int(task.T), int(task.I), out, inputs, p.Scratch(id), validate)
 	if err != nil {
-		g.WriteOutput(int(task.T), int(task.I), buf.Data)
+		g.WriteOutput(int(task.T), int(task.I), out)
 	}
-	if task.PayloadRefs == 0 {
-		pool.put(buf)
-	} else {
-		out[id] = buf
-	}
-	for _, prodID := range task.Inputs {
-		out[prodID].Release()
+	if len(task.Inputs) > 0 && p.steps[step-1].pending.Add(-1) == 0 {
+		p.releaseRow(step-1, task.Graph)
 	}
 	return inputs, err
 }
 
-// NewPools allocates one payload buffer pool per graph.
-func NewPools(app *core.App) []*BufPool {
-	pools := make([]*BufPool, len(app.Graphs))
-	for gi, g := range app.Graphs {
-		pools[gi] = NewBufPool(g.OutputBytes)
+// takeRow gives step a row from graph gi's free list, unless a racing
+// writer of the step did first: writers race only here, under rowMu.
+//
+//taskbench:hotpath
+func (p *Plan) takeRow(step, gi int32) *stepRow {
+	s := &p.steps[step]
+	p.rowMu.Lock()
+	defer p.rowMu.Unlock()
+	r := s.row.Load()
+	if r == nil {
+		if k := len(p.free[gi]) - 1; k >= 0 {
+			r, p.free[gi] = p.free[gi][k], p.free[gi][:k]
+		} else {
+			g := p.App.Graphs[gi]
+			r = &stepRow{data: make([]byte, g.MaxWidth*g.OutputBytes)} //taskbench:allocok only when every row is in use, so a Session allocates its peak rows in use once
+		}
+		s.row.Store(r)
 	}
-	return pools
+	return r
+}
+
+// releaseRow hands step's row back to graph gi's free list. Its caller
+// made the step's last reader count reach zero, so every read of the
+// row happened before, and the next taker receives it through rowMu.
+//
+//taskbench:hotpath
+func (p *Plan) releaseRow(step, gi int32) {
+	r := p.steps[step].row.Swap(nil)
+	p.rowMu.Lock()
+	p.free[gi] = append(p.free[gi], r) //taskbench:allocok grows to the peak rows in use on the first run, then reuses capacity
+	p.rowMu.Unlock()
 }

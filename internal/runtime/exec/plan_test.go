@@ -110,8 +110,7 @@ func TestBuildPlanScratchSerialization(t *testing.T) {
 func TestPlanExecuteSequentially(t *testing.T) {
 	app := planApp()
 	p := BuildPlan(app)
-	pools := NewPools(app)
-	out := make([]*Buf, len(p.Tasks))
+	sink := make([]byte, 64)
 	// Kahn-style sequential drain.
 	queue := append([]int32(nil), p.Seeds...)
 	var executed int64
@@ -120,7 +119,7 @@ func TestPlanExecuteSequentially(t *testing.T) {
 		id := queue[0]
 		queue = queue[1:]
 		var err error
-		inputs, err = p.Execute(id, out, pools, true, inputs)
+		inputs, err = p.Execute(id, sink, true, inputs)
 		if err != nil {
 			t.Fatalf("Execute(%d): %v", id, err)
 		}

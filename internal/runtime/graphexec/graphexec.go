@@ -41,7 +41,7 @@ func init() {
 // adjacent timesteps, so the schedule is topological by construction.
 type policy struct {
 	mu      sync.Mutex
-	cond    *sync.Cond
+	cond    sync.Cond
 	plan    *exec.Plan
 	levels  [][]int32
 	level   int // current wavefront
@@ -75,7 +75,7 @@ func (p *policy) Compile(plan *exec.Plan) {
 }
 
 func (p *policy) Init(plan *exec.Plan, workers int) {
-	p.cond = sync.NewCond(&p.mu)
+	p.cond.L = &p.mu
 	p.Compile(plan) // cached no-op after NewEngine's untimed compile
 	p.level = 0
 	p.cursor = 0

@@ -50,12 +50,18 @@ type policy struct {
 	closed atomic.Bool
 }
 
+// Init reuses the previous run's deques, so a Session's later runs
+// allocate no deque.
 func (p *policy) Init(plan *exec.Plan, workers int) {
-	p.deques = make([]deque, workers)
+	if len(p.deques) != workers {
+		p.deques = make([]deque, workers)
+	}
 	p.closed.Store(false)
 	for w := range p.deques {
+		d := &p.deques[w]
+		d.items = d.items[:0]
 		// Deterministic per-worker victim sequence.
-		p.deques[w].rng = uint64(w)*0x9e3779b97f4a7c15 + 1
+		d.rng = uint64(w)*0x9e3779b97f4a7c15 + 1
 	}
 	// Seed round-robin so initial work is spread out.
 	for k, id := range plan.Seeds {

@@ -32,7 +32,7 @@ func init() {
 // worker pushes to and pops from, in batches.
 type policy struct {
 	mu   sync.Mutex
-	cond *sync.Cond
+	cond sync.Cond
 	// items[head:] are the queued tasks, oldest first. Pop advances
 	// head. When an append would grow the array and at least half of
 	// it is already popped, Push first moves the queue to the front,
@@ -47,12 +47,16 @@ type policy struct {
 	batch [][]int32
 }
 
+// Init reuses the queue, the condition variable and the pop buffers of
+// the previous run, so a Session's later runs allocate none of them.
 func (p *policy) Init(plan *exec.Plan, workers int) {
-	p.cond = sync.NewCond(&p.mu)
+	p.cond.L = &p.mu
 	p.items, p.head = append(p.items[:0], plan.Seeds...), 0
 	p.closed = false
 	p.workers = workers
-	p.batch = make([][]int32, workers)
+	if len(p.batch) != workers {
+		p.batch = make([][]int32, workers)
+	}
 }
 
 func (p *policy) Push(worker int, ids []int32) {

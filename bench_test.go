@@ -5,8 +5,9 @@
 // BENCHMARK.json, and each benchmark here names its per-layer twin
 // there. They survive because
 // bench/ needs a quiet host and a hosted CI runner is not one; the gate
-// runs every Go benchmark in the module and diffs it against the
-// previous main run (cmd/benchjson). The paper's exhibits are
+// (cmd/benchgate) runs every Go benchmark in the module on the base
+// commit and on the change, in 10 alternating pairs on one runner, and
+// trips a row on its per-pair ratios. The paper's exhibits are
 // regenerated by cmd/figures and checked by internal/harness's tests.
 package taskbench
 

@@ -809,6 +809,18 @@ func TestCoordinatorCloseWithIdleClient(t *testing.T) {
 	}
 }
 
+// TestStartRejectsSubMillisecondHeartbeat: a heartbeat below 4 ns
+// would hand time.NewTicker a zero period the first time a worker
+// drains and panic the coordinator, so Start refuses anything under a
+// millisecond up front.
+func TestStartRejectsSubMillisecondHeartbeat(t *testing.T) {
+	coord, err := Start(Options{HeartbeatInterval: 3, Logf: t.Logf})
+	if err == nil {
+		coord.Close()
+		t.Fatal("Start accepted a 3ns heartbeat interval")
+	}
+}
+
 // TestClusterNoWorkers fails jobs instead of waiting forever when the
 // fleet is empty.
 func TestClusterNoWorkers(t *testing.T) {

@@ -21,7 +21,8 @@ import (
 type Options struct {
 	// Listen is the control address; default "127.0.0.1:0".
 	Listen string
-	// HeartbeatInterval is how often workers must heartbeat; default 1s.
+	// HeartbeatInterval is how often workers must heartbeat; default 1s,
+	// at least 1ms.
 	HeartbeatInterval time.Duration
 	// HeartbeatTimeout declares a silent worker dead; default 5×interval.
 	HeartbeatTimeout time.Duration
@@ -276,6 +277,11 @@ type clientConn struct {
 // Start launches a coordinator listening on opts.Listen.
 func Start(opts Options) (*Coordinator, error) {
 	opts.fill()
+	// A draining worker is polled at a quarter of the heartbeat, and a
+	// ticker needs a positive period.
+	if opts.HeartbeatInterval < time.Millisecond {
+		return nil, fmt.Errorf("cluster: heartbeat interval %v is below 1ms", opts.HeartbeatInterval)
+	}
 	ln, err := net.Listen("tcp", opts.Listen)
 	if err != nil {
 		return nil, fmt.Errorf("cluster: listen %s: %w", opts.Listen, err)

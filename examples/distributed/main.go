@@ -129,7 +129,7 @@ func clusterDemo(app *core.App) {
 			run, spec.Graphs[0].Iterations, stats.Elapsed, stats.TaskGranularity(), stats.Workers)
 	}
 	st := coord.Stats()
-	fmt.Printf("\nconfigs built %d, reused %d: the fleet's rank plans, payload\n", st.ConfigsBuilt, st.ConfigsReused)
+	fmt.Printf("\nconfigs built %d, reused %d: the fleet's rank plans, payload\n", st.ConfigsBuilt, st.ConfigCacheHits)
 	fmt.Println("rows and TCP mesh were provisioned once and shared by all jobs,")
 	fmt.Println("with every payload still validated at its consuming task. Here")
 	fmt.Println("the workers share this process; run `taskbenchd worker` on")

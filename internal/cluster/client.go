@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"net"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"taskbench/internal/core"
@@ -14,24 +13,20 @@ import (
 )
 
 // Client submits jobs to a coordinator over one control connection.
-// Submissions pipeline: many jobs may be in flight at once (the
-// coordinator matches done replies by job id), so a Client is safe —
-// and useful — for concurrent use. A background read loop demultiplexes
-// replies to the per-submission Pending handles.
+// Submissions pipeline: many jobs may be in flight at once, so a Client
+// is safe — and useful — for concurrent use. Every request carries an
+// id the client chose and every reply echoes it; a background read
+// loop demultiplexes replies by that id to the per-submission Pending
+// handles and the waiting stats queries.
 type Client struct {
 	mc *msgConn
 
-	// subMu serializes submissions so the fifo order below matches the
-	// order submits hit the wire; the read loop never takes it.
-	subMu sync.Mutex
-
-	mu       sync.Mutex
-	err      error               // sticky protocol failure
-	fifo     []*Pending          // submitted, awaiting accepted/rejected (reply order = submit order)
-	byID     map[uint64]*Pending // accepted, awaiting done (matched by job id)
-	queries  map[uint64]chan statsOutcome
-	nextStat uint64 // correlation ids for stats queries
-	started  bool
+	mu      sync.Mutex
+	err     error               // sticky protocol failure
+	byID    map[uint64]*Pending // submitted, awaiting rejected or done
+	queries map[uint64]chan statsOutcome
+	nextID  uint64 // request ids, shared by submits and stats queries
+	started bool
 
 	// statsApp caches the app rebuilt for client-side statistics: an
 	// METG sweep submits the same shape per point, and the cached
@@ -44,7 +39,8 @@ type Client struct {
 
 // JobResult is one completed job as reported by the coordinator.
 type JobResult struct {
-	// Job is the coordinator-assigned job id.
+	// Job is the id the client sent the job under, unique on its
+	// connection.
 	Job uint64
 	// Elapsed is the slowest participating worker's wall time.
 	Elapsed time.Duration
@@ -62,10 +58,9 @@ type JobResult struct {
 
 // Pending is one in-flight submission.
 type Pending struct {
-	cli          *Client
-	ch           chan pendingOutcome
-	id           atomic.Uint64
-	cancelWanted atomic.Bool
+	cli *Client
+	ch  chan pendingOutcome
+	id  uint64
 }
 
 type pendingOutcome struct {
@@ -102,14 +97,10 @@ func (p *Pending) WaitContext(ctx context.Context) (JobResult, error) {
 
 // Cancel asks the coordinator to abandon the job: a queued job is
 // dropped, a running one is aborted and its workers released.
-// Best-effort — the job may complete first.
+// Best-effort — the job may complete first. The connection is ordered,
+// so the coordinator always reads the submit before its cancel.
 func (p *Pending) Cancel() {
-	p.cancelWanted.Store(true)
-	if id := p.id.Load(); id != 0 {
-		p.cli.mc.write(wire.Message{Type: wire.MsgCancel, Job: id})
-	}
-	// If the accepted reply has not arrived yet, the read loop sends
-	// the cancel as soon as it learns the job id.
+	p.cli.mc.write(wire.Message{Type: wire.MsgCancel, Job: p.id})
 }
 
 // Dial connects to a coordinator's control address.
@@ -132,8 +123,6 @@ func (c *Client) Close() { c.mc.close() }
 // the coordinator rejects or finishes the job.
 func (c *Client) SubmitAsync(spec wire.AppSpec) (*Pending, error) {
 	p := &Pending{cli: c, ch: make(chan pendingOutcome, 1)}
-	c.subMu.Lock()
-	defer c.subMu.Unlock()
 	c.mu.Lock()
 	if c.err != nil {
 		err := c.err
@@ -144,16 +133,13 @@ func (c *Client) SubmitAsync(spec wire.AppSpec) (*Pending, error) {
 		c.started = true
 		go c.readLoop()
 	}
-	c.fifo = append(c.fifo, p)
+	c.nextID++
+	p.id = c.nextID
+	c.byID[p.id] = p
 	c.mu.Unlock()
-	if err := c.mc.write(wire.Message{Type: wire.MsgSubmit, Spec: &spec}); err != nil {
+	if err := c.mc.write(wire.Message{Type: wire.MsgSubmit, Job: p.id, Spec: &spec}); err != nil {
 		c.mu.Lock()
-		for i, q := range c.fifo {
-			if q == p {
-				c.fifo = append(c.fifo[:i], c.fifo[i+1:]...)
-				break
-			}
-		}
+		delete(c.byID, p.id)
 		c.mu.Unlock()
 		return nil, fmt.Errorf("cluster: submit: %w", err)
 	}
@@ -165,8 +151,8 @@ func (c *Client) SubmitAsync(spec wire.AppSpec) (*Pending, error) {
 // admission and retry counters, and the scheduler dimensions — so a
 // monitoring client (the load generator's utilization feed) never
 // scrapes coordinator process internals. Safe for concurrent use and
-// freely interleaved with in-flight submissions: requests are matched
-// to replies by a correlation id, not by order.
+// freely interleaved with in-flight submissions: replies are matched
+// by id, not by order.
 func (c *Client) Stats() (wire.StatsInfo, error) {
 	return c.StatsContext(context.Background())
 }
@@ -187,8 +173,8 @@ func (c *Client) StatsContext(ctx context.Context) (wire.StatsInfo, error) {
 		c.started = true
 		go c.readLoop()
 	}
-	c.nextStat++
-	id := c.nextStat
+	c.nextID++
+	id := c.nextID
 	c.queries[id] = ch
 	c.mu.Unlock()
 	if err := c.mc.write(wire.Message{Type: wire.MsgStats, Job: id}); err != nil {
@@ -217,9 +203,8 @@ func (c *Client) Submit(spec wire.AppSpec) (JobResult, error) {
 	return p.Wait()
 }
 
-// readLoop demultiplexes coordinator replies: accepted and rejected
-// are matched to submissions in order (the coordinator answers every
-// submit immediately), done is matched to its accepted job by id.
+// readLoop demultiplexes coordinator replies by the id of the request
+// they answer.
 func (c *Client) readLoop() {
 	for {
 		m, err := c.mc.read()
@@ -228,39 +213,18 @@ func (c *Client) readLoop() {
 			return
 		}
 		switch m.Type {
-		case wire.MsgAccepted:
-			c.mu.Lock()
-			p := c.popFIFO()
-			if p != nil {
-				c.byID[m.Job] = p
-			}
-			c.mu.Unlock()
-			if p != nil {
-				p.id.Store(m.Job)
-				if p.cancelWanted.Load() {
-					c.mc.write(wire.Message{Type: wire.MsgCancel, Job: m.Job})
-				}
-			}
-		case wire.MsgRejected:
-			c.mu.Lock()
-			p := c.popFIFO()
-			c.mu.Unlock()
-			if p != nil {
-				p.ch <- pendingOutcome{res: JobResult{Job: m.Job, Rejected: true, Err: errors.New(m.Err)}}
-			}
-		case wire.MsgDone:
+		case wire.MsgRejected, wire.MsgDone:
 			c.mu.Lock()
 			p := c.byID[m.Job]
 			delete(c.byID, m.Job)
 			c.mu.Unlock()
 			if p == nil {
-				// Every done must name an accepted job; matching a
-				// stray one against the FIFO instead would resolve an
-				// unrelated submission with the wrong result.
-				c.failAll(fmt.Errorf("cluster: done for unknown job %d", m.Job))
+				// Every submit gets exactly one verdict, so a verdict
+				// for no job in flight means the peer broke protocol.
+				c.failAll(fmt.Errorf("cluster: %s for unknown job %d", m.Type, m.Job))
 				return
 			}
-			res := JobResult{Job: m.Job, Elapsed: time.Duration(m.ElapsedNanos), Workers: m.Workers}
+			res := JobResult{Job: m.Job, Elapsed: time.Duration(m.ElapsedNanos), Workers: m.Workers, Rejected: m.Type == wire.MsgRejected}
 			if m.Err != "" {
 				res.Err = errors.New(m.Err)
 			}
@@ -287,28 +251,15 @@ func (c *Client) readLoop() {
 	}
 }
 
-// popFIFO removes and returns the oldest submission still awaiting its
-// accepted/rejected reply. Callers hold c.mu.
-func (c *Client) popFIFO() *Pending {
-	if len(c.fifo) == 0 {
-		return nil
-	}
-	p := c.fifo[0]
-	c.fifo = c.fifo[1:]
-	return p
-}
-
 // failAll resolves every in-flight submission with a protocol error
 // and poisons the client for further submits.
 func (c *Client) failAll(err error) {
 	c.mu.Lock()
 	c.err = err
-	pending := make([]*Pending, 0, len(c.fifo)+len(c.byID))
-	pending = append(pending, c.fifo...)
+	pending := make([]*Pending, 0, len(c.byID))
 	for _, p := range c.byID {
 		pending = append(pending, p)
 	}
-	c.fifo = nil
 	c.byID = map[uint64]*Pending{}
 	queries := make([]chan statsOutcome, 0, len(c.queries))
 	for _, ch := range c.queries {

@@ -41,9 +41,8 @@
 //	register → welcome → { heartbeat | prepare→prepared |
 //	                       connect→ready | run→result | release }*
 //
-// and per client: submit → accepted|rejected, with one done per
-// accepted job (any order, matched by id) and cancel available for
-// accepted jobs.
+// and per client: submit → rejected | done, any order, matched by the
+// id the client sent, with cancel available for jobs in flight.
 package cluster
 
 import (

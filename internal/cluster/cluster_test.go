@@ -148,8 +148,8 @@ func TestClusterReusesConfigAcrossJobs(t *testing.T) {
 	if st.ConfigsBuilt != 2 {
 		t.Errorf("configs built = %d, want 2", st.ConfigsBuilt)
 	}
-	if st.ConfigsReused != 3 {
-		t.Errorf("configs reused = %d, want 3", st.ConfigsReused)
+	if st.ConfigCacheHits != 3 {
+		t.Errorf("config cache hits = %d, want 3", st.ConfigCacheHits)
 	}
 	if st.JobsRun != 5 || st.JobsFailed != 0 {
 		t.Errorf("jobs run/failed = %d/%d, want 5/0", st.JobsRun, st.JobsFailed)
@@ -260,8 +260,8 @@ func TestClusterPipelinedSubmissionsShareConfig(t *testing.T) {
 		}
 	}
 	st := coord.Stats()
-	if st.ConfigsBuilt != 1 || st.ConfigsReused != 2 {
-		t.Errorf("configs built/reused = %d/%d, want 1/2", st.ConfigsBuilt, st.ConfigsReused)
+	if st.ConfigsBuilt != 1 || st.ConfigCacheHits != 2 {
+		t.Errorf("configs built/reused = %d/%d, want 1/2", st.ConfigsBuilt, st.ConfigCacheHits)
 	}
 }
 
@@ -474,11 +474,11 @@ func TestClusterQueueFullRejectsFast(t *testing.T) {
 	}
 }
 
-// TestClusterClientDisconnectCancelsQueuedJob is the regression test
-// for the lost accepted ack: a job whose client vanished right after
-// submitting must be cancelled, not run over the whole fleet for
-// nobody. The scheduler slot is kept busy so the orphaned job is
-// discovered in the queue.
+// TestClusterClientDisconnectCancelsQueuedJob: a job whose client
+// vanished right after submitting must be cancelled — the client
+// connection's read loop sees the disconnect — not run over the whole
+// fleet for nobody. The scheduler slot is kept busy so the orphaned job
+// is discovered in the queue.
 func TestClusterClientDisconnectCancelsQueuedJob(t *testing.T) {
 	coord, _ := testFleetOpts(t, 2, func(o *Options) { o.Concurrency = 1 })
 	cli, err := Dial(coord.Addr())
@@ -925,7 +925,7 @@ func TestClientStats(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if info.JobsRun != 3 || info.ConfigsBuilt != 1 || info.ConfigsReused != 2 {
+	if info.JobsRun != 3 || info.ConfigsBuilt != 1 || info.ConfigCacheHits != 2 {
 		t.Errorf("post-run snapshot wrong: %+v", info)
 	}
 	if info.JobsFailed != 0 || info.JobsInFlight != 0 || info.JobsRunning != 0 || info.QueueLen != 0 {

@@ -234,7 +234,8 @@ var errCancelled = errors.New("job cancelled")
 
 // job is one accepted client submission.
 type job struct {
-	id      uint64
+	id      uint64 // coordinator-wide: workers, logs
+	ref     uint64 // the client's id, unique on its connection: cancel, done
 	spec    wire.AppSpec
 	key     string
 	attempt int
@@ -244,17 +245,11 @@ type job struct {
 	enqueued time.Time
 
 	// cancel fires when the job should stop occupying the fleet: the
-	// client disconnected, sent an explicit cancel, or the accepted ack
-	// could not be delivered. cancelReason is written before the close
-	// and read only after <-cancel.
+	// client disconnected or sent an explicit cancel. cancelReason is
+	// written before the close and read only after <-cancel.
 	cancel       chan struct{}
 	cancelOnce   sync.Once
 	cancelReason string
-
-	// acked closes once the accepted reply has been written (or its
-	// write has failed), so a fast job's done cannot overtake its own
-	// ack on the wire.
-	acked chan struct{}
 }
 
 func (j *job) cancelNow(reason string) {
@@ -264,8 +259,9 @@ func (j *job) cancelNow(reason string) {
 	})
 }
 
-// clientConn tracks one client control connection's in-flight jobs so
-// a disconnect can cancel all of them.
+// clientConn tracks one client control connection's in-flight jobs,
+// keyed by the client's ids, so a cancel can find one and a disconnect
+// can cancel all of them.
 type clientConn struct {
 	mc *msgConn
 
@@ -324,9 +320,7 @@ func (c *Coordinator) Addr() string { return c.ln.Addr().String() }
 func (c *Coordinator) Stats() Stats {
 	s := c.sample()
 	m := c.metrics
-	hits := int(m.cacheHits.Total())
 	s.ConfigsBuilt = int(m.configsBuilt.Value())
-	s.ConfigsReused = hits
 	s.JobsRun = int(m.jobsCompleted.Value())
 	s.JobsFailed = int(m.jobsFailed.Value())
 	s.JobsInFlight = int(m.inFlight.Value())
@@ -339,7 +333,7 @@ func (c *Coordinator) Stats() Stats {
 	s.MaxAttempts = c.opts.MaxAttempts
 	s.ConfigsReprovisioned = int(m.configsReprovisioned.Value())
 	s.ConfigsEvicted = int(m.configsEvicted.Value())
-	s.ConfigCacheHits = hits
+	s.ConfigCacheHits = int(m.cacheHits.Total())
 	s.ConfigCacheMisses = int(m.cacheMisses.Total())
 	if lat := m.jobLatency.Snapshot(); lat.Count > 0 {
 		s.LatencyP50Nanos = int(lat.Quantile(0.50) * float64(time.Second))
@@ -498,11 +492,11 @@ func (c *Coordinator) serveWorker(mc *msgConn, reg wire.Message) {
 	if w.name == "" {
 		w.name = fmt.Sprintf("worker-%d", w.id)
 	}
-	// Chaos scopes to worker conversations only: the client admission
-	// protocol matches replies to submits in FIFO order, so dropping a
-	// client frame would desynchronize the connection rather than
-	// exercise a recoverable fault. Forked per worker connection so
-	// concurrent workers cannot perturb each other's schedules.
+	// Chaos scopes to worker conversations only: a client has no
+	// timeout, so a dropped rejected or done would strand its waiter
+	// rather than exercise a recoverable fault. Forked per worker
+	// connection so concurrent workers cannot perturb each other's
+	// schedules.
 	mc.chaos = c.opts.Chaos.Fork(fmt.Sprintf("coord-worker-%d", w.id))
 	// Welcome goes out before the worker is published: once it is in
 	// c.workers a provisioning job may write prepare to it, and the
@@ -808,11 +802,11 @@ func (w *workerConn) route(m wire.Message) {
 // --- client side ---------------------------------------------------
 
 // serveClient runs one client connection's read loop: submits are
-// admitted (accepted or rejected immediately) and run concurrently by
-// the scheduler slots, with done replies written as jobs finish,
-// matched by job id — multiple jobs may be in flight per connection.
-// When the connection drops, every job it still has in flight is
-// cancelled, so a vanished client stops occupying workers.
+// admitted (or rejected at once) and run concurrently by the scheduler
+// slots, with done replies written as jobs finish under the id the
+// client sent — multiple jobs may be in flight per connection. When
+// the connection drops, every job it still has in flight is cancelled,
+// so a vanished client stops occupying workers.
 func (c *Coordinator) serveClient(mc *msgConn, first wire.Message) {
 	cl := &clientConn{mc: mc, jobs: map[uint64]*job{}}
 	m := first
@@ -821,7 +815,7 @@ loop:
 		switch m.Type {
 		case wire.MsgSubmit:
 			if !c.admit(cl, m) {
-				break loop // reply write failed: the client is gone
+				break loop
 			}
 		case wire.MsgCancel:
 			cl.mu.Lock()
@@ -834,7 +828,7 @@ loop:
 			// Job is a client-chosen correlation id echoed verbatim, so
 			// snapshots interleave freely with in-flight submissions. A
 			// failed reply write means the client is gone — same
-			// teardown rule as a failed admission reply.
+			// teardown rule as a failed rejected reply.
 			s := c.Stats()
 			if cl.mc.write(wire.Message{Type: wire.MsgStatsRply, Job: m.Job, Stats: &s}) != nil {
 				break loop
@@ -866,94 +860,93 @@ loop:
 // × (2·output_bytes + scratch_bytes) its payload rows and scratch.
 const maxSteps, maxGraphBytes = 1 << 20, 1 << 30
 
-// admit validates and enqueues one submission, answering immediately:
-// accepted (job id, now queued) or rejected (invalid spec, full queue,
-// closing coordinator). It never blocks on the queue — admission
-// control is what keeps a full coordinator's submitters unblocked. A
-// false return means the reply write failed: the client is gone (or
-// has stopped draining its socket), and the connection must be torn
-// down — clients match accepted/rejected replies to submissions in
-// FIFO order, so serving further submits after a dropped reply would
-// desynchronize every later job.
+// admit validates and enqueues one submission, rejecting it at once
+// if it cannot run (invalid spec, full queue, closing coordinator); an
+// admitted job's verdict is its done. It never blocks on the queue —
+// admission control is what keeps a full coordinator's submitters
+// unblocked. A false return means the connection must be torn down:
+// the submit reused an id still in flight on it, which the client
+// could not tell apart from the first job's, or the rejected write
+// failed because the client is gone (or has stopped draining its
+// socket).
 func (c *Coordinator) admit(cl *clientConn, m wire.Message) bool {
-	reject := func(id uint64, format string, args ...any) bool {
+	// Checked before any reply: a rejected under this id would resolve
+	// the first job's waiter.
+	ref := m.Job
+	cl.mu.Lock()
+	_, dup := cl.jobs[ref]
+	cl.mu.Unlock()
+	if dup {
+		c.opts.Logf("cluster: client %s reused job id %d", cl.mc.remoteAddr(), ref)
+		return false
+	}
+	reject := func(format string, args ...any) bool {
 		c.metrics.jobsRejected.Inc()
-		return cl.mc.write(wire.Message{Type: wire.MsgRejected, Job: id, Err: fmt.Sprintf(format, args...)}) == nil
+		return cl.mc.write(wire.Message{Type: wire.MsgRejected, Job: ref, Err: fmt.Sprintf(format, args...)}) == nil
+	}
+	if m.Spec == nil {
+		return reject("submit without spec")
+	}
+	app, err := m.Spec.ToApp()
+	if err != nil {
+		return reject("invalid spec: %v", err)
+	}
+	for k, g := range app.Graphs {
+		switch {
+		case g.OutputBytes > tcp.MaxFrameLen:
+			return reject("invalid spec: graph %d: output_bytes %d exceeds the mesh frame limit %d", k, g.OutputBytes, tcp.MaxFrameLen)
+		case g.Timesteps > maxSteps:
+			return reject("invalid spec: graph %d: %d steps exceed the limit %d", k, g.Timesteps, maxSteps)
+		case g.ScratchBytes > maxGraphBytes || int64(g.MaxWidth) > maxGraphBytes/(2*int64(g.OutputBytes)+g.ScratchBytes):
+			return reject("invalid spec: graph %d: width × (2·output_bytes + scratch_bytes) exceeds the limit of %d bytes", k, maxGraphBytes)
+		}
 	}
 	c.mu.Lock()
 	c.nextJob++
 	id := c.nextJob
 	c.mu.Unlock()
-
-	if m.Spec == nil {
-		return reject(id, "submit without spec")
-	}
-	app, err := m.Spec.ToApp()
-	if err != nil {
-		return reject(id, "invalid spec: %v", err)
-	}
-	for k, g := range app.Graphs {
-		switch {
-		case g.OutputBytes > tcp.MaxFrameLen:
-			return reject(id, "invalid spec: graph %d: output_bytes %d exceeds the mesh frame limit %d", k, g.OutputBytes, tcp.MaxFrameLen)
-		case g.Timesteps > maxSteps:
-			return reject(id, "invalid spec: graph %d: %d steps exceed the limit %d", k, g.Timesteps, maxSteps)
-		case g.ScratchBytes > maxGraphBytes || int64(g.MaxWidth) > maxGraphBytes/(2*int64(g.OutputBytes)+g.ScratchBytes):
-			return reject(id, "invalid spec: graph %d: width × (2·output_bytes + scratch_bytes) exceeds the limit of %d bytes", k, maxGraphBytes)
-		}
-	}
 	j := &job{
 		id:       id,
+		ref:      ref,
 		spec:     *m.Spec,
 		key:      wire.ShapeKey(*m.Spec),
 		client:   cl,
 		enqueued: time.Now(),
 		cancel:   make(chan struct{}),
-		acked:    make(chan struct{}),
 	}
 	cl.mu.Lock()
-	cl.jobs[id] = j
+	cl.jobs[ref] = j
 	cl.mu.Unlock()
 
 	select {
 	case <-c.done:
 		cl.mu.Lock()
-		delete(cl.jobs, id)
+		delete(cl.jobs, ref)
 		cl.mu.Unlock()
-		return reject(id, "coordinator shutting down")
+		return reject("coordinator shutting down")
 	default:
 	}
 	select {
 	case c.queue <- j:
 	default:
 		cl.mu.Lock()
-		delete(cl.jobs, id)
+		delete(cl.jobs, ref)
 		cl.mu.Unlock()
-		return reject(id, "queue full (depth %d)", c.opts.QueueDepth)
+		return reject("queue full (depth %d)", c.opts.QueueDepth)
 	}
-	if cl.mc.write(wire.Message{Type: wire.MsgAccepted, Job: id}) != nil {
-		// The ack never reached the client, so nobody is waiting for
-		// this job: without cancellation it would still run over the
-		// whole fleet for a peer that is already gone. (The caller
-		// tears the connection down, cancelling any other jobs.)
-		j.cancelNow("client disconnected before ack")
-		close(j.acked)
-		return false
-	}
-	close(j.acked)
 	return true
 }
 
 // deliver writes a job's done reply back to its submitting client,
-// after the accepted ack is on the wire and unless the client is gone.
+// under the client's id, unless the client is gone.
 func (c *Coordinator) deliver(j *job, done wire.Message) {
-	<-j.acked
 	cl := j.client
 	cl.mu.Lock()
-	delete(cl.jobs, j.id)
+	delete(cl.jobs, j.ref)
 	gone := cl.gone
 	cl.mu.Unlock()
 	if !gone {
+		done.Job = j.ref
 		cl.mc.write(done)
 	}
 }
@@ -991,7 +984,7 @@ func (c *Coordinator) runQueued(j *job) {
 	case <-j.cancel:
 		// Cancelled while queued: the job never touched the fleet.
 		c.metrics.jobsCancelled.Inc()
-		c.deliver(j, wire.Message{Type: wire.MsgDone, Job: j.id, Err: "cancelled: " + j.cancelReason})
+		c.deliver(j, wire.Message{Type: wire.MsgDone, Err: "cancelled: " + j.cancelReason})
 		return
 	default:
 	}
@@ -1084,7 +1077,7 @@ func (c *Coordinator) releaseEntry(e *configEntry) {
 // could be placed.
 func (c *Coordinator) runJob(j *job) (wire.Message, runVerdict, *clusterConfig) {
 	fail := func(format string, args ...any) wire.Message {
-		return wire.Message{Type: wire.MsgDone, Job: j.id, Err: fmt.Sprintf(format, args...)}
+		return wire.Message{Type: wire.MsgDone, Err: fmt.Sprintf(format, args...)}
 	}
 
 	e := c.entry(j)
@@ -1181,7 +1174,6 @@ func (c *Coordinator) runJob(j *job) (wire.Message, runVerdict, *clusterConfig) 
 	}
 	return wire.Message{
 		Type:         wire.MsgDone,
-		Job:          j.id,
 		ElapsedNanos: elapsed,
 		Workers:      cfg.ranks,
 	}, runOK, nil

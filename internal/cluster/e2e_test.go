@@ -129,8 +129,8 @@ func TestClusterEndToEndMultiProcess(t *testing.T) {
 	if _, err := cli.Run(stencilSpec(6, 32)); err != nil {
 		t.Fatalf("reused-config run: %v", err)
 	}
-	if st := coord.Stats(); st.ConfigsBuilt != 1 || st.ConfigsReused != 1 {
-		t.Errorf("configs built/reused = %d/%d, want 1/1", st.ConfigsBuilt, st.ConfigsReused)
+	if st := coord.Stats(); st.ConfigsBuilt != 1 || st.ConfigCacheHits != 1 {
+		t.Errorf("configs built/reused = %d/%d, want 1/1", st.ConfigsBuilt, st.ConfigCacheHits)
 	}
 
 	// (c) Concurrent submissions: two different shapes pipelined down

@@ -74,7 +74,7 @@ var msgCodes = map[string]byte{
 	MsgResult:    9,
 	MsgRelease:   10,
 	MsgSubmit:    11,
-	MsgAccepted:  12,
+	// 12 was accepted, retired in version 9.
 	MsgRejected:  13,
 	MsgCancel:    14,
 	MsgDone:      15,
@@ -252,7 +252,7 @@ func appendStats(b []byte, s StatsInfo) []byte {
 // the end only, alongside a ProtoVersion bump.
 func statsFields(s *StatsInfo) []*int {
 	return []*int{
-		&s.Workers, &s.ConfigsBuilt, &s.ConfigsReused,
+		&s.Workers, &s.ConfigsBuilt,
 		&s.JobsRun, &s.JobsFailed, &s.JobsInFlight, &s.JobsRunning,
 		&s.JobsRetried, &s.JobsRejected, &s.JobsCancelled,
 		&s.QueueLen, &s.QueueCap, &s.Concurrency, &s.MaxAttempts,

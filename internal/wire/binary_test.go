@@ -66,16 +66,14 @@ func goldenMessages() []goldenMessage {
 		{"jsonl", Message{Type: MsgRun, Config: 8, Job: 9, Attempt: 1, Kernels: []KernelSpec{{Kernel: "compute_bound", Iterations: 64}}}},
 		{"jsonl", Message{Type: MsgResult, Config: 8, Job: 9, Attempt: 1, ElapsedNanos: 1234567}},
 		{"", Message{Type: MsgRelease, Config: 7}},
-		{"", Message{Type: MsgSubmit, Spec: &AppSpec{Graphs: []GraphSpec{{Steps: 2, Width: 2, Type: "trivial"}}}}},
-		{"bin", Message{Type: MsgAccepted, Job: 9, Proto: ProtoBinary}},
-		{"jsonl", Message{Type: MsgAccepted, Job: 9}},
+		{"", Message{Type: MsgSubmit, Job: 9, Spec: &AppSpec{Graphs: []GraphSpec{{Steps: 2, Width: 2, Type: "trivial"}}}}},
 		{"", Message{Type: MsgRejected, Job: 11, Err: "queue full (depth 64)"}},
 		{"", Message{Type: MsgCancel, Job: 9}},
 		{"", Message{Type: MsgDone, Job: 9, ElapsedNanos: 1234567, Workers: 6}},
 		{"", Message{Type: MsgDone, Job: 10, Err: `worker "node2" died`}},
 		{"", Message{Type: MsgStats, Job: 21}},
 		{"bin", Message{Type: MsgStatsRply, Job: 21, Stats: &StatsInfo{
-			Workers: 3, ConfigsBuilt: 2, ConfigsReused: 40,
+			Workers: 3, ConfigsBuilt: 2,
 			JobsRun: 42, JobsFailed: 1, JobsInFlight: 5, JobsRunning: 2,
 			JobsRetried: 1, JobsRejected: 7, JobsCancelled: 1,
 			QueueLen: 3, QueueCap: 64, Concurrency: 4, MaxAttempts: 3,
@@ -199,6 +197,29 @@ func nonCanonicalFrames() map[string][]byte {
 		"spec presence 0xFF": tamper(submit, 12, 0xFF),
 		"validate byte 3":    tamper(submit, 8, 3),
 		"stats presence 2":   tamper(reply, 1+len(statsFields(&StatsInfo{})), 2),
+	}
+}
+
+// retiredFrame is the frame a version-8 coordinator sent as accepted:
+// a cancel's body under type code 12, which version 9 retired.
+func retiredFrame() []byte {
+	frame, _ := AppendMessageBinary(nil, Message{V: ProtoVersion, Type: MsgCancel, Job: 9, Proto: ProtoBinary})
+	// magic | one-byte bodyLen | one-byte version | typeCode
+	if frame[3] != msgCodes[MsgCancel] {
+		panic("retiredFrame: unexpected frame header")
+	}
+	frame[3] = 12
+	return frame
+}
+
+// TestBinaryRejectsRetiredCode holds a retired type code to "unknown":
+// a peer still sending accepted is refused, not misread.
+func TestBinaryRejectsRetiredCode(t *testing.T) {
+	if m, err := DecodeMessageBinary(retiredFrame()); err == nil || !strings.Contains(err.Error(), "unknown binary message code 12") {
+		t.Errorf("accepted as %+v (err %v)", m, err)
+	}
+	if m, err := ReadMessageFrom(bufio.NewReader(bytes.NewReader(retiredFrame()))); err == nil {
+		t.Errorf("stream reader accepted as %+v", m)
 	}
 }
 

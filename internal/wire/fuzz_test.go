@@ -83,11 +83,7 @@ func FuzzAppSpecRoundTrip(f *testing.F) {
 // must never panic, and anything it accepts must re-encode to a frame
 // that decodes back to the same message (decode∘encode fixed point).
 func FuzzMessageBinary(f *testing.F) {
-	for _, m := range binaryTestMessages() {
-		frame, err := AppendMessageBinary(nil, m)
-		if err != nil {
-			f.Fatal(err)
-		}
+	addVariants := func(frame []byte) {
 		f.Add(frame)
 		// Seed mutations the mutator finds slowly on its own: truncated
 		// and bit-flipped variants of every message type.
@@ -96,6 +92,14 @@ func FuzzMessageBinary(f *testing.F) {
 		flipped[len(flipped)-1] ^= 0x80
 		f.Add(flipped)
 	}
+	for _, m := range binaryTestMessages() {
+		frame, err := AppendMessageBinary(nil, m)
+		if err != nil {
+			f.Fatal(err)
+		}
+		addVariants(frame)
+	}
+	addVariants(retiredFrame())
 	f.Add([]byte{BinMagic, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x7F})
 	for _, frame := range nonCanonicalFrames() {
 		f.Add(frame)
@@ -138,6 +142,14 @@ func FuzzControlStream(f *testing.F) {
 	f.Add(golden)
 	for cut := 0; cut < len(golden); cut++ {
 		f.Add(golden[:cut])
+	}
+	// A version-8 peer: the golden stream then a retired accepted
+	// frame, cut at every byte of that frame.
+	retired := retiredFrame()
+	f.Add(retired)
+	withRetired := append(append([]byte(nil), golden...), retired...)
+	for cut := len(golden) + 1; cut <= len(withRetired); cut++ {
+		f.Add(withRetired[:cut])
 	}
 	f.Add([]byte(`{"v":6,"type":"submit","spec":{"graphs":[{"steps":2,"width":2,"type":"trivial"}]}}` + "\n"))
 	f.Add(binary.AppendUvarint([]byte{BinMagic}, MaxControlFrame+1))

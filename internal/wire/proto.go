@@ -14,8 +14,9 @@ import (
 // counters, heartbeat age and latency percentiles. It also versions the
 // tcp mesh's frames: from version 7 a descriptor names its edge by id,
 // and from version 8 a header carries its sender's step count where a
-// constant marker was.
-const ProtoVersion = 8
+// constant marker was. Version 9 retires accepted and StatsInfo's
+// configs_reused: a submit names its job with a client-chosen id.
+const ProtoVersion = 9
 
 // Message types of the cluster control protocol. One flat Message
 // envelope carries every type; unused fields stay at their zero value
@@ -39,18 +40,16 @@ const ProtoVersion = 8
 //
 // Client ↔ coordinator:
 //
-//	submit →, ← accepted | rejected  admission: every submit is answered
-//	                                 immediately — accepted (queued) or
-//	                                 rejected (full queue, invalid spec)
-//	← done                           one per accepted job, matched by id;
-//	                                 many jobs may be in flight per
-//	                                 connection
-//	cancel →                         abandon an accepted job by id
-//	stats →, ← statsreply            coordinator gauge/counter snapshot;
-//	                                 the request's Job field is a
-//	                                 client-chosen correlation id the
-//	                                 reply echoes, so stats interleave
-//	                                 freely with in-flight jobs
+//	submit →, ← rejected | done      one verdict per submit: rejected at
+//	                                 once (full queue, invalid spec) or
+//	                                 done when the job ends; many jobs
+//	                                 may be in flight per connection
+//	cancel →                         abandon a submitted job
+//	stats →, ← statsreply            coordinator gauge/counter snapshot
+//
+// Every client request carries an id of the client's choosing in Job,
+// unique among its connection's requests in flight, and every reply
+// echoes it: the client matches replies by id, never by order.
 const (
 	MsgRegister  = "register"
 	MsgWelcome   = "welcome"
@@ -63,7 +62,6 @@ const (
 	MsgResult    = "result"
 	MsgRelease   = "release"
 	MsgSubmit    = "submit"
-	MsgAccepted  = "accepted"
 	MsgRejected  = "rejected"
 	MsgCancel    = "cancel"
 	MsgDone      = "done"
@@ -81,10 +79,8 @@ const (
 type StatsInfo struct {
 	// Workers is the live fleet size.
 	Workers int `json:"workers,omitempty"`
-	// ConfigsBuilt / ConfigsReused count configuration provisioning
-	// vs cross-request reuse.
-	ConfigsBuilt  int `json:"configs_built,omitempty"`
-	ConfigsReused int `json:"configs_reused,omitempty"`
+	// ConfigsBuilt counts configuration provisioning.
+	ConfigsBuilt int `json:"configs_built,omitempty"`
 	// JobsRun counts completed jobs (success or failure); JobsFailed
 	// the failures among them.
 	JobsRun    int `json:"jobs_run,omitempty"`
@@ -203,8 +199,9 @@ type Message struct {
 
 	// Config identifies a prepared configuration (prepare…release).
 	Config uint64 `json:"config,omitempty"`
-	// Job identifies one queued job (run, result, accepted, rejected,
-	// cancel, done).
+	// Job identifies one job: the coordinator's id towards workers
+	// (run, result), the client's id towards clients (submit, rejected,
+	// cancel, done), or a stats query (stats, statsreply).
 	Job uint64 `json:"job,omitempty"`
 	// Attempt is the retry generation of a run (run, result): a job
 	// re-queued after a worker death runs again with the next attempt

@@ -1,7 +1,9 @@
 package cluster
 
 import (
+	"bufio"
 	"errors"
+	"fmt"
 	"io"
 	"math"
 	"net"
@@ -404,13 +406,15 @@ func TestCallWriteFailureLeavesFleet(t *testing.T) {
 		name:    "closed",
 		mc:      newMsgConn(local),
 		dead:    make(chan struct{}),
-		waiters: map[replyKey]chan wire.Message{},
+		waiters: map[replyKey]waiter{},
 	}
 	coord.mu.Lock()
 	coord.workers[w.id] = w
 	coord.mu.Unlock()
 
-	_, err = coord.call(w, wire.Message{Type: wire.MsgPrepare, Config: 1}, time.Second, nil)
+	_, err = coord.callAll([]*workerConn{w}, func(int) wire.Message {
+		return wire.Message{Type: wire.MsgPrepare, Config: 1}
+	}, time.Second, nil)
 	if !errors.Is(err, errWorkerLost) {
 		t.Fatalf("call over a closed pipe = %v, want errWorkerLost", err)
 	}
@@ -421,6 +425,133 @@ func TestCallWriteFailureLeavesFleet(t *testing.T) {
 	case <-w.dead:
 	default:
 		t.Error("worker not declared dead when the write error returned")
+	}
+}
+
+// pipeWorker puts a worker into coord's fleet whose control connection
+// is one end of a net.Pipe; the frames the coordinator writes to it
+// arrive on the returned channel, which closes when the pipe does.
+func pipeWorker(t *testing.T, coord *Coordinator, id int64) (*workerConn, <-chan wire.Message) {
+	local, remote := net.Pipe()
+	t.Cleanup(func() { local.Close(); remote.Close() })
+	w := &workerConn{
+		id:      id,
+		name:    fmt.Sprintf("pipe-%d", id),
+		mc:      newMsgConn(local),
+		dead:    make(chan struct{}),
+		waiters: map[replyKey]waiter{},
+	}
+	frames := make(chan wire.Message, 8)
+	go func() {
+		defer close(frames)
+		br := bufio.NewReader(remote)
+		for {
+			m, err := wire.ReadMessageFrom(br)
+			if err != nil {
+				return
+			}
+			frames <- m
+		}
+	}()
+	coord.mu.Lock()
+	coord.workers[id] = w
+	coord.mu.Unlock()
+	return w, frames
+}
+
+// TestCallAllReturnsAtFirstFailure pins that a fleet call collects one
+// reply per member, ends at its first failure and leaves nothing
+// waiting behind it: a duplicate reply is not counted as another
+// member's, one member's error reply returns at once while the other
+// stays silent, both waiter maps are empty on return, and the silent
+// member's late reply finds no waiter. A member dying mid-wait returns
+// a worker-lost error only after it has left the fleet, and a call made
+// after its death fails at once.
+func TestCallAllReturnsAtFirstFailure(t *testing.T) {
+	coord, err := Start(Options{Logf: t.Logf})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer coord.Close()
+	w0, frames0 := pipeWorker(t, coord, 1)
+	w1, frames1 := pipeWorker(t, coord, 2)
+	members := []*workerConn{w0, w1}
+	type outcome struct {
+		replies []wire.Message
+		err     error
+	}
+	callAll := func(config uint64) <-chan outcome {
+		done := make(chan outcome, 1)
+		go func() {
+			replies, err := coord.callAll(members, func(int) wire.Message {
+				return wire.Message{Type: wire.MsgPrepare, Config: config}
+			}, time.Minute, nil)
+			done <- outcome{replies, err}
+		}()
+		<-frames0
+		<-frames1
+		return done
+	}
+	result := func(done <-chan outcome) outcome {
+		select {
+		case o := <-done:
+			return o
+		case <-time.After(10 * time.Second):
+			t.Fatal("callAll still waiting 10s after its last reply")
+			return outcome{}
+		}
+	}
+	waiting := func(w *workerConn) int {
+		w.mu.Lock()
+		defer w.mu.Unlock()
+		return len(w.waiters)
+	}
+
+	// A duplicate reply is not taken for the other member's.
+	done := callAll(1)
+	w0.route(wire.Message{Type: wire.MsgPrepared, Config: 1, Addr: "a"})
+	w0.route(wire.Message{Type: wire.MsgPrepared, Config: 1, Addr: "dup"})
+	w1.route(wire.Message{Type: wire.MsgPrepared, Config: 1, Addr: "b"})
+	if o := result(done); o.err != nil || len(o.replies) != 2 || o.replies[0].Addr != "a" || o.replies[1].Addr != "b" {
+		t.Fatalf("callAll = %+v, %v; want the replies a and b in member order", o.replies, o.err)
+	}
+
+	done = callAll(2)
+	w0.route(wire.Message{Type: wire.MsgPrepared, Config: 2, Err: "plan failed"})
+	if err := result(done).err; err == nil || !strings.Contains(err.Error(), "plan failed") || errors.Is(err, errWorkerLost) {
+		t.Fatalf("callAll after an error reply = %v, want that error", err)
+	}
+	if n0, n1 := waiting(w0), waiting(w1); n0+n1 != 0 {
+		t.Errorf("waiters left after the call returned: %d and %d, want none", n0, n1)
+	}
+	w1.route(wire.Message{Type: wire.MsgPrepared, Config: 2, Addr: "late"})
+	if n := waiting(w1); n != 0 {
+		t.Errorf("late reply left %d waiters, want none", n)
+	}
+
+	done = callAll(3)
+	killed := make(chan struct{})
+	go func() {
+		defer close(killed)
+		coord.markDead(w1, errors.New("killed"))
+	}()
+	defer func() { <-killed }()
+	if err := result(done).err; !errors.Is(err, errWorkerLost) {
+		t.Fatalf("callAll with a member dying = %v, want errWorkerLost", err)
+	}
+	coord.mu.Lock()
+	_, listed := coord.workers[w1.id]
+	coord.mu.Unlock()
+	if listed {
+		t.Error("dead member still in the fleet when its worker-lost error returned")
+	}
+	if n := waiting(w0); n != 0 {
+		t.Errorf("waiters left on the live member: %d, want none", n)
+	}
+	if _, err := coord.callAll(members, func(int) wire.Message {
+		return wire.Message{Type: wire.MsgPrepare, Config: 4}
+	}, time.Minute, nil); !errors.Is(err, errWorkerLost) {
+		t.Errorf("callAll over a dead member = %v, want errWorkerLost", err)
 	}
 }
 
@@ -643,9 +774,9 @@ func TestClusterRejectsBadSpec(t *testing.T) {
 // plan rows would be sized from output_bytes and the worker would die
 // of an out-of-memory fatal error in prepare, which no recover catches.
 func TestAdmitRejectsOversizedOutput(t *testing.T) {
-	expectRejectedAtAdmission(t, wire.GraphSpec{
+	expectRejectedAtAdmission(t, wire.AppSpec{Graphs: []wire.GraphSpec{{
 		Steps: 2, Width: 4, Type: "stencil_1d", Output: 1 << 40,
-	})
+	}}})
 }
 
 // TestAdmitRejectsOversizedScratch: a graph whose per-column scratch
@@ -653,9 +784,9 @@ func TestAdmitRejectsOversizedOutput(t *testing.T) {
 // Admitted, the worker would die of an out-of-memory fatal error in
 // kernels.NewScratch during prepare.
 func TestAdmitRejectsOversizedScratch(t *testing.T) {
-	expectRejectedAtAdmission(t, wire.GraphSpec{
+	expectRejectedAtAdmission(t, wire.AppSpec{Graphs: []wire.GraphSpec{{
 		Steps: 2, Width: 4, Type: "stencil_1d", Scratch: 1 << 42,
-	})
+	}}})
 }
 
 // TestAdmitRejectsTooManySteps: a graph past the step limit is turned
@@ -663,9 +794,9 @@ func TestAdmitRejectsOversizedScratch(t *testing.T) {
 // its per-step window table — holding its control read loop while its
 // heartbeats keep it alive — until provisioning timed out.
 func TestAdmitRejectsTooManySteps(t *testing.T) {
-	expectRejectedAtAdmission(t, wire.GraphSpec{
+	expectRejectedAtAdmission(t, wire.AppSpec{Graphs: []wire.GraphSpec{{
 		Steps: 1 << 42, Width: 4, Type: "stencil_1d",
-	})
+	}}})
 }
 
 // TestAdmitRejectsNaNFraction: a NaN fraction fails the [0, 1] range
@@ -673,24 +804,35 @@ func TestAdmitRejectsTooManySteps(t *testing.T) {
 // false). Admitted, it reached the shape key, whose JSON encoding
 // could not represent it, and the coordinator panicked.
 func TestAdmitRejectsNaNFraction(t *testing.T) {
-	expectRejectedAtAdmission(t, wire.GraphSpec{
+	expectRejectedAtAdmission(t, wire.AppSpec{Graphs: []wire.GraphSpec{{
 		Steps: 2, Width: 4, Type: "stencil_1d", Fraction: math.NaN(),
-	})
+	}}})
 }
 
 // TestAdmitRejectsNaNImbalance: a NaN imbalance factor fails the
 // kernel's [0, 1] range check instead of running.
 func TestAdmitRejectsNaNImbalance(t *testing.T) {
-	expectRejectedAtAdmission(t, wire.GraphSpec{
+	expectRejectedAtAdmission(t, wire.AppSpec{Graphs: []wire.GraphSpec{{
 		Steps: 2, Width: 4, Type: "stencil_1d",
 		KernelSpec: wire.KernelSpec{Kernel: "load_imbalance", Iterations: 8, Imbalance: math.NaN()},
-	})
+	}}})
 }
 
-// expectRejectedAtAdmission submits a one-graph spec to a 2-worker
-// fleet and requires an "invalid spec" rejection that leaves both
-// workers in the fleet and able to run a normal job afterwards.
-func expectRejectedAtAdmission(t *testing.T, g wire.GraphSpec) {
+// TestAdmitRejectsTooManyRanks: a rank count past the limit is turned
+// away at admission. Admitted, 1<<62 ranks panicked a scheduler
+// goroutine sizing the rank→address table, taking the coordinator
+// process down; a few thousand would make every worker allocate a
+// [local][ranks] batch table and dial ranks² connections.
+func TestAdmitRejectsTooManyRanks(t *testing.T) {
+	for _, ranks := range []int{1 << 62, maxRanks + 1} {
+		expectRejectedAtAdmission(t, stencilSpec(ranks, 8))
+	}
+}
+
+// expectRejectedAtAdmission submits spec to a 2-worker fleet and
+// requires an "invalid spec" rejection that leaves both workers in the
+// fleet and able to run a normal job afterwards.
+func expectRejectedAtAdmission(t *testing.T, spec wire.AppSpec) {
 	t.Helper()
 	coord, _ := testFleet(t, 2)
 	cli, err := Dial(coord.Addr())
@@ -698,12 +840,12 @@ func expectRejectedAtAdmission(t *testing.T, g wire.GraphSpec) {
 		t.Fatal(err)
 	}
 	defer cli.Close()
-	res, err := cli.Submit(wire.AppSpec{Graphs: []wire.GraphSpec{g}})
+	res, err := cli.Submit(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !res.Rejected || res.Err == nil || !strings.Contains(res.Err.Error(), "invalid spec") {
-		t.Fatalf("%+v not rejected at admission: %+v", g, res)
+		t.Fatalf("%+v not rejected at admission: %+v", spec, res)
 	}
 	if n := coord.WorkerCount(); n != 2 {
 		t.Errorf("workers = %d after the rejected submit, want 2", n)

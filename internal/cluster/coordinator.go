@@ -153,8 +153,25 @@ type workerConn struct {
 	// longer places configurations on this worker.
 	draining bool
 
+	// waiters holds the callAll waits on this worker's replies, keyed
+	// by replyKeyOf. markDead and finishDrain swap it for nil and fail
+	// every wait in it, so a wait registered afterwards fails at once.
 	mu      sync.Mutex
-	waiters map[replyKey]chan wire.Message
+	waiters map[replyKey]waiter
+}
+
+// waiter is member k's place in one callAll: route sends the reply to
+// ch tagged with k, and a lost worker a worker-lost error instead.
+type waiter struct {
+	ch chan<- reply
+	k  int
+}
+
+// reply is what a waiter receives: member k's reply m, or err.
+type reply struct {
+	k   int
+	m   wire.Message
+	err error
 }
 
 // replyKey names the one reply a call waits for. Provisioning replies
@@ -482,7 +499,7 @@ func (c *Coordinator) serveWorker(mc *msgConn, reg wire.Message) {
 		name:    reg.Name,
 		mc:      mc,
 		dead:    make(chan struct{}),
-		waiters: map[replyKey]chan wire.Message{},
+		waiters: map[replyKey]waiter{},
 	}
 	w.lastSeen.Store(time.Now().UnixNano())
 	c.mu.Lock()
@@ -562,9 +579,9 @@ func (c *Coordinator) serveWorker(mc *msgConn, reg wire.Message) {
 
 // markDead declares a worker dead exactly once: it leaves the fleet,
 // every configuration it participated in is dropped (surviving members
-// are told to release, which aborts any wedged run), and any await on
-// it fails immediately. The fleet map and config table are updated
-// BEFORE the death signal fires, so a job that observed the death and
+// are told to release, which aborts any wedged run), and every wait on
+// its replies fails immediately. The fleet map and config table are
+// updated BEFORE the waits fail, so a job that observed the death and
 // retries never re-provisions over a fleet still listing the corpse.
 func (c *Coordinator) markDead(w *workerConn, cause error) {
 	w.deadOnce.Do(func() {
@@ -589,6 +606,7 @@ func (c *Coordinator) markDead(w *workerConn, cause error) {
 		c.mu.Unlock()
 
 		close(w.dead)
+		w.failWaits()
 		w.mc.close()
 
 		c.opts.Logf("cluster: worker %q dead (%v); dropped %d configs", w.name, cause, len(torn))
@@ -711,6 +729,7 @@ func (c *Coordinator) finishDrain(w *workerConn) {
 		c.bumpFleetLocked()
 		c.mu.Unlock()
 		close(w.dead)
+		w.failWaits()
 		w.mc.write(wire.Message{Type: wire.MsgDrained, Worker: w.id})
 		c.opts.Logf("cluster: worker %q drained and released", w.name)
 	})
@@ -744,58 +763,89 @@ func (c *Coordinator) monitorHeartbeats() {
 	}
 }
 
-// call registers interest in the reply to m (replyKeyOf), sends m to w,
-// and waits for it — failing fast if the worker dies, the job is
-// cancelled, or the timeout passes. A reply whose Err field is set is
-// returned as an error; cancellation returns errCancelled. Worker-loss
-// failures wrap errWorkerLost (the retryable class), and each leaves w
-// out of c.workers before it returns: a failed write declares w dead
-// here (a control socket that cannot take one frame within the write
-// deadline has lost its worker, heartbeats or not), and w.dead closes
-// only after markDead or finishDrain has updated the map.
-func (c *Coordinator) call(w *workerConn, m wire.Message, timeout time.Duration, cancel <-chan struct{}) (wire.Message, error) {
-	key := replyKeyOf(m)
-	ch := make(chan wire.Message, 1)
-	w.mu.Lock()
-	w.waiters[key] = ch
-	w.mu.Unlock()
+// callAll writes msg(k) to each member k in turn and waits, on one
+// channel, for every reply (replyKeyOf), returned in member order. It
+// returns at the first failure — a reply whose Err is set, cancellation
+// (errCancelled), the timeout, or a lost worker (wrapping errWorkerLost,
+// the retryable class) — and callers then release the configuration,
+// which aborts the other members' work, so failure latency is one
+// member's detection time rather than the slowest member's timeout.
+// Every wait is withdrawn on return and route deletes the one it
+// delivers to, so a late or duplicate reply finds none. A lost worker
+// has left c.workers before the error returns: a failed write declares
+// it dead here (a control socket that cannot take one frame within the
+// write deadline has lost its worker, heartbeats or not), and
+// failWaits runs only after markDead or finishDrain updated the map.
+func (c *Coordinator) callAll(members []*workerConn, msg func(k int) wire.Message, timeout time.Duration, cancel <-chan struct{}) ([]wire.Message, error) {
+	ch := make(chan reply, len(members))
+	keys := make([]replyKey, 0, len(members))
 	defer func() {
-		w.mu.Lock()
-		delete(w.waiters, key)
-		w.mu.Unlock()
+		for k, key := range keys {
+			members[k].mu.Lock()
+			delete(members[k].waiters, key)
+			members[k].mu.Unlock()
+		}
 	}()
-
-	if err := w.mc.write(m); err != nil {
-		c.markDead(w, fmt.Errorf("write %s: %v", m.Type, err))
-		return wire.Message{}, fmt.Errorf("worker %q: write %s: %v: %w", w.name, m.Type, err, errWorkerLost)
+	for k, w := range members {
+		m := msg(k)
+		keys = append(keys, replyKeyOf(m))
+		w.mu.Lock()
+		if w.waiters == nil {
+			w.mu.Unlock()
+			return nil, fmt.Errorf("worker %q died: %w", w.name, errWorkerLost)
+		}
+		w.waiters[keys[k]] = waiter{ch: ch, k: k}
+		w.mu.Unlock()
+		if err := w.mc.write(m); err != nil {
+			c.markDead(w, fmt.Errorf("write %s: %v", m.Type, err))
+			return nil, fmt.Errorf("worker %q: write %s: %v: %w", w.name, m.Type, err, errWorkerLost)
+		}
 	}
 	timer := time.NewTimer(timeout)
 	defer timer.Stop()
-	select {
-	case reply := <-ch:
-		if reply.Err != "" {
-			return reply, fmt.Errorf("worker %q: %s", w.name, reply.Err)
+	replies := make([]wire.Message, len(members))
+	for range members {
+		select {
+		case r := <-ch:
+			if r.err != nil {
+				return nil, r.err
+			}
+			if r.m.Err != "" {
+				return nil, fmt.Errorf("worker %q: %s", members[r.k].name, r.m.Err)
+			}
+			replies[r.k] = r.m
+		case <-cancel:
+			return nil, errCancelled
+		case <-timer.C:
+			k := slices.IndexFunc(replies, func(m wire.Message) bool { return m.Type == "" })
+			return nil, fmt.Errorf("worker %q: timed out waiting for %s %d", members[k].name, keys[k].typ, keys[k].id)
 		}
-		return reply, nil
-	case <-w.dead:
-		return wire.Message{}, fmt.Errorf("worker %q died: %w", w.name, errWorkerLost)
-	case <-cancel:
-		return wire.Message{}, errCancelled
-	case <-timer.C:
-		return wire.Message{}, fmt.Errorf("worker %q: timed out waiting for %s %d", w.name, key.typ, key.id)
+	}
+	return replies, nil
+}
+
+// route hands a reply to the wait for it, if one is still registered,
+// and deletes that wait: a duplicate finds none.
+func (w *workerConn) route(m wire.Message) {
+	key := replyKeyOf(m)
+	w.mu.Lock()
+	wt, ok := w.waiters[key]
+	delete(w.waiters, key)
+	w.mu.Unlock()
+	if ok {
+		wt.ch <- reply{k: wt.k, m: m}
 	}
 }
 
-// route hands a reply to the call waiting for it, if one still is.
-func (w *workerConn) route(m wire.Message) {
+// failWaits fails every wait on w's replies, and any registered later,
+// with a worker-lost error. Callers have taken w out of c.workers.
+func (w *workerConn) failWaits() {
 	w.mu.Lock()
-	ch := w.waiters[replyKeyOf(m)]
+	waits := w.waiters
+	w.waiters = nil
 	w.mu.Unlock()
-	if ch != nil {
-		select {
-		case ch <- m:
-		default:
-		}
+	for _, wt := range waits {
+		wt.ch <- reply{k: wt.k, err: fmt.Errorf("worker %q died: %w", w.name, errWorkerLost)}
 	}
 }
 
@@ -857,8 +907,11 @@ loop:
 // Admission limits on what preparing one graph makes a worker allocate,
 // past which prepare dies of a fatal error or wedges its control loop
 // (DESIGN §9): steps size the rank plan's per-step window table, width
-// × (2·output_bytes + scratch_bytes) its payload rows and scratch.
-const maxSteps, maxGraphBytes = 1 << 20, 1 << 30
+// × (2·output_bytes + scratch_bytes) its payload rows and scratch. The
+// rank count sizes the coordinator's rank→address table and every
+// worker's [local][ranks] batch table and ranks² mesh connections; 256
+// is the paper's largest node count.
+const maxSteps, maxGraphBytes, maxRanks = 1 << 20, 1 << 30, 256
 
 // admit validates and enqueues one submission, rejecting it at once
 // if it cannot run (invalid spec, full queue, closing coordinator); an
@@ -890,6 +943,9 @@ func (c *Coordinator) admit(cl *clientConn, m wire.Message) bool {
 	app, err := m.Spec.ToApp()
 	if err != nil {
 		return reject("invalid spec: %v", err)
+	}
+	if m.Spec.Workers > maxRanks {
+		return reject("invalid spec: %d workers exceed the limit %d", m.Spec.Workers, maxRanks)
 	}
 	for k, g := range app.Graphs {
 		switch {
@@ -1022,7 +1078,7 @@ func (c *Coordinator) runJobWithRetry(j *job) (wire.Message, runVerdict) {
 		c.metrics.jobsRetried.Inc()
 		c.opts.Logf("cluster: job %d re-queued (attempt %d/%d): %v", j.id, j.attempt+1, c.opts.MaxAttempts, done.Err)
 		// A failed config needs no wait: every worker-lost error left
-		// its worker out of c.workers before it returned (see call), so
+		// its worker out of c.workers before it returned (see callAll), so
 		// the next placement already sees the reshaped fleet. No config
 		// means every live worker is mid-drain, and only a join or a
 		// completed drain changes that: wait for the next fleet change,
@@ -1133,23 +1189,9 @@ func (c *Coordinator) runJob(j *job) (wire.Message, runVerdict, *clusterConfig) 
 	// time as the job's elapsed time.
 	c.metrics.running.Add(1)
 	kernels := wire.KernelsOf(j.spec)
-	// Snapshot the attempt number: fanout returns on the first error
-	// without joining stragglers, so a late goroutine must not read
-	// j.attempt after the retry loop has already incremented it (a
-	// race, and a stale run stamped with the live attempt's key).
-	attempt := j.attempt
-	results := make([]wire.Message, len(cfg.members))
-	err := fanout(cfg.members, func(k int, w *workerConn) error {
-		reply, err := c.call(w, wire.Message{
-			Type:    wire.MsgRun,
-			Config:  cfg.id,
-			Job:     j.id,
-			Attempt: attempt,
-			Kernels: kernels,
-		}, c.opts.JobTimeout, j.cancel)
-		results[k] = reply
-		return err
-	})
+	results, err := c.callAll(cfg.members, func(int) wire.Message {
+		return wire.Message{Type: wire.MsgRun, Config: cfg.id, Job: j.id, Attempt: j.attempt, Kernels: kernels}
+	}, c.opts.JobTimeout, j.cancel)
 	c.metrics.running.Add(-1)
 	if err != nil {
 		// The configuration's mesh may be mid-abort (a dead member) or
@@ -1231,35 +1273,20 @@ func (c *Coordinator) buildConfig(e *configEntry, spec wire.AppSpec, cancel <-ch
 	// Prepare: every member builds its local plan slice and binds its
 	// data listener, replying with the address.
 	addrs := make([]string, ranks)
-	err := fanout(cfg.members, func(k int, w *workerConn) error {
-		spec := spec
-		reply, err := c.call(w, wire.Message{
-			Type:   wire.MsgPrepare,
-			Config: cfg.id,
-			Spec:   &spec,
-			Ranks:  ranks,
-			RankLo: spans[k].Lo,
-			RankHi: spans[k].Hi,
-		}, c.opts.SetupTimeout, cancel)
-		if err != nil {
-			return err
-		}
-		for r := spans[k].Lo; r < spans[k].Hi; r++ {
-			addrs[r] = reply.Addr
-		}
-		return nil
-	})
+	prepared, err := c.callAll(cfg.members, func(k int) wire.Message {
+		return wire.Message{Type: wire.MsgPrepare, Config: cfg.id, Spec: &spec, Ranks: ranks, RankLo: spans[k].Lo, RankHi: spans[k].Hi}
+	}, c.opts.SetupTimeout, cancel)
 	if err == nil {
+		for k, reply := range prepared {
+			for r := spans[k].Lo; r < spans[k].Hi; r++ {
+				addrs[r] = reply.Addr
+			}
+		}
 		// Connect: all members wire the mesh concurrently — each one's
 		// dials complete against the others' already-bound listeners.
-		err = fanout(cfg.members, func(k int, w *workerConn) error {
-			_, err := c.call(w, wire.Message{
-				Type:   wire.MsgConnect,
-				Config: cfg.id,
-				Addrs:  addrs,
-			}, c.opts.SetupTimeout, cancel)
-			return err
-		})
+		_, err = c.callAll(cfg.members, func(int) wire.Message {
+			return wire.Message{Type: wire.MsgConnect, Config: cfg.id, Addrs: addrs}
+		}, c.opts.SetupTimeout, cancel)
 	}
 	if err != nil {
 		c.dropConfig(e, cfg)
@@ -1312,23 +1339,4 @@ func (c *Coordinator) evictColdLocked(keep *configEntry) []*clusterConfig {
 		delete(c.configs, oldest.key)
 		c.metrics.configsEvicted.Inc()
 	}
-}
-
-// fanout runs f concurrently over the members and returns on the
-// *first* error — callers immediately release the configuration, which
-// aborts the surviving members' in-flight work, so failure latency is
-// one member's detection time rather than the slowest member's
-// timeout. Stragglers drain into the buffered channel (no goroutine
-// leaks); a nil return means every member completed.
-func fanout(members []*workerConn, f func(k int, w *workerConn) error) error {
-	errCh := make(chan error, len(members))
-	for k, w := range members {
-		go func(k int, w *workerConn) { errCh <- f(k, w) }(k, w)
-	}
-	for range members {
-		if err := <-errCh; err != nil {
-			return err
-		}
-	}
-	return nil
 }

@@ -8,5 +8,5 @@ import (
 )
 
 func TestHotPathAlloc(t *testing.T) {
-	linttest.Run(t, lint.HotPathAlloc, "hotpathalloc/dep", "hotpathalloc/a")
+	linttest.Run(t, lint.HotPathAlloc, "testdata/hotpathalloc")
 }

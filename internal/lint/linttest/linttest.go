@@ -7,10 +7,11 @@
 // Each `// want "regexp"` (one or more quoted regexps, double-quoted or
 // backquoted) on a line demands a diagnostic on that same line whose
 // message matches; every diagnostic must be demanded by some want.
-// Testdata trees use the GOPATH-style layout testdata/src/<import
-// path>/*.go, so fake stand-ins for real module packages (for example a
-// skeletal taskbench/internal/cluster) can occupy their real import
-// paths.
+// Each testdata tree is a module of its own (a two-line go.mod) loaded
+// with lint.Load, so a fake stand-in for a real module package (for
+// example a skeletal taskbench/internal/cluster, in a tree whose module
+// is taskbench) occupies its real import path. The root module's
+// ./... never matches it: a nested module is not part of its parent.
 package linttest
 
 import (
@@ -25,13 +26,13 @@ import (
 	"taskbench/internal/lint"
 )
 
-// Run analyzes the named packages under testdata/src and compares
+// Run analyzes every package of the module in dir and compares
 // diagnostics with want comments.
-func Run(t *testing.T, a *lint.Analyzer, pkgs ...string) {
+func Run(t *testing.T, a *lint.Analyzer, dir string) {
 	t.Helper()
-	session, err := lint.LoadTree("testdata/src", pkgs...)
+	session, err := lint.Load(dir, "./...")
 	if err != nil {
-		t.Fatalf("loading %v: %v", pkgs, err)
+		t.Fatalf("loading %s: %v", dir, err)
 	}
 	diags, err := session.Run(a)
 	if err != nil {

@@ -8,5 +8,5 @@ import (
 )
 
 func TestLockOrder(t *testing.T) {
-	linttest.Run(t, lint.LockOrder, "taskbench/internal/cluster")
+	linttest.Run(t, lint.LockOrder, "testdata/taskbench")
 }

@@ -403,7 +403,7 @@ func parseShapes(s string, task time.Duration) ([]wire.AppSpec, error) {
 		}
 		// The coordinator's own check, run before dialing: a mistyped
 		// pattern would otherwise surface as every job of the run failing.
-		if _, err := spec.ToApp(); err != nil {
+		if err := spec.Check(); err != nil {
 			return nil, fmt.Errorf("shape %q: %w", item, err)
 		}
 		specs = append(specs, spec)

@@ -909,7 +909,7 @@ loop:
 // (DESIGN §9): steps size the rank plan's per-step window table, width
 // × (2·output_bytes + scratch_bytes) its payload rows and scratch. The
 // rank count sizes the coordinator's rank→address table and every
-// worker's [local][ranks] batch table and ranks² mesh connections; 256
+// worker's [local][ranks] batch table and ranks²/2 mesh connections; 256
 // is the paper's largest node count.
 const maxSteps, maxGraphBytes, maxRanks = 1 << 20, 1 << 30, 256
 
@@ -940,14 +940,14 @@ func (c *Coordinator) admit(cl *clientConn, m wire.Message) bool {
 	if m.Spec == nil {
 		return reject("submit without spec")
 	}
-	app, err := m.Spec.ToApp()
-	if err != nil {
+	if err := m.Spec.Check(); err != nil {
 		return reject("invalid spec: %v", err)
 	}
 	if m.Spec.Workers > maxRanks {
 		return reject("invalid spec: %d workers exceed the limit %d", m.Spec.Workers, maxRanks)
 	}
-	for k, g := range app.Graphs {
+	for k := range m.Spec.Graphs {
+		g, _ := m.Spec.Params(k) // valid: Check passed
 		switch {
 		case g.OutputBytes > tcp.MaxFrameLen:
 			return reject("invalid spec: graph %d: output_bytes %d exceeds the mesh frame limit %d", k, g.OutputBytes, tcp.MaxFrameLen)

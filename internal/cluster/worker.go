@@ -327,9 +327,9 @@ func (w *Worker) handlePrepare(m wire.Message) wire.Message {
 	return wire.Message{Type: wire.MsgPrepared, Config: m.Config, Addr: ln.Addr().String()}
 }
 
-// handleConnect wires this worker's slice of the mesh: dial every
-// remote rank's hosting process, accept the expected inbound links,
-// and stand up the engine over the resulting transport.
+// handleConnect wires this worker's slice of the mesh: dial the hosting
+// process of every rank above each local one, accept a link from every
+// rank below, and stand up the engine over the resulting transport.
 func (w *Worker) handleConnect(m wire.Message) wire.Message {
 	fail := func(format string, args ...any) wire.Message {
 		return wire.Message{Type: wire.MsgReady, Config: m.Config, Err: fmt.Sprintf(format, args...)}

@@ -80,57 +80,66 @@ type Graph struct {
 
 // New validates the parameters and builds a Graph.
 func New(p Params) (*Graph, error) {
+	p, err := p.Normalize()
+	if err != nil {
+		return nil, err
+	}
+	return &Graph{Params: p, steadyWidthLog: log2Floor(p.MaxWidth)}, nil
+}
+
+// Normalize validates the parameters and returns them with their
+// defaults filled in: the Params a Graph built by New carries. It builds
+// nothing, so a caller that only checks a configuration allocates
+// nothing unless it is invalid.
+func (p Params) Normalize() (Params, error) {
 	if p.Timesteps <= 0 {
-		return nil, errors.New("core: graph must have at least one timestep")
+		return p, errors.New("core: graph must have at least one timestep")
 	}
 	if p.MaxWidth <= 0 {
-		return nil, errors.New("core: graph must have positive width")
+		return p, errors.New("core: graph must have positive width")
 	}
 	if p.Dependence.RequiresPowerOfTwoWidth() && !isPowerOfTwo(p.MaxWidth) {
-		return nil, fmt.Errorf("core: %s pattern requires power-of-two width, got %d",
+		return p, fmt.Errorf("core: %s pattern requires power-of-two width, got %d",
 			p.Dependence, p.MaxWidth)
 	}
 	if _, ok := dependenceNames[p.Dependence]; !ok {
-		return nil, fmt.Errorf("core: invalid dependence type %d", int(p.Dependence))
+		return p, fmt.Errorf("core: invalid dependence type %d", int(p.Dependence))
 	}
 	if p.Radix < 0 || p.Radix > p.MaxWidth {
-		return nil, fmt.Errorf("core: radix %d out of range [0, width=%d]", p.Radix, p.MaxWidth)
+		return p, fmt.Errorf("core: radix %d out of range [0, width=%d]", p.Radix, p.MaxWidth)
 	}
 	switch p.Dependence {
 	case Nearest, Spread, RandomNearest:
 		if p.Radix == 0 && p.Dependence != Nearest {
-			return nil, fmt.Errorf("core: %s pattern requires radix > 0", p.Dependence)
+			return p, fmt.Errorf("core: %s pattern requires radix > 0", p.Dependence)
 		}
 	}
 	if p.Period == 0 {
 		p.Period = 3
 	}
 	if p.Period < 0 {
-		return nil, errors.New("core: period must be positive")
+		return p, errors.New("core: period must be positive")
 	}
 	if p.Fraction == 0 {
 		p.Fraction = 0.25
 	}
 	if !(p.Fraction >= 0 && p.Fraction <= 1) { // NaN fails too
-		return nil, errors.New("core: fraction must be in [0, 1]")
+		return p, errors.New("core: fraction must be in [0, 1]")
 	}
 	if p.OutputBytes < PayloadHeaderSize {
 		p.OutputBytes = PayloadHeaderSize
 	}
 	if p.ScratchBytes < 0 {
-		return nil, errors.New("core: scratch bytes must be non-negative")
+		return p, errors.New("core: scratch bytes must be non-negative")
 	}
 	if !(p.FaultRate >= 0 && p.FaultRate <= 1) {
-		return nil, errors.New("core: fault rate must be in [0, 1]")
+		return p, errors.New("core: fault rate must be in [0, 1]")
 	}
 	if p.FaultRate > 0 && p.OutputBytes <= PayloadHeaderSize {
 		// Corruption flips a fill byte, so there must be one.
 		p.OutputBytes = PayloadHeaderSize + 8
 	}
-	if err := p.Kernel.Validate(); err != nil {
-		return nil, err
-	}
-	return &Graph{Params: p, steadyWidthLog: log2Floor(p.MaxWidth)}, nil
+	return p, p.Kernel.Validate()
 }
 
 // MustNew is New for programmatic graphs known to be valid; it panics

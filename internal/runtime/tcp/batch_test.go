@@ -296,53 +296,72 @@ func TestBatchedEngineRuns(t *testing.T) {
 	}
 }
 
+// meshConfig is the config id of corruptibleMesh and meshAfter.
+const meshConfig = 7
+
+// halfPlan is the plan of one process of a 2-rank stencil mesh with
+// 64-byte payloads that hosts only rank local.
+func halfPlan(local int) *exec.RankPlan {
+	app := core.NewApp(core.MustNew(core.Params{
+		Timesteps: 2, MaxWidth: 2, Dependence: core.Stencil1D,
+		OutputBytes: 64,
+	}))
+	app.Workers = 2
+	return exec.BuildRankPlanLocal(app, 2, exec.Span{Lo: local, Hi: local + 1})
+}
+
 // corruptibleMesh builds a 2-rank mesh whose rank 1 is played by the
-// test: the returned connection is the test's end of the inbound link
-// into rank 0, ready to carry arbitrary (including malformed) frames.
+// test: rank 0 dials it, and the returned connection is the test's end
+// of the pair's one link, ready to carry arbitrary (including
+// malformed) frames into rank 0.
 func corruptibleMesh(t *testing.T) (*MeshTransport, net.Conn) {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	return meshAfter(t, ln, nil)
-}
-
-// meshConfig is the config id of corruptibleMesh and meshAfter.
-const meshConfig = 7
-
-// meshAfter is corruptibleMesh over a given listener, running before
-// (if non-nil) once rank 0 is accepting and before the test's genuine
-// inbound link dials.
-func meshAfter(t *testing.T, ln net.Listener, before func()) (*MeshTransport, net.Conn) {
-	t.Helper()
-	app := core.NewApp(core.MustNew(core.Params{
-		Timesteps: 2, MaxWidth: 2, Dependence: core.Stencil1D,
-		OutputBytes: 64,
-	}))
-	app.Workers = 2
-	plan := exec.BuildRankPlanLocal(app, 2, exec.Span{Lo: 0, Hi: 1})
-	// Rank 1's "process" accepts the mesh's outbound dial and sits on
-	// it; only the inbound direction matters here.
-	sink, err := net.Listen("tcp", "127.0.0.1:0")
+	peer, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { sink.Close() })
-	go func() {
-		for {
-			if _, err := sink.Accept(); err != nil {
-				return
-			}
-		}
-	}()
+	t.Cleanup(func() { peer.Close() })
+	// Rank 0 expects no inbound link: establishment ends once its dial
+	// and handshake are in peer's backlog.
+	tr, err := NewMeshTransport(halfPlan(0), Topology{
+		Local: exec.Span{Lo: 0, Hi: 1}, Config: meshConfig,
+		Addrs:    []string{ln.Addr().String(), peer.Addr().String()},
+		Listener: ln, Timeout: 10 * time.Second,
+	})
+	if err != nil {
+		t.Fatalf("mesh establishment: %v", err)
+	}
+	t.Cleanup(tr.Close)
+	peer.(*net.TCPListener).SetDeadline(time.Now().Add(10 * time.Second))
+	conn, err := peer.Accept()
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { conn.Close() })
+	conn.SetReadDeadline(time.Now().Add(10 * time.Second))
+	if config, from, to, err := readHandshake(conn); err != nil || config != meshConfig || from != 0 || to != 1 {
+		t.Fatalf("rank 0 opened its link with config %d, %d→%d (%v), want %d, 0→1", config, from, to, err, meshConfig)
+	}
+	conn.SetReadDeadline(time.Time{})
+	return tr, conn
+}
 
+// meshAfter builds a 2-rank mesh whose rank 1 accepts on ln and whose
+// rank 0 is played by the test, running before (if non-nil) once rank
+// 1 is accepting and before the test's genuine link dials in.
+func meshAfter(t *testing.T, ln net.Listener, before func()) {
+	t.Helper()
 	done := make(chan *MeshTransport, 1)
 	fail := make(chan error, 1)
 	go func() {
-		tr, err := NewMeshTransport(plan, Topology{
-			Local: exec.Span{Lo: 0, Hi: 1}, Config: meshConfig,
-			Addrs:    []string{ln.Addr().String(), sink.Addr().String()},
+		tr, err := NewMeshTransport(halfPlan(1), Topology{
+			// Rank 1 dials no one, so rank 0's address is never read.
+			Local: exec.Span{Lo: 1, Hi: 2}, Config: meshConfig,
+			Addrs:    []string{"", ln.Addr().String()},
 			Listener: ln, Timeout: 10 * time.Second,
 		})
 		if err != nil {
@@ -358,20 +377,18 @@ func meshAfter(t *testing.T, ln net.Listener, before func()) (*MeshTransport, ne
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := writeHandshake(conn, meshConfig, 1, 0); err != nil {
+	t.Cleanup(func() { conn.Close() })
+	if err := writeHandshake(conn, meshConfig, 0, 1); err != nil {
 		t.Fatal(err)
 	}
 	select {
 	case tr := <-done:
 		t.Cleanup(tr.Close)
-		t.Cleanup(func() { conn.Close() })
-		return tr, conn
 	case err := <-fail:
 		t.Fatalf("mesh establishment: %v", err)
 	case <-time.After(15 * time.Second):
 		t.Fatal("mesh establishment hung")
 	}
-	panic("unreachable")
 }
 
 // expectTeardown waits for the mesh to fail with an error mentioning
@@ -610,22 +627,25 @@ func FuzzBatchFrame(f *testing.F) {
 // the stray must be closed, establishment must still complete within
 // the handshake budget, and rejecting it may read no more than the
 // fixed handshake and allocate nothing beyond that read's buffer. Bytes
-// that are a genuine handshake for this mesh — its config, from rank 1
-// to rank 0 — are a peer, not a stray: config ids are not secrets, so
+// that are a genuine handshake for this mesh — its config, from rank 0
+// to rank 1 — are a peer, not a stray: config ids are not secrets, so
 // those inputs are skipped. A handshake with the right config whose
-// sending rank is out of range or is the receiving rank is a stray.
+// receiving rank is not local, or whose sending rank is out of range
+// or not below the receiving rank, is a stray.
 func FuzzHandshake(f *testing.F) {
 	f.Add([]byte{})
 	f.Add(frame(handshakeMagic)[:3])                                         // short read
-	f.Add(frame(0x4d48_5442, meshConfig, 0, 1, 0))                           // bad magic
-	f.Add(frame(handshakeMagic, 99, 0, 1, 0))                                // wrong config
-	f.Add(frame(handshakeMagic, meshConfig, 0, 0, 1))                        // to: rank 1 is remote
-	f.Add(frame(handshakeMagic, meshConfig, 0, 1, 0xFFFFFFFF))               // to: -1
-	f.Add(frame(handshakeMagic, meshConfig, 0, 0, 0))                        // from: the receiving rank
-	f.Add(frame(handshakeMagic, meshConfig, 0, 2, 0))                        // from: no such rank
-	f.Add(append(frame(handshakeMagic, 99, 0, 1, 0), frame(64, 1, 1, 0)...)) // trailing frame
+	f.Add(frame(0x4d48_5442, meshConfig, 0, 0, 1))                           // bad magic
+	f.Add(frame(handshakeMagic, 99, 0, 0, 1))                                // wrong config
+	f.Add(frame(handshakeMagic, meshConfig, 0, 1, 0))                        // to: rank 0 is remote
+	f.Add(frame(handshakeMagic, meshConfig, 0, 0, 0xFFFFFFFF))               // to: -1
+	f.Add(frame(handshakeMagic, meshConfig, 0, 1, 1))                        // from: the receiving rank
+	f.Add(frame(handshakeMagic, meshConfig, 0, 2, 1))                        // from: no such rank
+	f.Add(append(frame(handshakeMagic, 99, 0, 0, 1), frame(64, 1, 1, 0)...)) // trailing frame
+	f.Add(frame(handshakeMagic, meshConfig, 0, 0xFFFFFFFF, 1))               // from: -1
+	f.Add(frame(handshakeMagic, meshConfig, 0, 0, 2))                        // to: no such rank
 	f.Fuzz(func(t *testing.T, data []byte) {
-		if config, from, to, err := readHandshake(bytes.NewReader(data)); err == nil && config == meshConfig && from == 1 && to == 0 {
+		if config, from, to, err := readHandshake(bytes.NewReader(data)); err == nil && config == meshConfig && from == 0 && to == 1 {
 			t.Skip("a genuine handshake for this mesh, not a stray")
 		}
 		var r bytes.Reader
@@ -677,6 +697,13 @@ func (l *countingListener) Accept() (net.Conn, error) {
 	l.read[c.RemoteAddr().String()] = n
 	l.mu.Unlock()
 	return &countingConn{Conn: c, n: n}, nil
+}
+
+// accepted is the number of connections the listener has accepted.
+func (l *countingListener) accepted() int {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return len(l.read)
 }
 
 func (l *countingListener) bytesFrom(addr net.Addr) int64 {

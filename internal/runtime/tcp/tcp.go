@@ -6,10 +6,11 @@
 // connection establishment, framing, demultiplexing and flow control
 // that the channel-based backends abstract away.
 //
-// Topology: a full mesh. Every ordered rank pair (s → r) gets one
-// connection, written only by s and read by a demultiplexer goroutine
-// at the process hosting r that reads each payload straight into its
-// edge's slot and stands in for s on the pair's step sequencer.
+// Topology: a full mesh. Every rank pair {a < b} gets one connection,
+// dialed by a's process and accepted by b's. Each end is written only
+// by its local rank and read by a demultiplexer goroutine that reads
+// each payload straight into its edge's slot and stands in for the
+// peer rank on the pair's step sequencer.
 // Outbound payloads are batched: everything a rank sends to one peer
 // within a timestep coalesces into a single multi-edge frame written
 // with one writev at the timestep boundary (exec.Transport's Flush),
@@ -159,10 +160,11 @@ type Topology struct {
 	// coordinator-declared peer death interrupts a mesh still dialing
 	// the dead process instead of waiting out the full Timeout.
 	Cancel <-chan struct{}
-	// Wrap, when non-nil, wraps every outbound (dialed) mesh connection
-	// after its handshake — the chaos harness's injection point for
-	// data-plane throttling and resets. The wrapper must preserve Close
-	// semantics; mesh teardown closes through it.
+	// Wrap, when non-nil, wraps every connection end this process
+	// writes, dialed or accepted, after its handshake — the chaos
+	// harness's injection point for data-plane throttling and resets.
+	// The wrapper must preserve Close semantics; mesh teardown closes
+	// through it.
 	Wrap func(net.Conn) net.Conn
 }
 
@@ -172,8 +174,8 @@ type Topology struct {
 // fails validation at the consumer, so a dead peer process produces an
 // error, never a hang.
 type MeshTransport struct {
-	// out[from][to] is the connection written by rank `from`; only
-	// rows in the local span are populated.
+	// out[from][to] is rank `from`'s end of the pair's connection;
+	// only rows in the local span are populated.
 	out [][]net.Conn
 	// pend[from][to] accumulates the batch of payloads rank `from` has
 	// queued for rank `to` this timestep; only local rows are
@@ -203,28 +205,35 @@ type MeshTransport struct {
 	ln     net.Listener
 }
 
-// register records a connection for teardown. If the mesh is already
-// torn down the connection is closed immediately and false returned.
-func (tr *MeshTransport) register(conn net.Conn) bool {
+// link installs rank local's end of its connection to rank peer: local
+// writes it (through wrap, if set), a demultiplexer reads it, teardown
+// closes it. It returns false, the end closed, if the mesh is torn down.
+func (tr *MeshTransport) link(conn net.Conn, local, peer int, wrap func(net.Conn) net.Conn) bool {
+	w := conn
+	if wrap != nil {
+		w = wrap(conn)
+	}
 	tr.connMu.Lock()
 	defer tr.connMu.Unlock()
 	select {
 	case <-tr.done:
-		conn.Close()
+		w.Close()
 		return false
 	default:
 	}
-	tr.conns = append(tr.conns, conn)
+	tr.conns = append(tr.conns, w)
+	tr.out[local][peer] = w
+	go tr.demux(conn, tr.in.Inlet(peer, local))
 	return true
 }
 
 // NewMeshTransport builds this process's slice of the connection mesh
-// — slots for every locally consumed cross-rank edge, one
-// outbound connection per (local rank, peer rank) pair, and one
-// demultiplexer per inbound connection — and blocks until every
-// expected inbound link has arrived. All processes of a topology must
-// construct their transports concurrently: each side's dials complete
-// against the others' pre-bound listeners.
+// — slots for every locally consumed cross-rank edge, one connection
+// end per (local rank, peer rank) pair, and one demultiplexer per end —
+// and blocks until every expected inbound link has arrived. All
+// processes of a topology must construct their transports
+// concurrently: each side's dials complete against the others'
+// pre-bound listeners.
 func NewMeshTransport(plan *exec.RankPlan, topo Topology) (*MeshTransport, error) {
 	ranks := plan.Ranks
 	if len(topo.Addrs) != ranks {
@@ -235,9 +244,13 @@ func NewMeshTransport(plan *exec.RankPlan, topo Topology) (*MeshTransport, error
 		done: make(chan struct{}),
 		ln:   topo.Listener,
 	}
-	tr.pend = make([][]pendBatch, ranks)
-	for from := topo.Local.Lo; from < topo.Local.Hi; from++ {
-		tr.pend[from] = make([]pendBatch, ranks)
+	// A local rank b accepts one link from each lower rank a, whichever
+	// process hosts it, and dials each higher one.
+	tr.out, tr.pend = make([][]net.Conn, ranks), make([][]pendBatch, ranks)
+	expect := 0
+	for r := topo.Local.Lo; r < topo.Local.Hi; r++ {
+		tr.out[r], tr.pend[r] = make([]net.Conn, ranks), make([]pendBatch, ranks)
+		expect += r
 	}
 
 	// Slots only for the edges this process consumes: a worker's slot
@@ -251,10 +264,6 @@ func NewMeshTransport(plan *exec.RankPlan, topo Topology) (*MeshTransport, error
 		deadline = time.Now().Add(topo.Timeout)
 	}
 
-	// Every rank pair (s, r) with s ≠ r and r local produces one
-	// inbound connection, regardless of which process hosts s.
-	expect := topo.Local.Len() * (ranks - 1)
-	tr.out = make([][]net.Conn, ranks)
 	if topo.Cancel != nil {
 		established := make(chan struct{})
 		defer close(established)
@@ -269,17 +278,13 @@ func NewMeshTransport(plan *exec.RankPlan, topo Topology) (*MeshTransport, error
 	accepted := make(chan error, 1)
 	go func() { accepted <- tr.acceptInbound(topo, expect, deadline) }()
 
-	// Dial one connection per (local rank, peer rank) pair. Pairs
+	// Dial one connection per (local rank, higher rank) pair. Pairs
 	// within this process still cross the loopback socket: the tcp
 	// transport's contract is that every cross-rank payload pays real
 	// framing and kernel-crossing costs.
 	dialErr := func() error {
 		for from := topo.Local.Lo; from < topo.Local.Hi; from++ {
-			tr.out[from] = make([]net.Conn, ranks)
-			for to := 0; to < ranks; to++ {
-				if from == to {
-					continue
-				}
+			for to := from + 1; to < ranks; to++ {
 				conn, err := tr.dialUntil(topo.Addrs[to], deadline)
 				if err != nil {
 					return fmt.Errorf("tcp: dial rank %d (%s): %w", to, topo.Addrs[to], err)
@@ -288,13 +293,9 @@ func NewMeshTransport(plan *exec.RankPlan, topo Topology) (*MeshTransport, error
 					conn.Close()
 					return fmt.Errorf("tcp: handshake to rank %d: %w", to, err)
 				}
-				if topo.Wrap != nil {
-					conn = topo.Wrap(conn)
-				}
-				if !tr.register(conn) {
+				if !tr.link(conn, from, to, topo.Wrap) {
 					return fmt.Errorf("tcp: mesh torn down during establishment")
 				}
-				tr.out[from][to] = conn
 			}
 		}
 		return nil
@@ -317,8 +318,8 @@ func NewMeshTransport(plan *exec.RankPlan, topo Topology) (*MeshTransport, error
 	return tr, nil
 }
 
-// acceptInbound accepts connections until the expected number of mesh
-// links have presented valid handshakes, one demultiplexer per link.
+// acceptInbound accepts connections until every local rank has a link,
+// with a valid handshake, from each lower rank.
 // Connections that are not mesh links — port scans, health probes,
 // peers of a different configuration — are closed and ignored rather
 // than failing establishment: on a real multi-host cluster the
@@ -346,15 +347,14 @@ func (tr *MeshTransport) acceptInbound(topo Topology, expect int, deadline time.
 		config, from, to, err := readHandshake(conn)
 		link := [2]int{from, to}
 		if err != nil || config != topo.Config || to < topo.Local.Lo || to >= topo.Local.Hi ||
-			from < 0 || from >= tr.plan.Ranks || from == to || linked[link] {
+			from < 0 || from >= to || linked[link] {
 			conn.Close()
 			continue
 		}
 		conn.SetReadDeadline(time.Time{})
-		if !tr.register(conn) {
+		if !tr.link(conn, to, from, topo.Wrap) {
 			return fmt.Errorf("mesh torn down during establishment")
 		}
-		go tr.demux(conn, tr.in.Inlet(from, to))
 		linked[link] = true
 	}
 	return nil

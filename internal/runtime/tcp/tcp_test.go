@@ -3,6 +3,7 @@ package tcp
 import (
 	"net"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -53,49 +54,80 @@ func TestAllToAllOverWire(t *testing.T) {
 	}
 }
 
-// splitMesh stands up the two halves of a 4-rank mesh the way two
-// cluster worker processes would: separate local plans, separate
-// listeners, transports constructed concurrently from a shared
-// rank→address table.
-func splitMesh(t *testing.T, mkApp func() *core.App, ranks int) (apps [2]*core.App, plans [2]*exec.RankPlan, trs [2]*MeshTransport) {
+// splitMesh stands up a mesh the way cluster worker processes would,
+// one process per rank span: separate local plans, separate listeners,
+// transports constructed concurrently from a shared rank→address table.
+// The spans cover the ranks in order.
+func splitMesh(t *testing.T, mkApp func() *core.App, spans ...exec.Span) (apps []*core.App, plans []*exec.RankPlan, trs []*MeshTransport) {
 	t.Helper()
-	spans := [2]exec.Span{{Lo: 0, Hi: ranks / 2}, {Lo: ranks / 2, Hi: ranks}}
-	lns := [2]net.Listener{}
+	ranks := spans[len(spans)-1].Hi
+	lns := make([]net.Listener, len(spans))
 	addrs := make([]string, ranks)
-	for half := 0; half < 2; half++ {
-		apps[half] = mkApp()
-		plans[half] = exec.BuildRankPlanLocal(apps[half], ranks, spans[half])
+	for k, span := range spans {
+		apps = append(apps, mkApp())
+		plans = append(plans, exec.BuildRankPlanLocal(apps[k], ranks, span))
 		ln, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {
 			t.Fatal(err)
 		}
-		lns[half] = ln
-		for r := spans[half].Lo; r < spans[half].Hi; r++ {
+		lns[k] = ln
+		for r := span.Lo; r < span.Hi; r++ {
 			addrs[r] = ln.Addr().String()
 		}
 	}
 	var wg sync.WaitGroup
-	errs := [2]error{}
-	for half := 0; half < 2; half++ {
+	trs = make([]*MeshTransport, len(spans))
+	errs := make([]error, len(spans))
+	for k := range spans {
 		wg.Add(1)
-		go func(half int) {
+		go func(k int) {
 			defer wg.Done()
-			trs[half], errs[half] = NewMeshTransport(plans[half], Topology{
-				Local:    spans[half],
+			trs[k], errs[k] = NewMeshTransport(plans[k], Topology{
+				Local:    spans[k],
 				Addrs:    addrs,
 				Config:   42,
-				Listener: lns[half],
+				Listener: lns[k],
 				Timeout:  10 * time.Second,
 			})
-		}(half)
+		}(k)
 	}
 	wg.Wait()
-	for half, err := range errs {
+	for k, err := range errs {
 		if err != nil {
-			t.Fatalf("half %d mesh: %v", half, err)
+			t.Fatalf("process %d mesh: %v", k, err)
 		}
 	}
 	return apps, plans, trs
+}
+
+// runSplit runs a split mesh's processes, each through its own engine,
+// concurrently, runs times with validation as the apps say, and closes
+// the engines.
+func runSplit(t *testing.T, apps []*core.App, plans []*exec.RankPlan, trs []*MeshTransport, runs int) {
+	t.Helper()
+	engines := make([]*exec.RankEngine, len(trs))
+	for k := range trs {
+		engines[k] = exec.NewLocalRankEngine(plans[k], p2p.Policy{}, 1, trs[k])
+		defer engines[k].Close()
+	}
+	for run := 0; run < runs; run++ {
+		var wg sync.WaitGroup
+		errs := make([]error, len(engines))
+		for k := range engines {
+			plans[k].Reset()
+			wg.Add(1)
+			go func(k int) {
+				defer wg.Done()
+				errs[k] = engines[k].Run(apps[k].Validate)
+			}(k)
+		}
+		wg.Wait()
+		for k, err := range errs {
+			if err != nil {
+				t.Fatalf("run %d process %d: %v", run, k, err)
+			}
+		}
+	}
 }
 
 // TestMeshAcrossLocalSpans validates the multi-process construction:
@@ -111,30 +143,71 @@ func TestMeshAcrossLocalSpans(t *testing.T) {
 		app.Workers = ranks
 		return app
 	}
-	apps, plans, trs := splitMesh(t, mkApp, ranks)
-	engines := [2]*exec.RankEngine{}
-	for half := 0; half < 2; half++ {
-		engines[half] = exec.NewLocalRankEngine(plans[half], p2p.Policy{}, 1, trs[half])
-		defer engines[half].Close()
-	}
-	for run := 0; run < 3; run++ {
-		var wg sync.WaitGroup
-		errs := [2]error{}
-		for half := 0; half < 2; half++ {
-			plans[half].Reset()
-			wg.Add(1)
-			go func(half int) {
-				defer wg.Done()
-				errs[half] = engines[half].Run(apps[half].Validate)
-			}(half)
+	apps, plans, trs := splitMesh(t, mkApp, exec.Span{Lo: 0, Hi: 2}, exec.Span{Lo: 2, Hi: 4})
+	runSplit(t, apps, plans, trs, 3)
+}
+
+// TestMeshOneConnectionPerPair pins the mesh's topology: a rank pair
+// shares one connection, dialed by the lower rank's process and
+// accepted by the higher one's, so R ranks open R(R−1)/2 connections,
+// and each end is written — through Topology.Wrap — by its own rank.
+func TestMeshOneConnectionPerPair(t *testing.T) {
+	t.Run("in_process", func(t *testing.T) {
+		const ranks = 4
+		app := core.NewApp(core.MustNew(core.Params{
+			Timesteps: 2, MaxWidth: ranks, Dependence: core.AllToAll,
+		}))
+		app.Workers = ranks
+		plan := exec.BuildRankPlan(app, ranks)
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
 		}
-		wg.Wait()
-		for half, err := range errs {
-			if err != nil {
-				t.Fatalf("run %d half %d: %v", run, half, err)
+		accepts := &countingListener{TCPListener: ln.(*net.TCPListener), read: map[string]*atomic.Int64{}}
+		addrs := make([]string, ranks)
+		for r := range addrs {
+			addrs[r] = ln.Addr().String()
+		}
+		var wrapped atomic.Int32
+		tr, err := NewMeshTransport(plan, Topology{
+			Local: exec.Span{Lo: 0, Hi: ranks}, Addrs: addrs, Listener: accepts,
+			Wrap: func(c net.Conn) net.Conn { wrapped.Add(1); return c },
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer tr.Close()
+		if got, want := accepts.accepted(), ranks*(ranks-1)/2; got != want {
+			t.Errorf("mesh accepted %d links, want %d", got, want)
+		}
+		if got, want := wrapped.Load(), int32(ranks*(ranks-1)); got != want {
+			t.Errorf("Wrap saw %d written ends, want %d", got, want)
+		}
+		// out[a][b] and out[b][a] are the two ends of one connection.
+		for a := 0; a < ranks; a++ {
+			for b := a + 1; b < ranks; b++ {
+				if tr.out[a][b].LocalAddr().String() != tr.out[b][a].RemoteAddr().String() {
+					t.Errorf("ranks %d and %d write different connections: %v→%v and %v→%v", a, b,
+						tr.out[a][b].LocalAddr(), tr.out[a][b].RemoteAddr(), tr.out[b][a].LocalAddr(), tr.out[b][a].RemoteAddr())
+				}
 			}
 		}
-	}
+	})
+	// Three processes: the middle one hosts a same-process pair, and
+	// each lower span dials every higher one.
+	t.Run("three_processes", func(t *testing.T) {
+		const ranks = 4
+		mkApp := func() *core.App {
+			app := core.NewApp(core.MustNew(core.Params{
+				Timesteps: 20, MaxWidth: 2 * ranks, Dependence: core.Spread, Radix: 3,
+				OutputBytes: 64,
+			}))
+			app.Workers = ranks
+			return app
+		}
+		apps, plans, trs := splitMesh(t, mkApp, exec.Span{Lo: 0, Hi: 1}, exec.Span{Lo: 1, Hi: 3}, exec.Span{Lo: 3, Hi: 4})
+		runSplit(t, apps, plans, trs, 3)
+	})
 }
 
 // TestMeshAbortUnblocksRecv kills one half of a split mesh mid-run and
@@ -151,7 +224,7 @@ func TestMeshAbortUnblocksRecv(t *testing.T) {
 		app.Workers = ranks
 		return app
 	}
-	apps, plans, trs := splitMesh(t, mkApp, ranks)
+	apps, plans, trs := splitMesh(t, mkApp, exec.Span{Lo: 0, Hi: 2}, exec.Span{Lo: 2, Hi: 4})
 	engine0 := exec.NewLocalRankEngine(plans[0], p2p.Policy{}, 1, trs[0])
 	defer engine0.Close()
 
@@ -181,31 +254,15 @@ func TestMeshRejectsWrongConfig(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	app := core.NewApp(core.MustNew(core.Params{
-		Timesteps: 2, MaxWidth: 2, Dependence: core.Stencil1D,
-	}))
-	app.Workers = 2
-	plan := exec.BuildRankPlanLocal(app, 2, exec.Span{Lo: 0, Hi: 1})
-	// Rank 1's "process" is a sink that accepts the mesh's outbound
-	// dial and goes silent, so the only inbound link is the imposter's.
-	sink, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sink.Close()
-	go func() {
-		for {
-			if _, err := sink.Accept(); err != nil {
-				return
-			}
-		}
-	}()
-	addrs := []string{ln.Addr().String(), sink.Addr().String()}
+	// The mesh hosts rank 1, which dials no one and accepts rank 0's
+	// link. Rank 0's process never comes, so the only inbound link is
+	// the imposter's.
+	addrs := []string{"", ln.Addr().String()}
 
 	done := make(chan error, 1)
 	go func() {
-		_, err := NewMeshTransport(plan, Topology{
-			Local: exec.Span{Lo: 0, Hi: 1}, Addrs: addrs, Config: 7,
+		_, err := NewMeshTransport(halfPlan(1), Topology{
+			Local: exec.Span{Lo: 1, Hi: 2}, Addrs: addrs, Config: 7,
 			Listener: ln, Timeout: 2 * time.Second,
 		})
 		done <- err
@@ -213,12 +270,12 @@ func TestMeshRejectsWrongConfig(t *testing.T) {
 	// An imposter dialing with the wrong config id must be dropped:
 	// its connection closes (EOF below) while establishment keeps
 	// waiting for the genuine link, which never comes.
-	conn, err := net.Dial("tcp", addrs[0])
+	conn, err := net.Dial("tcp", addrs[1])
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	if err := writeHandshake(conn, 99, 1, 0); err != nil {
+	if err := writeHandshake(conn, 99, 0, 1); err != nil {
 		t.Fatal(err)
 	}
 	var one [1]byte

@@ -16,7 +16,9 @@ import (
 // and from version 8 a header carries its sender's step count where a
 // constant marker was. Version 9 retires accepted and StatsInfo's
 // configs_reused: a submit names its job with a client-chosen id.
-const ProtoVersion = 9
+// Version 10 gives each rank pair one mesh connection, dialed by the
+// lower rank and written from both ends.
+const ProtoVersion = 10
 
 // Message types of the cluster control protocol. One flat Message
 // envelope carries every type; unused fields stay at their zero value

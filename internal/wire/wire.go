@@ -55,33 +55,55 @@ func FromApp(app *core.App) AppSpec {
 	return spec
 }
 
+// Check validates the spec as ToApp does, without building anything.
+func (spec AppSpec) Check() error {
+	if len(spec.Graphs) == 0 {
+		return fmt.Errorf("wire: spec has no graphs")
+	}
+	for gi := range spec.Graphs {
+		if _, err := spec.Params(gi); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// Params returns the core.Params of graph gi, validated and normalised
+// (core.Params.Normalize): what ToApp builds the graph from, and what
+// a caller that only checks a spec's limits reads.
+func (spec AppSpec) Params(gi int) (core.Params, error) {
+	gs := spec.Graphs[gi]
+	dep, err := core.ParseDependenceType(gs.Type)
+	if err != nil {
+		return core.Params{}, fmt.Errorf("wire: graph %d: %w", gi, err)
+	}
+	k, err := gs.ToConfig()
+	if err != nil {
+		return core.Params{}, fmt.Errorf("wire: graph %d: %w", gi, err)
+	}
+	p, err := core.Params{
+		GraphID: gi, Timesteps: gs.Steps, MaxWidth: gs.Width, Dependence: dep,
+		Radix: gs.Radix, Period: gs.Period, Fraction: gs.Fraction,
+		Kernel: k, OutputBytes: gs.Output, ScratchBytes: gs.Scratch, Seed: gs.Seed,
+	}.Normalize()
+	if err != nil {
+		return core.Params{}, fmt.Errorf("wire: graph %d: %w", gi, err)
+	}
+	return p, nil
+}
+
 // ToApp validates the spec and builds a runnable configuration.
 func (spec AppSpec) ToApp() (*core.App, error) {
-	if len(spec.Graphs) == 0 {
-		return nil, fmt.Errorf("wire: spec has no graphs")
+	if err := spec.Check(); err != nil {
+		return nil, err
 	}
 	app := &core.App{Workers: spec.Workers, Nodes: spec.Nodes, Validate: true}
 	if spec.Validate != nil {
 		app.Validate = *spec.Validate
 	}
-	for gi, gs := range spec.Graphs {
-		dep, err := core.ParseDependenceType(gs.Type)
-		if err != nil {
-			return nil, fmt.Errorf("wire: graph %d: %w", gi, err)
-		}
-		k, err := gs.ToConfig()
-		if err != nil {
-			return nil, fmt.Errorf("wire: graph %d: %w", gi, err)
-		}
-		g, err := core.New(core.Params{
-			GraphID: gi, Timesteps: gs.Steps, MaxWidth: gs.Width, Dependence: dep,
-			Radix: gs.Radix, Period: gs.Period, Fraction: gs.Fraction,
-			Kernel: k, OutputBytes: gs.Output, ScratchBytes: gs.Scratch, Seed: gs.Seed,
-		})
-		if err != nil {
-			return nil, fmt.Errorf("wire: graph %d: %w", gi, err)
-		}
-		app.Graphs = append(app.Graphs, g)
+	for gi := range spec.Graphs {
+		p, _ := spec.Params(gi) // valid: Check passed
+		app.Graphs = append(app.Graphs, core.MustNew(p))
 	}
 	return app, nil
 }

@@ -1,20 +1,18 @@
 // Command taskbenchvet is the repository's custom static-analysis
-// suite: a multichecker over the analyzers in internal/lint that
-// enforce the invariants the benchmark's results depend on and no test
-// can see, because they hold of every path rather than of the paths a
-// test runs — the zero-allocation hot path (hotpathalloc) and the
+// suite: it runs the analyzers in internal/lint, which enforce what the
+// fleet's correctness depends on and no test can see, because it holds
+// of every path rather than of the paths a test runs — the
 // coordinator's lock hierarchy (lockorder).
 //
 // Usage:
 //
 //	go run ./cmd/taskbenchvet ./...
-//	go run ./cmd/taskbenchvet -analyzers hotpathalloc,lockorder ./internal/cluster
+//	go run ./cmd/taskbenchvet ./internal/cluster
 //
 // The exit status is 1 when any analyzer reports a finding, 2 on a
 // usage, loading or internal error — the same convention as go vet, so
 // the CI lint lane can treat findings as errors. See DESIGN.md §14 for
-// the annotation conventions (//taskbench:hotpath, //taskbench:allocok)
-// and the lock-ordering table.
+// the lock-ordering table.
 package main
 
 import (
@@ -22,7 +20,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"strings"
 
 	"taskbench/internal/lint"
 )
@@ -37,9 +34,8 @@ func main() {
 func run(args []string, stdout, stderr io.Writer) int {
 	flags := flag.NewFlagSet("taskbenchvet", flag.ContinueOnError)
 	flags.SetOutput(stderr)
-	analyzersFlag := flags.String("analyzers", "", "comma-separated subset of analyzers to run (default: all)")
 	flags.Usage = func() {
-		fmt.Fprintf(stderr, "usage: taskbenchvet [-analyzers a,b] [packages]\n\nanalyzers:\n")
+		fmt.Fprintf(stderr, "usage: taskbenchvet [packages]\n\nanalyzers:\n")
 		for _, a := range lint.Analyzers() {
 			fmt.Fprintf(stderr, "  %-16s %s\n", a.Name, a.Doc)
 		}
@@ -48,23 +44,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 0
 	} else if err != nil {
 		return 2
-	}
-
-	analyzers := lint.Analyzers()
-	if *analyzersFlag != "" {
-		byName := map[string]*lint.Analyzer{}
-		for _, a := range analyzers {
-			byName[a.Name] = a
-		}
-		analyzers = nil
-		for _, name := range strings.Split(*analyzersFlag, ",") {
-			a, ok := byName[strings.TrimSpace(name)]
-			if !ok {
-				fmt.Fprintf(stderr, "taskbenchvet: unknown analyzer %q\n", name)
-				return 2
-			}
-			analyzers = append(analyzers, a)
-		}
 	}
 
 	patterns := flags.Args()
@@ -78,7 +57,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	findings := 0
-	for _, a := range analyzers {
+	for _, a := range lint.Analyzers() {
 		diags, err := session.Run(a)
 		if err != nil {
 			fmt.Fprintln(stderr, "taskbenchvet:", err)

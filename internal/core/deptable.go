@@ -47,8 +47,6 @@ func (r *depRel) list(width, dset, i int) IntervalList {
 // producer columns of the previous timestep, clamped to [0, MaxWidth)
 // like Dependencies but not clipped to any active window. The result
 // is a view into the table's arena and must not be modified.
-//
-//taskbench:hotpath
 func (dt *DepTable) Forward(dset, i int) IntervalList {
 	if dset < 0 || dset >= dt.sets || i < 0 || i >= dt.width {
 		return nil
@@ -59,8 +57,6 @@ func (dt *DepTable) Forward(dset, i int) IntervalList {
 // Reverse returns the compiled reverse relation at (dset, i): the
 // consumer columns of the next timestep, the exact inverse of Forward.
 // The result is a view into the table's arena and must not be modified.
-//
-//taskbench:hotpath
 func (dt *DepTable) Reverse(dset, i int) IntervalList {
 	if dset < 0 || dset >= dt.sets || i < 0 || i >= dt.width {
 		return nil
@@ -71,9 +67,7 @@ func (dt *DepTable) Reverse(dset, i int) IntervalList {
 // Deps returns the graph's compiled dependence table, building it on
 // first use. The fast path is a single atomic load (and inlines into
 // per-query callers), so per-task callers (input validation, payload
-// routing) pay no locking and no allocation. The build is the
-// terminating branch, keeping the steady-state path visibly cold-free
-// for hotpathalloc.
+// routing) pay no locking and no allocation.
 func (g *Graph) Deps() *DepTable {
 	dt := g.depTable.Load()
 	if dt == nil {
@@ -177,8 +171,6 @@ type PointIter struct {
 // Next returns the next point, in ascending order. The in-interval
 // fast path is free of loops so it inlines into callers; per-point
 // cost is then an increment and a compare.
-//
-//taskbench:hotpath
 func (it *PointIter) Next() (int, bool) {
 	p := it.cur
 	if p < it.end {
@@ -208,8 +200,6 @@ func (it *PointIter) nextSlow() (int, bool) {
 // callers that work interval-at-a-time (ownership overlap tests). A
 // partially consumed interval is returned in full remainder first;
 // mixing Next and NextSpan on one iterator is allowed.
-//
-//taskbench:hotpath
 func (it *PointIter) NextSpan() (Interval, bool) {
 	if it.cur < it.end {
 		iv := Interval{it.cur, it.end - 1}
@@ -246,8 +236,6 @@ func (it *PointIter) Count() int {
 // dependencies of task (t, i) — the compiled counterpart of
 // DependenciesForPoint, clipped to the active window of timestep t-1.
 // The whole query is table lookups: no switches, no allocation.
-//
-//taskbench:hotpath
 func (g *Graph) PointDeps(t, i int) PointIter {
 	dt := g.Deps()
 	if t <= 0 || t >= len(dt.widthAt) || i < int(dt.offAt[t]) ||
@@ -266,8 +254,6 @@ func (g *Graph) PointDeps(t, i int) PointIter {
 // PointConsumers returns an allocation-free iterator over the concrete
 // consumers of task (t, i) at timestep t+1 — the compiled counterpart
 // of ReverseDependenciesForPoint.
-//
-//taskbench:hotpath
 func (g *Graph) PointConsumers(t, i int) PointIter {
 	dt := g.Deps()
 	if t < 0 || t+1 >= len(dt.widthAt) || i < int(dt.offAt[t]) ||

@@ -76,8 +76,6 @@ const fillBlock = 128
 // the rest (every body elsewhere), four lanes per trip through a fixed
 // 32-byte window so the stores carry no bounds checks. Both produce
 // the same bytes.
-//
-//taskbench:hotpath
 func (g *Graph) WriteOutput(t, i int, buf []byte) {
 	if len(buf) < PayloadHeaderSize {
 		panic("core: output buffer smaller than payload header")
@@ -127,8 +125,6 @@ func decodeHeader(buf []byte) (t, i int64) {
 // overhead below the paper's 3% bound even for large payloads. The
 // success path allocates nothing — error values are only constructed
 // on failure.
-//
-//taskbench:hotpath
 func (g *Graph) checkInput(t, i int, buf []byte, wantT, wantI int) error {
 	if len(buf) != g.OutputBytes {
 		return &ValidationError{GraphID: g.GraphID, Timestep: t, Point: i,
@@ -163,8 +159,6 @@ func (g *Graph) checkInput(t, i int, buf []byte, wantT, wantI int) error {
 //
 // Setting validate to false skips input checking; the ablation
 // benchmark uses this to measure validation overhead.
-//
-//taskbench:hotpath
 func (g *Graph) ExecutePoint(t, i int, output []byte, inputs [][]byte, scratch *kernels.Scratch, validate bool) error {
 	if !g.ContainsPoint(t, i) {
 		return &ValidationError{GraphID: g.GraphID, Timestep: t, Point: i,

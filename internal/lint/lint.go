@@ -1,11 +1,12 @@
 // Package lint is a self-contained static-analysis framework plus the
-// taskbenchvet analyzers that enforce this repository's load-bearing
-// invariants: the zero-allocation hot path (hotpathalloc) and the
-// coordinator's lock hierarchy (lockorder) — properties of every path
-// through the code, which a test, seeing only the paths it runs, cannot
-// check. What a test can see is a test: the wire schema's
-// exhaustiveness lives in internal/wire's schema_test.go, the metric
-// names' in internal/cluster's metrics_test.go.
+// taskbenchvet analyzer that enforces the coordinator's lock hierarchy
+// (lockorder) — a property of every path through the code, which a
+// test, seeing only the paths it runs, cannot check. What a test can
+// see is a test: the wire schema's exhaustiveness lives in
+// internal/wire's schema_test.go, the metric names' in
+// internal/cluster's metrics_test.go, and the zero-allocation task path
+// in the warm testing.AllocsPerRun tests of core, kernels, exec, tcp
+// and cluster.
 //
 // The framework mirrors the golang.org/x/tools go/analysis API shape —
 // Analyzer, Pass, Diagnostic, cross-package facts — but is built on the
@@ -24,12 +25,11 @@ import (
 	"go/token"
 	"go/types"
 	"sort"
-	"strings"
 )
 
 // An Analyzer describes one invariant checker.
 type Analyzer struct {
-	// Name identifies the analyzer in diagnostics and -analyzers flags.
+	// Name identifies the analyzer in diagnostics.
 	Name string
 	// Doc is a one-paragraph description of what the analyzer enforces.
 	Doc string
@@ -64,7 +64,6 @@ type Session struct {
 	ByPath   map[string]*Package
 
 	facts map[factKey]any
-	state map[string]any
 }
 
 type factKey struct {
@@ -107,18 +106,6 @@ func (p *Pass) ImportFact(obj types.Object) (any, bool) {
 	return v, ok
 }
 
-// State returns analyzer-scoped session state, creating it with mk on
-// first use — the place for cross-package bookkeeping that is not
-// attached to a single object (e.g. the set of already-reported sites).
-func (p *Pass) State(mk func() any) any {
-	v, ok := p.Session.state[p.Analyzer.Name]
-	if !ok {
-		v = mk()
-		p.Session.state[p.Analyzer.Name] = v
-	}
-	return v
-}
-
 // InSession reports whether pkg is one of the session's own packages —
 // the module-internal test used by analyzers that follow static calls
 // (testdata packages count, stdlib does not).
@@ -157,40 +144,6 @@ func (s *Session) Run(a *Analyzer) ([]Diagnostic, error) {
 // runs them.
 func Analyzers() []*Analyzer {
 	return []*Analyzer{
-		HotPathAlloc,
 		LockOrder,
 	}
-}
-
-// commentDirectives returns the set of file lines whose comments carry
-// the given //taskbench:<name> directive. A directive suppresses or
-// marks the line it sits on and, when it is a whole-line comment, the
-// line directly below it.
-func commentDirectives(fset *token.FileSet, file *ast.File, directive string) map[int]bool {
-	lines := map[int]bool{}
-	for _, cg := range file.Comments {
-		for _, c := range cg.List {
-			if !strings.Contains(c.Text, directive) {
-				continue
-			}
-			line := fset.Position(c.Pos()).Line
-			lines[line] = true
-			lines[line+1] = true
-		}
-	}
-	return lines
-}
-
-// hasDirective reports whether a declaration's doc comment carries the
-// given //taskbench:<name> directive.
-func hasDirective(doc *ast.CommentGroup, directive string) bool {
-	if doc == nil {
-		return false
-	}
-	for _, c := range doc.List {
-		if strings.HasPrefix(strings.TrimSpace(c.Text), directive) {
-			return true
-		}
-	}
-	return false
 }

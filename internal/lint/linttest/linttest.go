@@ -2,7 +2,7 @@
 // trees and checks their diagnostics against expectations written as
 // comments in the sources — the analysistest convention:
 //
-//	v := make([]int, n) // want `make`
+//	c.mu.Lock() // want `while holding`
 //
 // Each `// want "regexp"` (one or more quoted regexps, double-quoted or
 // backquoted) on a line demands a diagnostic on that same line whose

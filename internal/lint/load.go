@@ -106,7 +106,6 @@ func newChecker(exports map[string]string) *checker {
 			Fset:   fset,
 			ByPath: map[string]*Package{},
 			facts:  map[factKey]any{},
-			state:  map[string]any{},
 		},
 		exports: exports,
 	}

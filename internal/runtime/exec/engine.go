@@ -113,8 +113,6 @@ func (e *Engine) Run(validate bool) error {
 // the batch, or every ReadyBatch executed tasks if the batch is longer,
 // so no successor waits behind more than ReadyBatch tasks of its
 // readier's batch.
-//
-//taskbench:hotpath
 func (e *Engine) runWorker(self int, validate bool, firstErr *ErrOnce, remaining *atomic.Int64) {
 	plan, inputs, sink := e.plan, e.inputs[self], e.sink[self]
 	for {
@@ -140,7 +138,7 @@ func (e *Engine) runWorker(self int, validate bool, firstErr *ErrOnce, remaining
 			}
 			for _, cons := range plan.Tasks[id].Consumers {
 				if plan.Tasks[cons].CountDown() {
-					ready = append(ready, cons) //taskbench:allocok never grows: NewEngine sizes it for ReadyBatch tasks of the largest out-degree
+					ready = append(ready, cons) // never grows: NewEngine sizes it for ReadyBatch tasks of the largest out-degree
 				}
 			}
 			if k%ReadyBatch == ReadyBatch-1 && len(ready) > 0 {

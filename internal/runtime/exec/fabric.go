@@ -97,8 +97,6 @@ func (ix *edgeIndex) idBefore(c int) int {
 
 // id returns the dense id of the edge producer→consumer, or -1 when
 // the graph has no such cross-rank edge.
-//
-//taskbench:hotpath
 func (ix *edgeIndex) id(producer, consumer int) int {
 	if consumer < 0 {
 		return -1
@@ -186,14 +184,12 @@ type edgeSlots struct {
 
 // next returns the slot the producer side fills next, sized to n
 // bytes, and moves past it.
-//
-//taskbench:hotpath
 func (e *edgeSlots) next(n int) []byte {
 	i := e.tail
 	buf := e.slots[i]
 	if len(buf) != n {
 		if cap(buf) < n {
-			buf = make([]byte, n) //taskbench:allocok slot growth: each slot is allocated on its first use, then reused
+			buf = make([]byte, n) // slot growth: each slot is allocated on its first use, then reused
 		}
 		buf = buf[:n]
 		e.slots[i] = buf
@@ -207,8 +203,6 @@ func (e *edgeSlots) next(n int) []byte {
 
 // take returns the slot the consumer side reads next and moves past
 // it.
-//
-//taskbench:hotpath
 func (e *edgeSlots) take() []byte {
 	i := e.head
 	buf := e.slots[i]
@@ -295,8 +289,6 @@ func (g *gate) await(v *atomic.Uint64, want uint64, closed *atomic.Bool) bool {
 // notify wakes every thread parked on g, after a store to the counter
 // they wait on. Several threads of one rank (hybrid's) may be parked
 // on one pair, so a single wake-up token would strand the rest.
-//
-//taskbench:hotpath
 func (g *gate) notify() {
 	if g.waiting.Load() != 0 {
 		g.wake()
@@ -377,8 +369,6 @@ func (f *Fabric) initPairs(ends [][2]int32) {
 // edge returns graph's edge id edge, or nil unless graph is in range
 // and this fabric holds that id — the check a wire transport makes on
 // routes that arrive off the network.
-//
-//taskbench:hotpath
 func (f *Fabric) edge(graph, edge int) *edgeSlots {
 	if graph >= 0 && graph < len(f.graphs) {
 		if g := &f.graphs[graph]; edge >= g.lo && edge-g.lo < len(g.edges) {
@@ -397,8 +387,6 @@ func (f *Fabric) awaitPub(p *pair, k uint64) bool {
 // reserve parks p's producer side until p's consumer has acknowledged
 // enough steps for the producer to fill the step whose publication
 // will read steps: every step up to steps-EdgeCap.
-//
-//taskbench:hotpath
 func (f *Fabric) reserve(p *pair, steps uint64) bool {
 	if steps > EdgeCap && p.ack.Load() < steps-EdgeCap {
 		return p.ackWait.await(&p.ack, steps-EdgeCap, &f.closed)
@@ -409,8 +397,6 @@ func (f *Fabric) reserve(p *pair, steps uint64) bool {
 // SendEdge implements Transport by dense edge id. It copies payload,
 // as a network would: the producer may reuse its buffer at once. The
 // payload becomes receivable at rank's next Flush.
-//
-//taskbench:hotpath
 func (f *Fabric) SendEdge(rank, graph, edge int, payload []byte) error {
 	g := &f.graphs[graph]
 	copy(g.edges[edge-g.lo].next(len(payload)), payload)
@@ -420,8 +406,6 @@ func (f *Fabric) SendEdge(rank, graph, edge int, payload []byte) error {
 // RecvEdge implements Transport by dense edge id: at its consumer
 // rank's k-th step (k flushes done) it returns the edge's payload of
 // the producer's step k-1, parking until that step is published.
-//
-//taskbench:hotpath
 func (f *Fabric) RecvEdge(graph, edge int) []byte {
 	g := &f.graphs[graph]
 	e := &g.edges[edge-g.lo]
@@ -439,8 +423,6 @@ func (f *Fabric) RecvEdge(graph, edge int) []byte {
 // step, or a sparse pair's producer would wait on an acknowledgement
 // that only its own next message could bring. Then it parks until
 // rank's next step is within EdgeCap of each consumer.
-//
-//taskbench:hotpath
 func (f *Fabric) Flush(rank int) error {
 	r := &f.ranks[rank]
 	r.steps++
@@ -514,8 +496,6 @@ func (in *Inlet) Reserve(steps uint64) bool {
 // Slot returns the next slot of graph's edge id edge, sized to n
 // bytes, for the caller to fill; nil unless the edge is one of this
 // pair's.
-//
-//taskbench:hotpath
 func (in *Inlet) Slot(graph, edge, n int) []byte {
 	if in == nil {
 		return nil
@@ -538,8 +518,6 @@ func (in *Inlet) Publish(steps uint64) {
 // mustEdge is edge by columns for the adapters, where an unknown edge
 // is a programmer error: it panics naming the edge instead of blocking
 // on slots that do not exist.
-//
-//taskbench:hotpath
 func (f *Fabric) mustEdge(graph, producer, consumer int) (*edgeSlots, *pair) {
 	var e *edgeSlots
 	if graph >= 0 && graph < len(f.graphs) {
@@ -555,8 +533,6 @@ func (f *Fabric) mustEdge(graph, producer, consumer int) (*edgeSlots, *pair) {
 // the payload is one step of its pair, published at once, so Recv
 // takes it without any Flush. A pair driven by the adapters must not
 // also be flushed. Kept for bench/layers.go until ROADMAP 1(d).
-//
-//taskbench:hotpath
 func (f *Fabric) Send(graph, producer, consumer int, payload []byte) {
 	e, p := f.mustEdge(graph, producer, consumer)
 	s := p.pub.Load() + 1
@@ -570,8 +546,6 @@ func (f *Fabric) Send(graph, producer, consumer int, payload []byte) {
 // Recv is RecvEdge addressed by columns, with per-message semantics:
 // it takes the pair's next step and acknowledges it, releasing the slot
 // of the message before. Kept for bench/layers.go until ROADMAP 1(d).
-//
-//taskbench:hotpath
 func (f *Fabric) Recv(graph, producer, consumer int) []byte {
 	e, p := f.mustEdge(graph, producer, consumer)
 	k := p.ack.Load() + 1

@@ -202,23 +202,40 @@ func TestRingDoneReleasesParkedSides(t *testing.T) {
 // TestFabricProbeRoundTrips runs exactly what bench/layers.go's
 // exec.fabric_roundtrip probe runs — column Send and Recycle(Recv) on
 // one goroutine, with no Flush — far enough to wrap the edge's slots
-// and pass the steps-ahead bound many times over.
+// and pass the steps-ahead bound many times over, and then holds the
+// warm round trip to zero allocations, as the probe's per-message
+// figure assumes.
 func TestFabricProbeRoundTrips(t *testing.T) {
 	f := NewFabricFromEdges([][]Edge{{{0, 1}}})
+	payload := make([]byte, 16)
+	roundTrip := func(k int) error {
+		payload[0] = byte(k)
+		f.Send(0, 0, 1, payload)
+		got := f.Recv(0, 0, 1)
+		if len(got) != len(payload) || got[0] != byte(k) {
+			return fmt.Errorf("round trip %d received %v", k, got)
+		}
+		f.Recycle(0, got)
+		return nil
+	}
 	verdict := make(chan error, 1)
 	go func() {
-		payload := make([]byte, 16)
 		for k := 0; k < 2048; k++ {
-			payload[0] = byte(k)
-			f.Send(0, 0, 1, payload)
-			got := f.Recv(0, 0, 1)
-			if len(got) != len(payload) || got[0] != byte(k) {
-				verdict <- fmt.Errorf("round trip %d received %v", k, got)
+			if err := roundTrip(k); err != nil {
+				verdict <- err
 				return
 			}
-			f.Recycle(0, got)
 		}
-		verdict <- nil
+		var err error
+		allocs := testing.AllocsPerRun(100, func() {
+			if e := roundTrip(0); e != nil {
+				err = e
+			}
+		})
+		if err == nil && allocs != 0 {
+			err = fmt.Errorf("warm round trip allocates %v objects, want 0", allocs)
+		}
+		verdict <- err
 	}()
 	select {
 	case err := <-verdict:

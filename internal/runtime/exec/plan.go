@@ -99,8 +99,6 @@ type PlannedTask struct {
 // CountDown records one satisfied scheduling predecessor and reports
 // whether it was the last, i.e. whether the task is now ready. Workers
 // race on it, so it is an atomic decrement.
-//
-//taskbench:hotpath
 func (t *PlannedTask) CountDown() bool {
 	return atomic.AddInt32(&t.counter, -1) == 0
 }
@@ -322,8 +320,6 @@ func (p *Plan) TaskCount() int64 {
 // hands that row back to the free list. Returns the first validation
 // error (the task still writes an output so execution can continue
 // draining).
-//
-//taskbench:hotpath
 func (p *Plan) Execute(id int32, sink []byte, validate bool, inputs [][]byte) ([][]byte, error) {
 	task := &p.Tasks[id]
 	g := p.App.Graphs[task.Graph]
@@ -345,7 +341,7 @@ func (p *Plan) Execute(id int32, sink []byte, validate bool, inputs [][]byte) ([
 		first := p.base[task.Graph] + (task.T-1)*int32(g.MaxWidth)
 		for _, prodID := range task.Inputs {
 			slot := int(prodID-first) * n
-			inputs = append(inputs, row[slot:slot+n]) //taskbench:allocok grows to the DAG's max in-degree once, then reuses capacity
+			inputs = append(inputs, row[slot:slot+n]) // grows to the DAG's max in-degree once, then reuses capacity
 		}
 	}
 
@@ -361,8 +357,6 @@ func (p *Plan) Execute(id int32, sink []byte, validate bool, inputs [][]byte) ([
 
 // takeRow gives step a row from graph gi's free list, unless a racing
 // writer of the step did first: writers race only here, under rowMu.
-//
-//taskbench:hotpath
 func (p *Plan) takeRow(step, gi int32) *stepRow {
 	s := &p.steps[step]
 	p.rowMu.Lock()
@@ -373,7 +367,7 @@ func (p *Plan) takeRow(step, gi int32) *stepRow {
 			r, p.free[gi] = p.free[gi][k], p.free[gi][:k]
 		} else {
 			g := p.App.Graphs[gi]
-			r = &stepRow{data: make([]byte, g.MaxWidth*g.OutputBytes)} //taskbench:allocok only when every row is in use, so a Session allocates its peak rows in use once
+			r = &stepRow{data: make([]byte, g.MaxWidth*g.OutputBytes)} // only when every row is in use, so a Session allocates its peak rows in use once
 		}
 		s.row.Store(r)
 	}
@@ -383,11 +377,9 @@ func (p *Plan) takeRow(step, gi int32) *stepRow {
 // releaseRow hands step's row back to graph gi's free list. Its caller
 // made the step's last reader count reach zero, so every read of the
 // row happened before, and the next taker receives it through rowMu.
-//
-//taskbench:hotpath
 func (p *Plan) releaseRow(step, gi int32) {
 	r := p.steps[step].row.Swap(nil)
 	p.rowMu.Lock()
-	p.free[gi] = append(p.free[gi], r) //taskbench:allocok grows to the peak rows in use on the first run, then reuses capacity
+	p.free[gi] = append(p.free[gi], r) // grows to the peak rows in use on the first run, then reuses capacity
 	p.rowMu.Unlock()
 }

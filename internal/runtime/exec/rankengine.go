@@ -161,8 +161,6 @@ func (rc *RankCtx) flush() {
 
 // send transmits payload along edge (a route.Edge of graph gi),
 // capturing transport failures as the run's first error.
-//
-//taskbench:hotpath
 func (rc *RankCtx) send(gi, edge int, payload []byte) {
 	if err := rc.engine.transport.SendEdge(rc.Rank, gi, edge, payload); err != nil {
 		rc.firstErr.Set(err)
@@ -186,8 +184,6 @@ func (rc *RankCtx) Run(gi, t, i int) []byte {
 // routes: no dependence query, ownership test or edge lookup happens
 // per input, and received payloads need no hand-back (the transport
 // reclaims them when the rank flushes its step).
-//
-//taskbench:hotpath
 func (rc *RankCtx) RunInto(inputs [][]byte, gi, t, i int) ([][]byte, []byte) {
 	plan := rc.plan()
 	rows := plan.Rows(rc.Rank, gi)
@@ -195,9 +191,9 @@ func (rc *RankCtx) RunInto(inputs [][]byte, gi, t, i int) ([][]byte, []byte) {
 	inputs = inputs[:0]
 	for _, in := range plan.gather(gi, t, i) {
 		if in.Edge == localEdge {
-			inputs = append(inputs, rows.Prev(int(in.Col))) //taskbench:allocok grows to the max in-degree once, then reuses capacity
+			inputs = append(inputs, rows.Prev(int(in.Col))) // grows to the max in-degree once, then reuses capacity
 		} else {
-			inputs = append(inputs, tr.RecvEdge(gi, int(in.Edge))) //taskbench:allocok grows to the max in-degree once, then reuses capacity
+			inputs = append(inputs, tr.RecvEdge(gi, int(in.Edge)))
 		}
 	}
 	return inputs, rc.execWith(gi, t, i, inputs)
@@ -212,8 +208,6 @@ func (rc *RankCtx) RunInto(inputs [][]byte, gi, t, i int) ([][]byte, []byte) {
 // published for peers) instead of burning kernel time on doomed work —
 // which is what lets a job on a dead cluster peer fail in milliseconds
 // rather than after the full busy-wait schedule.
-//
-//taskbench:hotpath
 func (rc *RankCtx) execWith(gi, t, i int, inputs [][]byte) []byte {
 	g := rc.Graph(gi)
 	out := rc.plan().Rows(rc.Rank, gi).Cur(i)
@@ -232,8 +226,6 @@ func (rc *RankCtx) execWith(gi, t, i int, inputs [][]byte) []byte {
 // SendOutputs sends task (t, i)'s output to every consumer in the next
 // timestep owned by a different rank, along the plan's compiled send
 // routes.
-//
-//taskbench:hotpath
 func (rc *RankCtx) SendOutputs(gi, t, i int, out []byte) {
 	for _, to := range rc.plan().sends(gi, t, i) {
 		rc.send(gi, int(to.Edge), out)

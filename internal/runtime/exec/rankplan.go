@@ -180,8 +180,6 @@ type routeLists struct {
 // clipped returns list k cut down to the columns active in win. Lists
 // ascend by column, so the survivors are one contiguous run and
 // clipping is two end trims — no per-entry test on the hot path.
-//
-//taskbench:hotpath
 func (l *routeLists) clipped(k int, win stepWindow) []route {
 	list := l.arena[l.off[k]:l.off[k+1]]
 	for len(list) > 0 && list[0].Col < win.off {
@@ -301,8 +299,6 @@ func (p *RankPlan) EdgeID(gi, producer, consumer int) int { return p.index[gi].i
 // rank's previous row, remote ones received on the named edge. The
 // result is a view into the plan; it is empty for columns outside the
 // plan's Local ranks.
-//
-//taskbench:hotpath
 func (p *RankPlan) gather(gi, t, i int) []route {
 	rt := &p.routes[gi]
 	if t <= 0 || t >= len(rt.steps) || !rt.steps[t].contains(i) {
@@ -315,8 +311,6 @@ func (p *RankPlan) gather(gi, t, i int) []route {
 // its consumers at t+1 owned by other ranks, in PointConsumers order,
 // each with the edge to send on. The result is a view into the plan;
 // it is empty for columns outside the plan's Local ranks.
-//
-//taskbench:hotpath
 func (p *RankPlan) sends(gi, t, i int) []route {
 	rt := &p.routes[gi]
 	if t < 0 || t+1 >= len(rt.steps) || !rt.steps[t].contains(i) {

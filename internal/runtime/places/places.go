@@ -62,15 +62,13 @@ func (p *policy) Init(plan *exec.Plan, workers int) {
 }
 
 // Push enqueues each id at its owning place (X10's `at (p) async`).
-//
-//taskbench:hotpath
 func (p *policy) Push(worker int, ids []int32) {
 	for _, id := range ids {
 		task := &p.plan.Tasks[id]
 		width := p.plan.App.Graphs[task.Graph].MaxWidth
 		pl := &p.places[exec.OwnerOf(int(task.I), width, len(p.places))]
 		pl.mu.Lock()
-		pl.queue = append(pl.queue, id) //taskbench:allocok grows to the place's peak backlog, then reuses capacity
+		pl.queue = append(pl.queue, id) // grows to the place's peak backlog, then reuses capacity
 		pl.mu.Unlock()
 		pl.cond.Signal()
 	}
@@ -78,8 +76,6 @@ func (p *policy) Push(worker int, ids []int32) {
 
 // Pop blocks on the caller's own place and drains it whole: the place
 // is a single event loop, so nobody else could take the rest.
-//
-//taskbench:hotpath
 func (p *policy) Pop(worker int) ([]int32, bool) {
 	pl := &p.places[worker]
 	pl.mu.Lock()

@@ -179,7 +179,8 @@ func TestMeshColumnAdapters(t *testing.T) {
 // tcp.send_small and tcp.send_large probes run — Send and Flush on rank
 // 0, Recv and Recycle on rank 1, which never flushes — on the probes'
 // 2-rank stencil mesh, far enough to wrap the edge's slots and pass the
-// steps-ahead bound twice.
+// steps-ahead bound twice, and then holds the warm round trip to zero
+// allocations, as the probes' per-message figures assume.
 func TestMeshProbeRoundTrips(t *testing.T) {
 	for _, size := range []int{16, 4 << 10} {
 		t.Run(fmt.Sprintf("%dB", size), func(t *testing.T) {
@@ -188,26 +189,39 @@ func TestMeshProbeRoundTrips(t *testing.T) {
 			}))
 			_, tr := soloMesh(t, app, 2)
 			defer tr.Close()
+			payload := make([]byte, size)
+			roundTrip := func(k int) error {
+				if err := tr.Send(0, 0, 0, 1, payload); err != nil {
+					return err
+				}
+				if err := tr.Flush(0); err != nil {
+					return err
+				}
+				buf := tr.Recv(0, 0, 1)
+				if len(buf) != size {
+					return fmt.Errorf("round trip %d received %d bytes, want %d (err: %v)", k, len(buf), size, tr.Err())
+				}
+				tr.Recycle(0, buf)
+				return nil
+			}
 			verdict := make(chan error, 1)
 			go func() {
-				payload := make([]byte, size)
 				for k := 0; k < 2*exec.EdgeCap+2; k++ {
-					if err := tr.Send(0, 0, 0, 1, payload); err != nil {
+					if err := roundTrip(k); err != nil {
 						verdict <- err
 						return
 					}
-					if err := tr.Flush(0); err != nil {
-						verdict <- err
-						return
-					}
-					buf := tr.Recv(0, 0, 1)
-					if len(buf) != size {
-						verdict <- fmt.Errorf("round trip %d received %d bytes, want %d (err: %v)", k, len(buf), size, tr.Err())
-						return
-					}
-					tr.Recycle(0, buf)
 				}
-				verdict <- nil
+				var err error
+				allocs := testing.AllocsPerRun(100, func() {
+					if e := roundTrip(0); e != nil {
+						err = e
+					}
+				})
+				if err == nil && allocs != 0 {
+					err = fmt.Errorf("warm round trip allocates %v objects, want 0", allocs)
+				}
+				verdict <- err
 			}()
 			select {
 			case err := <-verdict:
@@ -727,8 +741,9 @@ func (c *countingConn) Read(p []byte) (int, error) {
 // allocate nothing: the frame header and the writev vector live in the
 // rank pair's pendBatch, not in locals whose address
 // net.Buffers.WriteTo would move to the heap on every write.
-// hotpathalloc reads source, so it cannot see allocations that only
-// escape analysis introduces; this test can.
+// AllocsPerRun counts every goroutine's allocations, so the receiving
+// demultiplexer's frame loop, which runs once per flush here, is held
+// to zero too.
 func TestMeshFlushAllocatesNothing(t *testing.T) {
 	t.Run("batched", func(t *testing.T) {
 		app := core.NewApp(core.MustNew(core.Params{

@@ -433,10 +433,8 @@ func readHandshake(r io.Reader) (config uint64, from, to int, err error) {
 // oversized lengths, a step count that does not advance, headers that
 // do not add up — also tear the mesh down: framing is self-inflicted,
 // so a bad header means the stream is unrecoverably desynchronized.
-//
-//taskbench:hotpath
 func (tr *MeshTransport) demux(conn net.Conn, in *exec.Inlet) {
-	br := bufio.NewReaderSize(conn, 64<<10) //taskbench:allocok one-time per-connection setup, before the loop
+	br := bufio.NewReaderSize(conn, 64<<10)
 	var header [frameHeaderSize]byte
 	var desc []byte // reusable batch descriptor scratch
 	// step is the sender's step count of the last frame, and open
@@ -479,7 +477,7 @@ func (tr *MeshTransport) demux(conn net.Conn, in *exec.Inlet) {
 		desc = desc[:0]
 		for len(desc) < int(descLen) {
 			n := min(int(descLen)-len(desc), max(cap(desc)-len(desc), descChunk))
-			desc = slices.Grow(desc, n) //taskbench:allocok descriptor scratch grows to its high-water mark, then reuses
+			desc = slices.Grow(desc, n)
 			if _, err := io.ReadFull(br, desc[len(desc):len(desc)+n]); err != nil {
 				tr.fail(fmt.Errorf("tcp: read batch descriptors: %w", err))
 				return
@@ -519,8 +517,6 @@ func (tr *MeshTransport) demux(conn net.Conn, in *exec.Inlet) {
 // slot. It returns false when the demux loop must stop (an edge of
 // another pair or process, oversized payload or read failure), having
 // failed the mesh.
-//
-//taskbench:hotpath
 func (tr *MeshTransport) deliver(br *bufio.Reader, in *exec.Inlet, route []byte, plen int) bool {
 	graph := int(int32(binary.LittleEndian.Uint32(route[0:4])))
 	edge := int(int32(binary.LittleEndian.Uint32(route[4:8])))
@@ -612,8 +608,6 @@ type pendBatch struct {
 // descriptor names the edge as the engine does, by graph and dense id.
 // Only the owning rank goroutine writes a given connection (or touches
 // its pending batches), so no locking is needed.
-//
-//taskbench:hotpath
 func (tr *MeshTransport) SendEdge(fromRank, graph, edge int, payload []byte) error {
 	consumer := tr.plan.Edges(graph)[edge].Consumer
 	toRank := exec.OwnerOf(consumer, tr.plan.App.Graphs[graph].MaxWidth, tr.plan.Ranks)
@@ -624,7 +618,7 @@ func (tr *MeshTransport) SendEdge(fromRank, graph, edge int, payload []byte) err
 	p.desc = binary.LittleEndian.AppendUint32(p.desc, uint32(len(payload)))
 	p.desc = binary.LittleEndian.AppendUint32(p.desc, uint32(graph))
 	p.desc = binary.LittleEndian.AppendUint32(p.desc, uint32(edge))
-	p.payloads = append(p.payloads, payload) //taskbench:allocok grows to the per-step batch high-water mark, then reuses
+	p.payloads = append(p.payloads, payload) // grows to the per-step batch high-water mark, then reuses
 	p.bytes += len(payload)
 	if p.bytes >= flushBytes {
 		return tr.flushTo(fromRank, toRank, tr.in.Steps(fromRank)+1, true)
@@ -637,8 +631,6 @@ func (tr *MeshTransport) SendEdge(fromRank, graph, edge int, payload []byte) err
 // every batch rank has pending, one writev per peer with queued
 // payloads, each carrying the new step count. The engine calls it at
 // each timestep boundary on the rank's own goroutine.
-//
-//taskbench:hotpath
 func (tr *MeshTransport) Flush(rank int) error {
 	if rank < tr.plan.Local.Lo || rank >= tr.plan.Local.Hi {
 		return nil
@@ -660,8 +652,6 @@ func (tr *MeshTransport) Flush(rank int) error {
 // borrowed zero-copy from the senders. step is the sender's step count
 // once the current step is flushed; open marks a frame cut mid-step.
 // Called only from rank `from`'s goroutine.
-//
-//taskbench:hotpath
 func (tr *MeshTransport) flushTo(from, to int, step uint64, open bool) error {
 	p := &tr.pend[from][to]
 	if len(p.payloads) == 0 && !p.cut {
@@ -676,8 +666,8 @@ func (tr *MeshTransport) flushTo(from, to int, step uint64, open bool) error {
 	binary.LittleEndian.PutUint32(p.header[4:8], uint32(step))
 	binary.LittleEndian.PutUint32(p.header[8:12], count)
 	binary.LittleEndian.PutUint32(p.header[12:16], uint32(len(p.desc)))
-	p.iov = append(p.iov[:0], p.header[:], p.desc) //taskbench:allocok iovec grows to its high-water mark, then reuses
-	p.iov = append(p.iov, p.payloads...)           //taskbench:allocok iovec grows to its high-water mark, then reuses
+	p.iov = append(p.iov[:0], p.header[:], p.desc) // iovec grows to its high-water mark, then reuses
+	p.iov = append(p.iov, p.payloads...)
 	// WriteTo consumes the vector it is called on; keep the backing
 	// array for the next flush.
 	iov := p.iov
@@ -697,16 +687,12 @@ func (tr *MeshTransport) flushTo(from, to int, step uint64, open bool) error {
 // down, in which case it returns a nil payload that fails validation at
 // the consumer. Keeping the protocol flowing after a failure is what
 // turns a killed peer process into a clean job error instead of a hang.
-//
-//taskbench:hotpath
 func (tr *MeshTransport) RecvEdge(graph, edge int) []byte {
 	return tr.in.RecvEdge(graph, edge)
 }
 
 // Send is SendEdge addressed by columns. Kept for bench/layers.go until
 // ROADMAP 1(d).
-//
-//taskbench:hotpath
 func (tr *MeshTransport) Send(fromRank, graph, producer, consumer int, payload []byte) error {
 	return tr.SendEdge(fromRank, graph, tr.plan.EdgeID(graph, producer, consumer), payload)
 }
@@ -715,8 +701,6 @@ func (tr *MeshTransport) Send(fromRank, graph, producer, consumer int, payload [
 // consumes, with the fabric adapter's per-message semantics: it takes
 // the pair's next published step and acknowledges it, so the consumer
 // rank need not flush. Kept for bench/layers.go until ROADMAP 1(d).
-//
-//taskbench:hotpath
 func (tr *MeshTransport) Recv(graph, producer, consumer int) []byte {
 	return tr.in.Recv(graph, producer, consumer)
 }

@@ -951,10 +951,10 @@ func TestCoordinatorCloseWithIdleClient(t *testing.T) {
 	}
 }
 
-// TestStartRejectsSubMillisecondHeartbeat: a heartbeat below 4 ns
-// would hand time.NewTicker a zero period the first time a worker
-// drains and panic the coordinator, so Start refuses anything under a
-// millisecond up front.
+// TestStartRejectsSubMillisecondHeartbeat: every worker heartbeats and
+// the coordinator sweeps for silent workers once per interval, so a
+// sub-millisecond interval would flood the control plane; Start
+// refuses it up front.
 func TestStartRejectsSubMillisecondHeartbeat(t *testing.T) {
 	coord, err := Start(Options{HeartbeatInterval: 3, Logf: t.Logf})
 	if err == nil {

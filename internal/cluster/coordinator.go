@@ -149,13 +149,14 @@ type workerConn struct {
 	dead     chan struct{}
 	deadOnce sync.Once
 
-	// draining is guarded by Coordinator.mu: once set, buildConfig no
-	// longer places configurations on this worker.
-	draining bool
+	// draining and drainTimer (its DrainTimeout fallback) are guarded by
+	// Coordinator.mu: once draining, buildConfig places nothing here.
+	draining   bool
+	drainTimer *time.Timer
 
 	// waiters holds the callAll waits on this worker's replies, keyed
-	// by replyKeyOf. markDead and finishDrain swap it for nil and fail
-	// every wait in it, so a wait registered afterwards fails at once.
+	// by replyKeyOf. markDead and finishDrainIfFree swap it for nil and
+	// fail every wait in it, so a wait registered afterwards fails at once.
 	mu      sync.Mutex
 	waiters map[replyKey]waiter
 }
@@ -208,11 +209,11 @@ type clusterConfig struct {
 	// lost is set when a member died: a job that failed on this
 	// configuration may retry over the reshaped fleet.
 	lost atomic.Bool
-	// stale is set when the fleet changed in a way this configuration
-	// should react to — a join that would let the shape spread wider,
-	// or a member starting to drain. The next job of the shape drops
-	// and re-provisions instead of reusing; unlike lost, nothing about
-	// the prepared state is broken, so a run already in flight finishes
+	// stale is set when the fleet changed in a way this busy
+	// configuration should react to (retireLocked) — a join that would
+	// let the shape spread wider, or a member starting to drain. The
+	// last job to let go of it drops it; unlike lost, nothing about the
+	// prepared state is broken, so a run already in flight finishes
 	// normally.
 	stale atomic.Bool
 }
@@ -290,8 +291,8 @@ type clientConn struct {
 // Start launches a coordinator listening on opts.Listen.
 func Start(opts Options) (*Coordinator, error) {
 	opts.fill()
-	// A draining worker is polled at a quarter of the heartbeat, and a
-	// ticker needs a positive period.
+	// Workers heartbeat and the monitor sweeps once per interval: below
+	// a millisecond those tickers would flood the control plane.
 	if opts.HeartbeatInterval < time.Millisecond {
 		return nil, fmt.Errorf("cluster: heartbeat interval %v is below 1ms", opts.HeartbeatInterval)
 	}
@@ -543,15 +544,14 @@ func (c *Coordinator) serveWorker(mc *msgConn, reg wire.Message) {
 	c.workers[w.id] = w
 	c.bumpFleetLocked()
 	// Join-triggered growth: shapes squeezed onto fewer members than
-	// they have ranks can spread wider now — mark them stale so their
-	// next job re-provisions over the grown fleet instead of reusing
-	// the narrow mesh.
-	for _, e := range c.configs {
-		if e.cfg != nil && e.cfg.ranks > len(e.cfg.members) {
-			e.cfg.stale.Store(true)
-		}
-	}
+	// they have ranks can spread wider now, so their next job
+	// re-provisions over the grown fleet instead of reusing the narrow
+	// mesh.
+	retired := c.retireLocked(func(cfg *clusterConfig) bool { return cfg.ranks > len(cfg.members) })
 	c.mu.Unlock()
+	for _, cfg := range retired {
+		c.releaseConfig(cfg, nil)
+	}
 	if replaced != nil {
 		c.markDead(replaced, fmt.Errorf("replaced by re-registration from %s", mc.remoteAddr()))
 	}
@@ -588,6 +588,9 @@ func (c *Coordinator) markDead(w *workerConn, cause error) {
 		c.mu.Lock()
 		delete(c.workers, w.id)
 		c.bumpFleetLocked()
+		if w.drainTimer != nil {
+			w.drainTimer.Stop()
+		}
 		var torn []*clusterConfig
 		for key, e := range c.configs {
 			cfg := e.cfg
@@ -617,23 +620,46 @@ func (c *Coordinator) markDead(w *workerConn, cause error) {
 }
 
 // releaseConfig tells every member except skip to drop a
-// configuration. Best-effort: members may themselves be dying.
+// configuration, which may finish a member's drain. Best-effort:
+// members may themselves be dying.
 func (c *Coordinator) releaseConfig(cfg *clusterConfig, skip *workerConn) {
 	for _, member := range cfg.members {
 		if member == skip {
 			continue
 		}
 		member.mc.write(wire.Message{Type: wire.MsgRelease, Config: cfg.id})
+		c.finishDrainIfFree(member)
 	}
 }
 
+// retireLocked sweeps the cache for the configurations a fleet change
+// affects (pred): an idle one leaves now, counts as a re-provision and
+// is returned for release outside c.mu; a busy one — provisioning
+// included, since placement installs it under c.mu — is marked stale.
+func (c *Coordinator) retireLocked(pred func(*clusterConfig) bool) []*clusterConfig {
+	var idle []*clusterConfig
+	for key, e := range c.configs {
+		if e.cfg == nil || !pred(e.cfg) {
+			continue
+		}
+		if e.active > 0 {
+			e.cfg.stale.Store(true)
+			continue
+		}
+		idle = append(idle, e.cfg)
+		e.cfg = nil
+		delete(c.configs, key)
+		c.metrics.configsReprovisioned.Inc()
+	}
+	return idle
+}
+
 // beginDrain starts a worker's graceful departure: it leaves the
-// placement pool immediately (buildConfig skips draining workers), its
-// prepared configurations are marked stale so the next job of each
-// shape re-provisions without it, and a drain goroutine waits for the
-// configurations still pinning it to empty out before releasing it.
-// Unlike the death path, nothing is torn out from under a running
-// attempt — that is the whole point of draining.
+// placement pool at once (buildConfig skips draining workers) and its
+// configurations are retired; releasing the last of them finishes the
+// drain. Unlike the death path, nothing is torn out from under a
+// running attempt. A drain that outlasts DrainTimeout falls back to
+// the death path: configs torn, running attempts retried.
 func (c *Coordinator) beginDrain(w *workerConn) {
 	c.mu.Lock()
 	if w.draining {
@@ -641,92 +667,44 @@ func (c *Coordinator) beginDrain(w *workerConn) {
 		return // duplicate drain announcement
 	}
 	w.draining = true
-	for _, e := range c.configs {
-		if e.cfg != nil && slices.Contains(e.cfg.members, w) {
-			e.cfg.stale.Store(true)
-		}
-	}
+	w.drainTimer = time.AfterFunc(c.opts.DrainTimeout, func() {
+		c.markDead(w, fmt.Errorf("drain timeout (%v)", c.opts.DrainTimeout))
+	})
+	retired := c.retireLocked(func(cfg *clusterConfig) bool { return slices.Contains(cfg.members, w) })
 	c.bumpFleetLocked()
 	c.mu.Unlock()
 	c.opts.Logf("cluster: worker %q draining", w.name)
-	c.wg.Add(1)
-	go func() {
-		defer c.wg.Done()
-		c.drainWorker(w)
-	}()
-}
-
-// drainWorker waits until no configuration — prepared or mid-build —
-// references the draining worker, proactively tearing down idle ones,
-// then releases the worker with a drained reply. Configurations with
-// jobs in flight (active references) are left to finish or to observe
-// the stale flag themselves. beginDrain's sweep marked every one of
-// them: a placement is installed in its entry under the same c.mu
-// section that reads the draining flags, so none can land afterwards
-// with this worker in it. A drain that exceeds DrainTimeout falls back
-// to the death path: configs torn, running attempts retried — the
-// worker leaves either way.
-func (c *Coordinator) drainWorker(w *workerConn) {
-	deadline := time.NewTimer(c.opts.DrainTimeout)
-	defer deadline.Stop()
-	tick := time.NewTicker(c.opts.HeartbeatInterval / 4)
-	defer tick.Stop()
-	for {
-		var idle []*clusterConfig
-		busy := false
-		c.mu.Lock()
-		for key, e := range c.configs {
-			cfg := e.cfg
-			if cfg == nil || !slices.Contains(cfg.members, w) {
-				continue
-			}
-			if e.active > 0 {
-				busy = true // a job holds or awaits this shape's run lock
-				continue
-			}
-			// Idle prepared config pinning the drainer: tear it down now
-			// rather than waiting for a next job of its shape that may
-			// never come. The next job of the shape rebuilds it over the
-			// post-drain fleet, so this counts as a re-provision.
-			e.cfg = nil
-			delete(c.configs, key)
-			c.metrics.configsReprovisioned.Inc()
-			idle = append(idle, cfg)
-		}
-		changed := c.fleetChanged
-		c.mu.Unlock()
-		for _, cfg := range idle {
-			c.releaseConfig(cfg, nil)
-		}
-		if !busy && len(idle) == 0 {
-			c.finishDrain(w)
-			return
-		}
-		select {
-		case <-changed:
-		case <-tick.C:
-		case <-w.dead:
-			return // died (or was replaced) mid-drain: markDead handled it
-		case <-c.done:
-			return
-		case <-deadline.C:
-			c.opts.Logf("cluster: worker %q drain timed out after %v; falling back to death path", w.name, c.opts.DrainTimeout)
-			c.markDead(w, fmt.Errorf("drain timeout (%v)", c.opts.DrainTimeout))
-			return
-		}
+	for _, cfg := range retired {
+		c.releaseConfig(cfg, nil)
 	}
+	c.finishDrainIfFree(w)
 }
 
-// finishDrain completes a clean drain: the worker leaves the fleet and
-// is told it may exit. Claiming deadOnce here is what distinguishes
-// drain from death — the read loop's subsequent connection error and
-// the heartbeat monitor both become no-ops, so a drained worker's
-// departure produces zero worker-lost retries.
-func (c *Coordinator) finishDrain(w *workerConn) {
+// finishDrainIfFree completes a drain once no cached configuration
+// places ranks on the worker: it leaves the fleet and is told it may
+// exit. Claiming deadOnce distinguishes drain from death: the read
+// loop's later connection error, the heartbeat monitor and the drain
+// timer become no-ops, so a drained worker causes no retries. A worker
+// out of c.workers is left alone: markDead releases configs inside its
+// own deadOnce, and must not wait on another dying worker's.
+func (c *Coordinator) finishDrainIfFree(w *workerConn) {
+	c.mu.Lock()
+	free := w.draining && c.workers[w.id] == w
+	for _, e := range c.configs {
+		if !free {
+			break
+		}
+		free = e.cfg == nil || !slices.Contains(e.cfg.members, w)
+	}
+	c.mu.Unlock()
+	if !free {
+		return
+	}
 	w.deadOnce.Do(func() {
 		c.mu.Lock()
 		delete(c.workers, w.id)
 		c.bumpFleetLocked()
+		w.drainTimer.Stop()
 		c.mu.Unlock()
 		close(w.dead)
 		w.failWaits()
@@ -775,7 +753,8 @@ func (c *Coordinator) monitorHeartbeats() {
 // has left c.workers before the error returns: a failed write declares
 // it dead here (a control socket that cannot take one frame within the
 // write deadline has lost its worker, heartbeats or not), and
-// failWaits runs only after markDead or finishDrain updated the map.
+// failWaits runs only after markDead or finishDrainIfFree updated the
+// map.
 func (c *Coordinator) callAll(members []*workerConn, msg func(k int) wire.Message, timeout time.Duration, cancel <-chan struct{}) ([]wire.Message, error) {
 	ch := make(chan reply, len(members))
 	keys := make([]replyKey, 0, len(members))
@@ -1114,15 +1093,26 @@ func (c *Coordinator) entry(j *job) *configEntry {
 	return e
 }
 
-// releaseEntry drops a job's reference; the last reference to an
-// entry whose configuration is gone removes it from the map, so
-// shapes that no longer hold fleet state do not accumulate forever.
+// releaseEntry drops a job's reference. The last reference drops a
+// stale configuration (a re-provision) and removes the emptied entry
+// from the map, so shapes that no longer hold fleet state do not
+// accumulate forever.
 func (c *Coordinator) releaseEntry(e *configEntry) {
 	c.mu.Lock()
-	defer c.mu.Unlock()
 	e.active--
-	if e.active == 0 && e.cfg == nil && c.configs[e.key] == e {
+	cfg := e.cfg
+	if e.active > 0 || cfg != nil && !cfg.stale.Load() {
+		c.mu.Unlock()
+		return
+	}
+	e.cfg = nil
+	if c.configs[e.key] == e {
 		delete(c.configs, e.key)
+	}
+	c.mu.Unlock()
+	if cfg != nil {
+		c.metrics.configsReprovisioned.Inc()
+		c.releaseConfig(cfg, nil)
 	}
 }
 
@@ -1152,8 +1142,9 @@ func (c *Coordinator) runJob(j *job) (wire.Message, runVerdict, *clusterConfig) 
 	c.mu.Unlock()
 	if cfg != nil && cfg.stale.Load() {
 		// The fleet changed under this configuration (join growth or a
-		// draining member). Holding the shape's run lock, drop it and
-		// provision fresh over the current fleet.
+		// draining member) while this job waited its turn. Holding the
+		// shape's run lock, drop it and provision fresh over the current
+		// fleet.
 		c.metrics.configsReprovisioned.Inc()
 		c.dropConfig(e, cfg)
 		cfg = nil

@@ -10,10 +10,10 @@ import (
 	"taskbench/internal/wire"
 )
 
-// TestClusterJoinReprovisionsShape pins join-triggered growth: a shape
-// prepared while the fleet was small goes stale when a worker joins
-// with spare room for its ranks, and the next job of that shape is
-// re-provisioned over the grown fleet instead of running forever on
+// TestClusterJoinReprovisionsShape pins join-triggered growth: an idle
+// shape prepared while the fleet was small is retired when a worker
+// joins with spare room for its ranks, and the next job of that shape
+// is provisioned over the grown fleet instead of running forever on
 // the old, narrower placement.
 func TestClusterJoinReprovisionsShape(t *testing.T) {
 	coord, _ := testFleet(t, 1)
@@ -43,6 +43,11 @@ func TestClusterJoinReprovisionsShape(t *testing.T) {
 	if _, err := coord.WaitWorkers(2, 10*time.Second); err != nil {
 		t.Fatal(err)
 	}
+	// The idle narrow config is retired at the join, not on the shape's
+	// next job.
+	waitStats(t, coord, "join retires the idle config", 5*time.Second, func(s Stats) bool {
+		return s.ConfigsReprovisioned == 1
+	})
 
 	// The same shape must be rebuilt over the grown fleet.
 	if _, err := cli.Run(spec); err != nil {
@@ -197,6 +202,114 @@ func TestClusterDrainMidRun(t *testing.T) {
 	// The survivor keeps serving.
 	if _, err := cli.Run(stencilSpec(1, 32)); err != nil {
 		t.Fatalf("post-drain run: %v", err)
+	}
+}
+
+// startDrainee registers one more worker, named drainee, on coord and
+// waits for a fleet of two; the returned channel carries its Run result.
+func startDrainee(t *testing.T, coord *Coordinator) (*Worker, <-chan error) {
+	t.Helper()
+	drainee := NewWorker(WorkerOptions{
+		Coordinator: coord.Addr(),
+		Name:        "drainee",
+		Logf:        t.Logf,
+	})
+	runErr := make(chan error, 1)
+	go func() { runErr <- drainee.Run() }()
+	t.Cleanup(drainee.Close)
+	if _, err := coord.WaitWorkers(2, 10*time.Second); err != nil {
+		t.Fatal(err)
+	}
+	return drainee, runErr
+}
+
+// TestClusterDrainFinishesAtLastRelease: a drain ends when the last
+// configuration on the drainee is released — here by the job that was
+// running on it — not on a later poll. The heartbeat is an hour, so
+// nothing periodic can finish it within the test.
+func TestClusterDrainFinishesAtLastRelease(t *testing.T) {
+	coord, _ := testFleetOpts(t, 1, func(o *Options) {
+		o.HeartbeatInterval = time.Hour
+		o.HeartbeatTimeout = 2 * time.Hour
+	})
+	drainee, runErr := startDrainee(t, coord)
+	cli, err := Dial(coord.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cli.Close()
+
+	// Two ranks, one on each worker, still running when the drain lands.
+	p, err := cli.SubmitAsync(busySpec(2, 6, 200, time.Millisecond))
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitStats(t, coord, "job running", 20*time.Second, func(s Stats) bool {
+		return s.JobsRunning >= 1
+	})
+	if err := drainee.Drain(); err != nil {
+		t.Fatal(err)
+	}
+	waitStats(t, coord, "drain observed mid-run", 5*time.Second, func(s Stats) bool {
+		return s.WorkersDraining == 1 && s.JobsRunning == 1
+	})
+	res, err := p.Wait()
+	if err != nil || res.Err != nil {
+		t.Fatalf("job during drain: %v / %v", err, res.Err)
+	}
+	verdict := time.Now()
+	select {
+	case err := <-runErr:
+		if err != nil {
+			t.Fatalf("drained worker Run = %v, want nil", err)
+		}
+		t.Logf("drain finished %v after the job's verdict", time.Since(verdict))
+	case <-time.After(10 * time.Second):
+		t.Fatal("drain not finished 10s after its last job ended")
+	}
+	if st := coord.Stats(); st.Workers != 1 || st.JobsRetried != 0 {
+		t.Errorf("workers %d retried %d, want 1 and 0", st.Workers, st.JobsRetried)
+	}
+}
+
+// TestClusterDrainTimeoutFallsBackToDeath: a drain still held by a
+// running job at DrainTimeout sends the drainee down the death path.
+// Its connection is cut (Run fails), the job's attempt is lost and
+// retried on the survivor, and the fleet shrinks to one.
+func TestClusterDrainTimeoutFallsBackToDeath(t *testing.T) {
+	coord, _ := testFleetOpts(t, 1, func(o *Options) { o.DrainTimeout = 200 * time.Millisecond })
+	drainee, runErr := startDrainee(t, coord)
+	cli, err := Dial(coord.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cli.Close()
+
+	// ~750ms on two workers: well past the drain timeout.
+	p, err := cli.SubmitAsync(busySpec(2, 6, 250, time.Millisecond))
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitStats(t, coord, "job running", 20*time.Second, func(s Stats) bool {
+		return s.JobsRunning >= 1
+	})
+	if err := drainee.Drain(); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case err := <-runErr:
+		if err == nil {
+			t.Fatal("drainee Run = nil after a drain timeout, want a connection error")
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("drain timeout did not remove the drainee")
+	}
+	res, err := p.Wait()
+	if err != nil || res.Err != nil {
+		t.Fatalf("job after drain timeout: %v / %v", err, res.Err)
+	}
+	if st := coord.Stats(); st.JobsRetried < 1 || st.Workers != 1 {
+		t.Errorf("retried %d workers %d, want >= 1 and 1", st.JobsRetried, st.Workers)
 	}
 }
 

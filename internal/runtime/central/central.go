@@ -54,14 +54,18 @@ func (p *policy) Init(plan *exec.Plan, workers int) {
 	for w := range p.replies {
 		p.replies[w] = make(chan int32, 1)
 	}
-	go p.controller(append([]int32(nil), plan.Seeds...), workers)
+	// Each task is pushed (or seeded) once, so the ready list never grows.
+	ready := make([]int32, 0, len(plan.Tasks))
+	go p.controller(append(ready, plan.Seeds...), workers)
 }
 
 // controller is the only goroutine that touches the ready list. It
 // serves until every worker has received its shutdown grant (-1), so
-// late pushes and requests never block a worker.
+// late pushes and requests never block a worker. ready[next:] awaits a
+// grant; waiting holds at most one request per worker.
 func (p *policy) controller(ready []int32, workers int) {
-	var waiting []chan int32
+	waiting := make([]chan int32, 0, workers)
+	next := 0
 	closed := false
 	served := 0
 	for served < workers {
@@ -88,11 +92,12 @@ func (p *policy) controller(ready []int32, workers int) {
 			waiting = nil
 			continue
 		}
-		for len(waiting) > 0 && len(ready) > 0 {
-			waiting[0] <- ready[0]
-			waiting = waiting[1:]
-			ready = ready[1:]
+		granted := 0
+		for ; granted < len(waiting) && next < len(ready); granted++ {
+			waiting[granted] <- ready[next]
+			next++
 		}
+		waiting = waiting[:copy(waiting, waiting[granted:])]
 	}
 }
 

@@ -56,8 +56,7 @@ func allocApp(steps int) *core.App {
 // waiter per event is the Realm paradigm — on allocApp's stencil that
 // is exactly 4.75 per task; central copies every ready batch it ships,
 // because that copy is the completion message a Spark executor sends
-// its driver — about 2.04 per task, the batches' sizes varying a
-// little with timing.
+// its driver — exactly 0.875 per task.
 func TestZeroAllocsPerTaskEngine(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates; AllocsPerRun is meaningless")
@@ -67,7 +66,7 @@ func TestZeroAllocsPerTaskEngine(t *testing.T) {
 		perTask float64
 	}{
 		{"taskpool", 0}, {"steal", 0}, {"graphexec", 0}, {"places", 0},
-		{"events", 4.75}, {"dataflow", 4.75}, {"central", 2.04},
+		{"events", 4.75}, {"dataflow", 4.75}, {"central", 0.875},
 	} {
 		name := c.name
 		t.Run(name, func(t *testing.T) {
@@ -179,9 +178,7 @@ func TestPlannedTaskPadding(t *testing.T) {
 // build their event graph anew each run, and central copies each ready
 // batch; their counts are the measured ones at this shape, so an
 // allocation added once per run — which the per-task slope above
-// cancels out — shows here. central's controller also regrows its
-// ready and waiting lists, as often as the interleaving of workers
-// makes it, so it is allowed one more per worker.
+// cancels out — shows here.
 func TestWarmSessionRunAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates; AllocsPerRun is meaningless")
@@ -193,7 +190,7 @@ func TestWarmSessionRunAllocs(t *testing.T) {
 		ceiling float64
 	}{
 		{"taskpool", base}, {"steal", base + workers}, {"graphexec", base}, {"places", base},
-		{"events", 2416}, {"dataflow", 2417}, {"central", 1058 + workers},
+		{"events", 2416}, {"dataflow", 2417}, {"central", 463},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			rt, err := runtime.New(c.name)

@@ -9,7 +9,7 @@ import (
 
 // warmJobMallocs is the most mallocs one warm job may make across the
 // whole in-process fleet — client, coordinator and both workers.
-const warmJobMallocs = 38
+const warmJobMallocs = 32
 
 // TestWarmJobMallocs pins the fixed allocation cost of a job on a
 // prepared configuration: the shape of the fleet_small_jobs benchmark

@@ -405,7 +405,6 @@ func TestCallWriteFailureLeavesFleet(t *testing.T) {
 		id:      1,
 		name:    "closed",
 		mc:      newMsgConn(local),
-		dead:    make(chan struct{}),
 		waiters: map[replyKey]waiter{},
 	}
 	coord.mu.Lock()
@@ -421,11 +420,6 @@ func TestCallWriteFailureLeavesFleet(t *testing.T) {
 	if n := coord.WorkerCount(); n != 0 {
 		t.Errorf("workers = %d when the write error returned, want 0", n)
 	}
-	select {
-	case <-w.dead:
-	default:
-		t.Error("worker not declared dead when the write error returned")
-	}
 }
 
 // pipeWorker puts a worker into coord's fleet whose control connection
@@ -438,7 +432,6 @@ func pipeWorker(t *testing.T, coord *Coordinator, id int64) (*workerConn, <-chan
 		id:      id,
 		name:    fmt.Sprintf("pipe-%d", id),
 		mc:      newMsgConn(local),
-		dead:    make(chan struct{}),
 		waiters: map[replyKey]waiter{},
 	}
 	frames := make(chan wire.Message, 8)

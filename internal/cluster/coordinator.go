@@ -146,7 +146,8 @@ type workerConn struct {
 	mc       *msgConn
 	lastSeen atomic.Int64 // unix nanos
 
-	dead     chan struct{}
+	// deadOnce is claimed by markDead or finishDrainIfFree, whichever
+	// takes the worker out of the fleet first.
 	deadOnce sync.Once
 
 	// draining and drainTimer (its DrainTimeout fallback) are guarded by
@@ -499,7 +500,6 @@ func (c *Coordinator) serveWorker(mc *msgConn, reg wire.Message) {
 	w := &workerConn{
 		name:    reg.Name,
 		mc:      mc,
-		dead:    make(chan struct{}),
 		waiters: map[replyKey]waiter{},
 	}
 	w.lastSeen.Store(time.Now().UnixNano())
@@ -608,7 +608,6 @@ func (c *Coordinator) markDead(w *workerConn, cause error) {
 		}
 		c.mu.Unlock()
 
-		close(w.dead)
 		w.failWaits()
 		w.mc.close()
 
@@ -706,7 +705,6 @@ func (c *Coordinator) finishDrainIfFree(w *workerConn) {
 		c.bumpFleetLocked()
 		w.drainTimer.Stop()
 		c.mu.Unlock()
-		close(w.dead)
 		w.failWaits()
 		w.mc.write(wire.Message{Type: wire.MsgDrained, Worker: w.id})
 		c.opts.Logf("cluster: worker %q drained and released", w.name)

@@ -25,10 +25,6 @@ type WorkerOptions struct {
 	// peers dial); default "127.0.0.1". On a real multi-host cluster
 	// this is the worker's routable address.
 	Advertise string
-	// SetupTimeout bounds mesh establishment; default 60s. It must
-	// cover the slowest peer's plan build, or a large configuration's
-	// connect phase fails spuriously.
-	SetupTimeout time.Duration
 	// Chaos, when set, injects scripted faults into this worker:
 	// control-frame delays/drops/duplicates, connection resets at the
 	// named protocol points (post-prepare, mid-run, pre-result),
@@ -39,12 +35,14 @@ type WorkerOptions struct {
 	Logf func(format string, args ...any)
 }
 
+// meshSetupTimeout bounds mesh establishment. It must cover the
+// slowest peer's plan build, or a large configuration's connect phase
+// fails spuriously.
+const meshSetupTimeout = 60 * time.Second
+
 func (o *WorkerOptions) fill() {
 	if o.Advertise == "" {
 		o.Advertise = "127.0.0.1"
-	}
-	if o.SetupTimeout <= 0 {
-		o.SetupTimeout = 60 * time.Second
 	}
 	if o.Logf == nil {
 		o.Logf = func(string, ...any) {}
@@ -58,33 +56,32 @@ func (o *WorkerOptions) fill() {
 // jobs of the same shape.
 type Worker struct {
 	opts WorkerOptions
+
+	mu   sync.Mutex // guards mc and id, which Close and Drain read
 	mc   *msgConn
 	id   int64
+	stop sync.Once
+	done chan struct{}
 
-	mu       sync.Mutex
+	// sessions belongs to the control read loop: only it adds, feeds
+	// and drops sessions.
 	sessions map[uint64]*workerSession
-	closed   bool
-	stop     sync.Once
-	done     chan struct{}
 }
 
-// workerSession is one prepared configuration's local state. The
-// connect phase runs off the control read loop, so release can arrive
-// concurrently: mu guards the lifecycle fields, and cancel (closed by
-// release) interrupts an in-flight mesh establishment.
+// workerSession is one configuration's handle in the read loop. Its
+// state — app, plan, listener, mesh and engine — lives in its one
+// goroutine (serve), from prepare to release.
 type workerSession struct {
-	id   uint64
-	app  *core.App
-	plan *exec.RankPlan
-
-	mu       sync.Mutex
-	released bool
-	cancel   chan struct{}
-	ln       net.Listener // bound at prepare, owned by the transport after connect
-	tr       *tcp.MeshTransport
-	engine   *exec.RankEngine
-
-	runMu sync.Mutex // serializes runs on this session
+	id uint64
+	// in carries connect and run messages to the session's goroutine.
+	// It holds one waiting message: the coordinator sends a run only
+	// after every result of the previous one is in, so one run executes
+	// and at most one (a duplicated frame) waits.
+	in chan wire.Message
+	// cancel is closed, exactly once, by whoever drops the session from
+	// Worker.sessions. It ends the goroutine and, as the mesh's
+	// Topology.Cancel, tears down an establishment or a run in flight.
+	cancel chan struct{}
 }
 
 // NewWorker creates a worker; Run connects and serves until the
@@ -155,22 +152,36 @@ func (w *Worker) Run() error {
 				return fmt.Errorf("cluster: coordinator connection: %w", err)
 			}
 		}
+		// The read loop never blocks on a session: connects block on
+		// peer processes and runs on the mesh, so a release (peer died,
+		// coordinator tearing the config down) must always get through
+		// to cancel a wedged establishment or run.
 		switch m.Type {
 		case wire.MsgPrepare:
-			// Prepare is purely local (plan build, listener bind) and
-			// cannot wedge on peers, so it may hold the read loop.
-			w.mc.write(w.handlePrepare(m))
-			w.chaosPoint("post-prepare")
-		case wire.MsgConnect:
-			// Connects block on peer processes and runs block on the
-			// mesh, so neither may occupy the read loop: a release
-			// (peer died, coordinator tearing the config down) has to
-			// be able to abort a wedged establishment or run.
-			go func(m wire.Message) { w.mc.write(w.handleConnect(m)) }(m)
-		case wire.MsgRun:
-			go func(m wire.Message) { w.mc.write(w.handleRun(m)) }(m)
+			if old := w.sessions[m.Config]; old != nil {
+				// A re-prepare of a live config id means the coordinator
+				// lost track; drop the stale session rather than leak its
+				// mesh.
+				w.drop(old, "re-prepared")
+			}
+			sess := &workerSession{id: m.Config, in: make(chan wire.Message, 1), cancel: make(chan struct{})}
+			w.sessions[m.Config] = sess
+			go w.serve(sess, m)
+		case wire.MsgConnect, wire.MsgRun:
+			sess := w.sessions[m.Config]
+			if sess == nil {
+				w.mc.write(refuse(m, "config %d not prepared", m.Config))
+				continue
+			}
+			select {
+			case sess.in <- m:
+			default:
+				w.mc.write(refuse(m, "config %d busy", m.Config))
+			}
 		case wire.MsgRelease:
-			w.handleRelease(m.Config, fmt.Errorf("config %d released by coordinator", m.Config))
+			if sess := w.sessions[m.Config]; sess != nil {
+				w.drop(sess, "released by coordinator")
+			}
 		case wire.MsgDrained:
 			// The coordinator has unwound every configuration this worker
 			// hosted and will place nothing more on it: the graceful
@@ -244,16 +255,8 @@ func (w *Worker) Close() {
 
 func (w *Worker) teardown() {
 	w.Close()
-	w.mu.Lock()
-	sessions := make([]*workerSession, 0, len(w.sessions))
-	for _, s := range w.sessions {
-		sessions = append(sessions, s)
-	}
-	w.sessions = map[uint64]*workerSession{}
-	w.closed = true
-	w.mu.Unlock()
-	for _, s := range sessions {
-		s.release(fmt.Errorf("worker shutting down"))
+	for _, sess := range w.sessions {
+		w.drop(sess, "worker shutting down")
 	}
 }
 
@@ -275,136 +278,169 @@ func (w *Worker) heartbeat(interval time.Duration) {
 	}
 }
 
-// handlePrepare builds this worker's slice of a configuration: the app
-// from the spec, the local rank plan, and the data listener whose
-// address peers will dial.
-func (w *Worker) handlePrepare(m wire.Message) wire.Message {
-	fail := func(format string, args ...any) wire.Message {
-		return wire.Message{Type: wire.MsgPrepared, Config: m.Config, Err: fmt.Sprintf(format, args...)}
+// drop takes a session out of the read loop's map and closes its
+// cancel: the one place either happens, so both happen exactly once.
+func (w *Worker) drop(sess *workerSession, why string) {
+	delete(w.sessions, sess.id)
+	close(sess.cancel)
+	w.opts.Logf("cluster: config %d %s", sess.id, why)
+}
+
+// refuse is the failed reply to a connect or run: a ready, or a result
+// carrying the run's job and attempt so the coordinator matches it.
+func refuse(m wire.Message, format string, args ...any) wire.Message {
+	reply := wire.Message{Type: wire.MsgReady, Config: m.Config, Err: m.Type + " refused: " + fmt.Sprintf(format, args...)}
+	if m.Type == wire.MsgRun {
+		reply.Type, reply.Job, reply.Attempt = wire.MsgResult, m.Job, m.Attempt
 	}
+	return reply
+}
+
+// serve is a session's one goroutine, from prepare to release. It
+// builds the configuration and replies prepared, then answers what the
+// read loop queues on in, in order: the connect that wires the mesh,
+// then runs, one at a time. A failed prepare or connect leaves it
+// refusing every later message until the release. Nothing waits for it
+// to exit: the read loop must not block on a release, and a closed
+// cancel ends it as soon as a run in flight returns.
+func (w *Worker) serve(sess *workerSession, prep wire.Message) {
+	app, plan, ln, err := w.prepare(prep)
+	var engine *exec.RankEngine
+	defer func() {
+		if engine != nil {
+			engine.Close()
+		} else if ln != nil {
+			ln.Close()
+		}
+		// A message the read loop queued before the release still gets
+		// its one reply.
+		select {
+		case m := <-sess.in:
+			w.mc.write(refuse(m, "config %d released", sess.id))
+		default:
+		}
+	}()
+	select {
+	case <-sess.cancel:
+		// Released, or replaced by a re-prepare, while building: the
+		// config is gone, so reply nothing. A replacement's prepared is
+		// the one the coordinator must see.
+		return
+	default:
+	}
+	reply := wire.Message{Type: wire.MsgPrepared, Config: sess.id}
+	if err != nil {
+		reply.Err = err.Error()
+	} else {
+		reply.Addr = ln.Addr().String()
+		w.opts.Logf("cluster: prepared config %d: ranks [%d,%d) of %d, data %s",
+			sess.id, plan.Local.Lo, plan.Local.Hi, plan.Ranks, reply.Addr)
+	}
+	w.mc.write(reply)
+	w.chaosPoint("post-prepare")
+	for {
+		// A release takes precedence over a message already queued: the
+		// deferred drain refuses that one instead of running it.
+		select {
+		case <-sess.cancel:
+			return
+		default:
+		}
+		var m wire.Message
+		select {
+		case <-sess.cancel:
+			return
+		case m = <-sess.in:
+		}
+		switch {
+		case err != nil:
+			reply = refuse(m, "config %d: %v", sess.id, err)
+		case m.Type == wire.MsgConnect && engine == nil:
+			reply = wire.Message{Type: wire.MsgReady, Config: sess.id}
+			if engine, err = w.connect(plan, ln, sess.cancel, m); err != nil {
+				reply.Err = fmt.Sprintf("mesh: %v", err)
+			}
+		case m.Type == wire.MsgRun && engine != nil:
+			reply = w.run(app, plan, engine, m)
+		default:
+			reply = refuse(m, "config %d out of order", sess.id)
+		}
+		w.mc.write(reply)
+	}
+}
+
+// prepare builds this worker's slice of a configuration: the app from
+// the spec, the local rank plan, and the data listener whose address
+// peers will dial.
+func (w *Worker) prepare(m wire.Message) (*core.App, *exec.RankPlan, net.Listener, error) {
 	if m.Spec == nil {
-		return fail("prepare without spec")
+		return nil, nil, nil, fmt.Errorf("prepare without spec")
 	}
 	if m.Ranks < 1 || m.RankLo < 0 || m.RankHi > m.Ranks || m.RankLo >= m.RankHi {
-		return fail("bad rank span [%d,%d) of %d", m.RankLo, m.RankHi, m.Ranks)
+		return nil, nil, nil, fmt.Errorf("bad rank span [%d,%d) of %d", m.RankLo, m.RankHi, m.Ranks)
 	}
 	app, err := m.Spec.ToApp()
 	if err != nil {
-		return fail("spec: %v", err)
+		return nil, nil, nil, fmt.Errorf("spec: %v", err)
 	}
 	app.Workers = m.Ranks
-
 	plan := exec.BuildRankPlanLocal(app, m.Ranks, exec.Span{Lo: m.RankLo, Hi: m.RankHi})
 	ln, err := net.Listen("tcp", net.JoinHostPort(w.opts.Advertise, "0"))
 	if err != nil {
-		return fail("data listener: %v", err)
+		return nil, nil, nil, fmt.Errorf("data listener: %v", err)
 	}
-	sess := &workerSession{
-		id:     m.Config,
-		app:    app,
-		plan:   plan,
-		cancel: make(chan struct{}),
-		ln:     ln,
-	}
-
-	w.mu.Lock()
-	if w.closed {
-		w.mu.Unlock()
-		ln.Close()
-		return fail("worker shutting down")
-	}
-	if old := w.sessions[m.Config]; old != nil {
-		// A re-prepare of a live config id means the coordinator lost
-		// track; drop the stale session rather than leak its mesh.
-		delete(w.sessions, m.Config)
-		defer old.release(fmt.Errorf("config %d re-prepared", m.Config))
-	}
-	w.sessions[m.Config] = sess
-	w.mu.Unlock()
-
-	w.opts.Logf("cluster: prepared config %d: ranks [%d,%d) of %d, data %s",
-		m.Config, m.RankLo, m.RankHi, m.Ranks, ln.Addr())
-	return wire.Message{Type: wire.MsgPrepared, Config: m.Config, Addr: ln.Addr().String()}
+	return app, plan, ln, nil
 }
 
-// handleConnect wires this worker's slice of the mesh: dial the hosting
+// connect wires this worker's slice of the mesh: dial the hosting
 // process of every rank above each local one, accept a link from every
 // rank below, and stand up the engine over the resulting transport.
-func (w *Worker) handleConnect(m wire.Message) wire.Message {
-	fail := func(format string, args ...any) wire.Message {
-		return wire.Message{Type: wire.MsgReady, Config: m.Config, Err: fmt.Sprintf(format, args...)}
-	}
-	sess := w.session(m.Config)
-	if sess == nil {
-		return fail("connect for unknown config %d", m.Config)
-	}
-	tr, err := tcp.NewMeshTransport(sess.plan, tcp.Topology{
-		Local:    sess.plan.Local,
+// The mesh takes ln, and tears itself down when cancel closes.
+func (w *Worker) connect(plan *exec.RankPlan, ln net.Listener, cancel <-chan struct{}, m wire.Message) (*exec.RankEngine, error) {
+	tr, err := tcp.NewMeshTransport(plan, tcp.Topology{
+		Local:    plan.Local,
 		Addrs:    m.Addrs,
 		Config:   m.Config,
-		Listener: sess.ln,
-		Timeout:  w.opts.SetupTimeout,
-		Cancel:   sess.cancel,
+		Listener: ln,
+		Timeout:  meshSetupTimeout,
+		Cancel:   cancel,
 		Wrap:     w.opts.Chaos.WrapConn(),
 	})
 	if err != nil {
-		w.dropSession(m.Config)
-		sess.ln.Close()
-		return fail("mesh: %v", err)
+		return nil, err
 	}
-	sess.mu.Lock()
-	if sess.released {
-		sess.mu.Unlock()
-		tr.Abort(fmt.Errorf("config %d released during connect", m.Config))
-		return fail("config %d released during connect", m.Config)
-	}
-	sess.tr = tr
+	w.opts.Logf("cluster: config %d mesh up (%d ranks)", m.Config, plan.Ranks)
 	// The scheduling paradigm across processes is p2p's eager policy —
 	// the only barrier-free rank policy, which is exactly what a
 	// process-spanning engine requires.
-	sess.engine = exec.NewLocalRankEngine(sess.plan, p2p.Policy{}, 1, tr)
-	sess.mu.Unlock()
-	w.opts.Logf("cluster: config %d mesh up (%d ranks)", m.Config, sess.plan.Ranks)
-	return wire.Message{Type: wire.MsgReady, Config: m.Config}
+	return exec.NewLocalRankEngine(plan, p2p.Policy{}, 1, tr), nil
 }
 
-// handleRun executes one job on a prepared session: swap in the job's
+// run executes one job on a connected session: swap in the job's
 // kernel configurations, reset the plan, run the local ranks, and
 // report the local wall time (the coordinator takes the fleet max).
 // The attempt id is echoed in every result so the coordinator can
 // match it to the live attempt and discard a stale run's late result;
-// a stale attempt's run message itself names a released config and
-// fails the unprepared-config check below instead of executing.
-func (w *Worker) handleRun(m wire.Message) wire.Message {
+// a stale attempt's run message itself names a released config and is
+// refused by the read loop instead of executing.
+func (w *Worker) run(app *core.App, plan *exec.RankPlan, engine *exec.RankEngine, m wire.Message) wire.Message {
 	fail := func(format string, args ...any) wire.Message {
 		return wire.Message{Type: wire.MsgResult, Config: m.Config, Job: m.Job, Attempt: m.Attempt, Err: fmt.Sprintf(format, args...)}
 	}
-	sess := w.session(m.Config)
-	if sess == nil {
-		return fail("run for unprepared config %d", m.Config)
-	}
-	sess.mu.Lock()
-	engine := sess.engine
-	sess.mu.Unlock()
-	if engine == nil {
-		return fail("run for unconnected config %d", m.Config)
-	}
-	sess.runMu.Lock()
-	defer sess.runMu.Unlock()
-	if len(m.Kernels) != len(sess.app.Graphs) {
-		return fail("%d kernel specs for %d graphs", len(m.Kernels), len(sess.app.Graphs))
+	if len(m.Kernels) != len(app.Graphs) {
+		return fail("%d kernel specs for %d graphs", len(m.Kernels), len(app.Graphs))
 	}
 	for gi, ks := range m.Kernels {
 		k, err := ks.ToConfig()
 		if err != nil {
 			return fail("graph %d kernel: %v", gi, err)
 		}
-		sess.app.Graphs[gi].Kernel = k
+		app.Graphs[gi].Kernel = k
 	}
-	sess.plan.Reset()
+	plan.Reset()
 	w.chaosPoint("mid-run") // a fused reset lands while the run executes
 	start := time.Now()
-	err := engine.Run(sess.app.Validate)
+	err := engine.Run(app.Validate)
 	elapsed := time.Since(start)
 	if err != nil {
 		return fail("%v", err)
@@ -416,51 +452,5 @@ func (w *Worker) handleRun(m wire.Message) wire.Message {
 		Job:          m.Job,
 		Attempt:      m.Attempt,
 		ElapsedNanos: int64(elapsed),
-	}
-}
-
-// handleRelease aborts and drops one session. Abort (not a plain
-// close) is what unwedges a run blocked on a stalled peer the
-// coordinator has declared dead.
-func (w *Worker) handleRelease(config uint64, cause error) {
-	if sess := w.dropSession(config); sess != nil {
-		sess.release(cause)
-		w.opts.Logf("cluster: released config %d (%v)", config, cause)
-	}
-}
-
-func (w *Worker) session(config uint64) *workerSession {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.sessions[config]
-}
-
-func (w *Worker) dropSession(config uint64) *workerSession {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	sess := w.sessions[config]
-	delete(w.sessions, config)
-	return sess
-}
-
-// release tears the session down exactly once: an in-flight mesh
-// establishment is canceled, a live mesh is aborted (unwedging any
-// blocked run), and a pre-connect listener is closed.
-func (s *workerSession) release(cause error) {
-	s.mu.Lock()
-	if s.released {
-		s.mu.Unlock()
-		return
-	}
-	s.released = true
-	tr, ln, cancel := s.tr, s.ln, s.cancel
-	s.mu.Unlock()
-	if cancel != nil {
-		close(cancel)
-	}
-	if tr != nil {
-		tr.Abort(cause)
-	} else if ln != nil {
-		ln.Close()
 	}
 }

@@ -155,10 +155,11 @@ type Topology struct {
 	// for inbound links). Zero means no deadline — appropriate only for
 	// the in-process mesh, where all dialers are local.
 	Timeout time.Duration
-	// Cancel, when non-nil, aborts establishment early if it closes —
-	// the cluster worker wires its session's release signal here so a
-	// coordinator-declared peer death interrupts a mesh still dialing
-	// the dead process instead of waiting out the full Timeout.
+	// Cancel, when non-nil, tears the mesh down whenever it closes, for
+	// the mesh's whole lifetime: during establishment it interrupts a
+	// mesh still dialing a dead process instead of waiting out the full
+	// Timeout, and afterwards it unwedges a run blocked on a stalled
+	// peer. The cluster worker wires its session's release signal here.
 	Cancel <-chan struct{}
 	// Wrap, when non-nil, wraps every connection end this process
 	// writes, dialed or accepted, after its handshake — the chaos
@@ -169,10 +170,10 @@ type Topology struct {
 }
 
 // MeshTransport is the TCP mesh of one engine, implementing
-// exec.Transport. A torn-down mesh (Close, Abort, or a connection
-// failure) unblocks every pending Recv with a zero-length payload that
-// fails validation at the consumer, so a dead peer process produces an
-// error, never a hang.
+// exec.Transport. A torn-down mesh (Close, a closed Topology.Cancel,
+// or a connection failure) unblocks every pending Recv with a
+// zero-length payload that fails validation at the consumer, so a dead
+// peer process produces an error, never a hang.
 type MeshTransport struct {
 	// out[from][to] is rank `from`'s end of the pair's connection;
 	// only rows in the local span are populated.
@@ -265,13 +266,11 @@ func NewMeshTransport(plan *exec.RankPlan, topo Topology) (*MeshTransport, error
 	}
 
 	if topo.Cancel != nil {
-		established := make(chan struct{})
-		defer close(established)
 		go func() {
 			select {
 			case <-topo.Cancel:
-				tr.fail(fmt.Errorf("tcp: mesh establishment canceled"))
-			case <-established:
+				tr.fail(fmt.Errorf("tcp: mesh canceled"))
+			case <-tr.done:
 			}
 		}()
 	}
@@ -555,12 +554,6 @@ func (tr *MeshTransport) fail(err error) {
 	tr.errs.Set(err)
 	tr.teardown()
 }
-
-// Abort tears the mesh down with the given error, unblocking every
-// pending Recv and failing subsequent Sends. The cluster worker calls
-// it when the coordinator declares a peer dead while this process's
-// connections still look healthy (e.g. a stalled peer).
-func (tr *MeshTransport) Abort(err error) { tr.fail(err) }
 
 func (tr *MeshTransport) teardown() {
 	tr.downOnce.Do(func() {

@@ -57,8 +57,9 @@ func TestAllToAllOverWire(t *testing.T) {
 // splitMesh stands up a mesh the way cluster worker processes would,
 // one process per rank span: separate local plans, separate listeners,
 // transports constructed concurrently from a shared rank→address table.
-// The spans cover the ranks in order.
-func splitMesh(t *testing.T, mkApp func() *core.App, spans ...exec.Span) (apps []*core.App, plans []*exec.RankPlan, trs []*MeshTransport) {
+// The spans cover the ranks in order. cancel is the first process's
+// Topology.Cancel (nil for none).
+func splitMesh(t *testing.T, mkApp func() *core.App, cancel <-chan struct{}, spans ...exec.Span) (apps []*core.App, plans []*exec.RankPlan, trs []*MeshTransport) {
 	t.Helper()
 	ranks := spans[len(spans)-1].Hi
 	lns := make([]net.Listener, len(spans))
@@ -80,15 +81,19 @@ func splitMesh(t *testing.T, mkApp func() *core.App, spans ...exec.Span) (apps [
 	errs := make([]error, len(spans))
 	for k := range spans {
 		wg.Add(1)
+		topo := Topology{
+			Local:    spans[k],
+			Addrs:    addrs,
+			Config:   42,
+			Listener: lns[k],
+			Timeout:  10 * time.Second,
+		}
+		if k == 0 {
+			topo.Cancel = cancel
+		}
 		go func(k int) {
 			defer wg.Done()
-			trs[k], errs[k] = NewMeshTransport(plans[k], Topology{
-				Local:    spans[k],
-				Addrs:    addrs,
-				Config:   42,
-				Listener: lns[k],
-				Timeout:  10 * time.Second,
-			})
+			trs[k], errs[k] = NewMeshTransport(plans[k], topo)
 		}(k)
 	}
 	wg.Wait()
@@ -143,7 +148,7 @@ func TestMeshAcrossLocalSpans(t *testing.T) {
 		app.Workers = ranks
 		return app
 	}
-	apps, plans, trs := splitMesh(t, mkApp, exec.Span{Lo: 0, Hi: 2}, exec.Span{Lo: 2, Hi: 4})
+	apps, plans, trs := splitMesh(t, mkApp, nil, exec.Span{Lo: 0, Hi: 2}, exec.Span{Lo: 2, Hi: 4})
 	runSplit(t, apps, plans, trs, 3)
 }
 
@@ -205,7 +210,7 @@ func TestMeshOneConnectionPerPair(t *testing.T) {
 			app.Workers = ranks
 			return app
 		}
-		apps, plans, trs := splitMesh(t, mkApp, exec.Span{Lo: 0, Hi: 1}, exec.Span{Lo: 1, Hi: 3}, exec.Span{Lo: 3, Hi: 4})
+		apps, plans, trs := splitMesh(t, mkApp, nil, exec.Span{Lo: 0, Hi: 1}, exec.Span{Lo: 1, Hi: 3}, exec.Span{Lo: 3, Hi: 4})
 		runSplit(t, apps, plans, trs, 3)
 	})
 }
@@ -224,7 +229,7 @@ func TestMeshAbortUnblocksRecv(t *testing.T) {
 		app.Workers = ranks
 		return app
 	}
-	apps, plans, trs := splitMesh(t, mkApp, exec.Span{Lo: 0, Hi: 2}, exec.Span{Lo: 2, Hi: 4})
+	apps, plans, trs := splitMesh(t, mkApp, nil, exec.Span{Lo: 0, Hi: 2}, exec.Span{Lo: 2, Hi: 4})
 	engine0 := exec.NewLocalRankEngine(plans[0], p2p.Policy{}, 1, trs[0])
 	defer engine0.Close()
 
@@ -232,7 +237,6 @@ func TestMeshAbortUnblocksRecv(t *testing.T) {
 	go func() { errCh <- engine0.Run(apps[0].Validate) }()
 	// The peer "process" dies without ever running its ranks.
 	time.Sleep(20 * time.Millisecond)
-	trs[1].Abort(nil)
 	trs[1].Close()
 
 	select {
@@ -242,6 +246,43 @@ func TestMeshAbortUnblocksRecv(t *testing.T) {
 		}
 	case <-time.After(30 * time.Second):
 		t.Fatal("survivor run hung after peer death")
+	}
+}
+
+// TestMeshCancelAbortsRun closes an established mesh's Topology.Cancel
+// mid-run while its peer stalls with every socket open, so no
+// connection error will ever come: the cancel alone must end the run
+// with an error. This is how a released cluster session unwedges.
+func TestMeshCancelAbortsRun(t *testing.T) {
+	const ranks = 4
+	mkApp := func() *core.App {
+		app := core.NewApp(core.MustNew(core.Params{
+			Timesteps: 10000, MaxWidth: ranks, Dependence: core.Stencil1DPeriodic,
+			OutputBytes: 256,
+		}))
+		app.Workers = ranks
+		return app
+	}
+	cancel := make(chan struct{})
+	apps, plans, trs := splitMesh(t, mkApp, cancel, exec.Span{Lo: 0, Hi: 2}, exec.Span{Lo: 2, Hi: 4})
+	defer trs[1].Close()
+	engine0 := exec.NewLocalRankEngine(plans[0], p2p.Policy{}, 1, trs[0])
+	defer engine0.Close()
+
+	errCh := make(chan error, 1)
+	go func() { errCh <- engine0.Run(apps[0].Validate) }()
+	// The peer "process" never runs its ranks but keeps its sockets
+	// open: the survivor is blocked on it.
+	time.Sleep(20 * time.Millisecond)
+	close(cancel)
+
+	select {
+	case err := <-errCh:
+		if err == nil {
+			t.Fatal("run succeeded despite a canceled mesh")
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("run still blocked 10s after its mesh was canceled")
 	}
 }
 

@@ -218,7 +218,7 @@ func run() (code int) {
 	title := "metg sweep"
 	switch {
 	case *backend != "":
-		title += fmt.Sprintf(" (backend %s, kernel entry %d mod 64)", *backend, kernels.ComputeEntryMod64())
+		title += " (backend " + *backend + ")"
 	case *clusterAt != "":
 		title += " (cluster " + *clusterAt + ")"
 	default:

@@ -6,25 +6,26 @@
 // load-imbalance kernel that scales the compute kernel's duration by a
 // deterministic uniform random variable in [0, 1).
 //
-// The paper's kernels are hand-written with AVX2 FMA intrinsics; the Go
-// versions are portable scalar loops with the same scaling property:
-// duration is linear in Iterations at a fixed working-set size.
+// The paper's kernels are hand-written with AVX2 FMA intrinsics; these
+// are scalar loops (the compute kernel in SSE2 assembly on amd64, in Go
+// elsewhere) with the same scaling property: duration is linear in
+// Iterations at a fixed working-set size.
 // Efficiency in Task Bench is always measured against an empirically
 // calibrated peak (see Calibrate), so absolute FLOP/s do not affect the
 // shape of any result.
 //
 // Every task of every backend calls Execute, so whatever a call costs
 // outside the kernel's loop reads as runtime overhead in METG. That
-// cost is kept small and constant: the compute kernel starts from a
-// block copy, reduces through independent accumulators, and publishes
-// its result without a locked instruction.
+// cost is kept small and constant: on amd64 the compute kernel is
+// assembly that copies nothing in and reduces in straight-line packed
+// adds, and every kernel publishes its result without a locked
+// instruction.
 package kernels
 
 import (
 	"errors"
 	"fmt"
 	"math"
-	"reflect"
 	"sync/atomic"
 	"time"
 )
@@ -206,8 +207,7 @@ func imbalancedIterations(c Config, mult float64) int64 {
 	return int64(float64(c.Iterations) * scale)
 }
 
-// computeInit is the compute kernel's starting array; executeCompute
-// copies it in as one block.
+// computeInit is the compute kernel's starting array.
 var computeInit = func() (a [computeWidth]float64) {
 	for i := range a {
 		a[i] = 1.2345
@@ -217,11 +217,17 @@ var computeInit = func() (a [computeWidth]float64) {
 
 // executeCompute is the compute-bound kernel: the direct analog of the
 // paper's Listing 1 (A[i] = A[i] * A[i] + A[i] over a 64-wide array).
-// Outside the loop it pays a constant few nanoseconds: a block copy in,
-// and a reduction over eight independent accumulators out, so no lane
-// waits on a 64-deep chain of dependent adds.
 func executeCompute(iterations int64) float64 {
-	a := computeInit
+	return compute(&computeInit, iterations)
+}
+
+// computeGo is the compute kernel in Go: what compute runs off amd64,
+// and the oracle the assembly kernel is tested against. Outside the
+// loop it pays a constant few nanoseconds: a block copy in, and a
+// reduction over eight independent accumulators out, so no lane waits
+// on a 64-deep chain of dependent adds.
+func computeGo(init *[computeWidth]float64, iterations int64) float64 {
+	a := *init
 	for iter := int64(0); iter < iterations; iter++ {
 		for i := 0; i < computeWidth; i++ {
 			a[i] = a[i]*a[i] + a[i]
@@ -240,15 +246,6 @@ func executeCompute(iterations int64) float64 {
 		s7 += l[7]
 	}
 	return ((s0 + s1) + (s2 + s3)) + ((s4 + s5) + (s6 + s7))
-}
-
-// ComputeEntryMod64 is the compute kernel's entry address modulo 64.
-// The multiply-add loop sits at a fixed offset inside the function, and
-// it reads tens of percent slower when that puts it across a 64-byte
-// line, so tools print this beside anything measured with the kernel:
-// two binaries' kernel timings compare only when it matches.
-func ComputeEntryMod64() uintptr {
-	return reflect.ValueOf(executeCompute).Pointer() % 64
 }
 
 // executeMemory is the memory-bound kernel: sequential reads and writes

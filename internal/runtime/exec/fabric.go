@@ -506,6 +506,20 @@ func (in *Inlet) Slot(graph, edge, n int) []byte {
 	return nil
 }
 
+// Edges returns how many of graph's edges join the pair: the most
+// payloads of that graph one step of the pair can carry.
+func (in *Inlet) Edges(graph int) int {
+	n := 0
+	if in != nil {
+		for k := range in.f.graphs[graph].edges {
+			if in.f.graphs[graph].edges[k].pair == in.id {
+				n++
+			}
+		}
+	}
+	return n
+}
+
 // Publish makes every slot filled so far receivable by the consumer
 // rank's threads at steps up to steps.
 func (in *Inlet) Publish(steps uint64) {

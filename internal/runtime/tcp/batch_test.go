@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
 	"net"
 	"os"
 	goruntime "runtime"
@@ -269,6 +270,57 @@ func TestMeshBytesPerTask(t *testing.T) {
 			}
 			if got := float64(sent.Load()) / tasks; got != c.bytesPerTask {
 				t.Errorf("bytes/task = %v (%d bytes), want %v", got, sent.Load(), c.bytesPerTask)
+			}
+		})
+	}
+}
+
+// TestMeshConnectBytes pins what connecting a mesh allocates, for the
+// shapes of the two workloads bench/ runs over it. Each
+// demultiplexer's read buffer holds four of its pair's largest frames,
+// within [4 KiB, 64 KiB]: the fleet's 2-rank mesh of 44-byte frames
+// connects in about 13 KB, where two 64 KiB buffers made it 136 KB,
+// and tcp_payload's mesh of 4 KiB payloads in about 42 KB. The figure
+// is the least of three connects, so one that shares the heap with a
+// previous test's teardown does not count.
+func TestMeshConnectBytes(t *testing.T) {
+	for _, c := range []struct {
+		name               string
+		params             core.Params
+		readSize, maxBytes int
+	}{
+		{"stencil_1d", core.Params{Timesteps: 20, MaxWidth: 4, Dependence: core.Stencil1D, OutputBytes: 16}, minReadBuf, 16 << 10},
+		{"nearest", core.Params{Timesteps: 125, MaxWidth: 8, Dependence: core.Nearest, Radix: 3, OutputBytes: 4096}, 4 * (frameHeaderSize + descSize + 4096), 48 << 10},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			plan := exec.BuildRankPlan(core.NewApp(core.MustNew(c.params)), 2)
+			least := uint64(math.MaxUint64)
+			for range 3 {
+				ln, err := net.Listen("tcp", "127.0.0.1:0")
+				if err != nil {
+					t.Fatal(err)
+				}
+				var before, after goruntime.MemStats
+				goruntime.ReadMemStats(&before)
+				tr, err := NewMeshTransport(plan, Topology{
+					Local:    exec.Span{Lo: 0, Hi: 2},
+					Addrs:    []string{ln.Addr().String(), ln.Addr().String()},
+					Listener: ln,
+				})
+				goruntime.ReadMemStats(&after)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for from, to := range []int{1, 0} {
+					if got := tr.readSize(tr.in.Inlet(from, to)); got != c.readSize {
+						t.Errorf("read buffer of %d→%d = %d bytes, want %d", from, to, got, c.readSize)
+					}
+				}
+				tr.Close()
+				least = min(least, after.TotalAlloc-before.TotalAlloc)
+			}
+			if least > uint64(c.maxBytes) {
+				t.Errorf("connect allocates %d bytes, want at most %d", least, c.maxBytes)
 			}
 		})
 	}

@@ -118,6 +118,13 @@ const descSize = 12
 // when a batch's descriptor section exceeds the scratch's capacity.
 const descChunk = 64 << 10
 
+// minReadBuf and maxReadBuf bound a demultiplexer's read buffer (see
+// readSize).
+const (
+	minReadBuf = 4 << 10
+	maxReadBuf = 64 << 10
+)
+
 // flushBytes caps how much payload a pending batch may accumulate
 // before it is written out mid-step, as a frameOpen frame. Batches
 // normally flush at timestep boundaries; the cap bounds buffering when
@@ -214,6 +221,8 @@ func (tr *MeshTransport) link(conn net.Conn, local, peer int, wrap func(net.Conn
 	if wrap != nil {
 		w = wrap(conn)
 	}
+	in := tr.in.Inlet(peer, local)
+	br := bufio.NewReaderSize(conn, tr.readSize(in))
 	tr.connMu.Lock()
 	defer tr.connMu.Unlock()
 	select {
@@ -224,8 +233,21 @@ func (tr *MeshTransport) link(conn net.Conn, local, peer int, wrap func(net.Conn
 	}
 	tr.conns = append(tr.conns, w)
 	tr.out[local][peer] = w
-	go tr.demux(conn, tr.in.Inlet(peer, local))
+	go tr.demux(br, in)
 	return true
+}
+
+// readSize sizes a demultiplexer's read buffer to hold four of the
+// largest frames its pair can carry in one step, so one read syscall
+// still drains several frames, within [minReadBuf, maxReadBuf]: a
+// fleet-shape mesh's frames are tens of bytes, and every connect pays
+// for two buffers per rank pair.
+func (tr *MeshTransport) readSize(in *exec.Inlet) int {
+	frame := frameHeaderSize
+	for gi, g := range tr.plan.App.Graphs {
+		frame += in.Edges(gi) * (descSize + g.OutputBytes)
+	}
+	return min(max(4*frame, minReadBuf), maxReadBuf)
 }
 
 // NewMeshTransport builds this process's slice of the connection mesh
@@ -424,16 +446,15 @@ func readHandshake(r io.Reader) (config uint64, from, to int, err error) {
 // standing in for the sending rank on the pair's sequencer (in): it
 // waits for the consumer's acknowledgements before filling a step's
 // slots, as a local producer would, and publishes the step once the
-// frame that closes it is in. The connection is read through a
-// bufio.Reader, so one read syscall typically drains several small
+// frame that closes it is in. The connection is read through br,
+// sized by readSize, so one read syscall typically drains several
 // frames. A read failure while the mesh is still live means a peer
 // process died mid-run; the whole mesh is torn down so blocked ranks
 // unwedge and surface the error instead of hanging. Malformed frames —
 // oversized lengths, a step count that does not advance, headers that
 // do not add up — also tear the mesh down: framing is self-inflicted,
 // so a bad header means the stream is unrecoverably desynchronized.
-func (tr *MeshTransport) demux(conn net.Conn, in *exec.Inlet) {
-	br := bufio.NewReaderSize(conn, 64<<10)
+func (tr *MeshTransport) demux(br *bufio.Reader, in *exec.Inlet) {
 	var header [frameHeaderSize]byte
 	var desc []byte // reusable batch descriptor scratch
 	// step is the sender's step count of the last frame, and open

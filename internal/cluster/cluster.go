@@ -6,15 +6,17 @@
 // in, register, and heartbeat; clients dial the same port and submit
 // wire.AppSpec jobs. For each distinct job *shape* (the spec minus its
 // kernel configurations) the coordinator provisions a configuration:
-// it assigns every worker a contiguous span of the run's ranks, has
-// each worker build its slice of the rank plan
-// (exec.BuildRankPlanLocal) and a data listener, distributes the
-// resulting rank→address table, and lets the workers wire a tcp
-// MeshTransport spanning all processes. Jobs with the same shape reuse
-// the prepared configuration — plans, payload rows and the live
-// connection mesh — and only swap kernel configurations, the
-// cross-request analog of the reusable exec.RankSession (so a
-// distributed METG sweep pays mesh establishment once, not per point).
+// it assigns every worker a contiguous block of the run's ranks
+// (exec.BlockAssign) and has each build its slice of the rank plan
+// (exec.BuildRankPlanLocal) and a data listener, in one fleet call. The
+// configuration's first run carries one data address per member; from
+// it each worker derives which process hosts every rank and wires its
+// part of a tcp MeshTransport spanning all processes before it runs.
+// Jobs with the same shape reuse the prepared configuration — plans,
+// payload rows and the live connection mesh — and only swap kernel
+// configurations, the cross-request analog of the reusable
+// exec.RankSession (so a distributed METG sweep pays mesh
+// establishment once, not per point).
 //
 // Scheduling is concurrent: a bounded pool of scheduler slots
 // (Options.Concurrency) claims queued jobs, so jobs of different
@@ -39,7 +41,7 @@
 // The protocol state machine per worker:
 //
 //	register → welcome → { heartbeat | prepare→prepared |
-//	                       connect→ready | run→result | release }*
+//	                       run→result | release }*
 //
 // and per client: submit → rejected | done, any order, matched by the
 // id the client sent, with cancel available for jobs in flight.

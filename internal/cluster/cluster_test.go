@@ -8,6 +8,7 @@ import (
 	"math"
 	"net"
 	"os"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -376,7 +377,7 @@ func TestClusterRetriesAfterWorkerDeath(t *testing.T) {
 // result of another attempt (a stale run's late answer) to another.
 func TestReplyKeyMatchesRequestToReply(t *testing.T) {
 	for req, reply := range map[string]string{
-		wire.MsgPrepare: wire.MsgPrepared, wire.MsgConnect: wire.MsgReady, wire.MsgRun: wire.MsgResult,
+		wire.MsgPrepare: wire.MsgPrepared, wire.MsgRun: wire.MsgResult,
 	} {
 		m := wire.Message{Type: req, Config: 7, Job: 9, Attempt: 2}
 		want := replyKeyOf(m)
@@ -385,6 +386,105 @@ func TestReplyKeyMatchesRequestToReply(t *testing.T) {
 		}
 		if m.Attempt = 1; reply == wire.MsgResult && replyKeyOf(m) == want {
 			t.Errorf("attempt 1's result would satisfy the wait for attempt 2")
+		}
+	}
+}
+
+// TestClusterProvisionsInOneCall pins provisioning to one fleet call.
+// Two scripted workers register over raw connections and answer every
+// prepare and run. An 8-rank job's cold path sends each of them a
+// prepare for its block of ranks, then a run carrying exactly one data
+// address per member, in member order; a second job of the same shape
+// sends a run carrying none. Any other frame — a second provisioning
+// call — fails the test, and one the scripted workers leave unanswered
+// fails the job within the 10 s setup timeout.
+func TestClusterProvisionsInOneCall(t *testing.T) {
+	coord, err := Start(Options{
+		HeartbeatInterval: time.Second,
+		HeartbeatTimeout:  time.Minute,
+		SetupTimeout:      10 * time.Second,
+		JobTimeout:        10 * time.Second,
+		Logf:              t.Logf,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer coord.Close()
+	const members = 2
+	frames := make([]chan wire.Message, members)
+	addrs := make([]string, members)
+	for k := range frames {
+		frames[k] = make(chan wire.Message, 8)
+		addrs[k] = fmt.Sprintf("raw-%d:1", k)
+		conn, err := net.Dial("tcp", coord.Addr())
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { conn.Close() })
+		if err := wire.WriteMessageBinary(conn, wire.Message{Type: wire.MsgRegister, Name: addrs[k]}); err != nil {
+			t.Fatal(err)
+		}
+		// Reading the welcome before the next worker dials fixes the
+		// member order: the coordinator places by registration id.
+		br := bufio.NewReader(conn)
+		if m, err := wire.ReadMessageFrom(br); err != nil || m.Type != wire.MsgWelcome {
+			t.Fatalf("worker %d: first frame %+v, %v; want welcome", k, m, err)
+		}
+		go func() {
+			for {
+				m, err := wire.ReadMessageFrom(br)
+				if err != nil {
+					return
+				}
+				frames[k] <- m
+				reply := wire.Message{Config: m.Config, Job: m.Job, Attempt: m.Attempt}
+				switch m.Type {
+				case wire.MsgPrepare:
+					reply.Type, reply.Addr = wire.MsgPrepared, addrs[k]
+				case wire.MsgRun:
+					reply.Type, reply.ElapsedNanos = wire.MsgResult, 1
+				default:
+					continue
+				}
+				if wire.WriteMessageBinary(conn, reply) != nil {
+					return
+				}
+			}
+		}()
+	}
+	if _, err := coord.WaitWorkers(members, 10*time.Second); err != nil {
+		t.Fatal(err)
+	}
+	cli, err := Dial(coord.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cli.Close()
+	spec := wire.AppSpec{Workers: 8, Graphs: []wire.GraphSpec{{Steps: 4, Width: 8, Type: "stencil_1d"}}}
+	for job := range 2 {
+		if res, err := cli.Submit(spec); err != nil || res.Err != nil {
+			t.Fatalf("job %d: %v / %v", job, err, res.Err)
+		}
+	}
+
+	// Each scripted worker queues a frame before it replies, so every
+	// frame of both jobs is queued by now.
+	for k, ch := range frames {
+		var got []wire.Message
+		for len(ch) > 0 {
+			got = append(got, <-ch)
+		}
+		if len(got) != 3 {
+			t.Fatalf("worker %d got %d frames %+v, want prepare, run, run", k, len(got), got)
+		}
+		if p := got[0]; p.Type != wire.MsgPrepare || p.Ranks != 8 || p.RankLo != 4*k || p.RankHi != 4*k+4 {
+			t.Errorf("worker %d: first frame %+v, want a prepare of ranks [%d,%d) of 8", k, p, 4*k, 4*k+4)
+		}
+		if r := got[1]; r.Type != wire.MsgRun || !slices.Equal(r.Addrs, addrs) {
+			t.Errorf("worker %d: cold run %+v, want a run carrying addresses %q", k, r, addrs)
+		}
+		if r := got[2]; r.Type != wire.MsgRun || r.Addrs != nil {
+			t.Errorf("worker %d: warm run %+v, want a run carrying no addresses", k, r)
 		}
 	}
 }
@@ -413,7 +513,7 @@ func TestCallWriteFailureLeavesFleet(t *testing.T) {
 
 	_, err = coord.callAll([]*workerConn{w}, func(int) wire.Message {
 		return wire.Message{Type: wire.MsgPrepare, Config: 1}
-	}, time.Second, nil)
+	}, time.Second, nil, nil)
 	if !errors.Is(err, errWorkerLost) {
 		t.Fatalf("call over a closed pipe = %v, want errWorkerLost", err)
 	}
@@ -478,7 +578,7 @@ func TestCallAllReturnsAtFirstFailure(t *testing.T) {
 		go func() {
 			replies, err := coord.callAll(members, func(int) wire.Message {
 				return wire.Message{Type: wire.MsgPrepare, Config: config}
-			}, time.Minute, nil)
+			}, time.Minute, nil, nil)
 			done <- outcome{replies, err}
 		}()
 		<-frames0
@@ -543,8 +643,67 @@ func TestCallAllReturnsAtFirstFailure(t *testing.T) {
 	}
 	if _, err := coord.callAll(members, func(int) wire.Message {
 		return wire.Message{Type: wire.MsgPrepare, Config: 4}
-	}, time.Minute, nil); !errors.Is(err, errWorkerLost) {
+	}, time.Minute, nil, nil); !errors.Is(err, errWorkerLost) {
 		t.Errorf("callAll over a dead member = %v, want errWorkerLost", err)
+	}
+}
+
+// TestCallAllWaitsOutRunFailure pins a run call's error path: an error
+// reply calls abort once and the call waits for the other members, so
+// a member lost meanwhile still returns a worker-lost error, and
+// otherwise the first error returns once every member has answered.
+func TestCallAllWaitsOutRunFailure(t *testing.T) {
+	coord, err := Start(Options{Logf: t.Logf})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer coord.Close()
+	w0, frames0 := pipeWorker(t, coord, 1)
+	w1, frames1 := pipeWorker(t, coord, 2)
+	aborts := make(chan struct{}, 4)
+	run := func(job uint64) <-chan error {
+		done := make(chan error, 1)
+		go func() {
+			_, err := coord.callAll([]*workerConn{w0, w1}, func(int) wire.Message {
+				return wire.Message{Type: wire.MsgRun, Config: 1, Job: job}
+			}, time.Minute, nil, func() { aborts <- struct{}{} })
+			done <- err
+		}()
+		<-frames0
+		<-frames1
+		return done
+	}
+	waitAbort := func() {
+		t.Helper()
+		select {
+		case <-aborts:
+		case <-time.After(10 * time.Second):
+			t.Fatal("error reply did not call abort")
+		}
+	}
+
+	done := run(1)
+	w0.route(wire.Message{Type: wire.MsgResult, Config: 1, Job: 1, Err: "validation failed"})
+	waitAbort()
+	select {
+	case err := <-done:
+		t.Fatalf("run call returned %v before the other member answered", err)
+	case <-time.After(50 * time.Millisecond):
+	}
+	w1.route(wire.Message{Type: wire.MsgResult, Config: 1, Job: 1, Err: "run refused: config 1 released"})
+	if err := <-done; err == nil || !strings.Contains(err.Error(), "validation failed") || errors.Is(err, errWorkerLost) {
+		t.Errorf("run call = %v, want the first error", err)
+	}
+
+	done = run(2)
+	w0.route(wire.Message{Type: wire.MsgResult, Config: 1, Job: 2, Err: "validation failed"})
+	waitAbort()
+	coord.markDead(w1, errors.New("killed"))
+	if err := <-done; !errors.Is(err, errWorkerLost) {
+		t.Errorf("run call with a member lost after an error reply = %v, want errWorkerLost", err)
+	}
+	if len(aborts) != 0 {
+		t.Errorf("abort called %d more times", len(aborts))
 	}
 }
 

@@ -26,8 +26,9 @@ type Options struct {
 	HeartbeatInterval time.Duration
 	// HeartbeatTimeout declares a silent worker dead; default 5×interval.
 	HeartbeatTimeout time.Duration
-	// SetupTimeout bounds configuration provisioning (plan build plus
-	// mesh establishment) per worker; default 60s.
+	// SetupTimeout bounds configuration provisioning (every member's
+	// prepare: plan build and data listener); default 60s. The mesh is
+	// wired by the configuration's first run, under JobTimeout.
 	SetupTimeout time.Duration
 	// JobTimeout bounds one run; default 10m. It is the last-resort
 	// no-hang guarantee behind the heartbeat machinery.
@@ -176,8 +177,8 @@ type reply struct {
 	err error
 }
 
-// replyKey names the one reply a call waits for. Provisioning replies
-// are matched on the config id; results on (job, attempt), so a stale
+// replyKey names the one reply a call waits for. Prepared replies are
+// matched on the config id; results on (job, attempt), so a stale
 // attempt's late result finds no waiter instead of satisfying the live
 // attempt.
 type replyKey struct {
@@ -193,8 +194,6 @@ func replyKeyOf(m wire.Message) replyKey {
 	switch m.Type {
 	case wire.MsgPrepare, wire.MsgPrepared:
 		return replyKey{typ: wire.MsgPrepared, id: m.Config}
-	case wire.MsgConnect, wire.MsgReady:
-		return replyKey{typ: wire.MsgReady, id: m.Config}
 	case wire.MsgRun, wire.MsgResult:
 		return replyKey{typ: wire.MsgResult, id: m.Job, attempt: m.Attempt}
 	}
@@ -207,6 +206,10 @@ type clusterConfig struct {
 	id      uint64
 	ranks   int
 	members []*workerConn
+	// addrs holds each member's data address until the first run
+	// succeeds: that run carries them and wires the mesh, so warm runs
+	// carry none. Guarded by the shape's run lock.
+	addrs []string
 	// lost is set when a member died: a job that failed on this
 	// configuration may retry over the reshaped fleet.
 	lost atomic.Bool
@@ -567,7 +570,7 @@ func (c *Coordinator) serveWorker(mc *msgConn, reg wire.Message) {
 		switch m.Type {
 		case wire.MsgHeartbeat:
 			// lastSeen update above is the whole point.
-		case wire.MsgPrepared, wire.MsgReady, wire.MsgResult:
+		case wire.MsgPrepared, wire.MsgResult:
 			w.route(m)
 		case wire.MsgDrain:
 			c.beginDrain(w)
@@ -746,6 +749,11 @@ func (c *Coordinator) monitorHeartbeats() {
 // the retryable class) — and callers then release the configuration,
 // which aborts the other members' work, so failure latency is one
 // member's detection time rather than the slowest member's timeout.
+// With abort set, a reply whose Err is set calls abort instead, which
+// must make every other member answer promptly, and the call returns
+// that error once all have: a member's run error can be the echo of
+// another member's crash that its control connection has yet to
+// report, and the crash must still surface as errWorkerLost.
 // Every wait is withdrawn on return and route deletes the one it
 // delivers to, so a late or duplicate reply finds none. A lost worker
 // has left c.workers before the error returns: a failed write declares
@@ -753,7 +761,7 @@ func (c *Coordinator) monitorHeartbeats() {
 // write deadline has lost its worker, heartbeats or not), and
 // failWaits runs only after markDead or finishDrainIfFree updated the
 // map.
-func (c *Coordinator) callAll(members []*workerConn, msg func(k int) wire.Message, timeout time.Duration, cancel <-chan struct{}) ([]wire.Message, error) {
+func (c *Coordinator) callAll(members []*workerConn, msg func(k int) wire.Message, timeout time.Duration, cancel <-chan struct{}, abort func()) ([]wire.Message, error) {
 	ch := make(chan reply, len(members))
 	keys := make([]replyKey, 0, len(members))
 	defer func() {
@@ -781,14 +789,19 @@ func (c *Coordinator) callAll(members []*workerConn, msg func(k int) wire.Messag
 	timer := time.NewTimer(timeout)
 	defer timer.Stop()
 	replies := make([]wire.Message, len(members))
+	var failed error
 	for range members {
 		select {
 		case r := <-ch:
 			if r.err != nil {
 				return nil, r.err
 			}
-			if r.m.Err != "" {
-				return nil, fmt.Errorf("worker %q: %s", members[r.k].name, r.m.Err)
+			if r.m.Err != "" && failed == nil {
+				failed = fmt.Errorf("worker %q: %s", members[r.k].name, r.m.Err)
+				if abort == nil {
+					return nil, failed
+				}
+				abort()
 			}
 			replies[r.k] = r.m
 		case <-cancel:
@@ -798,7 +811,7 @@ func (c *Coordinator) callAll(members []*workerConn, msg func(k int) wire.Messag
 			return nil, fmt.Errorf("worker %q: timed out waiting for %s %d", members[k].name, keys[k].typ, keys[k].id)
 		}
 	}
-	return replies, nil
+	return replies, failed
 }
 
 // route hands a reply to the wait for it, if one is still registered,
@@ -885,9 +898,9 @@ loop:
 // past which prepare dies of a fatal error or wedges its control loop
 // (DESIGN §9): steps size the rank plan's per-step window table, width
 // × (2·output_bytes + scratch_bytes) its payload rows and scratch. The
-// rank count sizes the coordinator's rank→address table and every
-// worker's [local][ranks] batch table and ranks²/2 mesh connections; 256
-// is the paper's largest node count.
+// rank count sizes every worker's rank→address and [local][ranks] batch
+// tables and the ranks²/2 mesh connections; 256 is the paper's largest
+// node count.
 const maxSteps, maxGraphBytes, maxRanks = 1 << 20, 1 << 30, 256
 
 // admit validates and enqueues one submission, rejecting it at once
@@ -1175,12 +1188,14 @@ func (c *Coordinator) runJob(j *job) (wire.Message, runVerdict, *clusterConfig) 
 	}
 
 	// Run the job on every member and take the slowest worker's wall
-	// time as the job's elapsed time.
+	// time as the job's elapsed time. A configuration's first run also
+	// carries the members' addresses, and each member wires its slice
+	// of the mesh before it runs.
 	c.metrics.running.Add(1)
 	kernels := wire.KernelsOf(j.spec)
 	results, err := c.callAll(cfg.members, func(int) wire.Message {
-		return wire.Message{Type: wire.MsgRun, Config: cfg.id, Job: j.id, Attempt: j.attempt, Kernels: kernels}
-	}, c.opts.JobTimeout, j.cancel)
+		return wire.Message{Type: wire.MsgRun, Config: cfg.id, Job: j.id, Attempt: j.attempt, Kernels: kernels, Addrs: cfg.addrs}
+	}, c.opts.JobTimeout, j.cancel, func() { c.dropConfig(e, cfg) })
 	c.metrics.running.Add(-1)
 	if err != nil {
 		// The configuration's mesh may be mid-abort (a dead member) or
@@ -1197,6 +1212,7 @@ func (c *Coordinator) runJob(j *job) (wire.Message, runVerdict, *clusterConfig) 
 		}
 		return fail("run: %v", err), verdict, cfg
 	}
+	cfg.addrs = nil
 	var elapsed int64
 	for _, r := range results {
 		if r.ElapsedNanos > elapsed {
@@ -1215,7 +1231,7 @@ func (c *Coordinator) runJob(j *job) (wire.Message, runVerdict, *clusterConfig) 
 // assigns rank spans, takes the next config id and installs the config
 // as e.cfg, so the join, drain and death sweeps see it from the moment
 // it is placed. Then every member prepares (plan slice + data
-// listener), the rank→address table goes out, and the mesh comes up.
+// listener) and replies with its address, which the first run carries.
 // On a provisioning error the config is dropped from e and released,
 // and still returned alongside the error, so the retry path knows one
 // was placed. Callers hold e's run lock.
@@ -1245,55 +1261,46 @@ func (c *Coordinator) buildConfig(e *configEntry, spec wire.AppSpec, cancel <-ch
 	if ranks <= 0 {
 		ranks = len(fleet)
 	}
-	assigned := exec.BlockAssign(ranks, len(fleet))
 	c.nextConfig++
-	cfg := &clusterConfig{id: c.nextConfig, ranks: ranks}
-	var spans []exec.Span
-	for k, w := range fleet {
-		if assigned[k].Len() == 0 {
-			continue // more workers than ranks: the excess idles
-		}
-		cfg.members = append(cfg.members, w)
-		spans = append(spans, assigned[k])
-	}
+	// More workers than ranks: the excess idles. Member k hosts block k,
+	// which a worker derives from the member count its first run
+	// carries.
+	cfg := &clusterConfig{id: c.nextConfig, ranks: ranks, members: fleet[:min(ranks, len(fleet))]}
+	spans := exec.BlockAssign(ranks, len(cfg.members))
 	e.cfg = cfg
 	c.mu.Unlock()
 
-	// Prepare: every member builds its local plan slice and binds its
-	// data listener, replying with the address.
-	addrs := make([]string, ranks)
+	// Every member builds its local plan slice and binds its data
+	// listener, replying with the address. All listeners are bound
+	// before any run is written, so the first run's dials find them.
 	prepared, err := c.callAll(cfg.members, func(k int) wire.Message {
 		return wire.Message{Type: wire.MsgPrepare, Config: cfg.id, Spec: &spec, Ranks: ranks, RankLo: spans[k].Lo, RankHi: spans[k].Hi}
-	}, c.opts.SetupTimeout, cancel)
-	if err == nil {
-		for k, reply := range prepared {
-			for r := spans[k].Lo; r < spans[k].Hi; r++ {
-				addrs[r] = reply.Addr
-			}
-		}
-		// Connect: all members wire the mesh concurrently — each one's
-		// dials complete against the others' already-bound listeners.
-		_, err = c.callAll(cfg.members, func(int) wire.Message {
-			return wire.Message{Type: wire.MsgConnect, Config: cfg.id, Addrs: addrs}
-		}, c.opts.SetupTimeout, cancel)
-	}
+	}, c.opts.SetupTimeout, cancel, nil)
 	if err != nil {
 		c.dropConfig(e, cfg)
 		return cfg, err
 	}
-	c.opts.Logf("cluster: config %d ready: %d ranks over %d workers", cfg.id, ranks, len(cfg.members))
+	cfg.addrs = make([]string, len(prepared))
+	for k, reply := range prepared {
+		cfg.addrs[k] = reply.Addr
+	}
+	c.opts.Logf("cluster: config %d prepared: %d ranks over %d workers", cfg.id, ranks, len(cfg.members))
 	return cfg, nil
 }
 
 // dropConfig removes a configuration from its entry and releases it on
-// its members. Callers hold the entry's run lock.
+// its members, unless it is gone already: whoever takes a configuration
+// out of its entry releases it, once. Callers hold the entry's run lock.
 func (c *Coordinator) dropConfig(e *configEntry, cfg *clusterConfig) {
 	c.mu.Lock()
-	if e.cfg == cfg {
+	mine := e.cfg == cfg
+	if mine {
 		e.cfg = nil
 	}
 	c.mu.Unlock()
-	c.releaseConfig(cfg, nil)
+	if mine {
+		c.releaseConfig(cfg, nil)
+	}
 }
 
 // evictColdLocked enforces the MaxConfigs cap: while more shapes hold

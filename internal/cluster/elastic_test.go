@@ -65,14 +65,24 @@ func TestClusterJoinReprovisionsShape(t *testing.T) {
 // TestClusterJoinDuringProvisioning: a worker that joins while a
 // squeezed shape is still provisioning marks that configuration stale,
 // so the shape's next job re-provisions over the grown fleet. The
-// coordinator's control frames are delayed so the join lands between
-// placement and a ready mesh.
+// coordinator's control frames and the squeezed worker's are delayed,
+// so the prepare round trip outlasts the late worker's welcome and the
+// join lands between placement and prepared.
 func TestClusterJoinDuringProvisioning(t *testing.T) {
 	sc, err := chaos.Parse("delay:p=1,d=300ms")
 	if err != nil {
 		t.Fatal(err)
 	}
-	coord, _ := testFleetOpts(t, 1, func(o *Options) { o.Chaos = chaos.NewInjector(sc, 1) })
+	coord, _ := testFleetOpts(t, 0, func(o *Options) {
+		o.Chaos = chaos.NewInjector(sc, 1)
+		o.HeartbeatTimeout = 5 * time.Second // the squeezed worker's heartbeats are delayed too
+	})
+	squeezed := NewWorker(WorkerOptions{Coordinator: coord.Addr(), Name: "squeezed", Chaos: chaos.NewInjector(sc, 2), Logf: t.Logf})
+	go squeezed.Run()
+	t.Cleanup(squeezed.Close)
+	if _, err := coord.WaitWorkers(1, 10*time.Second); err != nil {
+		t.Fatal(err)
+	}
 	cli, err := Dial(coord.Addr())
 	if err != nil {
 		t.Fatal(err)

@@ -35,9 +35,10 @@ type WorkerOptions struct {
 	Logf func(format string, args ...any)
 }
 
-// meshSetupTimeout bounds mesh establishment. It must cover the
-// slowest peer's plan build, or a large configuration's connect phase
-// fails spuriously.
+// meshSetupTimeout bounds mesh establishment on a configuration's first
+// run. Every member's listener is bound before any run is written, so
+// it covers only the spread between members' first runs arriving and
+// the dials themselves.
 const meshSetupTimeout = 60 * time.Second
 
 func (o *WorkerOptions) fill() {
@@ -73,10 +74,10 @@ type Worker struct {
 // goroutine (serve), from prepare to release.
 type workerSession struct {
 	id uint64
-	// in carries connect and run messages to the session's goroutine.
-	// It holds one waiting message: the coordinator sends a run only
-	// after every result of the previous one is in, so one run executes
-	// and at most one (a duplicated frame) waits.
+	// in carries runs to the session's goroutine. It holds one waiting
+	// run: the coordinator sends a run only after every result of the
+	// previous one is in, so one run executes and at most one (a
+	// duplicated frame) waits.
 	in chan wire.Message
 	// cancel is closed, exactly once, by whoever drops the session from
 	// Worker.sessions. It ends the goroutine and, as the mesh's
@@ -152,10 +153,11 @@ func (w *Worker) Run() error {
 				return fmt.Errorf("cluster: coordinator connection: %w", err)
 			}
 		}
-		// The read loop never blocks on a session: connects block on
-		// peer processes and runs on the mesh, so a release (peer died,
-		// coordinator tearing the config down) must always get through
-		// to cancel a wedged establishment or run.
+		// The read loop never blocks on a session: a first run blocks
+		// on peer processes while it wires the mesh, and every run on
+		// the mesh, so a release (peer died, coordinator tearing the
+		// config down) must always get through to cancel a wedged
+		// establishment or run.
 		switch m.Type {
 		case wire.MsgPrepare:
 			if old := w.sessions[m.Config]; old != nil {
@@ -167,7 +169,7 @@ func (w *Worker) Run() error {
 			sess := &workerSession{id: m.Config, in: make(chan wire.Message, 1), cancel: make(chan struct{})}
 			w.sessions[m.Config] = sess
 			go w.serve(sess, m)
-		case wire.MsgConnect, wire.MsgRun:
+		case wire.MsgRun:
 			sess := w.sessions[m.Config]
 			if sess == nil {
 				w.mc.write(refuse(m, "config %d not prepared", m.Config))
@@ -286,23 +288,19 @@ func (w *Worker) drop(sess *workerSession, why string) {
 	w.opts.Logf("cluster: config %d %s", sess.id, why)
 }
 
-// refuse is the failed reply to a connect or run: a ready, or a result
-// carrying the run's job and attempt so the coordinator matches it.
+// refuse is the failed reply to a run: a result carrying the run's job
+// and attempt so the coordinator matches it.
 func refuse(m wire.Message, format string, args ...any) wire.Message {
-	reply := wire.Message{Type: wire.MsgReady, Config: m.Config, Err: m.Type + " refused: " + fmt.Sprintf(format, args...)}
-	if m.Type == wire.MsgRun {
-		reply.Type, reply.Job, reply.Attempt = wire.MsgResult, m.Job, m.Attempt
-	}
-	return reply
+	return wire.Message{Type: wire.MsgResult, Config: m.Config, Job: m.Job, Attempt: m.Attempt, Err: "run refused: " + fmt.Sprintf(format, args...)}
 }
 
 // serve is a session's one goroutine, from prepare to release. It
-// builds the configuration and replies prepared, then answers what the
-// read loop queues on in, in order: the connect that wires the mesh,
-// then runs, one at a time. A failed prepare or connect leaves it
-// refusing every later message until the release. Nothing waits for it
-// to exit: the read loop must not block on a release, and a closed
-// cancel ends it as soon as a run in flight returns.
+// builds the configuration and replies prepared, then answers the runs
+// the read loop queues on in, one at a time; the first one wires the
+// mesh before it runs. A failed prepare or mesh leaves it refusing
+// every later run until the release. Nothing waits for it to exit: the
+// read loop must not block on a release, and a closed cancel ends it as
+// soon as a run in flight returns.
 func (w *Worker) serve(sess *workerSession, prep wire.Message) {
 	app, plan, ln, err := w.prepare(prep)
 	var engine *exec.RankEngine
@@ -352,18 +350,13 @@ func (w *Worker) serve(sess *workerSession, prep wire.Message) {
 			return
 		case m = <-sess.in:
 		}
-		switch {
-		case err != nil:
+		if err == nil && engine == nil {
+			engine, err = w.connect(plan, ln, sess.cancel, m)
+		}
+		if err != nil {
 			reply = refuse(m, "config %d: %v", sess.id, err)
-		case m.Type == wire.MsgConnect && engine == nil:
-			reply = wire.Message{Type: wire.MsgReady, Config: sess.id}
-			if engine, err = w.connect(plan, ln, sess.cancel, m); err != nil {
-				reply.Err = fmt.Sprintf("mesh: %v", err)
-			}
-		case m.Type == wire.MsgRun && engine != nil:
+		} else {
 			reply = w.run(app, plan, engine, m)
-		default:
-			reply = refuse(m, "config %d out of order", sess.id)
 		}
 		w.mc.write(reply)
 	}
@@ -392,14 +385,26 @@ func (w *Worker) prepare(m wire.Message) (*core.App, *exec.RankPlan, net.Listene
 	return app, plan, ln, nil
 }
 
-// connect wires this worker's slice of the mesh: dial the hosting
+// connect wires this worker's slice of the mesh from the member
+// addresses a configuration's first run carries: dial the hosting
 // process of every rank above each local one, accept a link from every
 // rank below, and stand up the engine over the resulting transport.
-// The mesh takes ln, and tears itself down when cancel closes.
+// The mesh takes ln, and tears itself down when cancel closes. A list
+// that does not place the prepared span as one member's block is
+// refused before anything is dialed.
 func (w *Worker) connect(plan *exec.RankPlan, ln net.Listener, cancel <-chan struct{}, m wire.Message) (*exec.RankEngine, error) {
+	members := len(m.Addrs)
+	if members < 1 || members > plan.Ranks ||
+		exec.BlockAssign(plan.Ranks, members)[exec.OwnerOf(plan.Local.Lo, plan.Ranks, members)] != plan.Local {
+		return nil, fmt.Errorf("mesh: %d member addresses do not place ranks [%d,%d) of %d", members, plan.Local.Lo, plan.Local.Hi, plan.Ranks)
+	}
+	addrs := make([]string, plan.Ranks)
+	for r := range addrs {
+		addrs[r] = m.Addrs[exec.OwnerOf(r, plan.Ranks, members)]
+	}
 	tr, err := tcp.NewMeshTransport(plan, tcp.Topology{
 		Local:    plan.Local,
-		Addrs:    m.Addrs,
+		Addrs:    addrs,
 		Config:   m.Config,
 		Listener: ln,
 		Timeout:  meshSetupTimeout,
@@ -407,7 +412,7 @@ func (w *Worker) connect(plan *exec.RankPlan, ln net.Listener, cancel <-chan str
 		Wrap:     w.opts.Chaos.WrapConn(),
 	})
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("mesh: %v", err)
 	}
 	w.opts.Logf("cluster: config %d mesh up (%d ranks)", m.Config, plan.Ranks)
 	// The scheduling paradigm across processes is p2p's eager policy —
@@ -416,7 +421,7 @@ func (w *Worker) connect(plan *exec.RankPlan, ln net.Listener, cancel <-chan str
 	return exec.NewLocalRankEngine(plan, p2p.Policy{}, 1, tr), nil
 }
 
-// run executes one job on a connected session: swap in the job's
+// run executes one job on a wired session: swap in the job's
 // kernel configurations, reset the plan, run the local ranks, and
 // report the local wall time (the coordinator takes the fleet max).
 // The attempt id is echoed in every result so the coordinator can

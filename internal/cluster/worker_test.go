@@ -10,31 +10,28 @@ import (
 	"taskbench/internal/wire"
 )
 
-// TestWorkerSessionBurstThenRelease drives one worker from a fake
-// coordinator on a raw listener: prepare, connect, a burst of four runs
-// written back to back, then a second burst with a release written
-// right behind it. A session runs one job at a time with one more
-// waiting, so at most two runs of a burst execute and the rest are
-// refused at once; every message still gets exactly one reply, the
-// release gets through, the session's goroutines exit, and a later run
-// for the config is refused at once.
-func TestWorkerSessionBurstThenRelease(t *testing.T) {
+// fakeCoordinator runs a worker against a raw listener standing in for
+// the coordinator and answers its register with a welcome. send writes
+// a frame to the worker; next returns the worker's next reply, failing
+// the test after 10 s; replies is the stream next reads.
+func fakeCoordinator(t *testing.T) (send func(wire.Message), next func() wire.Message, replies <-chan wire.Message) {
+	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer ln.Close()
+	t.Cleanup(func() { ln.Close() })
 	w := NewWorker(WorkerOptions{Coordinator: ln.Addr().String(), Logf: t.Logf})
 	stopped := make(chan error, 1)
 	go func() { stopped <- w.Run() }()
-	defer func() { w.Close(); <-stopped }()
+	t.Cleanup(func() { w.Close(); <-stopped })
 
 	conn, err := ln.Accept()
 	if err != nil {
 		t.Fatal(err)
 	}
 	mc := newMsgConn(conn)
-	defer mc.close()
+	t.Cleanup(mc.close)
 	if m, err := mc.read(); err != nil || m.Type != wire.MsgRegister {
 		t.Fatalf("first frame = %+v, %v; want register", m, err)
 	}
@@ -42,21 +39,21 @@ func TestWorkerSessionBurstThenRelease(t *testing.T) {
 	if err := mc.write(wire.Message{Type: wire.MsgWelcome, Worker: 1, HeartbeatNanos: int64(time.Hour)}); err != nil {
 		t.Fatal(err)
 	}
-	replies := make(chan wire.Message, 16)
+	ch := make(chan wire.Message, 16)
 	go func() {
-		defer close(replies)
+		defer close(ch)
 		for {
 			m, err := mc.read()
 			if err != nil {
 				return
 			}
-			replies <- m
+			ch <- m
 		}
 	}()
-	next := func() wire.Message {
+	next = func() wire.Message {
 		t.Helper()
 		select {
-		case m, ok := <-replies:
+		case m, ok := <-ch:
 			if !ok {
 				t.Fatal("worker closed the control connection")
 			}
@@ -66,12 +63,25 @@ func TestWorkerSessionBurstThenRelease(t *testing.T) {
 		}
 		return wire.Message{}
 	}
-	send := func(m wire.Message) {
+	send = func(m wire.Message) {
 		t.Helper()
 		if err := mc.write(m); err != nil {
 			t.Fatal(err)
 		}
 	}
+	return send, next, ch
+}
+
+// TestWorkerSessionBurstThenRelease drives one worker from a fake
+// coordinator: prepare, a burst of four runs written back to back (the
+// first carries the data address and wires the mesh), then a second
+// burst with a release written right behind it. A session runs one job
+// at a time with one more waiting, so at most two runs of a burst
+// execute and the rest are refused at once; every message still gets
+// exactly one reply, the release gets through, the session's goroutines
+// exit, and a later run for the config is refused at once.
+func TestWorkerSessionBurstThenRelease(t *testing.T) {
+	send, next, replies := fakeCoordinator(t)
 
 	// One task whose kernel spins long enough that the whole burst is
 	// read while the first run executes.
@@ -96,13 +106,9 @@ func TestWorkerSessionBurstThenRelease(t *testing.T) {
 	before := runtime.NumGoroutine()
 
 	send(wire.Message{Type: wire.MsgPrepare, Config: 1, Spec: &spec, Ranks: 1, RankLo: 0, RankHi: 1})
-	r := next()
-	if r.Type != wire.MsgPrepared || r.Config != 1 || r.Err != "" || r.Addr == "" {
-		t.Fatalf("prepare: reply %+v", r)
-	}
-	send(wire.Message{Type: wire.MsgConnect, Config: 1, Addrs: []string{r.Addr}})
-	if r := next(); r.Type != wire.MsgReady || r.Config != 1 || r.Err != "" {
-		t.Fatalf("connect: reply %+v", r)
+	prepared := next()
+	if prepared.Type != wire.MsgPrepared || prepared.Config != 1 || prepared.Err != "" || prepared.Addr == "" {
+		t.Fatalf("prepare: reply %+v", prepared)
 	}
 
 	// burst writes four runs back to back, then (if release) a release
@@ -112,7 +118,11 @@ func TestWorkerSessionBurstThenRelease(t *testing.T) {
 		t.Helper()
 		const n = 4
 		for job := first; job < first+n; job++ {
-			send(run(job))
+			m := run(job)
+			if job == 1 {
+				m.Addrs = []string{prepared.Addr} // the config's first run wires its mesh
+			}
+			send(m)
 		}
 		if release {
 			send(wire.Message{Type: wire.MsgRelease, Config: 1})
@@ -159,5 +169,50 @@ func TestWorkerSessionBurstThenRelease(t *testing.T) {
 	case r := <-replies:
 		t.Errorf("extra reply %+v", r)
 	default:
+	}
+}
+
+// TestWorkerRefusesMismatchedAddrs: a configuration's first run must
+// carry between one and ranks member addresses, and the prepared span
+// must be the block of member OwnerOf(RankLo) under that count. A list
+// that fails either is refused within 10 s with nothing dialed, and the
+// release behind it still gets through.
+func TestWorkerRefusesMismatchedAddrs(t *testing.T) {
+	send, next, _ := fakeCoordinator(t)
+	trap, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer trap.Close()
+	addr := trap.Addr().String()
+	spec := wire.AppSpec{Workers: 3, Graphs: []wire.GraphSpec{{Steps: 2, Width: 3, Type: "stencil_1d"}}}
+	run := func(config uint64, addrs []string) wire.Message {
+		return wire.Message{Type: wire.MsgRun, Config: config, Job: config, Kernels: wire.KernelsOf(spec), Addrs: addrs}
+	}
+	refused := func(r wire.Message, config uint64, why string) bool {
+		return r.Type == wire.MsgResult && r.Job == config && strings.Contains(r.Err, "refused") && strings.Contains(r.Err, why)
+	}
+	// The worker prepares rank 0 of 3: block 0 under three members, but
+	// not under one (ranks [0,3)) or two ([0,2)).
+	for i, addrs := range [][]string{nil, {addr}, {addr, addr}, {addr, addr, addr, addr}} {
+		config := uint64(i + 1)
+		send(wire.Message{Type: wire.MsgPrepare, Config: config, Spec: &spec, Ranks: 3, RankLo: 0, RankHi: 1})
+		if r := next(); r.Type != wire.MsgPrepared || r.Config != config || r.Err != "" {
+			t.Fatalf("%d addresses: prepare reply %+v", len(addrs), r)
+		}
+		send(run(config, addrs))
+		if r := next(); !refused(r, config, "member addresses") {
+			t.Errorf("%d addresses: first run reply %+v, want a refused result", len(addrs), r)
+		}
+		send(wire.Message{Type: wire.MsgRelease, Config: config})
+		send(run(config, nil))
+		if r := next(); !refused(r, config, "not prepared") {
+			t.Errorf("%d addresses: run after release: reply %+v, want refused as not prepared", len(addrs), r)
+		}
+	}
+	trap.(*net.TCPListener).SetDeadline(time.Now().Add(100 * time.Millisecond))
+	if conn, err := trap.Accept(); err == nil {
+		conn.Close()
+		t.Error("a refused address list was dialed")
 	}
 }

@@ -112,8 +112,9 @@ func TestComputeKernelRecurrence(t *testing.T) {
 }
 
 // TestExecuteAllocatesNothing holds every kernel to zero heap
-// allocations per call: in particular the compute kernel's block-copy
-// initialisation must stay a stack copy.
+// allocations per call: in particular the compute kernel's 64-lane
+// working array must stay on the stack (the assembly kernel's frame on
+// amd64, computeGo's copy of the initial lanes elsewhere).
 func TestExecuteAllocatesNothing(t *testing.T) {
 	s := NewScratch(4096)
 	for _, c := range []Config{

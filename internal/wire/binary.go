@@ -51,7 +51,7 @@ const BinMagic = 0xB1
 
 // MaxControlFrame bounds one binary control message's body. The
 // largest legitimate messages (a submit carrying a many-graph spec, a
-// connect carrying thousands of addresses) are a few hundred KiB; a
+// first run carrying a large fleet's addresses) are a few hundred KiB; a
 // length prefix beyond this is corruption, and rejecting it keeps a
 // bad frame from driving an unbounded allocation.
 const MaxControlFrame = 16 << 20
@@ -68,12 +68,11 @@ var msgCodes = map[string]byte{
 	MsgHeartbeat: 3,
 	MsgPrepare:   4,
 	MsgPrepared:  5,
-	MsgConnect:   6,
-	MsgReady:     7,
-	MsgRun:       8,
-	MsgResult:    9,
-	MsgRelease:   10,
-	MsgSubmit:    11,
+	// 6 and 7 were connect and ready, retired in version 11.
+	MsgRun:     8,
+	MsgResult:  9,
+	MsgRelease: 10,
+	MsgSubmit:  11,
 	// 12 was accepted, retired in version 9.
 	MsgRejected:  13,
 	MsgCancel:    14,

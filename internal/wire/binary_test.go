@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"reflect"
 	"runtime"
 	"strings"
@@ -54,8 +55,9 @@ func goldenMessages() []goldenMessage {
 			}},
 		}}},
 		{"", Message{Type: MsgPrepared, Config: 7, Addr: "127.0.0.1:40721"}},
-		{"", Message{Type: MsgConnect, Config: 7, Addrs: []string{"a:1", "a:1", "b:2", "b:2", "c:3", "c:3"}}},
-		{"", Message{Type: MsgReady, Config: 7}},
+		{"", Message{Type: MsgRun, Config: 7, Job: 8, Kernels: []KernelSpec{{Kernel: "compute_bound", Iterations: 64}},
+			Addrs: []string{"a:1", "b:2", "c:3"}}},
+		{"", Message{Type: MsgResult, Config: 7, Job: 8, Err: "run refused: config 7: mesh: 2 member addresses do not place ranks [2,4) of 6"}},
 		{"bin", Message{Type: MsgRun, Config: 7, Job: 9, Attempt: 1, Kernels: []KernelSpec{
 			{Kernel: "compute_bound", Iterations: 64},
 			{Kernel: "busy_wait", WaitNanos: 1500, Imbalance: 0.5, SpanBytes: 64},
@@ -213,13 +215,21 @@ func retiredFrame() []byte {
 }
 
 // TestBinaryRejectsRetiredCode holds a retired type code to "unknown":
-// a peer still sending accepted is refused, not misread.
+// a peer still sending accepted, connect or ready is refused, not
+// misread.
 func TestBinaryRejectsRetiredCode(t *testing.T) {
 	if m, err := DecodeMessageBinary(retiredFrame()); err == nil || !strings.Contains(err.Error(), "unknown binary message code 12") {
 		t.Errorf("accepted as %+v (err %v)", m, err)
 	}
 	if m, err := ReadMessageFrom(bufio.NewReader(bytes.NewReader(retiredFrame()))); err == nil {
 		t.Errorf("stream reader accepted as %+v", m)
+	}
+	for _, code := range []byte{6, 7} { // connect and ready, retired in version 11
+		frame := retiredFrame()
+		frame[3] = code
+		if m, err := DecodeMessageBinary(frame); err == nil || !strings.Contains(err.Error(), fmt.Sprintf("unknown binary message code %d", code)) {
+			t.Errorf("code %d accepted as %+v (err %v)", code, m, err)
+		}
 	}
 }
 

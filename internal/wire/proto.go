@@ -17,8 +17,10 @@ import (
 // constant marker was. Version 9 retires accepted and StatsInfo's
 // configs_reused: a submit names its job with a client-chosen id.
 // Version 10 gives each rank pair one mesh connection, dialed by the
-// lower rank and written from both ends.
-const ProtoVersion = 10
+// lower rank and written from both ends. Version 11 retires connect
+// and ready: a configuration's first run carries one data address per
+// member, and each worker wires the mesh before it runs.
+const ProtoVersion = 11
 
 // Message types of the cluster control protocol. One flat Message
 // envelope carries every type; unused fields stay at their zero value
@@ -29,8 +31,10 @@ const ProtoVersion = 10
 //	register →, ← welcome            worker joins the fleet
 //	heartbeat →                      liveness, every HeartbeatNanos
 //	← prepare, prepared →            build app/plan + data listener
-//	← connect, ready →               wire the rank mesh across workers
-//	← run, result →                  one job on a prepared config
+//	← run, result →                  one job on a prepared config; the
+//	                                 config's first run carries the
+//	                                 members' data addresses and wires
+//	                                 the rank mesh before it runs
 //	← release                        drop a config (session teardown)
 //	drain →, ← drained               graceful departure: the worker
 //	                                 announces it is leaving; the
@@ -58,8 +62,6 @@ const (
 	MsgHeartbeat = "heartbeat"
 	MsgPrepare   = "prepare"
 	MsgPrepared  = "prepared"
-	MsgConnect   = "connect"
-	MsgReady     = "ready"
 	MsgRun       = "run"
 	MsgResult    = "result"
 	MsgRelease   = "release"
@@ -227,8 +229,9 @@ type Message struct {
 	// Addr is the data address a worker's mesh listener is bound to
 	// (prepared).
 	Addr string `json:"addr,omitempty"`
-	// Addrs maps every rank to the data address of its hosting worker
-	// (connect).
+	// Addrs lists every member's data address in member order (a
+	// configuration's first run): member k hosts block k of the
+	// prepared ranks split len(Addrs) ways by exec.BlockAssign.
 	Addrs []string `json:"addrs,omitempty"`
 
 	// ElapsedNanos is the measured wall time of a run (result, done).
@@ -236,7 +239,7 @@ type Message struct {
 	// Workers is the rank count a completed job actually ran on (done).
 	Workers int `json:"workers,omitempty"`
 
-	// Err carries a failure through prepared, ready, result and done.
+	// Err carries a failure through prepared, result and done.
 	Err string `json:"err,omitempty"`
 
 	// Stats is the coordinator snapshot of a statsreply.

@@ -9,7 +9,7 @@ import (
 
 // warmJobMallocs is the most mallocs one warm job may make across the
 // whole in-process fleet — client, coordinator and both workers.
-const warmJobMallocs = 32
+const warmJobMallocs = 24
 
 // TestWarmJobMallocs pins the fixed allocation cost of a job on a
 // prepared configuration: the shape of the fleet_small_jobs benchmark
@@ -46,7 +46,9 @@ func TestWarmJobMallocs(t *testing.T) {
 		}
 	}
 	submit() // provisions the configuration
-	if allocs := testing.AllocsPerRun(500, submit); allocs > warmJobMallocs {
+	allocs := testing.AllocsPerRun(500, submit)
+	t.Logf("a warm job makes %v mallocs", allocs)
+	if allocs > warmJobMallocs {
 		t.Errorf("a warm job makes %v mallocs, want at most %d", allocs, warmJobMallocs)
 	}
 }

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
@@ -27,6 +28,7 @@ type Client struct {
 	queries map[uint64]chan statsOutcome
 	nextID  uint64 // request ids, shared by submits and stats queries
 	started bool
+	read    chan struct{} // closed when readLoop exits
 
 	// statsApp caches the app rebuilt for client-side statistics: an
 	// METG sweep submits the same shape per point, and the cached
@@ -109,13 +111,23 @@ func Dial(addr string) (*Client, error) {
 	if err != nil {
 		return nil, fmt.Errorf("cluster: dial %s: %w", addr, err)
 	}
-	return &Client{mc: newMsgConn(conn), byID: map[uint64]*Pending{}, queries: map[uint64]chan statsOutcome{}}, nil
+	return &Client{mc: newMsgConn(conn), byID: map[uint64]*Pending{}, queries: map[uint64]chan statsOutcome{}, read: make(chan struct{})}, nil
 }
 
-// Close releases the control connection. In-flight submissions fail
+// Close releases the control connection and returns once the read loop
+// has exited; a closed client starts none. In-flight submissions fail
 // with a protocol error; coordinator-side, they are cancelled by the
 // disconnect.
-func (c *Client) Close() { c.mc.close() }
+func (c *Client) Close() {
+	c.mc.close()
+	c.mu.Lock()
+	started := c.started
+	c.err = cmp.Or(c.err, net.ErrClosed)
+	c.mu.Unlock()
+	if started {
+		<-c.read
+	}
+}
 
 // SubmitAsync queues one job without waiting for it, so a connection
 // can pipeline many jobs — the coordinator runs compatible shapes
@@ -206,6 +218,7 @@ func (c *Client) Submit(spec wire.AppSpec) (JobResult, error) {
 // readLoop demultiplexes coordinator replies by the id of the request
 // they answer.
 func (c *Client) readLoop() {
+	defer close(c.read)
 	for {
 		m, err := c.mc.read()
 		if err != nil {

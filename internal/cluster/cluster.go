@@ -18,14 +18,17 @@
 // exec.RankSession (so a distributed METG sweep pays mesh
 // establishment once, not per point).
 //
-// Scheduling is concurrent: a bounded pool of scheduler slots
-// (Options.Concurrency) claims queued jobs, so jobs of different
-// shapes overlap across the fleet while jobs sharing a shape pipeline
-// one at a time over their shared prepared configuration (a per-shape
-// run lock — the mesh and payload rows are single-run state). A full
-// queue rejects new submissions immediately instead of blocking the
-// submitter, and one client connection may have many jobs in flight
-// (done replies are matched by job id).
+// The coordinator is one event loop: a single goroutine owns the
+// fleet, the configuration cache, the queue and every job, and the
+// rest — a reader and a writer per connection, a ticker, the exported
+// methods — talk to it by events, so it needs no lock. Each job is a
+// state machine in the loop. Up to Options.Concurrency jobs are claimed
+// from the queue at once, so jobs of different shapes overlap across
+// the fleet while jobs sharing a shape take turns over their shared
+// prepared configuration (the mesh and payload rows are single-run
+// state). A full queue rejects new submissions immediately instead of
+// blocking the submitter, and one client connection may have many jobs
+// in flight (done replies are matched by job id).
 //
 // Failure semantics: workers heartbeat on the control connection; a
 // missed-heartbeat timeout or a control-connection error declares a
@@ -63,8 +66,8 @@ import (
 // writers (heartbeats and replies interleave); a nonzero writeTimeout
 // bounds each write: the coordinator arms it on accepted connections
 // so a peer that stops draining its socket (a SIGSTOPped client, say)
-// turns into a write error — freeing the scheduler slot delivering to
-// it — instead of a goroutine parked in write forever.
+// turns into a write error, and a hang-up, instead of a writer parked
+// in write forever.
 type msgConn struct {
 	conn         net.Conn
 	br           *bufio.Reader

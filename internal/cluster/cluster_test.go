@@ -1,14 +1,11 @@
 package cluster
 
 import (
-	"bufio"
 	"errors"
-	"fmt"
 	"io"
 	"math"
 	"net"
 	"os"
-	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -234,9 +231,9 @@ func TestClusterJobsOverlapAcrossShapes(t *testing.T) {
 }
 
 // TestClusterPipelinedSubmissionsShareConfig pipelines several
-// same-shape jobs down one connection before any completes: they
-// serialize on the shape's run lock but reuse the one prepared
-// configuration, never re-provisioning.
+// same-shape jobs down one connection before any completes: they take
+// turns on the shape but reuse the one prepared configuration, never
+// re-provisioning.
 func TestClusterPipelinedSubmissionsShareConfig(t *testing.T) {
 	coord, _ := testFleet(t, 2)
 	cli, err := Dial(coord.Addr())
@@ -372,341 +369,6 @@ func TestClusterRetriesAfterWorkerDeath(t *testing.T) {
 	}
 }
 
-// TestReplyKeyMatchesRequestToReply pins the routing contract the
-// retry path rests on: a request and its reply map to one key, and a
-// result of another attempt (a stale run's late answer) to another.
-func TestReplyKeyMatchesRequestToReply(t *testing.T) {
-	for req, reply := range map[string]string{
-		wire.MsgPrepare: wire.MsgPrepared, wire.MsgRun: wire.MsgResult,
-	} {
-		m := wire.Message{Type: req, Config: 7, Job: 9, Attempt: 2}
-		want := replyKeyOf(m)
-		if m.Type = reply; replyKeyOf(m) != want {
-			t.Errorf("%s waits on %+v, %s routes to %+v", req, want, reply, replyKeyOf(m))
-		}
-		if m.Attempt = 1; reply == wire.MsgResult && replyKeyOf(m) == want {
-			t.Errorf("attempt 1's result would satisfy the wait for attempt 2")
-		}
-	}
-}
-
-// TestClusterProvisionsInOneCall pins provisioning to one fleet call.
-// Two scripted workers register over raw connections and answer every
-// prepare and run. An 8-rank job's cold path sends each of them a
-// prepare for its block of ranks, then a run carrying exactly one data
-// address per member, in member order; a second job of the same shape
-// sends a run carrying none. Any other frame — a second provisioning
-// call — fails the test, and one the scripted workers leave unanswered
-// fails the job within the 10 s setup timeout.
-func TestClusterProvisionsInOneCall(t *testing.T) {
-	coord, err := Start(Options{
-		HeartbeatInterval: time.Second,
-		HeartbeatTimeout:  time.Minute,
-		SetupTimeout:      10 * time.Second,
-		JobTimeout:        10 * time.Second,
-		Logf:              t.Logf,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer coord.Close()
-	const members = 2
-	frames := make([]chan wire.Message, members)
-	addrs := make([]string, members)
-	for k := range frames {
-		frames[k] = make(chan wire.Message, 8)
-		addrs[k] = fmt.Sprintf("raw-%d:1", k)
-		conn, err := net.Dial("tcp", coord.Addr())
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { conn.Close() })
-		if err := wire.WriteMessageBinary(conn, wire.Message{Type: wire.MsgRegister, Name: addrs[k]}); err != nil {
-			t.Fatal(err)
-		}
-		// Reading the welcome before the next worker dials fixes the
-		// member order: the coordinator places by registration id.
-		br := bufio.NewReader(conn)
-		if m, err := wire.ReadMessageFrom(br); err != nil || m.Type != wire.MsgWelcome {
-			t.Fatalf("worker %d: first frame %+v, %v; want welcome", k, m, err)
-		}
-		go func() {
-			for {
-				m, err := wire.ReadMessageFrom(br)
-				if err != nil {
-					return
-				}
-				frames[k] <- m
-				reply := wire.Message{Config: m.Config, Job: m.Job, Attempt: m.Attempt}
-				switch m.Type {
-				case wire.MsgPrepare:
-					reply.Type, reply.Addr = wire.MsgPrepared, addrs[k]
-				case wire.MsgRun:
-					reply.Type, reply.ElapsedNanos = wire.MsgResult, 1
-				default:
-					continue
-				}
-				if wire.WriteMessageBinary(conn, reply) != nil {
-					return
-				}
-			}
-		}()
-	}
-	if _, err := coord.WaitWorkers(members, 10*time.Second); err != nil {
-		t.Fatal(err)
-	}
-	cli, err := Dial(coord.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cli.Close()
-	spec := wire.AppSpec{Workers: 8, Graphs: []wire.GraphSpec{{Steps: 4, Width: 8, Type: "stencil_1d"}}}
-	for job := range 2 {
-		if res, err := cli.Submit(spec); err != nil || res.Err != nil {
-			t.Fatalf("job %d: %v / %v", job, err, res.Err)
-		}
-	}
-
-	// Each scripted worker queues a frame before it replies, so every
-	// frame of both jobs is queued by now.
-	for k, ch := range frames {
-		var got []wire.Message
-		for len(ch) > 0 {
-			got = append(got, <-ch)
-		}
-		if len(got) != 3 {
-			t.Fatalf("worker %d got %d frames %+v, want prepare, run, run", k, len(got), got)
-		}
-		if p := got[0]; p.Type != wire.MsgPrepare || p.Ranks != 8 || p.RankLo != 4*k || p.RankHi != 4*k+4 {
-			t.Errorf("worker %d: first frame %+v, want a prepare of ranks [%d,%d) of 8", k, p, 4*k, 4*k+4)
-		}
-		if r := got[1]; r.Type != wire.MsgRun || !slices.Equal(r.Addrs, addrs) {
-			t.Errorf("worker %d: cold run %+v, want a run carrying addresses %q", k, r, addrs)
-		}
-		if r := got[2]; r.Type != wire.MsgRun || r.Addrs != nil {
-			t.Errorf("worker %d: warm run %+v, want a run carrying no addresses", k, r)
-		}
-	}
-}
-
-// TestCallWriteFailureLeavesFleet pins the invariant the retry path
-// rests on: a worker-lost error from a failed control write returns
-// only after the worker has left the fleet, so a retry placing at once
-// cannot pick the corpse again.
-func TestCallWriteFailureLeavesFleet(t *testing.T) {
-	coord, err := Start(Options{Logf: t.Logf})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer coord.Close()
-	local, remote := net.Pipe()
-	remote.Close()
-	w := &workerConn{
-		id:      1,
-		name:    "closed",
-		mc:      newMsgConn(local),
-		waiters: map[replyKey]waiter{},
-	}
-	coord.mu.Lock()
-	coord.workers[w.id] = w
-	coord.mu.Unlock()
-
-	_, err = coord.callAll([]*workerConn{w}, func(int) wire.Message {
-		return wire.Message{Type: wire.MsgPrepare, Config: 1}
-	}, time.Second, nil, nil)
-	if !errors.Is(err, errWorkerLost) {
-		t.Fatalf("call over a closed pipe = %v, want errWorkerLost", err)
-	}
-	if n := coord.WorkerCount(); n != 0 {
-		t.Errorf("workers = %d when the write error returned, want 0", n)
-	}
-}
-
-// pipeWorker puts a worker into coord's fleet whose control connection
-// is one end of a net.Pipe; the frames the coordinator writes to it
-// arrive on the returned channel, which closes when the pipe does.
-func pipeWorker(t *testing.T, coord *Coordinator, id int64) (*workerConn, <-chan wire.Message) {
-	local, remote := net.Pipe()
-	t.Cleanup(func() { local.Close(); remote.Close() })
-	w := &workerConn{
-		id:      id,
-		name:    fmt.Sprintf("pipe-%d", id),
-		mc:      newMsgConn(local),
-		waiters: map[replyKey]waiter{},
-	}
-	frames := make(chan wire.Message, 8)
-	go func() {
-		defer close(frames)
-		br := bufio.NewReader(remote)
-		for {
-			m, err := wire.ReadMessageFrom(br)
-			if err != nil {
-				return
-			}
-			frames <- m
-		}
-	}()
-	coord.mu.Lock()
-	coord.workers[id] = w
-	coord.mu.Unlock()
-	return w, frames
-}
-
-// TestCallAllReturnsAtFirstFailure pins that a fleet call collects one
-// reply per member, ends at its first failure and leaves nothing
-// waiting behind it: a duplicate reply is not counted as another
-// member's, one member's error reply returns at once while the other
-// stays silent, both waiter maps are empty on return, and the silent
-// member's late reply finds no waiter. A member dying mid-wait returns
-// a worker-lost error only after it has left the fleet, and a call made
-// after its death fails at once.
-func TestCallAllReturnsAtFirstFailure(t *testing.T) {
-	coord, err := Start(Options{Logf: t.Logf})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer coord.Close()
-	w0, frames0 := pipeWorker(t, coord, 1)
-	w1, frames1 := pipeWorker(t, coord, 2)
-	members := []*workerConn{w0, w1}
-	type outcome struct {
-		replies []wire.Message
-		err     error
-	}
-	callAll := func(config uint64) <-chan outcome {
-		done := make(chan outcome, 1)
-		go func() {
-			replies, err := coord.callAll(members, func(int) wire.Message {
-				return wire.Message{Type: wire.MsgPrepare, Config: config}
-			}, time.Minute, nil, nil)
-			done <- outcome{replies, err}
-		}()
-		<-frames0
-		<-frames1
-		return done
-	}
-	result := func(done <-chan outcome) outcome {
-		select {
-		case o := <-done:
-			return o
-		case <-time.After(10 * time.Second):
-			t.Fatal("callAll still waiting 10s after its last reply")
-			return outcome{}
-		}
-	}
-	waiting := func(w *workerConn) int {
-		w.mu.Lock()
-		defer w.mu.Unlock()
-		return len(w.waiters)
-	}
-
-	// A duplicate reply is not taken for the other member's.
-	done := callAll(1)
-	w0.route(wire.Message{Type: wire.MsgPrepared, Config: 1, Addr: "a"})
-	w0.route(wire.Message{Type: wire.MsgPrepared, Config: 1, Addr: "dup"})
-	w1.route(wire.Message{Type: wire.MsgPrepared, Config: 1, Addr: "b"})
-	if o := result(done); o.err != nil || len(o.replies) != 2 || o.replies[0].Addr != "a" || o.replies[1].Addr != "b" {
-		t.Fatalf("callAll = %+v, %v; want the replies a and b in member order", o.replies, o.err)
-	}
-
-	done = callAll(2)
-	w0.route(wire.Message{Type: wire.MsgPrepared, Config: 2, Err: "plan failed"})
-	if err := result(done).err; err == nil || !strings.Contains(err.Error(), "plan failed") || errors.Is(err, errWorkerLost) {
-		t.Fatalf("callAll after an error reply = %v, want that error", err)
-	}
-	if n0, n1 := waiting(w0), waiting(w1); n0+n1 != 0 {
-		t.Errorf("waiters left after the call returned: %d and %d, want none", n0, n1)
-	}
-	w1.route(wire.Message{Type: wire.MsgPrepared, Config: 2, Addr: "late"})
-	if n := waiting(w1); n != 0 {
-		t.Errorf("late reply left %d waiters, want none", n)
-	}
-
-	done = callAll(3)
-	killed := make(chan struct{})
-	go func() {
-		defer close(killed)
-		coord.markDead(w1, errors.New("killed"))
-	}()
-	defer func() { <-killed }()
-	if err := result(done).err; !errors.Is(err, errWorkerLost) {
-		t.Fatalf("callAll with a member dying = %v, want errWorkerLost", err)
-	}
-	coord.mu.Lock()
-	_, listed := coord.workers[w1.id]
-	coord.mu.Unlock()
-	if listed {
-		t.Error("dead member still in the fleet when its worker-lost error returned")
-	}
-	if n := waiting(w0); n != 0 {
-		t.Errorf("waiters left on the live member: %d, want none", n)
-	}
-	if _, err := coord.callAll(members, func(int) wire.Message {
-		return wire.Message{Type: wire.MsgPrepare, Config: 4}
-	}, time.Minute, nil, nil); !errors.Is(err, errWorkerLost) {
-		t.Errorf("callAll over a dead member = %v, want errWorkerLost", err)
-	}
-}
-
-// TestCallAllWaitsOutRunFailure pins a run call's error path: an error
-// reply calls abort once and the call waits for the other members, so
-// a member lost meanwhile still returns a worker-lost error, and
-// otherwise the first error returns once every member has answered.
-func TestCallAllWaitsOutRunFailure(t *testing.T) {
-	coord, err := Start(Options{Logf: t.Logf})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer coord.Close()
-	w0, frames0 := pipeWorker(t, coord, 1)
-	w1, frames1 := pipeWorker(t, coord, 2)
-	aborts := make(chan struct{}, 4)
-	run := func(job uint64) <-chan error {
-		done := make(chan error, 1)
-		go func() {
-			_, err := coord.callAll([]*workerConn{w0, w1}, func(int) wire.Message {
-				return wire.Message{Type: wire.MsgRun, Config: 1, Job: job}
-			}, time.Minute, nil, func() { aborts <- struct{}{} })
-			done <- err
-		}()
-		<-frames0
-		<-frames1
-		return done
-	}
-	waitAbort := func() {
-		t.Helper()
-		select {
-		case <-aborts:
-		case <-time.After(10 * time.Second):
-			t.Fatal("error reply did not call abort")
-		}
-	}
-
-	done := run(1)
-	w0.route(wire.Message{Type: wire.MsgResult, Config: 1, Job: 1, Err: "validation failed"})
-	waitAbort()
-	select {
-	case err := <-done:
-		t.Fatalf("run call returned %v before the other member answered", err)
-	case <-time.After(50 * time.Millisecond):
-	}
-	w1.route(wire.Message{Type: wire.MsgResult, Config: 1, Job: 1, Err: "run refused: config 1 released"})
-	if err := <-done; err == nil || !strings.Contains(err.Error(), "validation failed") || errors.Is(err, errWorkerLost) {
-		t.Errorf("run call = %v, want the first error", err)
-	}
-
-	done = run(2)
-	w0.route(wire.Message{Type: wire.MsgResult, Config: 1, Job: 2, Err: "validation failed"})
-	waitAbort()
-	coord.markDead(w1, errors.New("killed"))
-	if err := <-done; !errors.Is(err, errWorkerLost) {
-		t.Errorf("run call with a member lost after an error reply = %v, want errWorkerLost", err)
-	}
-	if len(aborts) != 0 {
-		t.Errorf("abort called %d more times", len(aborts))
-	}
-}
-
 // TestClusterQueueFullRejectsFast fills the one-deep queue behind a
 // busy one-slot scheduler: the next submission must get an immediate
 // rejected reply, not block until capacity frees up.
@@ -759,9 +421,9 @@ func TestClusterQueueFullRejectsFast(t *testing.T) {
 
 // TestClusterClientDisconnectCancelsQueuedJob: a job whose client
 // vanished right after submitting must be cancelled — the client
-// connection's read loop sees the disconnect — not run over the whole
-// fleet for nobody. The scheduler slot is kept busy so the orphaned job
-// is discovered in the queue.
+// connection's reader sees the disconnect — not run over the whole
+// fleet for nobody. The one job slot is kept busy so the orphaned job
+// is still queued when it is cancelled.
 func TestClusterClientDisconnectCancelsQueuedJob(t *testing.T) {
 	coord, _ := testFleetOpts(t, 2, func(o *Options) { o.Concurrency = 1 })
 	cli, err := Dial(coord.Addr())

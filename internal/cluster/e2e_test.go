@@ -27,14 +27,22 @@ func TestClusterWorkerHelper(t *testing.T) {
 		Coordinator: coord,
 		Name:        os.Getenv("TASKBENCH_CLUSTER_NAME"),
 	})
+	defer w.Close()
 	if os.Getenv("TASKBENCH_CLUSTER_DRAIN") != "" {
 		ch := make(chan os.Signal, 1)
 		signal.Notify(ch, syscall.SIGTERM)
+		defer signal.Stop(ch)
+		ran := make(chan struct{})
+		defer close(ran)
 		go func() {
-			<-ch
+			select {
+			case <-ch:
+			case <-ran:
+				return
+			}
 			if err := w.Drain(); err != nil {
 				t.Errorf("drain: %v", err)
-				w.Close()
+				w.shutdown()
 			}
 		}()
 		// A drained worker must exit its serve loop cleanly; the parent

@@ -97,9 +97,8 @@ func TestClusterJoinDuringProvisioning(t *testing.T) {
 	}
 	deadline := time.Now().Add(10 * time.Second)
 	for {
-		coord.mu.Lock()
-		placed := coord.nextConfig >= 1
-		coord.mu.Unlock()
+		placed := false
+		coord.do(func() { placed = coord.nextConfig >= 1 })
 		if placed {
 			break
 		}

@@ -14,8 +14,8 @@ import (
 //	/healthz  fleet quorum + queue saturation, 200 ok / 503 degraded
 //
 // It is read-only and coordinator-local: every handler samples state
-// the same way a stats reply does, so a scrape can never mutate the
-// scheduler.
+// on the loop the same way a stats reply does, so a scrape can never
+// mutate the scheduler.
 type httpServer struct {
 	c   *Coordinator
 	ln  net.Listener
@@ -35,7 +35,11 @@ func startHTTPServer(c *Coordinator, addr string) (*httpServer, error) {
 		Handler:           mux,
 		ReadHeaderTimeout: 10 * time.Second,
 	}
-	go s.srv.Serve(ln)
+	c.wg.Add(1)
+	go func() {
+		defer c.wg.Done()
+		s.srv.Serve(ln)
+	}()
 	c.opts.Logf("cluster: observability endpoints on http://%s (/metrics /healthz)", ln.Addr())
 	return s, nil
 }
@@ -55,7 +59,7 @@ func (c *Coordinator) HTTPAddr() string {
 
 func (s *httpServer) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	s.c.sample()
+	s.c.do(func() { s.c.sample() })
 	s.c.metrics.reg.WritePrometheus(w)
 }
 

@@ -147,9 +147,9 @@ func TestMetricsOffDataPlane(t *testing.T) {
 	}
 	// The registry still exists (Stats reads its counters and percentiles), and
 	// scraping it directly is allowed even without the server. The fleet
-	// gauges hold what the last sample set, so sample first, as the
-	// /metrics handler does.
-	coord.sample()
+	// gauges hold what the last sample set, so sample first, on the
+	// loop, as the /metrics handler does.
+	coord.do(func() { coord.sample() })
 	var sb strings.Builder
 	if err := coord.metrics.reg.WritePrometheus(&sb); err != nil {
 		t.Fatal(err)

@@ -43,10 +43,10 @@ const (
 )
 
 // coordMetrics is the coordinator's instrumentation and its only event
-// counters. Counters, histograms and the two job gauges are updated
-// from the scheduler paths; the gauges derived from coordinator state
-// are set by Coordinator.sample, which Stats and the /metrics handler
-// both call.
+// counters. Counters, histograms and the two job gauges are updated by
+// the loop as jobs move; the gauges derived from coordinator state are
+// set by Coordinator.sample, which Stats and the /metrics handler both
+// run on the loop.
 type coordMetrics struct {
 	reg *metrics.Registry
 
@@ -76,19 +76,19 @@ type coordMetrics struct {
 	queueWait  *metrics.Histogram
 }
 
-// newCoordMetrics builds the registry. Queue capacity and scheduler
-// slots never change, so they are set here once.
+// newCoordMetrics builds the registry. Queue capacity and job slots
+// never change, so they are set here once.
 func newCoordMetrics(opts Options) *coordMetrics {
 	reg := metrics.NewRegistry()
 	reg.Gauge(MetricQueueCapacity, "Job queue capacity.").Set(float64(opts.QueueDepth))
-	reg.Gauge(MetricSchedulerSlots, "Scheduler concurrency slots.").Set(float64(opts.Concurrency))
+	reg.Gauge(MetricSchedulerSlots, "Job slots (Options.Concurrency).").Set(float64(opts.Concurrency))
 	return &coordMetrics{
 		reg: reg,
 
-		inFlight: reg.Gauge(MetricJobsInFlight, "Jobs claimed by scheduler slots."),
+		inFlight: reg.Gauge(MetricJobsInFlight, "Jobs claimed by job slots."),
 		running:  reg.Gauge(MetricJobsRunning, "Jobs currently executing on the fleet."),
 
-		queueDepth:      reg.Gauge(MetricQueueDepth, "Jobs queued awaiting a scheduler slot."),
+		queueDepth:      reg.Gauge(MetricQueueDepth, "Jobs queued awaiting a job slot."),
 		workersLive:     reg.Gauge(MetricWorkersLive, "Registered live workers."),
 		workersDraining: reg.Gauge(MetricWorkersDraining, "Fleet members mid-drain."),
 		configsPrepared: reg.Gauge(MetricConfigsPrepared, "Shapes currently holding a configuration, counted from placement (provisioning included)."),
@@ -108,34 +108,31 @@ func newCoordMetrics(opts Options) *coordMetrics {
 		cacheMisses:          reg.CounterVec(MetricCacheMisses, "Jobs that had to provision a configuration, by shape.", "shape"),
 
 		jobLatency: reg.Histogram(MetricJobLatency, "Job latency from admission to done reply.", nil),
-		queueWait:  reg.Histogram(MetricQueueWait, "Time from admission to a scheduler slot claiming the job.", nil),
+		queueWait:  reg.Histogram(MetricQueueWait, "Time from admission to a job slot claiming the job.", nil),
 	}
 }
 
 // sample sets the gauges derived from coordinator state and returns
-// them as the fleet fields of a Stats. Fleet size, drains, prepared
-// shapes and heartbeat age are read in one c.mu critical section;
-// queue depth is the channel's length, which needs no lock. An empty
-// fleet has heartbeat age 0: nothing to be stale about.
+// them as the fleet fields of a Stats. It runs on the loop, which owns
+// that state. An empty fleet has heartbeat age 0: nothing to be stale
+// about.
 func (c *Coordinator) sample() Stats {
 	var s Stats
-	now := time.Now().UnixNano()
-	var age int64
+	now := time.Now()
+	var age time.Duration
 	prepared := 0
-	c.mu.Lock()
 	s.Workers = len(c.workers)
 	for _, w := range c.workers {
 		if w.draining {
 			s.WorkersDraining++
 		}
-		age = max(age, now-w.lastSeen.Load())
+		age = max(age, now.Sub(w.lastSeen))
 	}
 	for _, e := range c.configs {
 		if e.cfg != nil {
 			prepared++
 		}
 	}
-	c.mu.Unlock()
 	s.QueueLen = len(c.queue)
 	s.MaxHeartbeatAgeNanos = int(age)
 
@@ -144,7 +141,34 @@ func (c *Coordinator) sample() Stats {
 	m.workersLive.Set(float64(s.Workers))
 	m.workersDraining.Set(float64(s.WorkersDraining))
 	m.configsPrepared.Set(float64(prepared))
-	m.heartbeatAge.Set(time.Duration(age).Seconds())
+	m.heartbeatAge.Set(age.Seconds())
+	return s
+}
+
+// counted fills in the rest of a Stats: every counter from the
+// registry, and the fixed dimensions.
+func (c *Coordinator) counted(s Stats) Stats {
+	m := c.metrics
+	s.ConfigsBuilt = int(m.configsBuilt.Value())
+	s.JobsRun = int(m.jobsCompleted.Value())
+	s.JobsFailed = int(m.jobsFailed.Value())
+	s.JobsInFlight = int(m.inFlight.Value())
+	s.JobsRunning = int(m.running.Value())
+	s.JobsRetried = int(m.jobsRetried.Value())
+	s.JobsRejected = int(m.jobsRejected.Value())
+	s.JobsCancelled = int(m.jobsCancelled.Value())
+	s.QueueCap = c.opts.QueueDepth
+	s.Concurrency = c.opts.Concurrency
+	s.MaxAttempts = c.opts.MaxAttempts
+	s.ConfigsReprovisioned = int(m.configsReprovisioned.Value())
+	s.ConfigsEvicted = int(m.configsEvicted.Value())
+	s.ConfigCacheHits = int(m.cacheHits.Total())
+	s.ConfigCacheMisses = int(m.cacheMisses.Total())
+	if lat := m.jobLatency.Snapshot(); lat.Count > 0 {
+		s.LatencyP50Nanos = int(lat.Quantile(0.50) * float64(time.Second))
+		s.LatencyP95Nanos = int(lat.Quantile(0.95) * float64(time.Second))
+		s.LatencyP99Nanos = int(lat.Quantile(0.99) * float64(time.Second))
+	}
 	return s
 }
 

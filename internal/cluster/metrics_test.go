@@ -73,25 +73,28 @@ func TestRegisteredFamiliesAreMetricConstants(t *testing.T) {
 	}
 }
 
-// TestRegistryRendersUnderCoordinatorLock pins the registry's one-way
+// TestRegistryRendersWhileLoopBusy pins the registry's one-way
 // dependency: rendering reads instruments and never calls back into
-// the coordinator, so a scrape completes even while c.mu is held.
-func TestRegistryRendersUnderCoordinatorLock(t *testing.T) {
+// the coordinator, so a scrape completes even while the loop is busy.
+func TestRegistryRendersWhileLoopBusy(t *testing.T) {
 	coord, err := Start(Options{Logf: t.Logf})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer coord.Close()
 	done := make(chan error, 1)
-	coord.mu.Lock()
-	go func() { done <- coord.metrics.reg.WritePrometheus(io.Discard) }()
-	select {
-	case err = <-done:
-		coord.mu.Unlock()
-	case <-time.After(2 * time.Second):
-		coord.mu.Unlock()
-		<-done
-		t.Fatal("WritePrometheus blocked for 2s while c.mu was held: the registry calls back into the coordinator")
+	blocked := false
+	coord.do(func() {
+		go func() { done <- coord.metrics.reg.WritePrometheus(io.Discard) }()
+		select {
+		case err = <-done:
+		case <-time.After(2 * time.Second):
+			blocked = true
+		}
+	})
+	if blocked {
+		err = <-done
+		t.Error("WritePrometheus blocked for 2s while the loop was busy: the registry calls back into the coordinator")
 	}
 	if err != nil {
 		t.Fatal(err)

@@ -63,6 +63,9 @@ type Worker struct {
 	id   int64
 	stop sync.Once
 	done chan struct{}
+	// wg covers Run and every goroutine it starts — the heartbeat, each
+	// session's serve and the chaos fuses — so Close can wait for them.
+	wg sync.WaitGroup
 
 	// sessions belongs to the control read loop: only it adds, feeds
 	// and drops sessions.
@@ -104,11 +107,11 @@ func (w *Worker) Run() error {
 	if err != nil {
 		return fmt.Errorf("cluster: dial coordinator %s: %w", w.opts.Coordinator, err)
 	}
-	// Publish the connection under the lock so a concurrent Close
-	// (signal handler, test cleanup) either sees it and closes it, or
-	// has already closed done — in which case the dial is abandoned
-	// here rather than leaving Run blocked in a read Close cannot
-	// interrupt.
+	// Publish the connection, and join wg, under the lock so a
+	// concurrent Close (signal handler, test cleanup) either sees the
+	// connection, closes it and waits for Run, or has already closed
+	// done — in which case the dial is abandoned here rather than
+	// leaving Run blocked in a read Close cannot interrupt.
 	w.mu.Lock()
 	select {
 	case <-w.done:
@@ -119,7 +122,9 @@ func (w *Worker) Run() error {
 	}
 	w.mc = newMsgConn(conn)
 	w.mc.chaos = w.opts.Chaos
+	w.wg.Add(1)
 	w.mu.Unlock()
+	defer w.wg.Done()
 	defer w.teardown()
 
 	if err := w.mc.write(wire.Message{Type: wire.MsgRegister, Name: w.opts.Name}); err != nil {
@@ -141,6 +146,7 @@ func (w *Worker) Run() error {
 	}
 	w.opts.Logf("cluster: registered as worker %d, heartbeating every %v", w.id, interval)
 
+	w.wg.Add(1)
 	go w.heartbeat(interval)
 
 	for {
@@ -168,6 +174,7 @@ func (w *Worker) Run() error {
 			}
 			sess := &workerSession{id: m.Config, in: make(chan wire.Message, 1), cancel: make(chan struct{})}
 			w.sessions[m.Config] = sess
+			w.wg.Add(1)
 			go w.serve(sess, m)
 		case wire.MsgRun:
 			sess := w.sessions[m.Config]
@@ -225,7 +232,9 @@ func (w *Worker) chaosPoint(name string) {
 		return
 	}
 	if act.Delay > 0 {
+		w.wg.Add(1)
 		go func() {
+			defer w.wg.Done()
 			timer := time.NewTimer(act.Delay)
 			defer timer.Stop()
 			select {
@@ -241,9 +250,17 @@ func (w *Worker) chaosPoint(name string) {
 	w.mc.close()
 }
 
-// Close stops the worker: the control connection drops (the
-// coordinator sees a dead worker) and every session aborts.
+// Close stops the worker and returns once Run and every goroutine it
+// started have exited: the control connection drops (the coordinator
+// sees a dead worker) and every session aborts. A Close before Run, or
+// after Run has returned, returns at once.
 func (w *Worker) Close() {
+	w.shutdown()
+	w.wg.Wait()
+}
+
+// shutdown is Close without the wait, for Run's own teardown.
+func (w *Worker) shutdown() {
 	w.stop.Do(func() {
 		close(w.done)
 		w.mu.Lock()
@@ -256,13 +273,14 @@ func (w *Worker) Close() {
 }
 
 func (w *Worker) teardown() {
-	w.Close()
+	w.shutdown()
 	for _, sess := range w.sessions {
 		w.drop(sess, "worker shutting down")
 	}
 }
 
 func (w *Worker) heartbeat(interval time.Duration) {
+	defer w.wg.Done()
 	tick := time.NewTicker(interval)
 	defer tick.Stop()
 	for {
@@ -298,10 +316,11 @@ func refuse(m wire.Message, format string, args ...any) wire.Message {
 // builds the configuration and replies prepared, then answers the runs
 // the read loop queues on in, one at a time; the first one wires the
 // mesh before it runs. A failed prepare or mesh leaves it refusing
-// every later run until the release. Nothing waits for it to exit: the
-// read loop must not block on a release, and a closed cancel ends it as
-// soon as a run in flight returns.
+// every later run until the release. The read loop does not wait for
+// it to exit — it must not block on a release — but Close does; a
+// closed cancel ends it as soon as a run in flight returns.
 func (w *Worker) serve(sess *workerSession, prep wire.Message) {
+	defer w.wg.Done()
 	app, plan, ln, err := w.prepare(prep)
 	var engine *exec.RankEngine
 	defer func() {

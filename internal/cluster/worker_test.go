@@ -4,6 +4,7 @@ import (
 	"net"
 	"runtime"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -215,4 +216,45 @@ func TestWorkerRefusesMismatchedAddrs(t *testing.T) {
 		conn.Close()
 		t.Error("a refused address list was dialed")
 	}
+}
+
+// TestWorkerCloseMeansStopped: Close returns only once Run and every
+// goroutine it started have exited, so nothing the worker runs logs
+// after it — here, the teardown's drop of a session a job left behind.
+// A Close before Run, and one after a failed dial, return at once.
+func TestWorkerCloseMeansStopped(t *testing.T) {
+	coord, _ := testFleet(t, 1)
+	var closed atomic.Bool
+	w := NewWorker(WorkerOptions{Coordinator: coord.Addr(), Name: "closing", Logf: func(format string, args ...any) {
+		if closed.Load() {
+			t.Errorf("logged after Close returned: "+format, args...)
+		}
+	}})
+	go w.Run()
+	if _, err := coord.WaitWorkers(2, 10*time.Second); err != nil {
+		t.Fatal(err)
+	}
+	cli := dialClient(t, coord)
+	if _, err := cli.Run(stencilSpec(2, 8)); err != nil {
+		t.Fatal(err)
+	}
+	w.Close()
+	closed.Store(true)
+	time.Sleep(100 * time.Millisecond)
+
+	unstarted := NewWorker(WorkerOptions{Coordinator: coord.Addr()})
+	unstarted.Close()
+	if err := unstarted.Run(); err != nil {
+		t.Errorf("Run after Close = %v, want nil", err)
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ln.Close() // nothing listens here now
+	undialed := NewWorker(WorkerOptions{Coordinator: ln.Addr().String()})
+	if err := undialed.Run(); err == nil {
+		t.Error("Run against a closed port succeeded")
+	}
+	undialed.Close()
 }

@@ -650,6 +650,19 @@ func (tr *MeshTransport) Flush(rank int) error {
 		return nil
 	}
 	step := tr.in.Ack(rank)
+	select {
+	case <-tr.done:
+		// Torn down mid-run (a release, or a peer's failure): the run is
+		// void, and failing its flush makes the engine skip every
+		// remaining kernel, so even a rank with no remote input to wake
+		// stops computing within one step. The step is acknowledged
+		// first: the rank's receives count steps by its acks.
+		if err := tr.Err(); err != nil {
+			return err
+		}
+		return fmt.Errorf("tcp: mesh torn down")
+	default:
+	}
 	for to := 0; to < tr.plan.Ranks; to++ {
 		if to == rank {
 			continue

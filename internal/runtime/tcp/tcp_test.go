@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"taskbench/internal/core"
+	"taskbench/internal/kernels"
 	"taskbench/internal/runtime"
 	"taskbench/internal/runtime/exec"
 	"taskbench/internal/runtime/p2p"
@@ -283,6 +284,37 @@ func TestMeshCancelAbortsRun(t *testing.T) {
 		}
 	case <-time.After(10 * time.Second):
 		t.Fatal("run still blocked 10s after its mesh was canceled")
+	}
+}
+
+// TestMeshCancelStopsComputeOnlyRun: a canceled mesh fails its rank's
+// next flush, so a run with no remote input to wake — one rank, ten
+// seconds of busy-wait kernels — still ends within a step instead of
+// computing on for nobody.
+func TestMeshCancelStopsComputeOnlyRun(t *testing.T) {
+	mkApp := func() *core.App {
+		app := core.NewApp(core.MustNew(core.Params{
+			Timesteps: 10000, MaxWidth: 1, Dependence: core.Stencil1DPeriodic,
+			Kernel: kernels.Config{Type: kernels.BusyWait, WaitDuration: time.Millisecond},
+		}))
+		app.Workers = 1
+		return app
+	}
+	cancel := make(chan struct{})
+	apps, plans, trs := splitMesh(t, mkApp, cancel, exec.Span{Lo: 0, Hi: 1})
+	engine := exec.NewLocalRankEngine(plans[0], p2p.Policy{}, 1, trs[0])
+	defer engine.Close()
+	errCh := make(chan error, 1)
+	go func() { errCh <- engine.Run(apps[0].Validate) }()
+	time.Sleep(20 * time.Millisecond)
+	close(cancel)
+	select {
+	case err := <-errCh:
+		if err == nil {
+			t.Fatal("run succeeded despite a canceled mesh")
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("run still computing 5s after its mesh was canceled")
 	}
 }
 

@@ -7,10 +7,11 @@
 //
 // Over-decomposition and message-driven progress are what the paper
 // credits Charm++ with, and both are a layout of the p2p policy rather
-// than a new mechanism: with one rank per column every chare is a
-// goroutine that advances whenever its own inputs are in, the Go
-// scheduler multiplexes the chares over the cores, and a chare's
-// mailbox is the slots of its incoming edges.
+// than a new mechanism: with one rank per column, the rank engine
+// places the chares in blocks on one driver goroutine per core, like
+// Charm++'s per-PE scheduler, and a driver steps whichever of its
+// chares has its inputs in and room to send; a chare's mailbox is the
+// slots of its incoming edges.
 package actor
 
 import (

@@ -15,6 +15,7 @@ package exec_test
 
 import (
 	"math"
+	stdruntime "runtime"
 	"testing"
 	"unsafe"
 
@@ -211,6 +212,43 @@ func TestWarmSessionRunAllocs(t *testing.T) {
 			}
 			if allocs > c.ceiling {
 				t.Errorf("%s: a warm run allocates %.1f objects, want at most %.0f", c.name, allocs, c.ceiling)
+			}
+		})
+	}
+}
+
+// TestWarmRankSessionRunAllocs pins what a warm RankSession.Run of the
+// allocation-free rank steps allocates at one P, as the benchmark runs:
+// the run's error capture and WaitGroup, and two for the go statement
+// of the one driver that steps all four ranks. A goroutine per rank, as
+// before the drivers, made it 6 at two ranks and 10 at four.
+func TestWarmRankSessionRunAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates; AllocsPerRun is meaningless")
+	}
+	defer stdruntime.GOMAXPROCS(stdruntime.GOMAXPROCS(1))
+	for _, name := range []string{"p2p", "bsp", "dtd"} {
+		t.Run(name, func(t *testing.T) {
+			rt, err := runtime.New(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sess, err := exec.NewRankSession(allocApp(64), rt.(runtime.RankBacked).RankPolicy())
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer sess.Close()
+			var runErr error
+			run := func() {
+				_, runErr = sess.Run()
+			}
+			run() // warm: allocate every slot on its first use
+			allocs := testing.AllocsPerRun(20, run)
+			if runErr != nil {
+				t.Fatal(runErr)
+			}
+			if allocs != 4 {
+				t.Errorf("%s: a warm run at one P allocates %.1f objects, want 4", name, allocs)
 			}
 		})
 	}

@@ -244,7 +244,8 @@ type pairConsumer struct {
 }
 
 type rankPairs struct {
-	// steps counts the rank's flushes; only its own goroutine touches it.
+	// steps counts the rank's flushes; only the goroutine driving the
+	// rank touches it.
 	steps   uint64
 	out, in []int32
 }
@@ -424,6 +425,15 @@ func (f *Fabric) RecvEdge(graph, edge int) []byte {
 // that only its own next message could bring. Then it parks until
 // rank's next step is within EdgeCap of each consumer.
 func (f *Fabric) Flush(rank int) error {
+	f.publish(rank)
+	f.reserveStep(rank)
+	return nil
+}
+
+// publish is Flush without the wait: it counts one more step of rank,
+// publishes it on every pair rank produces and acknowledges it on
+// every pair rank consumes.
+func (f *Fabric) publish(rank int) {
 	r := &f.ranks[rank]
 	r.steps++
 	s := r.steps
@@ -433,12 +443,38 @@ func (f *Fabric) Flush(rank int) error {
 		p.pubWait.notify()
 	}
 	f.ack(r.in, s)
+}
+
+// reserveStep parks until rank's next step is within EdgeCap of each
+// consumer, so the step's slots are free.
+func (f *Fabric) reserveStep(rank int) {
+	r := &f.ranks[rank]
 	for _, id := range r.out {
-		if !f.reserve(&f.pairs[id], s+1) {
-			break
+		if !f.reserve(&f.pairs[id], r.steps+1) {
+			return
 		}
 	}
-	return nil
+}
+
+// ready reports whether rank's next step can run without waiting:
+// every pair it consumes has published the step, and reserveStep would
+// not park.
+func (f *Fabric) ready(rank int) bool {
+	r := &f.ranks[rank]
+	k := r.steps
+	for _, id := range r.in {
+		if f.pairs[id].pub.Load() < k {
+			return false
+		}
+	}
+	if k+1 > EdgeCap {
+		for _, id := range r.out {
+			if f.pairs[id].ack.Load() < k+1-EdgeCap {
+				return false
+			}
+		}
+	}
+	return true
 }
 
 func (f *Fabric) ack(in []int32, s uint64) {

@@ -67,6 +67,12 @@ func TestBufferLifetimeEveryPolicy(t *testing.T) {
 // a second run allocates when its peak exceeds the first's. It logs the
 // peak rows in use, which the free list's length is: a row is allocated
 // only when every earlier one is in use.
+//
+// One worker fixes the schedule only for a policy whose run starts no
+// goroutine besides the engine's workers. dataflow's interpreter wires
+// statements beside the worker, so its peak rows depend on the Go
+// scheduler; for it the second run must give back every row it took
+// (the list keeps the first run's rows) and hold at most one per step.
 func TestStepRowsReturnEveryPolicy(t *testing.T) {
 	for _, name := range runtime.Names() {
 		rt, err := runtime.New(name)
@@ -99,9 +105,15 @@ func TestStepRowsReturnEveryPolicy(t *testing.T) {
 						if held != 0 {
 							t.Errorf("%s workers=%d run %d: %d steps still hold a row", dep, workers, run, held)
 						}
-						if run == 0 {
+						switch {
+						case run == 0:
 							peak = free
-						} else if workers == 1 && free != peak {
+						case name == "dataflow":
+							if free < peak || free > app.Graphs[0].Timesteps {
+								t.Errorf("%s workers=%d: second run left %d rows on the free list, first %d, steps %d",
+									dep, workers, free, peak, app.Graphs[0].Timesteps)
+							}
+						case workers == 1 && free != peak:
 							t.Errorf("%s: second run left %d rows on the free list, first %d", dep, free, peak)
 						}
 					}

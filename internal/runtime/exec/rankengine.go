@@ -1,6 +1,7 @@
 package exec
 
 import (
+	stdruntime "runtime"
 	"sync"
 
 	"taskbench/internal/core"
@@ -29,8 +30,8 @@ type Transport interface {
 	RecvEdge(graph, edge int) []byte
 	// Flush ends rank's step: it publishes every payload rank sent
 	// during the step and acknowledges every payload it received. The
-	// engine calls it on the rank's own goroutine once per step, after
-	// Step or from inside Barrier.
+	// engine calls it on the goroutine driving the rank, once per step,
+	// after Step or from inside Barrier.
 	Flush(rank int) error
 	// Err reports any asynchronous transport failure observed so far.
 	Err() error
@@ -59,8 +60,8 @@ func FlatLayout(app *core.App) RankLayout {
 
 // RankPolicy expresses one message-passing paradigm over the shared
 // RankEngine. The engine owns everything every rank-based backend has
-// in common — rank goroutine spawn and join, transport construction
-// and reuse, per-rank column ownership, barrier lifecycle, payload row
+// in common — driving the ranks, transport construction and reuse,
+// per-rank column ownership, barrier lifecycle, payload row
 // buffering, and first-error capture — and delegates only the
 // paradigm itself: how one rank enumerates and communicates one
 // timestep. Each backend registered with runtime.RegisterRanks is one
@@ -68,8 +69,8 @@ func FlatLayout(app *core.App) RankLayout {
 // another backend's policy as is.
 //
 // A RankPolicy is used by one RankEngine at a time. Step is called
-// concurrently from every rank's goroutine; per-rank policy state must
-// be indexed by rc.Rank.
+// concurrently for ranks on different drivers; per-rank policy state
+// must be indexed by rc.Rank.
 type RankPolicy interface {
 	// Layout picks the rank/thread decomposition for an app, before
 	// the RankPlan is built.
@@ -103,8 +104,11 @@ type RankCtx struct {
 	in       [][]byte // reusable gather buffer
 	validate bool
 	firstErr *ErrOnce
-	// flushed records that Barrier already flushed this step.
-	flushed bool
+	// t is the rank's next timestep of the current run.
+	t int
+	// atBarrier records that the rank's step ended in Barrier, which
+	// flushed it; the rank waits for its driver's barrier round.
+	atBarrier bool
 }
 
 func (rc *RankCtx) plan() *RankPlan { return rc.engine.plan }
@@ -140,20 +144,27 @@ func (rc *RankCtx) Cur(gi, i int) []byte { return rc.plan().Rows(rc.Rank, gi).Cu
 // Flip swaps graph gi's payload rows at the end of a timestep.
 func (rc *RankCtx) Flip(gi int) { rc.plan().Rows(rc.Rank, gi).Flip() }
 
-// Barrier blocks until every rank of the engine arrives — the global
-// barrier of the bulk-synchronous paradigm. A policy either calls it
-// on every rank at every timestep or not at all, as the step's last
-// act. It flushes the step first, so no rank leaves the barrier to
-// park on a peer's step that the peer has not yet published.
+// Barrier ends the step at the global barrier of the bulk-synchronous
+// paradigm: no rank of the engine starts its next step until every
+// rank has reached it. A policy either calls it on every rank at every
+// timestep or not at all, as the step's last act. It flushes the step
+// and returns; the rank's driver waits at the barrier once all of its
+// ranks have arrived. Flushing first means no rank leaves the barrier
+// to park on a peer's step that the peer has not yet published.
 func (rc *RankCtx) Barrier() {
 	rc.flush()
-	rc.flushed = true
-	rc.engine.barrier.Wait()
+	rc.atBarrier = true
 }
 
 // flush ends the rank's step on the transport, capturing a failure as
-// the run's first error.
+// the run's first error. On the engine's own fabric the step is only
+// published: its driver reserves the next step's slots before running
+// it (see drive).
 func (rc *RankCtx) flush() {
+	if f := rc.engine.fabric; f != nil {
+		f.publish(rc.Rank)
+		return
+	}
 	if err := rc.engine.transport.Flush(rc.Rank); err != nil {
 		rc.firstErr.Set(err)
 	}
@@ -233,20 +244,22 @@ func (rc *RankCtx) SendOutputs(gi, t, i int, out []byte) {
 }
 
 // RankEngine executes a RankPlan under a pluggable RankPolicy. It owns
-// the parts every rank-based backend previously duplicated: rank
-// goroutine spawn and join, transport construction and reuse, per-rank
-// column ownership, barrier lifecycle, payload row buffering, and
-// first-error capture. An engine may be reused: a caller holding a
-// Reset RankPlan can rerun it without rewiring the fabric (see
-// RankSession).
+// the parts every rank-based backend previously duplicated: driving
+// the ranks, transport construction and reuse, per-rank column
+// ownership, barrier lifecycle, payload row buffering, and first-error
+// capture. An engine may be reused: a caller holding a Reset RankPlan
+// can rerun it without rewiring the fabric (see RankSession).
 type RankEngine struct {
 	plan      *RankPlan
 	policy    RankPolicy
 	threads   int
 	local     Span // ranks hosted by this engine (all of them in-process)
 	transport Transport
-	barrier   *barrier
-	ctxs      []*RankCtx
+	// fabric is the transport when it is an in-process Fabric, whose
+	// ranks can share a driver; nil for a wire transport.
+	fabric  *Fabric
+	barrier *barrier
+	ctxs    []*RankCtx
 }
 
 // NewRankEngine builds an engine over plan with the given policy and
@@ -254,17 +267,15 @@ type RankEngine struct {
 // defaulting to the in-process Fabric over the plan's edge index)
 // happens here, outside any timed region.
 func NewRankEngine(plan *RankPlan, policy RankPolicy, threads int) (*RankEngine, error) {
-	e := newRankEngine(plan, policy, threads)
-	if transporter, ok := policy.(RankTransporter); ok {
-		transport, err := transporter.OpenTransport(plan)
-		if err != nil {
-			return nil, err
-		}
-		e.transport = transport
-	} else {
-		e.transport = NewFabric(plan)
+	transporter, ok := policy.(RankTransporter)
+	if !ok {
+		return NewLocalRankEngine(plan, policy, threads, NewFabric(plan)), nil
 	}
-	return e, nil
+	transport, err := transporter.OpenTransport(plan)
+	if err != nil {
+		return nil, err
+	}
+	return NewLocalRankEngine(plan, policy, threads, transport), nil
 }
 
 // NewLocalRankEngine builds an engine hosting only the plan's Local
@@ -273,24 +284,20 @@ func NewRankEngine(plan *RankPlan, policy RankPolicy, threads int) (*RankEngine,
 // remaining ranks live in other processes. The engine owns the
 // transport and Closes it. Policies driven this way must be
 // barrier-free: the cyclic barrier cannot span processes, so only the
-// local ranks participate in it.
+// local ranks' drivers take part in it.
 func NewLocalRankEngine(plan *RankPlan, policy RankPolicy, threads int, transport Transport) *RankEngine {
-	e := newRankEngine(plan, policy, threads)
-	e.transport = transport
-	return e
-}
-
-func newRankEngine(plan *RankPlan, policy RankPolicy, threads int) *RankEngine {
 	if threads < 1 {
 		threads = 1
 	}
 	e := &RankEngine{
-		plan:    plan,
-		policy:  policy,
-		threads: threads,
-		local:   plan.Local,
-		barrier: newBarrier(plan.Local.Len()),
+		plan:      plan,
+		policy:    policy,
+		threads:   threads,
+		local:     plan.Local,
+		transport: transport,
+		barrier:   newBarrier(plan.Local.Len()),
 	}
+	e.fabric, _ = transport.(*Fabric)
 	e.ctxs = make([]*RankCtx, plan.Ranks)
 	for r := e.local.Lo; r < e.local.Hi; r++ {
 		e.ctxs[r] = &RankCtx{Rank: r, engine: e}
@@ -298,33 +305,120 @@ func newRankEngine(plan *RankPlan, policy RankPolicy, threads int) *RankEngine {
 	return e
 }
 
-// Run executes every locally hosted task of the plan once, one
-// goroutine per rank, and returns the first validation or transport
-// error. Even on error every rank completes its schedule (validation is
-// skipped after the first failure), so the transport always drains.
-// Call Plan.Reset before running again.
+// Run executes every locally hosted task of the plan once and returns
+// the first validation or transport error. Even on error every rank
+// completes its schedule (validation is skipped after the first
+// failure), so the transport always drains. Call Plan.Reset before
+// running again.
+//
+// The ranks run on drivers, goroutines that each own a contiguous
+// block of ranks. Over the engine's own Fabric there are
+// min(local ranks, GOMAXPROCS) of them, read at every Run, so ranks
+// that cannot run in parallel hand each other no P: a driver steps
+// whichever of its ranks can run without waiting (see drive). A wire
+// transport keeps one driver per rank, since a rank waiting on a
+// demultiplexer must not hold up the ranks beside it.
 func (e *RankEngine) Run(validate bool) error {
 	firstErr := &ErrOnce{}
-	var wg sync.WaitGroup
 	for r := e.local.Lo; r < e.local.Hi; r++ {
 		rc := e.ctxs[r]
 		rc.validate = validate
 		rc.firstErr = firstErr
+		rc.t = 0
+	}
+	ranks := e.local.Len()
+	drivers := ranks
+	if e.fabric != nil {
+		drivers = min(ranks, stdruntime.GOMAXPROCS(0))
+	}
+	e.barrier.n = drivers
+	var wg sync.WaitGroup
+	for d, lo := 0, e.local.Lo; d < drivers; d++ {
+		// The ranks left, spread evenly over the drivers left.
+		hi := lo + (e.local.Hi-lo+drivers-d-1)/(drivers-d)
 		wg.Add(1)
-		go func(rc *RankCtx) {
+		go func(lo, hi int) {
 			defer wg.Done()
-			for t := 0; t < e.plan.MaxSteps; t++ {
-				e.policy.Step(rc, t)
-				if !rc.flushed {
-					rc.flush()
-				}
-				rc.flushed = false
-			}
-		}(rc)
+			e.drive(lo, hi)
+		}(lo, hi)
+		lo = hi
 	}
 	wg.Wait()
 	firstErr.Set(e.transport.Err())
 	return firstErr.Err()
+}
+
+// drive runs every step of ranks [lo, hi), one step at a time.
+//
+// A driver of one rank steps it in order and parks wherever the step
+// waits, as a goroutine per rank did. A driver of several (only over
+// the engine's Fabric) runs next, in turn from the rank after the last
+// one it ran, a rank that can run its step without waiting: every pair
+// it consumes has published the step, and every pair it produces has
+// acknowledged enough for the step's slots to be free. So ranks stay
+// message-driven within a driver, like the chares on a Charm++ PE.
+// When none can, it runs its least-advanced rank, which may park
+// inside the step. That cannot deadlock: the globally least-advanced
+// rank can always run (DESIGN.md §2b), and its driver runs either a
+// rank that can run or its least-advanced one, which is then no
+// further along than that rank and can run too. Over the Fabric a
+// rank's slots are reserved here, before its step, not at the end of
+// its Flush: a rank parked at its flush for a consumer on its own
+// driver would wait forever.
+//
+// A rank whose step ended in Barrier waits until every rank of the
+// driver has; the driver then waits once at the engine's barrier,
+// whose parties are the run's drivers.
+func (e *RankEngine) drive(lo, hi int) {
+	next, waiting := lo, 0
+	for left := (hi - lo) * e.plan.MaxSteps; left > 0; left-- {
+		rc := e.ctxs[lo]
+		if hi-lo > 1 {
+			rc = e.pick(lo, hi, &next)
+		} else if e.fabric != nil {
+			e.fabric.reserveStep(rc.Rank)
+		}
+		e.policy.Step(rc, rc.t)
+		rc.t++
+		if !rc.atBarrier {
+			rc.flush()
+			continue
+		}
+		if waiting++; waiting == hi-lo {
+			e.barrier.Wait()
+			for r := lo; r < hi; r++ {
+				e.ctxs[r].atBarrier = false
+			}
+			waiting = 0
+		}
+	}
+}
+
+// pick returns the rank of [lo, hi) that drive runs next, its slots
+// reserved: the first, from *next on, that can run its step without
+// waiting, or else the least-advanced one. It moves *next past a rank
+// that can run.
+func (e *RankEngine) pick(lo, hi int, next *int) *RankCtx {
+	var slow *RankCtx
+	r := *next
+	for range hi - lo {
+		rc := e.ctxs[r]
+		if r++; r == hi {
+			r = lo
+		}
+		if rc.t == e.plan.MaxSteps || rc.atBarrier {
+			continue
+		}
+		if e.fabric.ready(rc.Rank) {
+			*next = r
+			return rc
+		}
+		if slow == nil || rc.t < slow.t {
+			slow = rc
+		}
+	}
+	e.fabric.reserveStep(slow.Rank)
+	return slow
 }
 
 // Close releases the engine's transport.

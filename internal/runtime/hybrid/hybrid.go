@@ -53,7 +53,7 @@ func (Policy) Layout(app *core.App) exec.RankLayout {
 }
 
 // Step forks one goroutine per chunk of the rank's window, joins, and
-// sends the step's outputs from the rank's own goroutine.
+// sends the step's outputs from the goroutine driving the rank.
 func (Policy) Step(rc *exec.RankCtx, t int) {
 	for gi := 0; gi < rc.Graphs(); gi++ {
 		if !rc.Active(gi, t) {

@@ -1,7 +1,8 @@
-// Package p2p implements the MPI point-to-point analog: one goroutine
-// per rank, columns block-distributed over ranks, and one send/receive
-// pair of payload slots per dependence edge that crosses a rank
-// boundary (paper §3.4), synchronised once per timestep per rank pair.
+// Package p2p implements the MPI point-to-point analog: ranks stepped
+// by the rank engine's drivers, columns block-distributed over ranks,
+// and one send/receive pair of payload slots per dependence edge that
+// crosses a rank boundary (paper §3.4), synchronised once per timestep
+// per rank pair.
 // Each rank alternates a receive+compute phase with sends issued as
 // soon as each task completes, the best performing strategy the paper
 // found for MPI.

@@ -188,7 +188,7 @@ type MeshTransport struct {
 	// pend[from][to] accumulates the batch of payloads rank `from` has
 	// queued for rank `to` this timestep; only local rows are
 	// populated, and each cell is touched only by rank `from`'s
-	// goroutine (the same single-writer discipline as out).
+	// driver (the same single-writer discipline as out).
 	pend [][]pendBatch
 	// plan holds Local (which must match the topology's), routes an edge
 	// id to its consumer's rank and bounds each graph's payloads.
@@ -204,6 +204,10 @@ type MeshTransport struct {
 	// handoffs.
 	done     chan struct{}
 	downOnce sync.Once
+	// wg counts the goroutines the transport started: the
+	// demultiplexers, the acceptor and the Topology.Cancel watcher.
+	// Close waits for them.
+	wg sync.WaitGroup
 	// connMu guards conns, the registry of every dialed and accepted
 	// connection. Teardown closes only through the registry — never by
 	// walking out, which the constructor may still be populating when a
@@ -233,7 +237,11 @@ func (tr *MeshTransport) link(conn net.Conn, local, peer int, wrap func(net.Conn
 	}
 	tr.conns = append(tr.conns, w)
 	tr.out[local][peer] = w
-	go tr.demux(br, in)
+	tr.wg.Add(1)
+	go func() {
+		defer tr.wg.Done()
+		tr.demux(br, in)
+	}()
 	return true
 }
 
@@ -288,7 +296,9 @@ func NewMeshTransport(plan *exec.RankPlan, topo Topology) (*MeshTransport, error
 	}
 
 	if topo.Cancel != nil {
+		tr.wg.Add(1)
 		go func() {
+			defer tr.wg.Done()
 			select {
 			case <-topo.Cancel:
 				tr.fail(fmt.Errorf("tcp: mesh canceled"))
@@ -297,7 +307,11 @@ func NewMeshTransport(plan *exec.RankPlan, topo Topology) (*MeshTransport, error
 		}()
 	}
 	accepted := make(chan error, 1)
-	go func() { accepted <- tr.acceptInbound(topo, expect, deadline) }()
+	tr.wg.Add(1)
+	go func() {
+		defer tr.wg.Done()
+		accepted <- tr.acceptInbound(topo, expect, deadline)
+	}()
 
 	// Dial one connection per (local rank, higher rank) pair. Pairs
 	// within this process still cross the loopback socket: the tcp
@@ -330,7 +344,7 @@ func NewMeshTransport(plan *exec.RankPlan, topo Topology) (*MeshTransport, error
 	acceptErr := <-accepted
 	topo.Listener.Close()
 	if dialErr != nil || acceptErr != nil {
-		tr.teardown()
+		tr.Close()
 		if dialErr != nil {
 			return nil, dialErr
 		}
@@ -620,8 +634,9 @@ type pendBatch struct {
 // edge consumer's rank, coalescing everything headed to the same peer
 // this timestep into one batched frame written at the flush point. The
 // descriptor names the edge as the engine does, by graph and dense id.
-// Only the owning rank goroutine writes a given connection (or touches
-// its pending batches), so no locking is needed.
+// Only the driver of the owning rank, one per rank over a wire
+// transport, writes a given connection (or touches its pending
+// batches), so no locking is needed.
 func (tr *MeshTransport) SendEdge(fromRank, graph, edge int, payload []byte) error {
 	consumer := tr.plan.Edges(graph)[edge].Consumer
 	toRank := exec.OwnerOf(consumer, tr.plan.App.Graphs[graph].MaxWidth, tr.plan.Ranks)
@@ -644,7 +659,7 @@ func (tr *MeshTransport) SendEdge(fromRank, graph, edge int, payload []byte) err
 // acknowledges the step on every pair rank consumes, then writes out
 // every batch rank has pending, one writev per peer with queued
 // payloads, each carrying the new step count. The engine calls it at
-// each timestep boundary on the rank's own goroutine.
+// each timestep boundary on the rank's own driver.
 func (tr *MeshTransport) Flush(rank int) error {
 	if rank < tr.plan.Local.Lo || rank >= tr.plan.Local.Hi {
 		return nil
@@ -678,7 +693,7 @@ func (tr *MeshTransport) Flush(rank int) error {
 // writev: batch header, descriptor section, then every payload,
 // borrowed zero-copy from the senders. step is the sender's step count
 // once the current step is flushed; open marks a frame cut mid-step.
-// Called only from rank `from`'s goroutine.
+// Called only from the driver of rank `from`.
 func (tr *MeshTransport) flushTo(from, to int, step uint64, open bool) error {
 	p := &tr.pend[from][to]
 	if len(p.payloads) == 0 && !p.cut {
@@ -735,6 +750,11 @@ func (tr *MeshTransport) Recv(graph, producer, consumer int) []byte {
 // Err reports any asynchronous demultiplexer failure.
 func (tr *MeshTransport) Err() error { return tr.errs.Err() }
 
-// Close shuts down the mesh; demultiplexers exit on the closed
-// connections.
-func (tr *MeshTransport) Close() { tr.teardown() }
+// Close shuts down the mesh and returns once every goroutine it
+// started has exited: the demultiplexers, on their closed connections
+// or released slots, and the Cancel watcher, on the closed done.
+// teardown, which a failing demultiplexer calls, does not wait.
+func (tr *MeshTransport) Close() {
+	tr.teardown()
+	tr.wg.Wait()
+}

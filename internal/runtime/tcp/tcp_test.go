@@ -2,6 +2,7 @@ package tcp
 
 import (
 	"net"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -9,6 +10,7 @@ import (
 
 	"taskbench/internal/core"
 	"taskbench/internal/kernels"
+	"taskbench/internal/leaktest"
 	"taskbench/internal/runtime"
 	"taskbench/internal/runtime/exec"
 	"taskbench/internal/runtime/p2p"
@@ -285,6 +287,65 @@ func TestMeshCancelAbortsRun(t *testing.T) {
 	case <-time.After(10 * time.Second):
 		t.Fatal("run still blocked 10s after its mesh was canceled")
 	}
+}
+
+// TestMeshCloseMeansStopped checks right after a mesh's Close returns,
+// without waiting, that no goroutine of the mesh is left: Close returns
+// only once its demultiplexers and its Cancel watcher have exited. Each
+// connection end closes a few milliseconds late, so a demultiplexer
+// outlives any Close that does not wait for it, at any GOMAXPROCS. The
+// package's leak check waits a few seconds first, so it catches
+// goroutines that never end, not a Close that returns before they do.
+func TestMeshCloseMeansStopped(t *testing.T) {
+	app := core.NewApp(core.MustNew(core.Params{
+		Timesteps: 8, MaxWidth: 4, Dependence: core.Stencil1DPeriodic, OutputBytes: 64,
+	}))
+	app.Workers = 4
+	plan := exec.BuildRankPlan(app, 4)
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	addrs := make([]string, plan.Ranks)
+	for r := range addrs {
+		addrs[r] = ln.Addr().String()
+	}
+	var closers sync.WaitGroup
+	defer closers.Wait()
+	tr, err := NewMeshTransport(plan, Topology{
+		Local: exec.Span{Lo: 0, Hi: plan.Ranks}, Addrs: addrs, Listener: ln,
+		Cancel: make(chan struct{}),
+		Wrap:   func(c net.Conn) net.Conn { return lateCloseConn{c, &closers} },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	engine := exec.NewLocalRankEngine(plan, p2p.Policy{}, 1, tr)
+	if err := engine.Run(true); err != nil {
+		t.Fatal(err)
+	}
+	engine.Close()
+	for _, match := range []string{"tcp.(*MeshTransport)", "tcp.NewMeshTransport"} {
+		if left := leaktest.Running(match); len(left) != 0 {
+			t.Fatalf("%d goroutines still running after Close:\n\n%s", len(left), strings.Join(left, "\n\n"))
+		}
+	}
+}
+
+// lateCloseConn closes its connection 20 ms after Close is called.
+type lateCloseConn struct {
+	net.Conn
+	closers *sync.WaitGroup
+}
+
+func (c lateCloseConn) Close() error {
+	c.closers.Add(1)
+	go func() {
+		defer c.closers.Done()
+		time.Sleep(20 * time.Millisecond)
+		c.Conn.Close()
+	}()
+	return nil
 }
 
 // TestMeshCancelStopsComputeOnlyRun: a canceled mesh fails its rank's

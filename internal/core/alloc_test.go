@@ -59,4 +59,22 @@ func TestQueriesAllocateNothing(t *testing.T) {
 	if allocs != 0 {
 		t.Errorf("core's per-task queries allocate %v objects per task, want 0", allocs)
 	}
+
+	// rank_spread's shape: five inputs with a 48-byte body each, so the
+	// validated path also samples three fill bytes per input.
+	sg := MustNew(Params{Timesteps: 4, MaxWidth: 8, Dependence: Spread, Radix: 5, OutputBytes: 64})
+	sinputs := validInputs(sg, ts, i)
+	if len(sinputs) != 5 {
+		t.Fatalf("spread radix 5 (t=%d, i=%d): %d inputs, want 5", ts, i, len(sinputs))
+	}
+	sout := make([]byte, sg.OutputBytes)
+	allocs = testing.AllocsPerRun(100, func() {
+		err = sg.ExecutePoint(ts, i, sout, sinputs, scratch, true)
+	})
+	if err != nil {
+		t.Fatalf("spread ExecutePoint: %v", err)
+	}
+	if allocs != 0 {
+		t.Errorf("a validated five-input ExecutePoint allocates %v objects, want 0", allocs)
+	}
 }

@@ -168,9 +168,11 @@ type PointIter struct {
 	end    int // one past the last point of the current clipped interval
 }
 
-// Next returns the next point, in ascending order. The in-interval
-// fast path is free of loops so it inlines into callers; per-point
-// cost is then an increment and a compare.
+// Next returns the next point, in ascending order. It does not inline
+// (`go build -gcflags=-m=2` prices it above the budget of 80), so it is
+// a call per point for its callers: Plan construction, serial and
+// trace. Input validation does not use it; checkInputs walks the
+// compiled list directly.
 func (it *PointIter) Next() (int, bool) {
 	p := it.cur
 	if p < it.end {

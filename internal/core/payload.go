@@ -150,6 +150,52 @@ func (g *Graph) checkInput(t, i int, buf []byte, wantT, wantI int) error {
 	return nil
 }
 
+// checkInputs validates the inputs of task (t, i), which must lie in
+// the graph, in one pass over the compiled forward list of (dsetAt[t],
+// i) clipped to the active window of t-1: each input is checked against
+// the next dependency as the walk reaches it, and the count at the end.
+// The steady state allocates nothing and makes no call per dependence
+// beyond checkInput (the naive DependenciesForPoint would allocate two
+// IntervalLists per task). A wrong count wins over a bad input, so only
+// the error path, through countFirst, walks the list a second time.
+func (g *Graph) checkInputs(t, i int, inputs [][]byte) error {
+	n := 0
+	if t > 0 {
+		dt := g.Deps()
+		k := int(dt.dsetAt[t])*dt.width + i
+		lo := int(dt.offAt[t-1])
+		hi := lo + int(dt.widthAt[t-1]) - 1
+		for _, iv := range dt.fwd.arena[dt.fwd.off[k]:dt.fwd.off[k+1]] {
+			for dep := max(iv.First, lo); dep <= min(iv.Last, hi); dep++ {
+				if n == len(inputs) {
+					return g.countFirst(t, i, len(inputs), nil)
+				}
+				if err := g.checkInput(t, i, inputs[n], t-1, dep); err != nil {
+					return g.countFirst(t, i, len(inputs), err)
+				}
+				n++
+			}
+		}
+	}
+	if n != len(inputs) {
+		return g.countFirst(t, i, len(inputs), nil)
+	}
+	return nil
+}
+
+// countFirst is checkInputs' error path: it recounts the dependencies
+// of task (t, i) and reports a count mismatch in preference to err,
+// the first bad input's error (nil when the walk ran out of inputs or
+// dependencies).
+func (g *Graph) countFirst(t, i, got int, err error) error {
+	it := g.PointDeps(t, i)
+	if want := it.Count(); got != want {
+		return &ValidationError{GraphID: g.GraphID, Timestep: t, Point: i,
+			Detail: fmt.Sprintf("got %d inputs, want %d", got, want)}
+	}
+	return err
+}
+
 // ExecutePoint runs task (t, i): it validates every input payload
 // against the graph's dependence relation, executes the configured
 // kernel against the column's scratch buffer, and writes the task's
@@ -165,20 +211,8 @@ func (g *Graph) ExecutePoint(t, i int, output []byte, inputs [][]byte, scratch *
 			Detail: "task is outside the graph"}
 	}
 	if validate {
-		// The compiled table keeps the steady-state validation path
-		// allocation-free: the naive DependenciesForPoint would allocate
-		// two IntervalLists per executed task.
-		it := g.PointDeps(t, i)
-		if got, want := len(inputs), it.Count(); got != want {
-			return &ValidationError{GraphID: g.GraphID, Timestep: t, Point: i,
-				Detail: fmt.Sprintf("got %d inputs, want %d", got, want)}
-		}
-		n := 0
-		for dep, ok := it.Next(); ok; dep, ok = it.Next() {
-			if err := g.checkInput(t, i, inputs[n], t-1, dep); err != nil {
-				return err
-			}
-			n++
+		if err := g.checkInputs(t, i, inputs); err != nil {
+			return err
 		}
 	}
 

@@ -64,6 +64,14 @@ func fillByteAt(seed uint64, k int) byte {
 	return byte(fillWord(seed, body>>3) >> (8 * uint(body&7)))
 }
 
+// sampleAt locates the fill byte at payload offset k (with k >=
+// PayloadHeaderSize) as fillByteAt does: it is byte sh of v ^ v>>29,
+// with v = seed + mul.
+func sampleAt(k int) (mul uint64, sh uint) {
+	body := k - PayloadHeaderSize
+	return uint64(body>>3+1) * fillStep, uint(8 * (body & 7))
+}
+
 // fillBlock is the body size fillAVX2 writes per loop trip: sixteen
 // lanes in four 32-byte vectors. Shorter bodies never call out.
 const fillBlock = 128
@@ -152,12 +160,19 @@ func (g *Graph) checkInput(t, i int, buf []byte, wantT, wantI int) error {
 
 // checkInputs validates the inputs of task (t, i), which must lie in
 // the graph, in one pass over the compiled forward list of (dsetAt[t],
-// i) clipped to the active window of t-1: each input is checked against
-// the next dependency as the walk reaches it, and the count at the end.
-// The steady state allocates nothing and makes no call per dependence
-// beyond checkInput (the naive DependenciesForPoint would allocate two
-// IntervalLists per task). A wrong count wins over a bad input, so only
-// the error path, through countFirst, walks the list a second time.
+// i) clipped to the active window of t-1. Each input is checked where
+// the walk reaches it, with checkInput's checks written inline: its
+// length, both header words and the three sampled fill bytes. What
+// depends only on the graph — the sampled offsets, each sample's lane
+// multiplier and byte shift — is worked out once per call, so an input
+// costs one fillSeed and compares. The steady state allocates nothing
+// and makes no call per dependence (the naive DependenciesForPoint
+// would allocate two IntervalLists per task). checkInput runs only
+// after a mismatch, and its verdict stands: it words the error, and
+// an input it passes is counted, so the inline checks can only cost a
+// call, never skip an input. A wrong count wins over a bad input, so
+// only the error path, through countFirst, walks the list a second
+// time.
 func (g *Graph) checkInputs(t, i int, inputs [][]byte) error {
 	n := 0
 	if t > 0 {
@@ -165,13 +180,33 @@ func (g *Graph) checkInputs(t, i int, inputs [][]byte) error {
 		k := int(dt.dsetAt[t])*dt.width + i
 		lo := int(dt.offAt[t-1])
 		hi := lo + int(dt.widthAt[t-1]) - 1
+		size := g.OutputBytes
+		mid, last := (PayloadHeaderSize+size)/2, size-1
+		mulMid, shMid := sampleAt(mid)
+		mulLast, shLast := sampleAt(last)
+		wantT := uint64(int64(t - 1))
 		for _, iv := range dt.fwd.arena[dt.fwd.off[k]:dt.fwd.off[k+1]] {
 			for dep := max(iv.First, lo); dep <= min(iv.Last, hi); dep++ {
 				if n == len(inputs) {
 					return g.countFirst(t, i, len(inputs), nil)
 				}
-				if err := g.checkInput(t, i, inputs[n], t-1, dep); err != nil {
-					return g.countFirst(t, i, len(inputs), err)
+				buf := inputs[n]
+				// len(buf) >= PayloadHeaderSize follows from the first
+				// test; it spares the header loads their bounds checks.
+				ok := len(buf) == size && len(buf) >= PayloadHeaderSize &&
+					binary.LittleEndian.Uint64(buf[0:8]) == wantT &&
+					binary.LittleEndian.Uint64(buf[8:16]) == uint64(int64(dep))
+				if ok && size > PayloadHeaderSize {
+					seed := fillSeed(t-1, dep)
+					v0, vm, vl := seed+fillStep, seed+mulMid, seed+mulLast
+					ok = buf[PayloadHeaderSize] == byte(v0^v0>>29) &&
+						buf[mid] == byte((vm^vm>>29)>>shMid) &&
+						buf[last] == byte((vl^vl>>29)>>shLast)
+				}
+				if !ok {
+					if err := g.checkInput(t, i, buf, t-1, dep); err != nil {
+						return g.countFirst(t, i, len(inputs), err)
+					}
 				}
 				n++
 			}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"reflect"
@@ -84,20 +85,55 @@ func TestExecutePointErrorPrecedence(t *testing.T) {
 		{"inputs at t=0", 0, func(in [][]byte) [][]byte { return in[:1] },
 			"got 1 inputs, want 0"},
 	}
+	wantDetail := func(t *testing.T, g *Graph, ts int, inputs [][]byte, want string) {
+		t.Helper()
+		out := make([]byte, g.OutputBytes)
+		err := g.ExecutePoint(ts, i, out, inputs, nil, true)
+		var verr *ValidationError
+		if !errors.As(err, &verr) {
+			t.Fatalf("got %v, want a *ValidationError %q", err, want)
+		}
+		if verr.Timestep != ts || verr.Point != i || verr.Detail != want {
+			t.Errorf("got (t=%d, i=%d) %q, want (t=%d, i=%d) %q",
+				verr.Timestep, verr.Point, verr.Detail, ts, i, want)
+		}
+	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			inputs := c.inputs(validInputs(g, ts, i))
-			out := make([]byte, g.OutputBytes)
-			err := g.ExecutePoint(c.t, i, out, inputs, nil, true)
-			var verr *ValidationError
-			if !errors.As(err, &verr) {
-				t.Fatalf("got %v, want a *ValidationError %q", err, c.want)
-			}
-			if verr.Timestep != c.t || verr.Point != i || verr.Detail != c.want {
-				t.Errorf("got (t=%d, i=%d) %q, want (t=%d, i=%d) %q",
-					verr.Timestep, verr.Point, verr.Detail, c.t, i, c.want)
-			}
+			wantDetail(t, g, c.t, c.inputs(validInputs(g, ts, i)), c.want)
 		})
+	}
+
+	// Each check of checkInputs' inline walk on its own, at sizes where
+	// the three sampled bytes are one byte (17), share one fill lane
+	// (24), lie in different lanes (64) and in different fill blocks
+	// (4096).
+	corrupt := func(dep, k int) string { return fmt.Sprintf("input from (t=1, i=%d) corrupt at byte %d", dep, k) }
+	for _, size := range []int{17, 24, 64, 4096} {
+		g := MustNew(Params{Timesteps: 4, MaxWidth: 8, Dependence: Stencil1D, OutputBytes: size})
+		mid, last := (PayloadHeaderSize+size)/2, size-1
+		checks := []struct {
+			name string
+			edit func(in [][]byte)
+			want string
+		}{
+			{"first fill byte", func(in [][]byte) { in[0][PayloadHeaderSize] ^= 0xff }, corrupt(3, PayloadHeaderSize)},
+			{"middle fill byte", func(in [][]byte) { in[1][mid] ^= 0xff }, corrupt(4, mid)},
+			{"last fill byte", func(in [][]byte) { in[2][last] ^= 0xff }, corrupt(5, last)},
+			{"header t", func(in [][]byte) { binary.LittleEndian.PutUint64(in[1][0:8], 0) },
+				"input header is (t=0, i=4), want (t=1, i=4)"},
+			{"header i", func(in [][]byte) { binary.LittleEndian.PutUint64(in[1][8:16], 6) },
+				"input header is (t=1, i=6), want (t=1, i=4)"},
+			{"one byte short", func(in [][]byte) { in[2] = in[2][:size-1] },
+				fmt.Sprintf("input from (t=1, i=5) has %d bytes, want %d", size-1, size)},
+		}
+		for _, c := range checks {
+			t.Run(fmt.Sprintf("%dB %s", size, c.name), func(t *testing.T) {
+				inputs := validInputs(g, ts, i)
+				c.edit(inputs)
+				wantDetail(t, g, ts, inputs, c.want)
+			})
+		}
 	}
 }
 
@@ -167,6 +203,23 @@ func FuzzExecutePointInputs(f *testing.F) {
 	f.Add(uint8(RandomNearest), uint8(13), uint8(4), uint8(1), uint8(5), uint8(7), uint8(24), []byte{3, 2})
 	f.Add(uint8(Stencil1DPeriodic), uint8(5), uint8(0), uint8(0), uint8(1), uint8(0), uint8(40), []byte{4, 17, 4, 0})
 	f.Add(uint8(AllToAll), uint8(6), uint8(0), uint8(0), uint8(0), uint8(2), uint8(16), []byte{3, 0})
+	// Each check of checkInputs' inline walk on its own, at OutputBytes
+	// 17, 24 and 64: a flip (op 4) of the first, middle and last sampled
+	// byte, of the header's t and of its i, in stencil task (2, 4).
+	// (A short input and 4096-byte payloads are beyond the edit script;
+	// TestExecutePointErrorPrecedence has them.)
+	for _, s := range []struct {
+		size  uint8
+		flips []byte
+	}{
+		{1, []byte{16, 33, 50, 0, 8}}, // 17 B: every sample is byte 16
+		{8, []byte{16, 20, 23, 0, 8}},
+		{48, []byte{16, 40, 63, 0, 8}},
+	} {
+		for _, arg := range s.flips {
+			f.Add(uint8(Stencil1D), uint8(8), uint8(0), uint8(0), uint8(2), uint8(4), s.size, []byte{4, arg})
+		}
+	}
 	f.Fuzz(func(t *testing.T, dep, width, radix, period, tRaw, iRaw, size uint8, edits []byte) {
 		types := DependenceTypes()
 		d := types[int(dep)%len(types)]

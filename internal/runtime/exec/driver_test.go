@@ -193,3 +193,20 @@ func TestDriverReservesBeforeStep(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// noInbound is a Transport that names no Fabric to receive from.
+type noInbound struct{ exec.Transport }
+
+// TestEngineRefusesTransportWithoutInbound: the engine receives remote
+// inputs straight from a Fabric, so a transport that names none is
+// refused when the engine is built, not at its first remote input.
+func TestEngineRefusesTransportWithoutInbound(t *testing.T) {
+	app := core.NewApp(core.MustNew(core.Params{Timesteps: 2, MaxWidth: 4, Dependence: core.Stencil1D}))
+	plan := exec.BuildRankPlan(app, 2)
+	defer func() {
+		if recover() == nil {
+			t.Fatal("NewLocalRankEngine accepted a transport that delivers into no Fabric")
+		}
+	}()
+	exec.NewLocalRankEngine(plan, p2p.Policy{}, 1, noInbound{exec.NewFabric(plan)})
+}

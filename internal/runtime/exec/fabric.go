@@ -404,9 +404,13 @@ func (f *Fabric) SendEdge(rank, graph, edge int, payload []byte) error {
 	return nil
 }
 
-// RecvEdge implements Transport by dense edge id: at its consumer
-// rank's k-th step (k flushes done) it returns the edge's payload of
-// the producer's step k-1, parking until that step is published.
+// RecvEdge receives by dense edge id; the rank engine's gather calls
+// it directly for every remote input, whatever the Transport (see
+// Transport). At its consumer rank's k-th step (k flushes done) it
+// returns the edge's payload of the producer's step k-1, parking until
+// that step is published. The bytes stay valid until the consumer
+// rank's next Flush, so a caller must be done with one payload of an
+// edge before its rank ends the step — which every policy does.
 func (f *Fabric) RecvEdge(graph, edge int) []byte {
 	g := &f.graphs[graph]
 	e := &g.edges[edge-g.lo]

@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"fmt"
 	stdruntime "runtime"
 	"sync"
 
@@ -18,16 +19,16 @@ import (
 // and a receive at a rank's step k (after k flushes) takes the payload
 // its producer sent at step k-1. That is every policy's shape, since
 // dependencies span consecutive timesteps.
+//
+// Receiving is not part of the interface: every transport delivers
+// into a Fabric, and the engine's gather reads that fabric directly
+// (Fabric.RecvEdge), with no interface call per input. The in-process
+// Fabric receives from itself; any other transport must expose the
+// fabric it fills through an Inbound method (see NewLocalRankEngine).
 type Transport interface {
 	// SendEdge transmits payload along the edge. rank identifies the
 	// sending rank, for transports that route by connection.
 	SendEdge(rank, graph, edge int, payload []byte) error
-	// RecvEdge blocks until the edge's payload of the producer's
-	// previous step is published and returns it. The bytes stay valid
-	// until the consumer rank's next Flush, so a caller must be done
-	// with one payload of an edge before its rank ends the step — which
-	// every policy does.
-	RecvEdge(graph, edge int) []byte
 	// Flush ends rank's step: it publishes every payload rank sent
 	// during the step and acknowledges every payload it received. The
 	// engine calls it on the goroutine driving the rank, once per step,
@@ -198,13 +199,13 @@ func (rc *RankCtx) Run(gi, t, i int) []byte {
 func (rc *RankCtx) RunInto(inputs [][]byte, gi, t, i int) ([][]byte, []byte) {
 	plan := rc.plan()
 	rows := plan.Rows(rc.Rank, gi)
-	tr := rc.engine.transport
+	f := rc.engine.inbound
 	inputs = inputs[:0]
 	for _, in := range plan.gather(gi, t, i) {
 		if in.Edge == localEdge {
 			inputs = append(inputs, rows.Prev(int(in.Col))) // grows to the max in-degree once, then reuses capacity
 		} else {
-			inputs = append(inputs, tr.RecvEdge(gi, int(in.Edge)))
+			inputs = append(inputs, f.RecvEdge(gi, int(in.Edge)))
 		}
 	}
 	return inputs, rc.execWith(gi, t, i, inputs)
@@ -257,7 +258,10 @@ type RankEngine struct {
 	transport Transport
 	// fabric is the transport when it is an in-process Fabric, whose
 	// ranks can share a driver; nil for a wire transport.
-	fabric  *Fabric
+	fabric *Fabric
+	// inbound is the Fabric remote inputs are received from: fabric, or
+	// the one a wire transport delivers into.
+	inbound *Fabric
 	barrier *barrier
 	ctxs    []*RankCtx
 }
@@ -281,10 +285,13 @@ func NewRankEngine(plan *RankPlan, policy RankPolicy, threads int) (*RankEngine,
 // NewLocalRankEngine builds an engine hosting only the plan's Local
 // rank span, moving cross-rank payloads over an externally supplied
 // transport — a cluster worker's slice of a multi-process run whose
-// remaining ranks live in other processes. The engine owns the
-// transport and Closes it. Policies driven this way must be
-// barrier-free: the cyclic barrier cannot span processes, so only the
-// local ranks' drivers take part in it.
+// remaining ranks live in other processes. The transport is either a
+// *Fabric, which receives from itself, or delivers into one that it
+// returns from an Inbound() *Fabric method (tcp's MeshTransport); any
+// other transport panics here. The engine owns the transport and
+// Closes it. Policies driven this way must be barrier-free: the cyclic
+// barrier cannot span processes, so only the local ranks' drivers take
+// part in it.
 func NewLocalRankEngine(plan *RankPlan, policy RankPolicy, threads int, transport Transport) *RankEngine {
 	if threads < 1 {
 		threads = 1
@@ -297,7 +304,14 @@ func NewLocalRankEngine(plan *RankPlan, policy RankPolicy, threads int, transpor
 		transport: transport,
 		barrier:   newBarrier(plan.Local.Len()),
 	}
-	e.fabric, _ = transport.(*Fabric)
+	switch tr := transport.(type) {
+	case *Fabric:
+		e.fabric, e.inbound = tr, tr
+	case interface{ Inbound() *Fabric }:
+		e.inbound = tr.Inbound()
+	default:
+		panic(fmt.Sprintf("exec: transport %T delivers into no Fabric", transport))
+	}
 	e.ctxs = make([]*RankCtx, plan.Ranks)
 	for r := e.local.Lo; r < e.local.Hi; r++ {
 		e.ctxs[r] = &RankCtx{Rank: r, engine: e}

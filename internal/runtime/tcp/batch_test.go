@@ -95,7 +95,7 @@ func TestBatchDemuxDeliversEveryEdge(t *testing.T) {
 				}
 			}
 			for k, e := range edges {
-				payload := tr.RecvEdge(0, k)
+				payload := tr.Inbound().RecvEdge(0, k)
 				if payload == nil {
 					t.Fatalf("ranks=%d size=%d: Recv %d→%d returned nil (err: %v)",
 						ranks, size, e.Producer, e.Consumer, tr.Err())
@@ -143,7 +143,7 @@ func TestMeshColumnAdapters(t *testing.T) {
 		for k, e := range edges {
 			want := make([]byte, 64)
 			pattern(want, byte(k+1))
-			if got := tr.RecvEdge(0, k); !bytes.Equal(got, want) {
+			if got := tr.Inbound().RecvEdge(0, k); !bytes.Equal(got, want) {
 				t.Fatalf("edge %d→%d: sent by columns, received %v by id (err: %v)", e.Producer, e.Consumer, got, tr.Err())
 			}
 		}
@@ -477,7 +477,7 @@ func expectTeardown(t *testing.T, tr *MeshTransport, want string) {
 	go func() {
 		for {
 			tr.Flush(0)
-			if p := tr.RecvEdge(0, inEdge); p == nil || tr.in.Steps(0) > exec.EdgeCap {
+			if p := tr.Inbound().RecvEdge(0, inEdge); p == nil || tr.in.Steps(0) > exec.EdgeCap {
 				recvDone <- p
 				return
 			}
@@ -816,7 +816,7 @@ func TestMeshFlushAllocatesNothing(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			if tr.RecvEdge(0, edge) == nil {
+			if tr.Inbound().RecvEdge(0, edge) == nil {
 				t.Fatalf("Recv returned nil: %v", tr.Err())
 			}
 		}

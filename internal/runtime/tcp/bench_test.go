@@ -55,7 +55,7 @@ func benchMeshSend(b *testing.B, size int) {
 			}
 		}
 		for k := range edges {
-			if tr.RecvEdge(0, k) == nil {
+			if tr.Inbound().RecvEdge(0, k) == nil {
 				b.Fatalf("Recv returned nil: %v", tr.Err())
 			}
 		}

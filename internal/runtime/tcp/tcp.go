@@ -22,8 +22,8 @@
 //   - In-process (the "tcp" backend): one process hosts every rank on
 //     loopback. Scheduling is exactly the p2p backend's eager rank
 //     policy — this package contributes only the exec.Transport adapter
-//     that swaps the in-process fabric for the wire, plugged into the
-//     shared exec.RankEngine via OpenTransport.
+//     that puts the wire in front of an inbound fabric, plugged into
+//     the shared exec.RankEngine via OpenTransport.
 //   - Multi-process (cluster mode): each process hosts a contiguous
 //     rank span of a plan built with exec.BuildRankPlanLocal, and
 //     NewMeshTransport wires the spans together from an externally
@@ -34,7 +34,10 @@
 // RankPlan's edge index for the edges this process consumes, so both
 // transports agree exactly on which edges exist and how they are
 // numbered: a frame names an edge by graph and dense id, as the engine
-// does, and the demux indexes its slots.
+// does, and the demux indexes its slots. The engine receives from that
+// fabric directly (MeshTransport.Inbound, Fabric.RecvEdge): the
+// transport only sends, flushes and tears down, and a receive costs
+// the same as over the in-process fabric.
 package tcp
 
 import (
@@ -177,10 +180,11 @@ type Topology struct {
 }
 
 // MeshTransport is the TCP mesh of one engine, implementing
-// exec.Transport. A torn-down mesh (Close, a closed Topology.Cancel,
-// or a connection failure) unblocks every pending Recv with a
-// zero-length payload that fails validation at the consumer, so a dead
-// peer process produces an error, never a hang.
+// exec.Transport and naming its inbound fabric through Inbound. A
+// torn-down mesh (Close, a closed Topology.Cancel, or a connection
+// failure) unblocks every pending receive with a zero-length payload
+// that fails validation at the consumer, so a dead peer process
+// produces an error, never a hang.
 type MeshTransport struct {
 	// out[from][to] is rank `from`'s end of the pair's connection;
 	// only rows in the local span are populated.
@@ -724,14 +728,14 @@ func (tr *MeshTransport) flushTo(from, to int, step uint64, open bool) error {
 	return nil
 }
 
-// RecvEdge implements exec.Transport: it blocks until the frame that
-// closes the producer's previous step has arrived — or the mesh is torn
-// down, in which case it returns a nil payload that fails validation at
-// the consumer. Keeping the protocol flowing after a failure is what
-// turns a killed peer process into a clean job error instead of a hang.
-func (tr *MeshTransport) RecvEdge(graph, edge int) []byte {
-	return tr.in.RecvEdge(graph, edge)
-}
+// Inbound returns the fabric the demultiplexers deliver into, which
+// the engine receives remote inputs from (exec.NewLocalRankEngine). Its
+// RecvEdge blocks until the frame that closes the producer's previous
+// step has arrived — or the mesh is torn down, in which case it returns
+// a nil payload that fails validation at the consumer. Keeping the
+// protocol flowing after a failure is what turns a killed peer process
+// into a clean job error instead of a hang.
+func (tr *MeshTransport) Inbound() *exec.Fabric { return tr.in }
 
 // Send is SendEdge addressed by columns. Kept for bench/layers.go until
 // ROADMAP 1(d).
@@ -739,7 +743,7 @@ func (tr *MeshTransport) Send(fromRank, graph, producer, consumer int, payload [
 	return tr.SendEdge(fromRank, graph, tr.plan.EdgeID(graph, producer, consumer), payload)
 }
 
-// Recv is RecvEdge addressed by columns, for an edge this process
+// Recv is Fabric.RecvEdge addressed by columns, for an edge this process
 // consumes, with the fabric adapter's per-message semantics: it takes
 // the pair's next published step and acknowledges it, so the consumer
 // rank need not flush. Kept for bench/layers.go until ROADMAP 1(d).
